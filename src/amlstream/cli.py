@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSET, PipelineConfig
 from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError
 from .eventlog import EventLog
 from .featstore import (
@@ -38,8 +38,6 @@ from .featstore import (
     alerts_per_month,
 )
 from .lifecycle import (
-    DECISION_NONE,
-    DECISION_RETRAIN,
     MODEL_BLOB_DATE,
     ModelRegistry,
     RetrainHooks,
@@ -58,7 +56,6 @@ from .models import (
 from .storage import BlobStore, TableStore
 from .streamproc import Alert, StreamProcessor, latency_summary, publish_transaction
 from .txgen import (
-    GeneratorConfig,
     Transaction,
     generate,
     read_dataset,
@@ -183,24 +180,31 @@ def _load_table_transactions(ws: Workspace) -> list[Transaction]:
     return [transaction_from_dict(row) for row in ws.tables.query("transactions")]
 
 
-def _publish_and_store(ws: Workspace, transactions, echo) -> dict[int, int]:
-    """Publish to the topic and upsert the warehouse table in chunks."""
+def _store_transactions(ws: Workspace, transactions) -> None:
+    """Upsert transactions into the warehouse table in chunks."""
+    for start in range(0, len(transactions), UPSERT_CHUNK):
+        ws.tables.upsert_rows(
+            "transactions", [t.to_dict() for t in transactions[start : start + UPSERT_CHUNK]]
+        )
+
+
+def _ensure_topic(ws: Workspace) -> None:
     topic = ws.config.topic
     try:
         ws.log.create_topic(topic.name, partition_count=topic.partitions)
     except AlreadyExistsError:
         pass
+
+
+def _publish_and_store(ws: Workspace, transactions, echo) -> dict[int, int]:
+    """Publish to the topic, then upsert the warehouse table."""
+    topic = ws.config.topic
+    _ensure_topic(ws)
     per_partition: dict[int, int] = {}
-    batch = []
     for t in transactions:
         partition, _ = publish_transaction(ws.log, topic.name, t)
         per_partition[partition] = per_partition.get(partition, 0) + 1
-        batch.append(t.to_dict())
-        if len(batch) >= UPSERT_CHUNK:
-            ws.tables.upsert_rows("transactions", batch)
-            batch = []
-    if batch:
-        ws.tables.upsert_rows("transactions", batch)
+    _store_transactions(ws, transactions)
     ws.log.flush()
     counts = ", ".join(f"p{p}={n}" for p, n in sorted(per_partition.items()))
     echo(f"published {sum(per_partition.values())} records to '{topic.name}' ({counts})")
@@ -311,16 +315,13 @@ def _fit_kind(kind: str, Xtr, ytr, config: PipelineConfig, schema_hash: str, see
     return train_forest(Xtr, ytr, overrides, schema_hash=schema_hash, seed=seed)
 
 
-def _prepare_training(transactions, config: PipelineConfig, seed: int):
-    """Schema, encoded splits, and the balanced training matrix.
-
-    Split uses seed + 1, rebalancing seed + 2, mirroring the documented
-    derivation from the pipeline seed.
-    """
+def _prepare_training(transactions, seed: int):
+    """Schema, encoded splits, and the balanced training matrix; the split
+    and rebalancing seeds derive from ``seed`` as documented in config."""
     schema = build_schema(transactions)
     X, y, _ = encode_matrix(transactions, schema)
-    idx_train, idx_val, idx_test = split_indices(len(transactions), seed + 1)
-    over = oversample_indices(y[idx_train], seed + 2)
+    idx_train, idx_val, idx_test = split_indices(len(transactions), seed + SPLIT_SEED_OFFSET)
+    over = oversample_indices(y[idx_train], seed + OVERSAMPLE_SEED_OFFSET)
     Xtr, ytr = X[idx_train][over], y[idx_train][over]
     return schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr
 
@@ -331,7 +332,7 @@ def _train_models(ws: Workspace, transactions, tick: int, echo) -> TrainOutcome:
         raise DataError("not enough transactions to train on; ingest more data first")
     echo(f"training on {len(transactions)} transactions")
     schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(
-        transactions, config, config.seed
+        transactions, config.seed
     )
     _save_schema(ws, schema)
     profile = feature_profile([transactions[i] for i in idx_train])
@@ -374,7 +375,7 @@ def _store_challenger_metrics(ws: Workspace, record, seed: int) -> None:
     """Persist metric rows for a retrained model so reports can cite them."""
     config = ws.config
     transactions = _load_table_transactions(ws)
-    _, X, y, _, _, idx_test, _, _ = _prepare_training(transactions, config, seed)
+    _, X, y, _, _, idx_test, _, _ = _prepare_training(transactions, seed)
     model = ws.registry.load_model(record.version)
     test_m = evaluate(
         predict_proba(model, X[idx_test]), y[idx_test], config.stream.alert_threshold
@@ -393,11 +394,9 @@ def _retrain_trainer(ws: Workspace):
 
     def train(kind: str, transactions, seed: int):
         config = ws.config
-        schema, X, y, idx_train, idx_val, _, Xtr, ytr = _prepare_training(
-            transactions, config, seed
-        )
+        schema, X, y, idx_train, idx_val, _, Xtr, ytr = _prepare_training(transactions, seed)
         _save_schema(ws, schema)
-        model = _fit_kind(kind, Xtr, ytr, config, schema.schema_hash, seed + 3)
+        model = _fit_kind(kind, Xtr, ytr, config, schema.schema_hash, seed + FOREST_SEED_OFFSET)
         val_m = evaluate(
             predict_proba(model, X[idx_val]), y[idx_val], config.stream.alert_threshold
         )
@@ -451,24 +450,14 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         [(r.payment_type, r.count, r.fraud_count, f"{r.fraud_percent:.2f}") for r in type_rows],
     )
 
-    alerts = _alerts_from_table(ws)
-    alert_type_counts: dict[str, int] = {}
-    tx_by_id = {t.id: t for t in transactions}
-    for a in alerts:
-        tx = tx_by_id.get(a.transaction_id)
-        if tx is None:
-            raise DataError(f"alert references unknown transaction {a.transaction_id}")
-        alert_type_counts[tx.payment_type] = alert_type_counts.get(tx.payment_type, 0) + 1
+    grid = alerts_per_month(_alerts_from_table(ws), transactions)
+    alerts_by_type = dict(zip(grid.payment_types, grid.counts.sum(axis=0).tolist()))
     _write_csv(
         out("fraud_by_payment_type.csv"),
         ("payment_type", "transactions", "labeled_fraud", "alerts"),
-        [
-            (r.payment_type, r.count, r.fraud_count, alert_type_counts.get(r.payment_type, 0))
-            for r in type_rows
-        ],
+        [(r.payment_type, r.count, r.fraud_count, alerts_by_type[r.payment_type]) for r in type_rows],
     )
 
-    grid = alerts_per_month(alerts, transactions)
     _write_csv(
         out("alerts_per_month.csv"),
         ("month", *grid.payment_types, "total"),
@@ -588,10 +577,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 def cmd_stream(args, config: PipelineConfig) -> int:
     ws = Workspace(config)
-    try:
-        ws.log.create_topic(config.topic.name, partition_count=config.topic.partitions)
-    except AlreadyExistsError:
-        pass
+    _ensure_topic(ws)
     processor = _make_processor(ws)
     results = []
     if args.feed:
@@ -602,6 +588,8 @@ def cmd_stream(args, config: PipelineConfig) -> int:
             window = incoming[start : start + rate]
             for t in window:
                 publish_transaction(ws.log, config.topic.name, t)
+            # report joins alerts to this table, so fed records land in it too
+            _store_transactions(ws, window)
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())
@@ -618,11 +606,7 @@ def cmd_train(args, config: PipelineConfig) -> int:
     if args.dataset:
         transactions = list(read_dataset(args.dataset))
         # keep the warehouse consistent with what the models saw
-        for start in range(0, len(transactions), UPSERT_CHUNK):
-            ws.tables.upsert_rows(
-                "transactions",
-                [t.to_dict() for t in transactions[start : start + UPSERT_CHUNK]],
-            )
+        _store_transactions(ws, transactions)
     else:
         transactions = _load_table_transactions(ws)
         if not transactions:
@@ -669,18 +653,8 @@ CONTROL_ID_STRIDE = 1_000_000
 SHIFT_ID_OFFSET = 5_000_000
 
 
-def _generator_variant(config: PipelineConfig, seed: int, count: int, currency_weights=None):
-    overrides = dict(config.generator)
-    overrides["count"] = count
-    if currency_weights is not None:
-        overrides["currency_weights"] = currency_weights
-    cfg = GeneratorConfig(seed=seed, **overrides)
-    cfg.validate()
-    return cfg
-
-
 def _shifted_currency_weights(config: PipelineConfig) -> dict:
-    base = _generator_variant(config, config.seed, 1).currency_weights
+    base = config.generator_config(count=1).currency_weights
     weights = dict(base)
     top = max(weights, key=lambda code: weights[code])
     spread = (weights[top] - SHIFT_GBP_WEIGHT) / (len(weights) - 1)
@@ -720,20 +694,17 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     _drain_summary(results, processor, echo)
     outcome["base_alerts"] = processor.alerts_emitted
 
-    thresholds = config.drift.thresholds()
     window_size = config.drift.window
 
     echo("== phase 4: steady-state monitoring windows ==")
     for w in range(CONTROL_WINDOWS):
-        live = list(
-            generate(_generator_variant(config, config.seed + 50 + w, window_size))
-        )
+        live = list(generate(config.generator_config(count=window_size, seed=config.seed + 50 + w)))
         live = _offset_ids(live, CONTROL_ID_STRIDE * (w + 1))
         _publish_and_store(ws, live, echo)
         results = processor.drain_all()
         _store_alerts(ws, [a for r in results for a in r.alerts])
         report = check_drift(
-            active.reference_profile, live, [], thresholds, window_id=w + 1
+            active.reference_profile, live, [], config.drift, window_id=w + 1
         )
         feature, psi = report.worst_feature
         echo(f"window {w + 1}: decision={report.decision} worst psi={psi:.4f} ({feature})")
@@ -743,10 +714,9 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
         echo("== phase 5: currency mix shifts ==")
         shifted = list(
             generate(
-                _generator_variant(
-                    config,
-                    config.seed + 60,
-                    window_size,
+                config.generator_config(
+                    count=window_size,
+                    seed=config.seed + 60,
                     currency_weights=_shifted_currency_weights(config),
                 )
             )
@@ -759,7 +729,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
             active.reference_profile,
             shifted,
             [],
-            thresholds,
+            config.drift,
             window_id=CONTROL_WINDOWS + 1,
         )
         feature, psi = report.worst_feature

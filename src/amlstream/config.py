@@ -5,16 +5,18 @@ A config file that parses but contains a typo must fail loudly, not
 silently run with defaults.
 
 All randomness in one pipeline run derives from the single top-level
-seed: the generator uses it directly, the dataset split uses seed + 1,
-class rebalancing seed + 2, forest training seed + 3, and retraining
-for registry version v uses seed + 1000 * v. Runs with the same config
-are therefore bit-for-bit reproducible.
+seed: the generator uses it directly, the dataset split adds
+SPLIT_SEED_OFFSET (1), class rebalancing OVERSAMPLE_SEED_OFFSET (2) and
+forest training FOREST_SEED_OFFSET (3). Retraining for registry version
+v starts from seed + RETRAIN_SEED_STRIDE * v (1000 * v) and adds the
+same offsets to that. Runs with the same config are therefore
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .lifecycle import DriftThresholds
@@ -27,18 +29,8 @@ OVERSAMPLE_SEED_OFFSET = 2
 FOREST_SEED_OFFSET = 3
 RETRAIN_SEED_STRIDE = 1000
 
-_GENERATOR_KEYS = frozenset(
-    {
-        "count",
-        "start_day",
-        "payment_type_weights",
-        "fraud_rate_by_type",
-        "currency_weights",
-        "location_weights",
-        "base_amount",
-        "seasonal_amplitude",
-    }
-)
+# the top-level seed is the generator's seed, so the section has no seed key
+_GENERATOR_KEYS = frozenset(f.name for f in fields(GeneratorConfig)) - {"seed"}
 
 
 def _take(section: str, raw: dict, allowed) -> dict:
@@ -76,34 +68,6 @@ class StreamSettings:
             raise ConfigError("stream.batch_max must be at least 1")
         if not 0.0 <= self.alert_threshold <= 1.0:
             raise ConfigError("stream.alert_threshold must lie in [0, 1]")
-
-
-@dataclass
-class DriftSettings:
-    psi_threshold: float = 0.2
-    accuracy_drop: float = 0.02
-    min_feedback: int = 200
-    window: int = 10_000
-    f1_guard: float = 0.005
-
-    def validate(self) -> None:
-        if self.psi_threshold <= 0:
-            raise ConfigError("drift.psi_threshold must be positive")
-        if self.accuracy_drop < 0:
-            raise ConfigError("drift.accuracy_drop must be non-negative")
-        if self.min_feedback < 1:
-            raise ConfigError("drift.min_feedback must be at least 1")
-        if self.window < 10:
-            raise ConfigError("drift.window must be at least 10")
-        if self.f1_guard < 0:
-            raise ConfigError("drift.f1_guard must be non-negative")
-
-    def thresholds(self) -> DriftThresholds:
-        return DriftThresholds(
-            psi=self.psi_threshold,
-            accuracy_drop=self.accuracy_drop,
-            min_feedback=self.min_feedback,
-        )
 
 
 @dataclass
@@ -163,7 +127,7 @@ class PipelineConfig:
     rules: RuleSettings = field(default_factory=RuleSettings)
     stream: StreamSettings = field(default_factory=StreamSettings)
     models: ModelSettings = field(default_factory=ModelSettings)
-    drift: DriftSettings = field(default_factory=DriftSettings)
+    drift: DriftThresholds = field(default_factory=DriftThresholds)
     corr_max_rows: int = 200_000
 
     def validate(self) -> None:
@@ -201,13 +165,17 @@ class PipelineConfig:
 
     # -- section builders ----------------------------------------------------
 
-    def generator_config(self, count: int | None = None) -> GeneratorConfig:
-        overrides = dict(self.generator)
+    def generator_config(
+        self, count: int | None = None, seed: int | None = None, **overrides
+    ) -> GeneratorConfig:
+        """The generator section as a GeneratorConfig; ``seed`` and any
+        GeneratorConfig field passed here replace the configured value."""
+        merged = {**self.generator, **overrides}
         if count is not None:
-            overrides["count"] = count
-        if "count" not in overrides:
+            merged["count"] = count
+        if "count" not in merged:
             raise ConfigError("generator.count is required (or pass --count)")
-        cfg = GeneratorConfig(seed=self.seed, **overrides)
+        cfg = GeneratorConfig(seed=self.seed if seed is None else seed, **merged)
         cfg.validate()
         return cfg
 
@@ -245,7 +213,7 @@ class PipelineConfig:
             ("rules", RuleSettings),
             ("stream", StreamSettings),
             ("models", ModelSettings),
-            ("drift", DriftSettings),
+            ("drift", DriftThresholds),
         ):
             if key in top:
                 fields = section_cls.__dataclass_fields__

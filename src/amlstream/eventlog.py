@@ -115,7 +115,7 @@ class _Partition:
         self.directory.mkdir(parents=True, exist_ok=True)
         segments = sorted(self.directory.glob("segment-*.log"))
         for seg_no, seg in enumerate(segments):
-            last_good = self._scan_segment(seg, tick_source)
+            last_good, self._records_in_segment = self._scan_segment(seg, tick_source)
             size = seg.stat().st_size
             if last_good < size:
                 # torn tail from a crash mid-append: drop the partial frame
@@ -124,16 +124,13 @@ class _Partition:
                 with open(seg, "r+b") as fh:
                     fh.truncate(last_good)
         if segments:
-            last = segments[-1]
-            self._segment_index = int(last.stem.split("-")[1])
-            self._records_in_segment = self._count_records_in(last)
-        else:
-            self._segment_index = 0
-            self._records_in_segment = 0
+            self._segment_index = int(segments[-1].stem.split("-")[1])
 
-    def _scan_segment(self, path: Path, tick_source) -> int:
-        """Append valid records to memory; return byte offset of last whole frame."""
+    def _scan_segment(self, path: Path, tick_source) -> tuple[int, int]:
+        """Append valid records to memory; return the byte offset of the
+        last whole frame and the number of whole frames."""
         good = 0
+        count = 0
         with open(path, "rb") as fh:
             data = fh.read()
         pos = 0
@@ -149,22 +146,8 @@ class _Partition:
             self.records.append((key, payload, tick_source()))
             pos = end
             good = pos
-        return good
-
-    def _count_records_in(self, path: Path) -> int:
-        n = 0
-        size = path.stat().st_size
-        with open(path, "rb") as fh:
-            pos = 0
-            while pos + _HEADER.size <= size:
-                header = fh.read(_HEADER.size)
-                plen, _, klen = _HEADER.unpack_from(header, 0)
-                if pos + _HEADER.size + klen + plen > size:
-                    break
-                fh.seek(klen + plen, os.SEEK_CUR)
-                pos += _HEADER.size + klen + plen
-                n += 1
-        return n
+            count += 1
+        return good, count
 
     # -- appends -------------------------------------------------------
 

@@ -13,14 +13,13 @@ hash of the schema they were trained against; scoring paths compare
 hashes before trusting a vector's layout.
 
 Unknown categories at encode time map to an all-zero block for that
-feature and bump a warning counter instead of failing: the speed layer
-must keep scoring even when live traffic drifts away from the training
-vocabulary.
+feature and are counted in encode_matrix's third return value instead of
+failing: the speed layer must keep scoring even when live traffic drifts
+away from the training vocabulary.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -100,25 +99,6 @@ class EncodingSchema:
         return schema
 
 
-@dataclass
-class EncodeCounters:
-    unseen: int = 0
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    label: bool
-
-
-@dataclass
-class DatasetSplit:
-    train: list
-    validation: list
-    test: list
-    seed: int
-
-
 def _canonical_vocab_json(vocabs: dict[str, tuple[str, ...]]) -> str:
     return json.dumps(
         [[f, list(vocabs[f])] for f in FEATURE_FIELDS], separators=(",", ":")
@@ -161,58 +141,14 @@ def build_schema(transactions: Sequence[Transaction]) -> EncodingSchema:
     return _schema_from_vocabularies(vocabs)
 
 
-def encode(
-    t: Transaction, schema: EncodingSchema, counters: EncodeCounters | None = None
-) -> FeatureVector:
-    """One-hot encode a single transaction.
-
-    In-vocabulary records produce exactly one 1 per feature block; an
-    unseen category leaves its block all-zero and increments the warning
-    counter. Never raises on data values.
-    """
-    values = np.zeros(schema.total_width, dtype=np.float64)
-    for feature in FEATURE_FIELDS:
-        vocab = schema.vocabularies[feature]
-        code = getattr(t, feature)
-        # vocab is sorted: binary search
-        lo = _vocab_index(vocab, code)
-        if lo is None:
-            if counters is not None:
-                counters.unseen += 1
-        else:
-            values[schema.offsets[feature] + lo] = 1.0
-    return FeatureVector(values=values, label=bool(t.is_laundering))
-
-
-def _vocab_index(vocab: tuple[str, ...], code: str) -> int | None:
-    i = bisect.bisect_left(vocab, code)
-    if i < len(vocab) and vocab[i] == code:
-        return i
-    return None
-
-
-def decode(vector: FeatureVector, schema: EncodingSchema) -> dict[str, str | None]:
-    """Inverse of encode for in-vocabulary blocks; None for zero blocks."""
-    if vector.values.shape[0] != schema.total_width:
-        raise SchemaMismatchError(
-            f"vector width {vector.values.shape[0]} != schema width {schema.total_width}"
-        )
-    out: dict[str, str | None] = {}
-    for feature in FEATURE_FIELDS:
-        vocab = schema.vocabularies[feature]
-        start = schema.offsets[feature]
-        block = vector.values[start : start + len(vocab)]
-        hits = np.flatnonzero(block == 1.0)
-        out[feature] = vocab[int(hits[0])] if hits.size else None
-    return out
-
-
 def encode_matrix(
     transactions: Sequence[Transaction], schema: EncodingSchema
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized encode: returns (X, labels, unseen_count).
+    """One-hot encode a batch: returns (X, labels, unseen_count).
 
-    Row i of X equals encode(transactions[i]).values exactly.
+    Each in-vocabulary field sets one 1.0 in its feature block; an unseen
+    category leaves its block all-zero and adds one to unseen_count.
+    Never raises on data values.
     """
     n = len(transactions)
     X = np.zeros((n, schema.total_width), dtype=np.float64)
@@ -260,16 +196,6 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     )
 
 
-def split(vectors: Sequence, seed: int) -> DatasetSplit:
-    idx_train, idx_val, idx_test = split_indices(len(vectors), seed)
-    return DatasetSplit(
-        train=[vectors[i] for i in idx_train],
-        validation=[vectors[i] for i in idx_val],
-        test=[vectors[i] for i in idx_test],
-        seed=seed,
-    )
-
-
 def oversample_indices(labels: np.ndarray, seed: int) -> np.ndarray:
     """Index array balancing classes: all originals plus sampled minority.
 
@@ -292,12 +218,6 @@ def oversample_indices(labels: np.ndarray, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     extra = minority[rng.integers(0, minority.size, size=deficit)]
     return np.concatenate([np.arange(n), extra])
-
-
-def oversample(vectors: Sequence[FeatureVector], seed: int) -> list[FeatureVector]:
-    labels = np.array([v.label for v in vectors], dtype=bool)
-    idx = oversample_indices(labels, seed)
-    return [vectors[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +253,6 @@ def correlation_from_arrays(X: np.ndarray, labels: np.ndarray) -> CorrelationRes
     keep = np.setdiff1d(np.arange(M.shape[1]), constant)
     corr[keep, keep] = 1.0
     return CorrelationResult(matrix=corr, constant_columns=tuple(int(c) for c in constant))
-
-
-def correlation_matrix(vectors: Sequence[FeatureVector]) -> CorrelationResult:
-    if len(vectors) < 2:
-        raise DataError("correlation requires at least 2 rows")
-    X = np.stack([v.values for v in vectors])
-    labels = np.array([v.label for v in vectors], dtype=bool)
-    return correlation_from_arrays(X, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +339,9 @@ def alerts_per_month(alerts: Iterable, transactions: Iterable[Transaction]) -> A
     col = {ptype: i for i, ptype in enumerate(types)}
     counts = np.zeros((12, max(len(types), 1)), dtype=np.int64)
     for alert in alerts:
-        tx_id = alert.transaction_id if hasattr(alert, "transaction_id") else alert["transaction_id"]
-        t = tx_by_id.get(tx_id)
+        t = tx_by_id.get(alert.transaction_id)
         if t is None:
-            raise DataError(f"alert references unknown transaction id {tx_id}")
+            raise DataError(f"alert references unknown transaction id {alert.transaction_id}")
         counts[month_of_day(t.day) - 1, col[t.payment_type]] += 1
     if not types:
         counts = np.zeros((12, 0), dtype=np.int64)

@@ -3,7 +3,8 @@
 The registry is an append-only journal of lifecycle events (register,
 activate, retire, retrain_failed) plus one serialized model blob per
 version. In-memory state is a pure fold over the journal, so restarting
-from disk reproduces exactly the registry that crashed. Model blobs are
+from disk reproduces exactly the registry that crashed; a journal line
+torn by the crash is dropped (storage.read_journal). Model blobs are
 written before their journal entry: a torn registration leaves an
 orphaned blob, never a journal entry pointing at a missing model.
 
@@ -20,10 +21,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError, NotFoundError
+from .errors import ConfigError, DataError, NotFoundError
 from .featstore import FEATURE_FIELDS
 from .models import EvalMetrics, TrainedModel, model_from_json, model_to_json
-from .storage import BlobStore
+from .storage import BlobStore, read_journal
 
 PSI_EPSILON = 1e-4
 MODEL_NAMESPACE = "models"
@@ -75,11 +76,28 @@ def population_stability_index(
     return total
 
 
-@dataclass(frozen=True)
+@dataclass
 class DriftThresholds:
-    psi: float = 0.2
+    """The ``drift`` config section: when a live window demands a retrain,
+    how large the window is, and how much worse a challenger may be."""
+
+    psi_threshold: float = 0.2
     accuracy_drop: float = 0.02
     min_feedback: int = 200
+    window: int = 10_000
+    f1_guard: float = 0.005
+
+    def validate(self) -> None:
+        if self.psi_threshold <= 0:
+            raise ConfigError("drift.psi_threshold must be positive")
+        if self.accuracy_drop < 0:
+            raise ConfigError("drift.accuracy_drop must be non-negative")
+        if self.min_feedback < 1:
+            raise ConfigError("drift.min_feedback must be at least 1")
+        if self.window < 10:
+            raise ConfigError("drift.window must be at least 10")
+        if self.f1_guard < 0:
+            raise ConfigError("drift.f1_guard must be non-negative")
 
 
 @dataclass
@@ -118,9 +136,9 @@ def check_drift(
         for f in FEATURE_FIELDS
     }
     breached = [
-        (f"psi:{f}", value, thresholds.psi)
+        (f"psi:{f}", value, thresholds.psi_threshold)
         for f, value in psi_by_feature.items()
-        if value > thresholds.psi
+        if value > thresholds.psi_threshold
     ]
 
     accuracy = None
@@ -201,16 +219,8 @@ class ModelRegistry:
     # -- journal ------------------------------------------------------------
 
     def _replay(self) -> None:
-        with open(self.journal_path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{self.journal_path}:{number}: bad journal line: {exc}") from exc
-                self._apply(event)
+        for event in read_journal(self.journal_path):
+            self._apply(event)
 
     def _append(self, event: dict) -> None:
         with open(self.journal_path, "a", encoding="utf-8") as handle:

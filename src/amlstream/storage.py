@@ -9,12 +9,15 @@ snapshot plus an append-only JSON-lines journal of upserts. Loading
 replays snapshot then journal; checkpoint() collapses the journal into
 a fresh snapshot. Upserts are idempotent per primary key and validated
 against the declared column schema before anything is applied, so a
-rejected batch leaves the table untouched.
+rejected batch leaves the table untouched. A query returns a whole
+table sorted by primary key, which keeps every downstream report
+deterministic.
 
-Queries are equality filters evaluated as a scan over the keyed rows;
-at the dataset sizes this store is built for, a scan and an index are
-the same thing. Results come back sorted by primary key, which keeps
-every downstream report deterministic.
+read_journal is the recovery rule of every JSON-lines journal here and
+in the model registry: a final line without its newline was torn by a
+crash mid-append and is dropped, the file is truncated to the last
+whole line so the next append starts on a clean line, and a bad line
+anywhere else is corruption and raises DataError.
 """
 
 from __future__ import annotations
@@ -62,6 +65,29 @@ def _check_blob_key(namespace: str, date_partition: str, name: str) -> None:
         raise ConfigError(f"invalid blob name {name!r}")
 
 
+def read_journal(path) -> list:
+    """The parsed lines of a JSON-lines journal, oldest first."""
+    entries = []
+    torn = ""
+    # surrogateescape keeps undecodable bytes, so a torn line re-encodes
+    # to exactly the bytes it came from
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                torn = line
+                break
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entries.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{number}: bad journal line: {exc}") from exc
+    if torn:
+        os.truncate(path, os.path.getsize(path) - len(torn.encode("utf-8", "surrogateescape")))
+    return entries
+
+
 class BlobStore:
     def __init__(self, root):
         self.root = Path(root)
@@ -91,29 +117,6 @@ class BlobStore:
         if not path.exists():
             raise NotFoundError(f"no blob {namespace}/{date_partition}/{name}")
         return path.read_bytes()
-
-    def list_blobs(self, namespace: str, date_partition: str | None = None) -> list[BlobKey]:
-        """Keys under a namespace (optionally one date), sorted."""
-        if not _NAME_RE.match(namespace or ""):
-            raise ConfigError(f"invalid blob namespace {namespace!r}")
-        ns_dir = self.root / namespace
-        if not ns_dir.exists():
-            return []
-        if date_partition is not None:
-            if not _DATE_RE.match(date_partition):
-                raise ConfigError(f"invalid date partition {date_partition!r}")
-            dates = [date_partition]
-        else:
-            dates = sorted(d.name for d in ns_dir.iterdir() if d.is_dir())
-        out = []
-        for date in dates:
-            ddir = ns_dir / date
-            if not ddir.exists():
-                continue
-            for f in sorted(ddir.iterdir()):
-                if f.is_file() and not f.name.endswith(".tmp"):
-                    out.append(BlobKey(namespace, date, f.name))
-        return out
 
 
 class _Table:
@@ -176,12 +179,8 @@ class TableStore:
                 }
             journal = table.directory / "journal.jsonl"
             if journal.exists():
-                with open(journal, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            row = json.loads(line)
-                            table.rows[row[table.key]] = row
+                for row in read_journal(journal):
+                    table.rows[row[table.key]] = row
             self._tables[table.name] = table
 
     def _journal_handle(self, table: _Table):
@@ -252,19 +251,10 @@ class TableStore:
             table.rows[row[table.key]] = dict(row)
         return len(rows)
 
-    def query(self, name: str, equals: dict | None = None) -> list[dict]:
-        """Rows matching every equality predicate, sorted by primary key."""
+    def query(self, name: str) -> list[dict]:
+        """Every row of a table, sorted by primary key."""
         table = self._require(name)
-        equals = equals or {}
-        for col in equals:
-            if col not in table.columns:
-                raise DataError(f"{name}: cannot filter on unknown column {col!r}")
-        out = []
-        for key in sorted(table.rows):
-            row = table.rows[key]
-            if all(row.get(col) == want for col, want in equals.items()):
-                out.append(dict(row))
-        return out
+        return [dict(table.rows[key]) for key in sorted(table.rows)]
 
     def count(self, name: str) -> int:
         return len(self._require(name).rows)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +84,7 @@ def alert_from_dict(raw: dict) -> Alert:
 
 
 class RollingStats:
-    """Running aggregates over everything the processor has observed.
+    """Per-sender velocity windows over recent ingest ticks.
 
     Sender identity is the sending bank location, the only sender field
     the transaction schema carries; velocity is therefore per-location.
@@ -92,19 +92,11 @@ class RollingStats:
 
     def __init__(self, window_ticks: int = 1000):
         self.window_ticks = window_ticks
-        self.total_seen = 0
-        self.total_alerted = 0
-        self.type_counts: Counter = Counter()
-        self.type_alerts: Counter = Counter()
-        self.currency_counts: Counter = Counter()
         self._recent: dict[str, deque] = {}
 
     def observe(self, transaction: Transaction, tick: int) -> int:
         """Record one transaction; returns the sender's count inside the
         window, including this one."""
-        self.total_seen += 1
-        self.type_counts[transaction.payment_type] += 1
-        self.currency_counts[transaction.payment_currency] += 1
         sender = transaction.sender_bank_location
         window = self._recent.setdefault(sender, deque())
         cutoff = tick - self.window_ticks
@@ -112,15 +104,6 @@ class RollingStats:
             window.popleft()
         window.append(tick)
         return len(window)
-
-    def record_alert(self, transaction: Transaction) -> None:
-        self.total_alerted += 1
-        self.type_alerts[transaction.payment_type] += 1
-
-    def alert_ratio(self) -> float:
-        if self.total_seen == 0:
-            return 0.0
-        return self.total_alerted / self.total_seen
 
 
 def apply_rules(
@@ -363,11 +346,6 @@ class StreamProcessor:
                                 tick=emit_tick,
                             )
                         )
-
-        alerted_ids = {a.transaction_id for a in alerts}
-        for _, transaction in decoded:
-            if transaction.id in alerted_ids:
-                self.stats.record_alert(transaction)
 
         # Durability before progress: alerts and dead letters hit disk
         # first, and only then does the consumer position move.

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -198,45 +198,6 @@ class GeneratorConfig:
         for t, rate in self.fraud_rate_by_type.items():
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"fraud rate for {t!r} must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "start_day": self.start_day,
-            "payment_type_weights": dict(self.payment_type_weights),
-            "fraud_rate_by_type": dict(self.fraud_rate_by_type),
-            "currency_weights": dict(self.currency_weights),
-            "location_weights": dict(self.location_weights),
-            "base_amount": self.base_amount,
-            "seasonal_amplitude": self.seasonal_amplitude,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("generator config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {', '.join(unknown)}")
-        if "seed" not in data or "count" not in data:
-            raise ConfigError("generator config requires 'seed' and 'count'")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "GeneratorConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(data)
-
-    def with_overrides(self, **kwargs) -> "GeneratorConfig":
-        return replace(self, **kwargs)
 
 
 # ---------------------------------------------------------------------------

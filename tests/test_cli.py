@@ -8,13 +8,14 @@ reduced through the config file so the suite stays fast.
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
 from amlstream import cli
 from amlstream.config import PipelineConfig
 from amlstream.storage import TableStore
-from amlstream.txgen import read_dataset
+from amlstream.txgen import GeneratorConfig, generate, read_dataset, write_jsonl
 
 
 def write_config(path, **overrides):
@@ -215,7 +216,7 @@ def test_flow_confusion_matrix_matches_metrics(flow):
     )
     active = registry.active()
     assert active is not None
-    row = tables.query("model_metrics", equals={"metric_id": f"v{active.version}:test"})[0]
+    [row] = [r for r in tables.query("model_metrics") if r["metric_id"] == f"v{active.version}:test"]
     lines = (root / "reports" / "confusion_matrix.csv").read_text().splitlines()
     assert lines[1] == f"actual_negative,{row['tn']},{row['fp']}"
     assert lines[2] == f"actual_positive,{row['fn']},{row['tp']}"
@@ -267,6 +268,23 @@ def test_stream_feed_keeps_latency_bounded(tmp_path, capsys):
     p50, p95, worst = (int(g) for g in match.groups())
     assert p95 <= 2000  # never more than two cadence intervals behind
     assert p50 <= p95 <= worst
+
+
+def test_report_after_feeding_new_ids(tmp_path, capsys):
+    config_path = write_config(
+        tmp_path / "config.json",
+        data_dir=str(tmp_path / "data"),
+        report_dir=str(tmp_path / "reports"),
+    )
+    feed = tmp_path / "feed.jsonl"
+    fresh = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=12, count=500))]
+    write_jsonl(fresh, str(feed))
+    for argv in (["generate"], ["ingest"], ["train"], ["stream", "--feed", str(feed)], ["report"]):
+        assert cli.main(["--config", config_path, *argv]) == 0, argv
+    tables = TableStore(str(tmp_path / "data" / "tables"))
+    assert tables.count("transactions") == 3_500  # fed records land in the warehouse
+    lines = (tmp_path / "reports" / "alerts_per_month.csv").read_text().splitlines()
+    assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == tables.count("alerts")
 
 
 def test_stream_on_empty_workspace_is_quiet(tmp_path, capsys):

@@ -8,22 +8,16 @@ import pytest
 
 from amlstream.errors import DataError, DegenerateClassError, SchemaMismatchError
 from amlstream.featstore import (
-    EncodeCounters,
+    FEATURE_FIELDS,
     EncodingSchema,
-    FeatureVector,
     alerts_per_month,
     build_schema,
     correlation_from_arrays,
-    correlation_matrix,
-    decode,
-    encode,
     encode_matrix,
     month_of_day,
-    oversample,
     oversample_indices,
     payment_type_table,
     seasonality_series,
-    split,
     split_indices,
     split_sizes,
 )
@@ -118,39 +112,45 @@ def test_schema_json_round_trip(sample_schema):
 # ---------------------------------------------------------------------------
 
 def test_encode_has_one_hot_per_block(sample_transactions, sample_schema):
-    for t in sample_transactions[:200]:
-        vec = encode(t, sample_schema)
-        assert vec.values.sum() == 5.0
-        assert set(np.unique(vec.values)) <= {0.0, 1.0}
-        assert vec.label == t.is_laundering
-        assert decode(vec, sample_schema) == {
-            f: getattr(t, f)
-            for f in (
-                "payment_currency",
-                "received_currency",
-                "sender_bank_location",
-                "receiver_bank_location",
-                "payment_type",
-            )
-        }
+    subset = sample_transactions[:200]
+    X, y, unseen = encode_matrix(subset, sample_schema)
+    assert unseen == 0
+    assert set(np.unique(X)) <= {0.0, 1.0}
+    assert np.array_equal(y, [t.is_laundering for t in subset])
+    names = sample_schema.column_names()
+    for row, t in zip(X, subset):
+        assert row.sum() == 5.0
+        hot = sorted(names[i] for i in np.flatnonzero(row))
+        assert hot == sorted(f"{f}={getattr(t, f)}" for f in FEATURE_FIELDS)
 
 
 def test_encode_unseen_category_zero_block_and_counter(sample_schema):
-    counters = EncodeCounters()
-    vec = encode(make_tx(pay_cur="ZZZ"), sample_schema, counters)
-    assert counters.unseen == 1
-    assert vec.values.sum() == 4.0
-    assert decode(vec, sample_schema)["payment_currency"] is None
+    X, _, unseen = encode_matrix([make_tx(pay_cur="ZZZ")], sample_schema)
+    assert unseen == 1
+    assert X[0].sum() == 4.0
+    start = sample_schema.offsets["payment_currency"]
+    width = len(sample_schema.vocabularies["payment_currency"])
+    assert not X[0, start : start + width].any()
+
+
+def one_hot_oracle(t, column: dict) -> np.ndarray:
+    """Encode one record by looking up each field's column name."""
+    row = np.zeros(len(column))
+    for f in FEATURE_FIELDS:
+        i = column.get(f"{f}={getattr(t, f)}")
+        if i is not None:
+            row[i] = 1.0
+    return row
 
 
 def test_encode_matrix_matches_single_encode(sample_transactions, sample_schema):
     subset = sample_transactions[:500] + [make_tx(id=10**9, recv_cur="???")]
     X, y, unseen = encode_matrix(subset, sample_schema)
     assert unseen == 1
-    for i in (0, 17, 250, 499, 500):
-        single = encode(subset[i], sample_schema)
-        assert np.array_equal(X[i], single.values)
-        assert y[i] == single.label
+    column = {name: i for i, name in enumerate(sample_schema.column_names())}
+    for t, row, label in zip(subset, X, y):
+        assert np.array_equal(row, one_hot_oracle(t, column))
+        assert label == t.is_laundering
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +185,14 @@ def test_split_too_small_raises():
 
 
 def test_split_on_vectors(sample_transactions, sample_schema):
-    vectors = [encode(t, sample_schema) for t in sample_transactions[:100]]
-    ds = split(vectors, seed=5)
-    assert len(ds.train) == 60 and len(ds.validation) == 20 and len(ds.test) == 20
-    # membership is preserved: every vector lands in exactly one part
-    def keys(vs):
-        return sorted(tuple(v.values.nonzero()[0]) + (v.label,) for v in vs)
+    X, y, _ = encode_matrix(sample_transactions[:100], sample_schema)
+    train, val, test = split_indices(len(X), seed=5)
+    assert len(train) == 60 and len(val) == 20 and len(test) == 20
+    # membership is preserved: every encoded row lands in exactly one part
+    def keys(idx):
+        return [tuple(X[i].nonzero()[0]) + (bool(y[i]),) for i in idx]
 
-    assert sorted(keys(ds.train) + keys(ds.validation) + keys(ds.test)) == keys(vectors)
+    assert sorted(keys(train) + keys(val) + keys(test)) == sorted(keys(range(100)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +231,12 @@ def test_oversample_single_class_raises():
 
 def test_oversample_on_vectors(sample_transactions, sample_schema):
     # force a 5/45 imbalance regardless of the generated labels
-    vectors = []
-    for i, t in enumerate(sample_transactions[:50]):
-        v = encode(t, sample_schema)
-        vectors.append(FeatureVector(values=v.values, label=(i % 10 == 0)))
-    out = oversample(vectors, seed=11)
-    pos = sum(1 for v in out if v.label)
-    neg = sum(1 for v in out if not v.label)
-    assert pos == neg == 45
+    X, _, _ = encode_matrix(sample_transactions[:50], sample_schema)
+    y = np.arange(50) % 10 == 0
+    idx = oversample_indices(y, seed=11)
+    Xo, yo = X[idx], y[idx]
+    assert Xo.shape == (90, X.shape[1])
+    assert yo.sum() == (~yo).sum() == 45
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +289,9 @@ def test_correlation_flags_constant_columns():
 
 
 def test_correlation_requires_two_rows(sample_schema):
-    one = [encode(make_tx(), sample_schema)]
+    X, y, _ = encode_matrix([make_tx()], sample_schema)
     with pytest.raises(DataError):
-        correlation_matrix(one)
+        correlation_from_arrays(X, y)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,37 @@ def test_registry_journal_is_jsonl_events(tmp_path):
     assert lines[0]["payload"]["metrics"]["f1"] == make_metrics().f1
 
 
+def test_registry_torn_journal_tail_is_dropped_and_truncated(tmp_path):
+    registry = make_registry(tmp_path)
+    registry.register(make_model(), make_metrics(), {}, tick=1)
+    with open(registry.journal_path, "rb") as handle:
+        whole = handle.read()
+    with open(registry.journal_path, "ab") as handle:
+        handle.write(b'{"event": "activate", "payl')  # crash mid-append
+
+    reloaded = ModelRegistry(registry.journal_path, registry.blob_store)
+    assert [r.version for r in reloaded.records()] == [1]
+    assert reloaded.active() is None
+    with open(registry.journal_path, "rb") as handle:
+        assert handle.read() == whole  # the next append starts on a clean line
+    reloaded.activate(1, tick=2)
+    again = ModelRegistry(registry.journal_path, registry.blob_store)
+    assert again.active().version == 1
+
+
+def test_registry_bad_journal_line_mid_file_names_path_and_line(tmp_path):
+    registry = make_registry(tmp_path)
+    registry.register(make_model(), make_metrics(), {}, tick=1)
+    registry.activate(1, tick=2)
+    with open(registry.journal_path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    lines[0] = '{"event": "register", "ver\n'
+    with open(registry.journal_path, "w", encoding="utf-8") as handle:
+        handle.write("".join(lines))
+    with pytest.raises(DataError, match=r"registry\.jsonl:1: bad journal line"):
+        ModelRegistry(registry.journal_path, registry.blob_store)
+
+
 # ---------------------------------------------------------------------------
 # retraining policy
 # ---------------------------------------------------------------------------

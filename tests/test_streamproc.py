@@ -7,7 +7,7 @@ import pytest
 
 from amlstream.errors import DataError
 from amlstream.eventlog import EventLog
-from amlstream.featstore import build_schema, encode
+from amlstream.featstore import build_schema, encode_matrix
 from amlstream.models import train_logistic, train_tree
 from amlstream.streamproc import (
     RULE_CORRIDOR,
@@ -125,19 +125,6 @@ def test_rolling_stats_window_eviction():
     assert stats.observe(tx, 13) == 2  # ticks 2 and 3 evicted
     other = make_tx(2, sender="Spain")
     assert stats.observe(other, 13) == 1  # senders tracked independently
-
-
-def test_rolling_stats_counters():
-    stats = RollingStats()
-    a = make_tx(1, payment_type="ACH", payment_currency="EUR")
-    b = make_tx(2, payment_type="ACH")
-    stats.observe(a, 1)
-    stats.observe(b, 2)
-    stats.record_alert(a)
-    assert stats.type_counts["ACH"] == 2
-    assert stats.type_alerts["ACH"] == 1
-    assert stats.currency_counts["EUR"] == 1
-    assert stats.alert_ratio() == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def test_model_below_threshold_stays_silent(tmp_path):
 def test_model_scores_match_single_record_scoring(tmp_path):
     pool = list(generate(GeneratorConfig(seed=12, count=300)))
     schema = build_schema(pool)
-    X = np.stack([encode(t, schema).values for t in pool[:200]])
+    X, _, _ = encode_matrix(pool[:200], schema)
     y = np.array([t.is_laundering or (i % 7 == 0) for i, t in enumerate(pool[:200])])
     model = train_tree(X, y, {"max_depth": 6}, schema_hash=schema.schema_hash)
 
@@ -333,7 +320,8 @@ def test_model_scores_match_single_record_scoring(tmp_path):
 
     expected = {}
     for t in pool[200:260]:
-        p = float(predict_proba(model, encode(t, schema).values)[0])
+        row, _, _ = encode_matrix([t], schema)
+        p = float(predict_proba(model, row[0])[0])
         if p >= 0.4:
             expected[t.id] = p
     assert {a.transaction_id: a.score for a in alerts} == expected

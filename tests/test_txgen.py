@@ -75,13 +75,6 @@ def test_validation_rejects_bad_configs():
         cfg.validate()
 
 
-def test_config_from_dict_rejects_unknown_keys():
-    good = {"seed": 1, "count": 10}
-    GeneratorConfig.from_dict(good)
-    with pytest.raises(ConfigError):
-        GeneratorConfig.from_dict({**good, "fraud_rate": 0.5})
-
-
 # ---------------------------------------------------------------------------
 # seasonal profile: exhaustive scan over the year
 # ---------------------------------------------------------------------------
