@@ -3,6 +3,10 @@
 All three train on dense one-hot matrices (float64). No ML library calls;
 NumPy supplies array math only.
 
+Logistic regression is fitted by Newton/IRLS (Hastie, Tibshirani &
+Friedman, The Elements of Statistical Learning, 4.4.1) with step
+halving; `max_iters` counts Newton steps.
+
 Determinism:
 - logistic regression starts at zero, so it is seed-free;
 - tree split ties break toward the lowest column index, then the lowest
@@ -29,11 +33,12 @@ from .errors import ConfigError, DataError, SchemaMismatchError
 MODEL_KINDS = ("logistic_regression", "decision_tree", "random_forest")
 
 LOGISTIC_DEFAULTS = {
-    "learning_rate": 0.1,
     "tolerance": 1e-6,
-    "max_iters": 5_000,
+    "max_iters": 100,  # Newton steps
     "l2": 0.0,
 }
+_HESSIAN_BLOCK = 4096  # rows of X scaled at once when forming the Hessian
+_MAX_HALVINGS = 30  # a step cut 2**30 times that still raises the loss means the floor
 TREE_DEFAULTS = {"max_depth": 12, "min_leaf": 5}
 FOREST_DEFAULTS = {
     "n_trees": 50,
@@ -136,17 +141,43 @@ def logistic_gradient(X, y, w, b, l2=0.0) -> tuple[np.ndarray, float]:
     return g_w, g_b
 
 
+def _logistic_hessian(X, w, b, l2) -> np.ndarray:
+    """Hessian of the mean log-loss over (weights, bias), bias last.
+
+    X^T S X is summed over row blocks, so the scaled copy of X is at most
+    _HESSIAN_BLOCK rows.
+    """
+    n, width = X.shape
+    H = np.zeros((width + 1, width + 1), dtype=np.float64)
+    for start in range(0, n, _HESSIAN_BLOCK):
+        block = X[start:start + _HESSIAN_BLOCK]
+        p = sigmoid(block @ w + b)
+        s = p * (1.0 - p)
+        scaled = block * s[:, None]
+        H[:width, :width] += scaled.T @ block
+        H[:width, width] += scaled.sum(axis=0)
+        H[width, width] += s.sum()
+    H /= n
+    H[width, :width] = H[:width, width]
+    H[np.arange(width), np.arange(width)] += l2  # the bias is not penalised
+    return H
+
+
 def train_logistic(
     X, y, hyperparameters: dict | None = None, schema_hash: str = ""
 ) -> TrainedModel:
-    """Full-batch gradient descent from zero init.
+    """Newton/IRLS from zero init, with step halving.
 
-    Stops when the gradient max-norm drops below `tolerance` or after
-    `max_iters` steps. Records the loss after every step.
+    Each step solves H d = g by least squares: the one-hot blocks plus the
+    intercept are collinear, so H is singular on encoded data. The step is
+    halved until the loss does not rise, so the loss history never goes
+    up; when no halving keeps it from rising, the loss is at its floor and
+    training stops. Otherwise it stops when the gradient max-norm drops
+    below `tolerance` or after `max_iters` Newton steps. Records the loss
+    after every step.
     """
     hyper = _merge_hyper(LOGISTIC_DEFAULTS, hyperparameters)
     X, y = _check_training_input(X, y)
-    lr = float(hyper["learning_rate"])
     tol = float(hyper["tolerance"])
     l2 = float(hyper["l2"])
     max_iters = int(hyper["max_iters"])
@@ -160,10 +191,19 @@ def train_logistic(
         g_max = max(float(np.max(np.abs(g_w))) if g_w.size else 0.0, abs(g_b))
         if g_max < tol:
             break
-        w -= lr * g_w
-        b -= lr * g_b
+        step = np.linalg.lstsq(_logistic_hessian(X, w, b, l2), np.append(g_w, g_b), rcond=None)[0]
+        for halving in range(_MAX_HALVINGS + 1):
+            scale = 0.5**halving
+            w_new = w - scale * step[:-1]
+            b_new = b - scale * float(step[-1])
+            loss = logistic_loss(X, y, w_new, b_new, l2)
+            if loss <= losses[-1]:
+                break
+        else:
+            break
+        w, b = w_new, b_new
         iters += 1
-        losses.append(logistic_loss(X, y, w, b, l2))
+        losses.append(loss)
     if not np.all(np.isfinite(w)) or not math.isfinite(b):
         raise DataError("logistic training diverged to non-finite weights")
     return TrainedModel(
@@ -234,7 +274,8 @@ def _best_split_on_column(x, y, min_leaf, binary):
 
 def _grow_tree(X, y, idx, depth, max_depth, min_leaf, rng, features_per_split, binary_cols):
     n = idx.size
-    pos = float(y[idx].sum())
+    y_node = y[idx]
+    pos = float(y_node.sum())
     node = TreeNode(prob=pos / n, count=int(n))
     if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
         return node
@@ -245,7 +286,7 @@ def _grow_tree(X, y, idx, depth, max_depth, min_leaf, rng, features_per_split, b
         cols = range(width)
     best = None  # (cost, column, threshold); ties keep the earliest
     for c in cols:
-        found = _best_split_on_column(X[idx, c], y[idx], min_leaf, binary_cols[c])
+        found = _best_split_on_column(X[idx, c], y_node, min_leaf, binary_cols[c])
         if found is None:
             continue
         cost, thr = found

@@ -13,11 +13,12 @@ rejected batch leaves the table untouched. A query returns a whole
 table sorted by primary key, which keeps every downstream report
 deterministic.
 
-read_journal is the recovery rule of every JSON-lines journal here and
-in the model registry: a final line without its newline was torn by a
-crash mid-append and is dropped, the file is truncated to the last
-whole line so the next append starts on a clean line, and a bad line
-anywhere else is corruption and raises DataError.
+truncate_torn_tail is the recovery rule of every JSON-lines journal here,
+in the model registry and in the stream's alert and dead-letter files: a
+final line without its newline was torn by a crash mid-append and is
+dropped, the file truncated to the last whole line so the next append
+starts on a clean line. read_journal applies it before parsing, and a
+bad line anywhere else is corruption and raises DataError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9._:-]+$")
+_TAIL_CHUNK = 4096
 
 # column type name -> accepted python types
 _COLUMN_TYPES = {
@@ -65,17 +67,37 @@ def _check_blob_key(namespace: str, date_partition: str, name: str) -> None:
         raise ConfigError(f"invalid blob name {name!r}")
 
 
+def truncate_torn_tail(path) -> None:
+    """Cut a final line that lacks its newline, so the next append starts
+    on a clean line. Reads back from the end, not the whole file."""
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = fh.seek(0, os.SEEK_END)
+        pos = end
+        while pos > 0:
+            start = max(0, pos - _TAIL_CHUNK)
+            fh.seek(start)
+            chunk = fh.read(pos - start)
+            cut = chunk.rfind(b"\n")
+            if cut >= 0:
+                if start + cut + 1 < end:
+                    fh.truncate(start + cut + 1)
+                return
+            pos = start
+        fh.truncate(0)
+
+
 def read_journal(path) -> list:
     """The parsed lines of a JSON-lines journal, oldest first."""
+    truncate_torn_tail(path)
     entries = []
-    torn = ""
-    # surrogateescape keeps undecodable bytes, so a torn line re-encodes
-    # to exactly the bytes it came from
+    # surrogateescape hands undecodable bytes to json.loads, so they end
+    # as a bad line (DataError), not a UnicodeDecodeError
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for number, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                torn = line
-                break
             line = line.strip()
             if not line:
                 continue
@@ -83,8 +105,6 @@ def read_journal(path) -> list:
                 entries.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{number}: bad journal line: {exc}") from exc
-    if torn:
-        os.truncate(path, os.path.getsize(path) - len(torn.encode("utf-8", "surrogateescape")))
     return entries
 
 

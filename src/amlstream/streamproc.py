@@ -26,6 +26,7 @@ from .errors import DataError, SchemaMismatchError
 from .eventlog import EventLog, LogRecord
 from .featstore import EncodingSchema, encode_matrix
 from .models import TrainedModel, predict_proba
+from .storage import truncate_torn_tail
 from .txgen import Transaction, transaction_from_dict, transaction_to_json
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
@@ -146,13 +147,15 @@ def decode_payload(payload: bytes) -> Transaction:
 
 
 class _DurableJsonlWriter:
-    """Append-only JSONL sink; every write is flushed and fsynced."""
+    """Append-only JSONL sink; every write is flushed and fsynced. A line
+    torn by a crash mid-write is cut on open, so appends never follow it."""
 
     def __init__(self, path: str):
         self.path = path
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
+        truncate_torn_tail(path)
         self._handle = open(path, "a", encoding="utf-8")
 
     def write(self, rows) -> None:

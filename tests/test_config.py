@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from amlstream.config import PipelineConfig
+from amlstream.config import ModelSettings, PipelineConfig
 from amlstream.errors import ConfigError
 
 
@@ -47,6 +47,8 @@ def test_unknown_nested_keys_are_named():
         PipelineConfig.from_dict({"generator": {"frad_rate": 0.1}})
     with pytest.raises(ConfigError, match="models.decision_tree.depth"):
         PipelineConfig.from_dict({"models": {"decision_tree": {"depth": 3}}})
+    with pytest.raises(ConfigError, match="models.logistic_regression.learning_rate"):
+        ModelSettings(logistic_regression={"learning_rate": 0.1}).validate()
 
 
 def test_validation_catches_bad_values():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from amlstream.cli import _prepare_training
 from amlstream.errors import ConfigError, DataError, SchemaMismatchError
 from amlstream.models import (
     EvalMetrics,
@@ -16,6 +17,7 @@ from amlstream.models import (
     train_logistic,
     train_tree,
 )
+from amlstream.txgen import GeneratorConfig, generate
 
 
 def rng_for(seed):
@@ -110,6 +112,20 @@ def test_logistic_rejects_bad_input():
         train_logistic(np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ConfigError):
         train_logistic(np.zeros((5, 2)), np.zeros(5), {"momentum": 0.9})
+    with pytest.raises(ConfigError):
+        train_logistic(np.zeros((5, 2)), np.zeros(5), {"learning_rate": 0.1})
+
+
+def test_logistic_converges_on_singular_one_hot_design():
+    # the one-hot blocks plus the intercept are collinear, so the Hessian
+    # is singular; training must still stop by its tolerance
+    transactions = list(generate(GeneratorConfig(seed=11, count=5_000)))
+    *_, Xtr, ytr = _prepare_training(transactions, seed=7)
+    model = train_logistic(Xtr, ytr)
+    tolerance = model.hyperparameters["tolerance"]
+    g_w, g_b = logistic_gradient(Xtr, ytr.astype(np.float64), model.weights, model.bias)
+    assert model.n_iters < 50
+    assert max(float(np.max(np.abs(g_w))), abs(g_b)) < tolerance
 
 
 # ---------------------------------------------------------------------------

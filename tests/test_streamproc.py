@@ -197,6 +197,36 @@ def test_dead_letter_quarantines_poison_and_continues(tmp_path):
     assert proc.drain_once().record_count == 0
 
 
+def test_torn_alert_and_dead_letter_tails_are_cut_on_restart(tmp_path):
+    log = fresh_log(tmp_path, partitions=1)
+    rules = RuleConfig(enable_velocity=False)
+
+    def publish_round(first_id):
+        for i in range(first_id, first_id + 100):
+            publish_transaction(log, "transactions", make_tx(i, payment_type="Cash Deposit"))
+        log.publish("transactions", b"UK", b"{not json")
+
+    publish_round(0)
+    proc = make_processor(tmp_path, log, rule_config=rules)
+    proc.drain_all()
+    proc.close()
+    # a crash mid-write leaves the last line of each file without its newline
+    with open(tmp_path / "alerts.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"score": 1.0, "source": "rule:high_ri')
+    with open(tmp_path / "dead.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"error": "payload is not')
+
+    publish_round(100)
+    resumed = make_processor(tmp_path, log, rule_config=rules)
+    resumed.drain_all()
+    resumed.close()
+
+    alerts = read_alerts(str(tmp_path / "alerts.jsonl"))
+    assert sorted(a.transaction_id for a in alerts) == list(range(200))
+    rows = [json.loads(line) for line in open(tmp_path / "dead.jsonl")]
+    assert [r["offset"] for r in rows] == [100, 201]
+
+
 def test_commit_happens_after_alert_write(tmp_path, monkeypatch):
     log = fresh_log(tmp_path, partitions=1)
     for i in range(5):
