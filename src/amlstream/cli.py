@@ -228,9 +228,8 @@ def _model_source(ws: Workspace):
     return source
 
 
-def _make_processor(ws: Workspace, with_models: bool = True) -> StreamProcessor:
+def _make_processor(ws: Workspace) -> StreamProcessor:
     config = ws.config
-    source = _model_source(ws) if with_models else None
     return StreamProcessor(
         ws.log,
         config.topic.name,
@@ -240,7 +239,7 @@ def _make_processor(ws: Workspace, with_models: bool = True) -> StreamProcessor:
         rule_config=config.rules.rule_config(),
         alert_threshold=config.stream.alert_threshold,
         batch_max=config.stream.batch_max,
-        model_source=source,
+        model_source=_model_source(ws),
     )
 
 
@@ -371,35 +370,21 @@ def _train_models(ws: Workspace, transactions, tick: int, echo) -> TrainOutcome:
     )
 
 
-def _store_challenger_metrics(ws: Workspace, record, seed: int) -> None:
-    """Persist metric rows for a retrained model so reports can cite them."""
-    config = ws.config
-    transactions = _load_table_transactions(ws)
-    _, X, y, _, _, idx_test, _, _ = _prepare_training(transactions, seed)
-    model = ws.registry.load_model(record.version)
-    test_m = evaluate(
-        predict_proba(model, X[idx_test]), y[idx_test], config.stream.alert_threshold
-    )
-    ws.tables.upsert_rows(
-        "model_metrics",
-        [
-            _metric_row(record.version, record.kind, "validation", record.metrics),
-            _metric_row(record.version, record.kind, "test", test_m),
-        ],
-    )
-
-
-def _retrain_trainer(ws: Workspace):
-    """Single-kind trainer used by the drift-driven retraining hook."""
+def _retrain_trainer(ws: Workspace, test_metrics: dict):
+    """Single-kind trainer used by the drift-driven retraining hook; it
+    leaves the challenger's test-split metrics under ``test_metrics["test"]``
+    so the caller can store them once the registry has given a version."""
 
     def train(kind: str, transactions, seed: int):
         config = ws.config
-        schema, X, y, idx_train, idx_val, _, Xtr, ytr = _prepare_training(transactions, seed)
+        threshold = config.stream.alert_threshold
+        schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(
+            transactions, seed
+        )
         _save_schema(ws, schema)
         model = _fit_kind(kind, Xtr, ytr, config, schema.schema_hash, seed + FOREST_SEED_OFFSET)
-        val_m = evaluate(
-            predict_proba(model, X[idx_val]), y[idx_val], config.stream.alert_threshold
-        )
+        val_m = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
+        test_metrics["test"] = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
         profile = feature_profile([transactions[i] for i in idx_train])
         return model, val_m, profile
 
@@ -737,10 +722,11 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
         echo("== phase 6: drift-triggered retraining ==")
         next_version = len(ws.registry.records()) + 1
+        test_metrics: dict = {}
         hooks = RetrainHooks(
             registry=ws.registry,
             load_transactions=lambda: _load_table_transactions(ws),
-            train=_retrain_trainer(ws),
+            train=_retrain_trainer(ws, test_metrics),
             seed=config.retrain_seed(next_version),
             tick=ws.log.ticks(),
             f1_guard=config.drift.f1_guard,
@@ -762,7 +748,13 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
                 f"challenger v{challenger.version} ({challenger.status}); "
                 f"active model is now v{after.version}"
             )
-            _store_challenger_metrics(ws, challenger, hooks.seed)
+            ws.tables.upsert_rows(
+                "model_metrics",
+                [
+                    _metric_row(challenger.version, challenger.kind, "validation", challenger.metrics),
+                    _metric_row(challenger.version, challenger.kind, "test", test_metrics["test"]),
+                ],
+            )
 
     processor.close()
     echo("== final phase: report bundle ==")

@@ -280,10 +280,6 @@ class EventLog:
                 raise NotFoundError(f"topic {name!r} does not exist")
             return self._topics[name]
 
-    def topics(self) -> list[Topic]:
-        with self._lock:
-            return [self._topics[n] for n in sorted(self._topics)]
-
     def partition_length(self, topic: str, partition: int) -> int:
         with self._lock:
             parts = self._require_parts(topic)

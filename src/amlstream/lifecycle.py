@@ -1,12 +1,13 @@
 """Model lifecycle: registry, drift detection, guarded retraining.
 
-The registry is an append-only journal of lifecycle events (register,
-activate, retire, retrain_failed) plus one serialized model blob per
-version. In-memory state is a pure fold over the journal, so restarting
+The registry is an append-only storage journal of lifecycle events
+(register, activate, retire, retrain_failed) plus one serialized model
+blob per version. Each event is fsynced before the call that made it
+returns. In-memory state is a pure fold over the journal, so restarting
 from disk reproduces exactly the registry that crashed; a journal line
-torn by the crash is dropped (storage.read_journal). Model blobs are
-written before their journal entry: a torn registration leaves an
-orphaned blob, never a journal entry pointing at a missing model.
+torn by the crash is dropped. Model blobs are written before their
+journal entry: a torn registration leaves an orphaned blob, never a
+journal entry pointing at a missing model.
 
 Drift is measured per categorical feature with the population stability
 index between the activation-time reference profile and a live window,
@@ -15,7 +16,6 @@ plus an accuracy check once enough labeled feedback has accumulated.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, DataError, NotFoundError
 from .featstore import FEATURE_FIELDS
 from .models import EvalMetrics, TrainedModel, model_from_json, model_to_json
-from .storage import BlobStore, read_journal
+from .storage import BlobStore, JournalWriter, read_journal
 
 PSI_EPSILON = 1e-4
 MODEL_NAMESPACE = "models"
@@ -210,9 +210,7 @@ class ModelRegistry:
         self.blob_store = blob_store
         self._records: dict[int, ModelRecord] = {}
         self._active_version: int | None = None
-        parent = os.path.dirname(journal_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        self._journal: JournalWriter | None = None  # opened by the first event
         if os.path.exists(journal_path):
             self._replay()
 
@@ -223,10 +221,9 @@ class ModelRegistry:
             self._apply(event)
 
     def _append(self, event: dict) -> None:
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        if self._journal is None:
+            self._journal = JournalWriter(self.journal_path)
+        self._journal.write([event])
         self._apply(event)
 
     def _apply(self, event: dict) -> None:

@@ -1,24 +1,24 @@
-"""File-backed blob and table stores.
+"""File-backed blob and table stores, and the JSON-lines journal.
 
 BlobStore: named byte objects under namespace/date/name directories,
 written atomically (temp file + rename) so a concurrent reader sees
 either the old bytes or the new bytes, never a mix.
 
-TableStore: small keyed tables held in memory, persisted as a JSON
-snapshot plus an append-only JSON-lines journal of upserts. Loading
-replays snapshot then journal; checkpoint() collapses the journal into
-a fresh snapshot. Upserts are idempotent per primary key and validated
-against the declared column schema before anything is applied, so a
-rejected batch leaves the table untouched. A query returns a whole
-table sorted by primary key, which keeps every downstream report
-deterministic.
+TableStore: small keyed tables held in memory; on disk a table is its
+schema.json plus a journal of upserts, replayed in full on load.
+Upserts are idempotent per primary key and validated against the
+declared column schema before anything is applied, so a rejected batch
+leaves the table untouched. A query returns a whole table sorted by
+primary key, which keeps every downstream report deterministic.
 
-truncate_torn_tail is the recovery rule of every JSON-lines journal here,
-in the model registry and in the stream's alert and dead-letter files: a
-final line without its newline was torn by a crash mid-append and is
-dropped, the file truncated to the last whole line so the next append
-starts on a clean line. read_journal applies it before parsing, and a
-bad line anywhere else is corruption and raises DataError.
+Every JSON-lines journal (the warehouse tables, the model registry, the
+stream's alert and dead-letter files) follows one rule. JournalWriter is
+its only append side: each write appends one sorted-key JSON object per
+line and is flushed and fsynced before it returns. A final line without
+its newline was torn by a crash mid-append; truncate_torn_tail cuts it,
+when a writer opens the file and before read_journal parses it, so the
+next append starts on a clean line. A bad line anywhere else is
+corruption and raises DataError.
 """
 
 from __future__ import annotations
@@ -108,6 +108,29 @@ def read_journal(path) -> list:
     return entries
 
 
+class JournalWriter:
+    """The append side of a JSON-lines journal: a torn tail is cut on
+    open, and each write is flushed and fsynced before it returns."""
+
+    def __init__(self, path):
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        truncate_torn_tail(path)
+        self._handle = open(path, "a", encoding="utf-8")
+
+    def write(self, rows) -> None:
+        if not rows:
+            return
+        for row in rows:
+            self._handle.write(json.dumps(row, sort_keys=True) + "\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        self._handle.close()
+
+
 class BlobStore:
     def __init__(self, root):
         self.root = Path(root)
@@ -181,7 +204,7 @@ class TableStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._tables: dict[str, _Table] = {}
-        self._journals: dict[str, object] = {}
+        self._journals: dict[str, JournalWriter] = {}
         self._load_existing()
 
     # -- persistence -----------------------------------------------------
@@ -192,42 +215,15 @@ class TableStore:
             table = _Table(
                 meta["name"], meta["columns"], meta["key"], schema_path.parent
             )
-            snap = table.directory / "snapshot.json"
-            if snap.exists():
-                table.rows = {
-                    row[table.key]: row for row in json.loads(snap.read_text())
-                }
             journal = table.directory / "journal.jsonl"
             if journal.exists():
                 for row in read_journal(journal):
                     table.rows[row[table.key]] = row
             self._tables[table.name] = table
 
-    def _journal_handle(self, table: _Table):
-        fh = self._journals.get(table.name)
-        if fh is None:
-            fh = open(table.directory / "journal.jsonl", "a", encoding="utf-8")
-            self._journals[table.name] = fh
-        return fh
-
-    def checkpoint(self, name: str) -> None:
-        """Fold the journal into the snapshot."""
-        table = self._require(name)
-        fh = self._journals.pop(table.name, None)
-        if fh is not None:
-            fh.close()
-        rows = [table.rows[k] for k in sorted(table.rows)]
-        snap = table.directory / "snapshot.json"
-        tmp = snap.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(rows))
-        os.replace(tmp, snap)
-        journal = table.directory / "journal.jsonl"
-        if journal.exists():
-            journal.unlink()
-
     def close(self) -> None:
-        for fh in self._journals.values():
-            fh.close()
+        for journal in self._journals.values():
+            journal.close()
         self._journals.clear()
 
     # -- tables ----------------------------------------------------------
@@ -262,11 +258,11 @@ class TableStore:
         table = self._require(name)
         for row in rows:
             table.validate_row(row)
-        fh = self._journal_handle(table)
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-        fh.flush()
+        journal = self._journals.get(name)
+        if journal is None:
+            journal = JournalWriter(table.directory / "journal.jsonl")
+            self._journals[name] = journal
+        journal.write(rows)
         for row in rows:
             table.rows[row[table.key]] = dict(row)
         return len(rows)

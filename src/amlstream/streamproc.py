@@ -5,7 +5,9 @@ engine record by record, scores the whole batch with the active model
 (when one is installed), persists every alert durably, and only then
 commits the consumer position. A crash between persistence and commit
 therefore replays the batch: at-least-once, with alert writes keyed so
-replays are idempotent downstream.
+replays are idempotent downstream. The alert and dead-letter files are
+storage journals: each batch's lines are fsynced before the commit, and
+a line torn by a crash is cut when the file is next opened or read.
 
 Rule evaluation is deterministic and ordered: high-risk payment type,
 then corridor mismatch, then sender velocity. The velocity window is
@@ -16,7 +18,6 @@ produce the same alerts.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .errors import DataError, SchemaMismatchError
 from .eventlog import EventLog, LogRecord
 from .featstore import EncodingSchema, encode_matrix
 from .models import TrainedModel, predict_proba
-from .storage import truncate_torn_tail
+from .storage import JournalWriter, read_journal
 from .txgen import Transaction, transaction_from_dict, transaction_to_json
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
@@ -146,47 +147,17 @@ def decode_payload(payload: bytes) -> Transaction:
     return transaction_from_dict(raw)
 
 
-class _DurableJsonlWriter:
-    """Append-only JSONL sink; every write is flushed and fsynced. A line
-    torn by a crash mid-write is cut on open, so appends never follow it."""
-
-    def __init__(self, path: str):
-        self.path = path
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        truncate_torn_tail(path)
-        self._handle = open(path, "a", encoding="utf-8")
-
-    def write(self, rows) -> None:
-        if not rows:
-            return
-        for row in rows:
-            self._handle.write(json.dumps(row, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        self._handle.close()
-
-
 def read_alerts(path: str) -> list[Alert]:
-    alerts = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                alerts.append(alert_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, DataError) as exc:
-                raise DataError(f"{path}:{number}: {exc}") from exc
-    return alerts
+    """Every alert in an alert journal, oldest first."""
+    entries = read_journal(path)
+    try:
+        return [alert_from_dict(raw) for raw in entries]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass
 class BatchResult:
-    batch_id: int
     record_count: int
     alerts: list = field(default_factory=list)
     latencies: list = field(default_factory=list)
@@ -194,7 +165,6 @@ class BatchResult:
     model_version: int | None = None
     rules_only_fallback: bool = False
     watermark: dict = field(default_factory=dict)
-    emit_tick: int = 0
 
 
 def latency_summary(latencies) -> tuple[int, int, int]:
@@ -217,7 +187,8 @@ class StreamProcessor:
     ``model_source`` is an optional zero-argument callable returning
     ``(version, schema, model)`` or ``None``; it is consulted at every
     batch boundary so a newly activated model takes effect without a
-    restart. If the installed model's schema hash disagrees with the
+    restart, and what it returns is served as is (caching a loaded model
+    is the source's job). If the installed model's schema hash disagrees with the
     encoder schema, the batch falls back to rules only and the mismatch
     is counted rather than raised.
     """
@@ -244,12 +215,11 @@ class StreamProcessor:
         self.batch_max = batch_max
         self.model_source = model_source
         self.stats = RollingStats(window_ticks=self.rule_config.velocity_window_ticks)
-        self._alert_writer = _DurableJsonlWriter(alerts_path)
-        self._dead_letter_writer = _DurableJsonlWriter(dead_letter_path)
+        self._alert_writer = JournalWriter(alerts_path)
+        self._dead_letter_writer = JournalWriter(dead_letter_path)
         self._model_version: int | None = None
         self._schema: EncodingSchema | None = None
         self._model: TrainedModel | None = None
-        self.batches_drained = 0
         self.records_processed = 0
         self.alerts_emitted = 0
         self.dead_letter_count = 0
@@ -261,16 +231,7 @@ class StreamProcessor:
         if self.model_source is None:
             return
         provided = self.model_source()
-        if provided is None:
-            self._model_version = None
-            self._schema = None
-            self._model = None
-            return
-        version, schema, model = provided
-        if version != self._model_version:
-            self._model_version = version
-            self._schema = schema
-            self._model = model
+        self._model_version, self._schema, self._model = provided or (None, None, None)
 
     def _score_batch(self, transactions) -> np.ndarray:
         if self._model.schema_hash and self._model.schema_hash != self._schema.schema_hash:
@@ -285,17 +246,12 @@ class StreamProcessor:
 
     def drain_once(self) -> BatchResult:
         records = self.log.poll(self.group, self.topic, max_records=self.batch_max)
-        emit_tick = self.log.ticks()
         if not records:
-            return BatchResult(batch_id=self.batches_drained, record_count=0, emit_tick=emit_tick)
+            return BatchResult(record_count=0)
 
+        emit_tick = self.log.ticks()
         self._refresh_model()
-        result = BatchResult(
-            batch_id=self.batches_drained,
-            record_count=len(records),
-            emit_tick=emit_tick,
-            model_version=self._model_version,
-        )
+        result = BatchResult(record_count=len(records), model_version=self._model_version)
 
         decoded: list[tuple[LogRecord, Transaction]] = []
         dead_rows = []
@@ -359,7 +315,6 @@ class StreamProcessor:
 
         result.alerts = alerts
         result.dead_letters = len(dead_rows)
-        self.batches_drained += 1
         self.records_processed += len(decoded)
         self.alerts_emitted += len(alerts)
         self.dead_letter_count += len(dead_rows)

@@ -1,7 +1,9 @@
 """Blob and table store contract tests."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from amlstream.errors import (
@@ -11,7 +13,12 @@ from amlstream.errors import (
     NotFoundError,
     TableSchemaError,
 )
+from amlstream.eventlog import EventLog
+from amlstream.lifecycle import ModelRegistry
+from amlstream.models import EvalMetrics, train_logistic
 from amlstream.storage import BlobKey, BlobStore, TableStore
+from amlstream.streamproc import StreamProcessor, publish_transaction
+from amlstream.txgen import Transaction
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +110,7 @@ def test_table_survives_restart_with_journal_and_checkpoint(tmp_path):
         for i in range(20)
     ]
     store.upsert_rows("alerts", rows[:10])
-    store.checkpoint("alerts")
-    store.upsert_rows("alerts", rows[10:])  # these live only in the journal
+    store.upsert_rows("alerts", rows[10:])
     store.close()
 
     again = TableStore(tmp_path / "tables")
@@ -147,6 +153,57 @@ def test_bad_journal_line_mid_file_names_path_and_line(tmp_path):
     journal.write_text("".join(lines))
     with pytest.raises(DataError, match=r"journal\.jsonl:2: bad journal line"):
         TableStore(tmp_path / "tables")
+
+
+def table_upsert(tmp_path):
+    store = make_store(tmp_path)
+    return tmp_path / "tables" / "alerts" / "journal.jsonl", lambda: store.upsert_rows(
+        "alerts", alert_rows(3)
+    )
+
+
+def registry_register(tmp_path):
+    registry = ModelRegistry(str(tmp_path / "registry.jsonl"), BlobStore(tmp_path / "blobs"))
+    X = np.random.default_rng(1).standard_normal((30, 3))
+    model = train_logistic(X, X[:, 0] > 0, {"max_iters": 5}, schema_hash="a" * 16)
+    metrics = EvalMetrics(tn=1, fp=0, fn=0, tp=1, accuracy=1.0, f1=1.0, threshold=0.5)
+    return tmp_path / "registry.jsonl", lambda: registry.register(model, metrics, {}, tick=1)
+
+
+def stream_drain(tmp_path):
+    log = EventLog(str(tmp_path / "log"))
+    log.create_topic("transactions", partition_count=1)
+    for i in range(3):  # a high-risk payment type, so the batch has alerts to write
+        publish_transaction(
+            log,
+            "transactions",
+            Transaction(i, i, 10.0, "GBP", "GBP", "UK", "UK", "Cash Deposit", False),
+        )
+    processor = StreamProcessor(
+        log,
+        "transactions",
+        "stream",
+        alerts_path=str(tmp_path / "alerts.jsonl"),
+        dead_letter_path=str(tmp_path / "dead.jsonl"),
+    )
+    return tmp_path / "alerts.jsonl", processor.drain_once
+
+
+@pytest.mark.parametrize("append", [table_upsert, registry_register, stream_drain])
+def test_journal_append_is_fsynced_before_it_returns(tmp_path, monkeypatch, append):
+    journal, call = append(tmp_path)
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_dev, st.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    call()
+    st = os.stat(journal)
+    assert synced.count((st.st_dev, st.st_ino)) == 1
 
 
 def test_create_table_idempotent_and_conflicting(tmp_path):

@@ -227,6 +227,19 @@ def test_torn_alert_and_dead_letter_tails_are_cut_on_restart(tmp_path):
     assert [r["offset"] for r in rows] == [100, 201]
 
 
+def test_read_alerts_drops_torn_tail_and_names_file_on_bad_alert(tmp_path):
+    path = tmp_path / "alerts.jsonl"
+    alerts = [Alert(transaction_id=i, source=RULE_HIGH_RISK, score=1.0, tick=i) for i in range(3)]
+    whole = "".join(json.dumps(a.to_dict(), sort_keys=True) + "\n" for a in alerts)
+    path.write_text(whole + '{"score": 1.0, "sou')  # crash mid-append
+    assert read_alerts(str(path)) == alerts
+    assert path.read_text() == whole
+
+    path.write_text(whole + '{"transaction_id": 9}\n' + whole)
+    with pytest.raises(DataError, match=r"alerts\.jsonl"):
+        read_alerts(str(path))
+
+
 def test_commit_happens_after_alert_write(tmp_path, monkeypatch):
     log = fresh_log(tmp_path, partitions=1)
     for i in range(5):
