@@ -16,12 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import json
 import os
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSET, PipelineConfig
 from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError
@@ -46,7 +43,6 @@ from .lifecycle import (
     maybe_retrain,
 )
 from .models import (
-    EvalMetrics,
     evaluate,
     predict_proba,
     train_forest,
@@ -86,19 +82,6 @@ ALERT_COLUMNS = {
     "source": "str",
     "score": "float",
     "tick": "int",
-}
-METRIC_COLUMNS = {
-    "metric_id": "str",
-    "version": "int",
-    "kind": "str",
-    "split": "str",
-    "accuracy": "float",
-    "f1": "float",
-    "tn": "int",
-    "fp": "int",
-    "fn": "int",
-    "tp": "int",
-    "threshold": "float",
 }
 
 REPORT_FILES = (
@@ -141,7 +124,6 @@ class Workspace:
             self._tables = TableStore(self.tables_dir)
             self._tables.create_table("transactions", TRANSACTION_COLUMNS, key="id")
             self._tables.create_table("alerts", ALERT_COLUMNS, key="alert_id")
-            self._tables.create_table("model_metrics", METRIC_COLUMNS, key="metric_id")
         return self._tables
 
     @property
@@ -280,40 +262,6 @@ def _drain_summary(results, processor, echo) -> None:
 # training pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrainOutcome:
-    schema: EncodingSchema
-    versions: dict
-    activated_version: int
-    validation: dict
-    test: dict
-
-
-def _metric_row(version: int, kind: str, split: str, m: EvalMetrics) -> dict:
-    return {
-        "metric_id": f"v{version}:{split}",
-        "version": version,
-        "kind": kind,
-        "split": split,
-        "accuracy": m.accuracy,
-        "f1": m.f1,
-        "tn": m.tn,
-        "fp": m.fp,
-        "fn": m.fn,
-        "tp": m.tp,
-        "threshold": m.threshold,
-    }
-
-
-def _fit_kind(kind: str, Xtr, ytr, config: PipelineConfig, schema_hash: str, seed: int):
-    overrides = config.models.overrides_for(kind)
-    if kind == "logistic_regression":
-        return train_logistic(Xtr, ytr, overrides, schema_hash=schema_hash)
-    if kind == "decision_tree":
-        return train_tree(Xtr, ytr, overrides, schema_hash=schema_hash)
-    return train_forest(Xtr, ytr, overrides, schema_hash=schema_hash, seed=seed)
-
-
 def _prepare_training(transactions, seed: int):
     """Schema, encoded splits, and the balanced training matrix; the split
     and rebalancing seeds derive from ``seed`` as documented in config."""
@@ -325,68 +273,60 @@ def _prepare_training(transactions, seed: int):
     return schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr
 
 
-def _train_models(ws: Workspace, transactions, tick: int, echo) -> TrainOutcome:
+def _fit_and_score(kind: str, prepared, config: PipelineConfig, seed: int):
+    """Fit one model kind on the balanced training matrix of ``prepared``
+    and score it on the validation and test splits: (model, validation, test)."""
+    schema, X, y, _, idx_val, idx_test, Xtr, ytr = prepared
+    overrides = config.models.overrides_for(kind)
+    if kind == "logistic_regression":
+        model = train_logistic(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
+    elif kind == "decision_tree":
+        model = train_tree(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
+    else:
+        model = train_forest(Xtr, ytr, overrides, schema_hash=schema.schema_hash, seed=seed)
+    threshold = config.stream.alert_threshold
+    validation = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
+    test = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
+    return model, validation, test
+
+
+def _train_models(ws: Workspace, transactions, tick: int, echo) -> None:
+    """Fit, score and register the three kinds; activate the best."""
     config = ws.config
     if len(transactions) < 5:
         raise DataError("not enough transactions to train on; ingest more data first")
     echo(f"training on {len(transactions)} transactions")
-    schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(
-        transactions, config.seed
-    )
+    prepared = _prepare_training(transactions, config.seed)
+    schema, _, _, idx_train, *_ = prepared
     _save_schema(ws, schema)
     profile = feature_profile([transactions[i] for i in idx_train])
-    threshold = config.stream.alert_threshold
 
-    versions: dict[str, int] = {}
-    validation: dict[str, EvalMetrics] = {}
-    test: dict[str, EvalMetrics] = {}
-    metric_rows = []
+    records = []
     for kind in ("logistic_regression", "decision_tree", "random_forest"):
-        model = _fit_kind(kind, Xtr, ytr, config, schema.schema_hash, config.forest_seed)
-        val_m = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
-        test_m = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
-        record = ws.registry.register(model, val_m, profile, tick)
-        versions[kind] = record.version
-        validation[kind] = val_m
-        test[kind] = test_m
-        metric_rows.append(_metric_row(record.version, kind, "validation", val_m))
-        metric_rows.append(_metric_row(record.version, kind, "test", test_m))
+        model, val_m, test_m = _fit_and_score(kind, prepared, config, config.forest_seed)
+        record = ws.registry.register(model, val_m, profile, tick, test_m)
+        records.append(record)
         echo(
             f"  {kind}: v{record.version} validation accuracy={val_m.accuracy:.6f} "
             f"f1={val_m.f1:.6f} | test accuracy={test_m.accuracy:.6f} f1={test_m.f1:.6f}"
         )
 
     # best validation F1 wins; ties go to the earliest version
-    best_kind = max(versions, key=lambda k: (validation[k].f1, -versions[k]))
-    ws.registry.activate(versions[best_kind], tick)
-    ws.tables.upsert_rows("model_metrics", metric_rows)
-    echo(f"activated v{versions[best_kind]} ({best_kind})")
-    return TrainOutcome(
-        schema=schema,
-        versions=versions,
-        activated_version=versions[best_kind],
-        validation=validation,
-        test=test,
-    )
+    best = max(records, key=lambda r: (r.metrics.f1, -r.version))
+    ws.registry.activate(best.version, tick)
+    echo(f"activated v{best.version} ({best.kind})")
 
 
-def _retrain_trainer(ws: Workspace, test_metrics: dict):
-    """Single-kind trainer used by the drift-driven retraining hook; it
-    leaves the challenger's test-split metrics under ``test_metrics["test"]``
-    so the caller can store them once the registry has given a version."""
+def _retrain_trainer(ws: Workspace):
+    """Single-kind trainer used by the drift-driven retraining hook."""
 
     def train(kind: str, transactions, seed: int):
-        config = ws.config
-        threshold = config.stream.alert_threshold
-        schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(
-            transactions, seed
-        )
+        prepared = _prepare_training(transactions, seed)
+        schema, _, _, idx_train, *_ = prepared
         _save_schema(ws, schema)
-        model = _fit_kind(kind, Xtr, ytr, config, schema.schema_hash, seed + FOREST_SEED_OFFSET)
-        val_m = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
-        test_metrics["test"] = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
+        model, val_m, test_m = _fit_and_score(kind, prepared, ws.config, seed + FOREST_SEED_OFFSET)
         profile = feature_profile([transactions[i] for i in idx_train])
-        return model, val_m, profile
+        return model, val_m, test_m, profile
 
     return train
 
@@ -425,6 +365,8 @@ def _write_report(ws: Workspace, echo) -> list[str]:
     active = ws.registry.active()
     if active is None:
         raise DataError("no active model; run `amlstream train` first")
+    if active.test_metrics is None:
+        raise DataError(f"no test metrics stored for active model v{active.version}")
     os.makedirs(config.report_dir, exist_ok=True)
     out = lambda name: os.path.join(config.report_dir, name)
 
@@ -465,44 +407,25 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         ],
     )
 
-    metric_rows = ws.tables.query("model_metrics")
-    if not metric_rows:
-        raise DataError("no stored metrics; run `amlstream train` first")
     _write_csv(
         out("model_metrics.csv"),
         ("version", "kind", "split", "accuracy", "f1", "tn", "fp", "fn", "tp", "threshold"),
         [
             (
-                row["version"],
-                row["kind"],
-                row["split"],
-                repr(row["accuracy"]),
-                repr(row["f1"]),
-                row["tn"],
-                row["fp"],
-                row["fn"],
-                row["tp"],
-                repr(row["threshold"]),
+                r.version, r.kind, split, repr(m.accuracy), repr(m.f1),
+                m.tn, m.fp, m.fn, m.tp, repr(m.threshold),
             )
-            for row in sorted(metric_rows, key=lambda r: (r["version"], r["split"]))
+            for r in records
+            for split, m in (("test", r.test_metrics), ("validation", r.metrics))
+            if m is not None
         ],
     )
 
-    confusion = [
-        row
-        for row in metric_rows
-        if row["version"] == active.version and row["split"] == "test"
-    ]
-    if not confusion:
-        raise DataError(f"no test metrics stored for active model v{active.version}")
-    c = confusion[0]
+    c = active.test_metrics
     _write_csv(
         out("confusion_matrix.csv"),
         ("", "predicted_negative", "predicted_positive"),
-        [
-            ("actual_negative", c["tn"], c["fp"]),
-            ("actual_positive", c["fn"], c["tp"]),
-        ],
+        [("actual_negative", c.tn, c.fp), ("actual_positive", c.fn, c.tp)],
     )
 
     sample = transactions[: config.corr_max_rows]
@@ -561,6 +484,8 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 
 def cmd_stream(args, config: PipelineConfig) -> int:
+    if args.rate < 1:
+        raise ConfigError(f"--rate must be at least 1, got {args.rate}")
     ws = Workspace(config)
     _ensure_topic(ws)
     processor = _make_processor(ws)
@@ -667,17 +592,14 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     _publish_and_store(ws, base, echo)
 
     echo("== phase 2: train and activate models ==")
-    train_outcome = _train_models(ws, base, ws.log.ticks(), echo)
-    outcome["activated_version"] = train_outcome.activated_version
+    _train_models(ws, base, ws.log.ticks(), echo)
     active = ws.registry.active()
-    outcome["active_kind"] = active.kind
 
     echo("== phase 3: drain the stream with the active model ==")
     processor = _make_processor(ws)
     results = processor.drain_all()
     _store_alerts(ws, [a for r in results for a in r.alerts])
     _drain_summary(results, processor, echo)
-    outcome["base_alerts"] = processor.alerts_emitted
 
     window_size = config.drift.window
 
@@ -722,11 +644,10 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
         echo("== phase 6: drift-triggered retraining ==")
         next_version = len(ws.registry.records()) + 1
-        test_metrics: dict = {}
         hooks = RetrainHooks(
             registry=ws.registry,
             load_transactions=lambda: _load_table_transactions(ws),
-            train=_retrain_trainer(ws, test_metrics),
+            train=_retrain_trainer(ws),
             seed=config.retrain_seed(next_version),
             tick=ws.log.ticks(),
             f1_guard=config.drift.f1_guard,
@@ -747,13 +668,6 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
             echo(
                 f"challenger v{challenger.version} ({challenger.status}); "
                 f"active model is now v{after.version}"
-            )
-            ws.tables.upsert_rows(
-                "model_metrics",
-                [
-                    _metric_row(challenger.version, challenger.kind, "validation", challenger.metrics),
-                    _metric_row(challenger.version, challenger.kind, "test", test_metrics["test"]),
-                ],
             )
 
     processor.close()

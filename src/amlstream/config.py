@@ -1,8 +1,9 @@
 """Pipeline configuration: one JSON document drives every subcommand.
 
-Unknown keys are rejected, recursively, with the offending path named.
-A config file that parses but contains a typo must fail loudly, not
-silently run with defaults.
+Unknown keys are rejected, recursively, with the offending path named,
+and so is a value whose type differs from its default's. A config file
+that parses but contains a typo must fail loudly, not silently run with
+defaults.
 
 All randomness in one pipeline run derives from the single top-level
 seed: the generator uses it directly, the dataset split adds
@@ -16,7 +17,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .lifecycle import DriftThresholds
@@ -41,6 +42,30 @@ def _take(section: str, raw: dict, allowed) -> dict:
         name = sorted(unknown)[0]
         raise ConfigError(f"unknown config key {section}.{name}")
     return dict(raw)
+
+
+def _type_ok(value, default) -> bool:
+    """An int passes where a float is expected; a bool passes only where a
+    bool is expected."""
+    expected = type(default)
+    if isinstance(value, bool) != (expected is bool):
+        return False
+    return isinstance(value, (int, float) if expected is float else expected)
+
+
+def _check_types(prefix: str, obj) -> None:
+    """Each field of the dataclass ``obj``, and of its section dataclasses,
+    must hold a value of its default's type."""
+    defaults = type(obj)()
+    for f in fields(obj):
+        value, default = getattr(obj, f.name), getattr(defaults, f.name)
+        if not _type_ok(value, default):
+            raise ConfigError(
+                f"config key {prefix}{f.name} must be {type(default).__name__}, "
+                f"not {type(value).__name__}"
+            )
+        if is_dataclass(default):
+            _check_types(f"{prefix}{f.name}.", value)
 
 
 @dataclass
@@ -131,6 +156,9 @@ class PipelineConfig:
     corr_max_rows: int = 200_000
 
     def validate(self) -> None:
+        _check_types("", self)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not self.data_dir:
             raise ConfigError("data_dir must be non-empty")
         if not self.report_dir:
@@ -180,9 +208,6 @@ class PipelineConfig:
         return cfg
 
     # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

@@ -323,10 +323,6 @@ class AlertGrid:
     payment_types: tuple[str, ...]
     counts: np.ndarray  # shape (12, len(payment_types)); row i = month i+1
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def alerts_per_month(alerts: Iterable, transactions: Iterable[Transaction]) -> AlertGrid:
     """12 x payment-type counts; alerts join transactions on transaction_id.

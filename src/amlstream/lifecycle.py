@@ -2,12 +2,14 @@
 
 The registry is an append-only storage journal of lifecycle events
 (register, activate, retire, retrain_failed) plus one serialized model
-blob per version. Each event is fsynced before the call that made it
-returns. In-memory state is a pure fold over the journal, so restarting
-from disk reproduces exactly the registry that crashed; a journal line
-torn by the crash is dropped. Model blobs are written before their
-journal entry: a torn registration leaves an orphaned blob, never a
-journal entry pointing at a missing model.
+blob per version. A register event carries the version's validation
+and test metrics; no other store keeps them. Each event is fsynced
+before the call that made it returns. In-memory state is a pure fold
+over the journal, so restarting from disk reproduces exactly the
+registry that crashed; a journal line torn by the crash is dropped.
+Model blobs are written before their journal entry: a torn registration
+leaves an orphaned blob, never a journal entry pointing at a missing
+model.
 
 Drift is measured per categorical feature with the population stability
 index between the activation-time reference profile and a live window,
@@ -169,6 +171,7 @@ class ModelRecord:
     status: str
     reference_profile: dict
     blob_name: str
+    test_metrics: EvalMetrics | None = None
 
 
 def _metrics_to_dict(metrics: EvalMetrics) -> dict:
@@ -231,6 +234,7 @@ class ModelRegistry:
         version = event.get("version")
         if name == "register":
             payload = event["payload"]
+            test = payload.get("test_metrics")
             self._records[version] = ModelRecord(
                 version=version,
                 kind=payload["kind"],
@@ -240,6 +244,7 @@ class ModelRegistry:
                 status=STATUS_REGISTERED,
                 reference_profile=payload["reference_profile"],
                 blob_name=payload["blob_name"],
+                test_metrics=None if test is None else _metrics_from_dict(test),
             )
         elif name == "activate":
             self._records[version].status = STATUS_ACTIVE
@@ -261,6 +266,7 @@ class ModelRegistry:
         metrics: EvalMetrics,
         reference_profile: dict,
         tick: int,
+        test_metrics: EvalMetrics | None = None,
     ) -> ModelRecord:
         if not model.schema_hash:
             raise DataError("refusing to register a model without a schema hash")
@@ -280,6 +286,9 @@ class ModelRegistry:
                     "kind": model.kind,
                     "schema_hash": model.schema_hash,
                     "metrics": _metrics_to_dict(metrics),
+                    "test_metrics": (
+                        None if test_metrics is None else _metrics_to_dict(test_metrics)
+                    ),
                     "reference_profile": reference_profile,
                     "blob_name": blob_name,
                 },
@@ -333,7 +342,8 @@ class RetrainHooks:
     """Everything maybe_retrain needs from the surrounding pipeline.
 
     ``train`` is a callable (kind, transactions, seed) returning a tuple
-    of (model, validation_metrics, reference_profile).
+    of (model, validation_metrics, test_metrics, reference_profile); both
+    metric sets are registered with the challenger.
     """
 
     registry: ModelRegistry
@@ -359,11 +369,13 @@ def maybe_retrain(report: DriftReport, hooks: RetrainHooks) -> ModelRecord | Non
         raise DataError("drift signaled but no active model exists to retrain")
     transactions = hooks.load_transactions()
     try:
-        model, metrics, profile = hooks.train(incumbent.kind, transactions, hooks.seed)
+        model, metrics, test_metrics, profile = hooks.train(
+            incumbent.kind, transactions, hooks.seed
+        )
     except DataError as exc:
         hooks.registry.record_failure(str(exc), hooks.tick, report.window_id)
         return None
-    challenger = hooks.registry.register(model, metrics, profile, hooks.tick)
+    challenger = hooks.registry.register(model, metrics, profile, hooks.tick, test_metrics)
     if metrics.f1 >= incumbent.metrics.f1 - hooks.f1_guard:
         hooks.registry.activate(challenger.version, hooks.tick)
     return hooks.registry.record(challenger.version)

@@ -64,11 +64,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.column is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 @dataclass
 class TrainedModel:

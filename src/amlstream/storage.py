@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -47,24 +46,7 @@ _COLUMN_TYPES = {
     "float": (int, float),  # ints upcast cleanly
     "str": (str,),
     "bool": (bool,),
-    "json": (dict, list, str, int, float, bool, type(None)),
 }
-
-
-@dataclass(frozen=True)
-class BlobKey:
-    namespace: str
-    date_partition: str  # YYYY-MM-DD
-    name: str
-
-
-def _check_blob_key(namespace: str, date_partition: str, name: str) -> None:
-    if not _NAME_RE.match(namespace or ""):
-        raise ConfigError(f"invalid blob namespace {namespace!r}")
-    if not _DATE_RE.match(date_partition or ""):
-        raise ConfigError(f"invalid date partition {date_partition!r}, want YYYY-MM-DD")
-    if not _NAME_RE.match(name or ""):
-        raise ConfigError(f"invalid blob name {name!r}")
 
 
 def truncate_torn_tail(path) -> None:
@@ -136,15 +118,19 @@ class BlobStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: BlobKey) -> Path:
-        return self.root / key.namespace / key.date_partition / key.name
+    def _path(self, namespace: str, date_partition: str, name: str) -> Path:
+        if not _NAME_RE.match(namespace or ""):
+            raise ConfigError(f"invalid blob namespace {namespace!r}")
+        if not _DATE_RE.match(date_partition or ""):
+            raise ConfigError(f"invalid date partition {date_partition!r}, want YYYY-MM-DD")
+        if not _NAME_RE.match(name or ""):
+            raise ConfigError(f"invalid blob name {name!r}")
+        return self.root / namespace / date_partition / name
 
-    def put_blob(self, namespace: str, date_partition: str, name: str, data: bytes) -> BlobKey:
-        _check_blob_key(namespace, date_partition, name)
+    def put_blob(self, namespace: str, date_partition: str, name: str, data: bytes) -> None:
+        path = self._path(namespace, date_partition, name)
         if not isinstance(data, bytes):
             raise ConfigError("blob data must be bytes")
-        key = BlobKey(namespace, date_partition, name)
-        path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "wb") as fh:
@@ -152,11 +138,9 @@ class BlobStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)  # atomic overwrite
-        return key
 
     def get_blob(self, namespace: str, date_partition: str, name: str) -> bytes:
-        _check_blob_key(namespace, date_partition, name)
-        path = self._path(BlobKey(namespace, date_partition, name))
+        path = self._path(namespace, date_partition, name)
         if not path.exists():
             raise NotFoundError(f"no blob {namespace}/{date_partition}/{name}")
         return path.read_bytes()

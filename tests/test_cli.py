@@ -8,14 +8,20 @@ reduced through the config file so the suite stays fast.
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from amlstream import cli
 from amlstream.config import PipelineConfig
-from amlstream.storage import TableStore
+from amlstream.lifecycle import ModelRegistry
+from amlstream.storage import BlobStore, TableStore
 from amlstream.txgen import GeneratorConfig, generate, read_dataset, write_jsonl
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(path, **overrides):
@@ -75,6 +81,36 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     path.write_text('{"kafka": {"brokers": 3}}')
     assert cli.main(["--config", str(path), "generate", "--count", "5"]) == 2
     assert "config.kafka" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, argv, named",
+    [
+        ({"seed": "x"}, [], "seed"),
+        ({"topic": {"partitions": "4"}}, [], "topic.partitions"),
+        ({"stream": {"batch_max": 2.5}}, [], "stream.batch_max"),
+        ({"rules": {"enable_velocity": 1}}, [], "rules.enable_velocity"),
+        ({"drift": {"psi_threshold": True}}, [], "drift.psi_threshold"),
+        ({"seed": -3}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({}, ["stream", "--rate", "0"], "--rate"),
+        ({}, ["stream", "--rate", "-5"], "--rate"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, config, argv, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"data_dir": str(tmp_path / "data"), **config}))
+    command = argv if "stream" in argv else argv + ["generate", "--count", "5"]
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-m", "amlstream.cli", "--config", str(path), *command],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "data").exists()
 
 
 def test_missing_config_file_exits_3(tmp_path, capsys):
@@ -176,6 +212,12 @@ def flow(tmp_path_factory):
     return root, config_path, codes
 
 
+def flow_registry(root):
+    return ModelRegistry(
+        str(root / "data" / "registry.jsonl"), BlobStore(str(root / "data" / "blobs"))
+    )
+
+
 def test_flow_exit_codes(flow):
     _, _, codes = flow
     assert codes == [0, 0, 0, 0, 0]
@@ -189,9 +231,11 @@ def test_flow_warehouse_state(flow):
     assert alerts, "stream should have produced alerts"
     tx_ids = {row["id"] for row in tables.query("transactions")}
     assert {a["transaction_id"] for a in alerts} <= tx_ids
-    metrics = tables.query("model_metrics")
-    assert len(metrics) == 6  # three kinds, validation and test splits
-    assert {m["split"] for m in metrics} == {"validation", "test"}
+    assert not (root / "data" / "tables" / "model_metrics").exists()
+    # the registry holds both metric splits of each of the three kinds
+    records = flow_registry(root).records()
+    assert [r.kind for r in records] == ["logistic_regression", "decision_tree", "random_forest"]
+    assert all(r.test_metrics is not None for r in records)
 
 
 def test_flow_report_files(flow):
@@ -207,19 +251,12 @@ def test_flow_report_files(flow):
 
 def test_flow_confusion_matrix_matches_metrics(flow):
     root, _, _ = flow
-    tables = TableStore(str(root / "data" / "tables"))
-    from amlstream.lifecycle import ModelRegistry
-    from amlstream.storage import BlobStore
-
-    registry = ModelRegistry(
-        str(root / "data" / "registry.jsonl"), BlobStore(str(root / "data" / "blobs"))
-    )
-    active = registry.active()
+    active = flow_registry(root).active()
     assert active is not None
-    [row] = [r for r in tables.query("model_metrics") if r["metric_id"] == f"v{active.version}:test"]
+    test = active.test_metrics
     lines = (root / "reports" / "confusion_matrix.csv").read_text().splitlines()
-    assert lines[1] == f"actual_negative,{row['tn']},{row['fp']}"
-    assert lines[2] == f"actual_positive,{row['fn']},{row['tp']}"
+    assert lines[1] == f"actual_negative,{test.tn},{test.fp}"
+    assert lines[2] == f"actual_positive,{test.fn},{test.tp}"
 
 
 def test_flow_report_rerun_is_byte_identical(flow):

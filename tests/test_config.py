@@ -1,6 +1,7 @@
 """Configuration loading, validation, and seed derivation tests."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_round_trip_through_dict():
             "drift": {"window": 500},
         }
     )
-    again = PipelineConfig.from_dict(config.to_dict())
+    again = PipelineConfig.from_dict(asdict(config))
     assert again == config
     assert again.seed == 99
     assert again.topic.partitions == 2

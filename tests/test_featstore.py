@@ -358,7 +358,7 @@ def test_alerts_per_month_accounting():
     ]
     alerts = [FakeAlert(1), FakeAlert(2), FakeAlert(2), FakeAlert(4)]
     grid = alerts_per_month(alerts, txns)
-    assert grid.total == len(alerts)
+    assert int(grid.counts.sum()) == len(alerts)
     assert grid.counts.shape == (12, 2)
     ach, cheque = grid.payment_types.index("ACH"), grid.payment_types.index("Cheque")
     assert grid.counts[0, ach] == 1  # day 5 -> January
@@ -368,7 +368,6 @@ def test_alerts_per_month_accounting():
 
 def test_alerts_per_month_zero_alerts():
     grid = alerts_per_month([], [make_tx(id=1)])
-    assert grid.total == 0
     assert np.all(grid.counts == 0)
 
 

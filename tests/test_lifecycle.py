@@ -257,6 +257,24 @@ def test_registry_restart_reproduces_state(tmp_path):
     )
 
 
+def test_registry_test_metrics_survive_restart(tmp_path):
+    registry = make_registry(tmp_path)
+    test = make_metrics(f1=0.75, accuracy=0.97)
+    registry.register(make_model(seed=1), make_metrics(), {}, tick=1, test_metrics=test)
+    registry.register(make_model(seed=2), make_metrics(), {}, tick=2, test_metrics=test)
+    registry.register(make_model(seed=3), make_metrics(), {}, tick=3)
+    # a register line written before test metrics were journaled has no key
+    lines = [json.loads(l) for l in open(registry.journal_path)]
+    del lines[1]["payload"]["test_metrics"]
+    with open(registry.journal_path, "w", encoding="utf-8") as handle:
+        handle.write("".join(json.dumps(line) + "\n" for line in lines))
+
+    reloaded = ModelRegistry(registry.journal_path, registry.blob_store)
+    assert reloaded.record(1).test_metrics == test
+    assert reloaded.record(2).test_metrics is None
+    assert reloaded.record(3).test_metrics is None
+
+
 def test_registry_journal_is_jsonl_events(tmp_path):
     registry = make_registry(tmp_path)
     registry.register(make_model(), make_metrics(), {}, tick=1)
@@ -327,7 +345,12 @@ def hooks_for(registry, f1, fail=False, guard=0.005):
             raise DataError("training window was degenerate")
         assert kind == "logistic_regression"
         assert transactions == ["sentinel"]
-        return make_model(seed=seed), make_metrics(f1=f1), {"payment_type": {"ACH": 1.0}}
+        return (
+            make_model(seed=seed),
+            make_metrics(f1=f1),
+            make_metrics(f1=f1, accuracy=0.95),
+            {"payment_type": {"ACH": 1.0}},
+        )
 
     return RetrainHooks(
         registry=registry,
@@ -357,6 +380,7 @@ def test_maybe_retrain_promotes_better_challenger(tmp_path):
     record = maybe_retrain(drifted_report(), hooks_for(registry, f1=0.95))
     assert record.version == 2
     assert record.status == "active"
+    assert record.test_metrics == make_metrics(f1=0.95, accuracy=0.95)
     assert registry.record(1).status == "retired"
 
 

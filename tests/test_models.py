@@ -132,13 +132,19 @@ def test_logistic_converges_on_singular_one_hot_design():
 # decision tree
 # ---------------------------------------------------------------------------
 
+def tree_depth(node) -> int:
+    if node.is_leaf:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
 def test_tree_solves_xor_at_depth_two():
     rng = rng_for(21)
     X = rng.integers(0, 2, size=(200, 2)).astype(np.float64)
     y = X[:, 0].astype(bool) ^ X[:, 1].astype(bool)
     model = train_tree(X, y, {"max_depth": 2})
     assert evaluate(predict_proba(model, X), y).accuracy == 1.0
-    assert model.root.depth() <= 2
+    assert tree_depth(model.root) <= 2
 
 
 def exhaustive_root_split(X, y, min_leaf):
@@ -198,7 +204,7 @@ def test_tree_respects_depth_and_min_leaf():
     X = rng.standard_normal((500, 6))
     y = rng.random(500) > 0.5
     model = train_tree(X, y, {"max_depth": 4, "min_leaf": 10})
-    assert model.root.depth() <= 4
+    assert tree_depth(model.root) <= 4
 
     def check(node):
         if node.is_leaf:

@@ -16,7 +16,7 @@ from amlstream.errors import (
 from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
 from amlstream.models import EvalMetrics, train_logistic
-from amlstream.storage import BlobKey, BlobStore, TableStore
+from amlstream.storage import BlobStore, TableStore
 from amlstream.streamproc import StreamProcessor, publish_transaction
 from amlstream.txgen import Transaction
 
@@ -28,8 +28,8 @@ from amlstream.txgen import Transaction
 def test_blob_round_trip(tmp_path):
     store = BlobStore(tmp_path)
     data = b"\x00\x01binary\xffpayload"
-    key = store.put_blob("raw", "2023-05-01", "batch-1.jsonl", data)
-    assert key == BlobKey("raw", "2023-05-01", "batch-1.jsonl")
+    store.put_blob("raw", "2023-05-01", "batch-1.jsonl", data)
+    assert (tmp_path / "raw" / "2023-05-01" / "batch-1.jsonl").read_bytes() == data
     assert store.get_blob("raw", "2023-05-01", "batch-1.jsonl") == data
 
 
