@@ -1,7 +1,8 @@
 """Pipeline configuration: one JSON document drives every subcommand.
 
 Unknown keys are rejected, recursively, with the offending path named,
-and so is a value whose type differs from its default's. A config file
+and so is a value whose type differs from its default's, inside the
+free-form ``generator`` and ``models.<kind>`` maps too. A config file
 that parses but contains a typo must fail loudly, not silently run with
 defaults.
 
@@ -32,6 +33,8 @@ RETRAIN_SEED_STRIDE = 1000
 
 # the top-level seed is the generator's seed, so the section has no seed key
 _GENERATOR_KEYS = frozenset(f.name for f in fields(GeneratorConfig)) - {"seed"}
+# every generator field at its default; count has none, so it is an int here
+_GENERATOR_DEFAULTS = vars(GeneratorConfig(seed=0, count=1))
 
 
 def _take(section: str, raw: dict, allowed) -> dict:
@@ -66,6 +69,25 @@ def _check_types(prefix: str, obj) -> None:
             )
         if is_dataclass(default):
             _check_types(f"{prefix}{f.name}.", value)
+
+
+def _check_map_types(prefix: str, values: dict, defaults: dict) -> None:
+    """Each value of the free-form map ``values`` must have the type of its
+    entry in ``defaults``, by ``_type_ok``'s rule. A None default takes an
+    int or null; a map default takes a map of numbers."""
+    for key, value in values.items():
+        default = defaults[key]
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_map_types(f"{prefix}{key}.", value, dict.fromkeys(value, 0.0))
+            continue
+        if default is None:
+            ok, expected = value is None or _type_ok(value, 0), "int or null"
+        else:
+            ok, expected = _type_ok(value, default), type(default).__name__
+        if not ok:
+            raise ConfigError(
+                f"config key {prefix}{key} must be {expected}, not {type(value).__name__}"
+            )
 
 
 @dataclass
@@ -137,6 +159,7 @@ class ModelSettings:
                 raise ConfigError(
                     f"unknown hyperparameter models.{kind}.{sorted(unknown)[0]}"
                 )
+            _check_map_types(f"models.{kind}.", overrides, defaults)
 
     def overrides_for(self, kind: str) -> dict:
         return dict(getattr(self, kind))
@@ -166,6 +189,7 @@ class PipelineConfig:
         unknown = set(self.generator) - _GENERATOR_KEYS
         if unknown:
             raise ConfigError(f"unknown config key generator.{sorted(unknown)[0]}")
+        _check_map_types("generator.", self.generator, _GENERATOR_DEFAULTS)
         self.topic.validate()
         self.stream.validate()
         self.drift.validate()

@@ -17,14 +17,25 @@ Determinism:
 Prediction contract: predict_proba computes per-row values with
 row-local arithmetic (no batch-shape-dependent reductions), so scoring
 one record equals scoring it inside any batch, bit for bit.
+
+Trees grow and serialize as linked TreeNodes. For prediction, a tree
+model is compiled once per model object into parallel node arrays
+(scikit-learn's tree_ layout, leaves pointing to themselves); a decision
+tree is a forest of one. predict_proba then steps the (trees, rows) node
+matrix from the roots, every tree at once, at most max_depth times
+(Hummingbird's tree traversal; Nakandala et al., OSDI 2020). The forest
+score is the mean of the leaf values summed in tree order, so it is the
+same for one row as in any batch. The compiled form is never serialized:
+model bytes are unchanged by it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,6 +60,7 @@ FOREST_DEFAULTS = {
 }
 
 SERIALIZATION_FORMAT = 1
+_PREDICT_BLOCK = 1024  # rows scored at once; bounds the (trees, rows) node matrix
 
 
 @dataclass
@@ -78,6 +90,12 @@ class TrainedModel:
     trees: Optional[list[TreeNode]] = None  # forest
     loss_history: list[float] = field(default_factory=list, repr=False)
     n_iters: int = 0
+
+    @functools.cached_property
+    def _flat_trees(self) -> "_FlatTrees":
+        """The tree or the forest compiled for prediction, once per model
+        object; a decision tree is a forest of one."""
+        return _flatten_trees(self.trees if self.kind == "random_forest" else [self.root])
 
 
 @dataclass(frozen=True)
@@ -394,19 +412,75 @@ def train_forest(
 # prediction and evaluation
 # ---------------------------------------------------------------------------
 
-def _predict_tree_batch(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
+class _FlatTrees(NamedTuple):
+    """The trees of one model as parallel node arrays, trees in order.
 
-    def walk(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.prob
-            return
-        mask = X[idx, node.column] < node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+    Node i sends a row left when ``row[feature[i]] < threshold[i]``, to
+    ``children[2 * i]``, and right otherwise, to ``children[2 * i + 1]``.
+    ``value[i]`` is the node's positive fraction. A leaf's two children are
+    the leaf itself, so stepping a row that sits on a leaf keeps it there.
+    ``roots`` holds each tree's root and ``depth`` the deepest leaf's depth
+    over all trees, which is how many steps take every row to its leaf.
+    """
 
-    walk(root, np.arange(X.shape[0]))
-    return out
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+
+def _flatten_trees(trees: list[TreeNode]) -> _FlatTrees:
+    feature, threshold, children, value, roots = [], [], [], [], []
+    depth = 0
+    for tree in trees:
+        first = len(value)
+        roots.append(first)
+        # breadth-first: a node's number is its place in the queue, so its
+        # children are numbered as they are queued
+        queue = [(tree, 0)]
+        for position, (node, node_depth) in enumerate(queue):
+            depth = max(depth, node_depth)
+            value.append(node.prob)
+            if node.is_leaf:
+                feature.append(0)
+                threshold.append(0.0)
+                children += [first + position, first + position]
+            else:
+                feature.append(node.column)
+                threshold.append(node.threshold)
+                children += [first + len(queue), first + len(queue) + 1]
+                queue += [(node.left, node_depth + 1), (node.right, node_depth + 1)]
+    return _FlatTrees(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        children=np.array(children, dtype=np.intp),
+        value=np.array(value, dtype=np.float64),
+        roots=np.array(roots, dtype=np.intp),
+        depth=depth,
+    )
+
+
+def _predict_flat(flat: _FlatTrees, X: np.ndarray) -> np.ndarray:
+    """Step the (trees, rows) node matrix from the roots to the leaves, then
+    average the leaf values tree by tree in tree order.
+
+    Summing in tree order, not with a reduction whose order depends on the
+    batch shape, keeps each row's score the same in any batch.
+    """
+    n, width = X.shape
+    cells = X.ravel()
+    row_start = np.arange(n) * width
+    nodes = np.repeat(flat.roots[:, None], n, axis=1)
+    for _ in range(flat.depth):
+        go_right = ~(cells.take(row_start + flat.feature.take(nodes)) < flat.threshold.take(nodes))
+        nodes = flat.children.take(2 * nodes + go_right)
+    leaf_values = flat.value.take(nodes)
+    total = leaf_values[0].copy()
+    for tree_values in leaf_values[1:]:
+        total += tree_values
+    return total / len(flat.roots)
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
@@ -421,11 +495,13 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
         # row-local sum keeps single-row and batched scoring bit-identical
         z = (X * model.weights).sum(axis=1) + model.bias
         return sigmoid(z)
-    if model.kind == "decision_tree":
-        return _predict_tree_batch(model.root, X)
-    if model.kind == "random_forest":
-        stacked = np.stack([_predict_tree_batch(t, X) for t in model.trees])
-        return stacked.mean(axis=0)
+    if model.kind in ("decision_tree", "random_forest"):
+        flat = model._flat_trees
+        blocks = [
+            _predict_flat(flat, X[start:start + _PREDICT_BLOCK])
+            for start in range(0, X.shape[0], _PREDICT_BLOCK)
+        ]
+        return np.concatenate(blocks) if blocks else np.empty(0)
     raise ConfigError(f"unknown model kind {model.kind!r}")
 
 

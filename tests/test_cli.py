@@ -95,6 +95,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ({}, ["--seed", "-1"], "seed"),
         ({}, ["stream", "--rate", "0"], "--rate"),
         ({}, ["stream", "--rate", "-5"], "--rate"),
+        ({"generator": {"count": "x"}}, [], "generator.count"),
+        ({"generator": {"base_amount": True}}, [], "generator.base_amount"),
+        ({"generator": {"currency_weights": {"GBP": "1"}}}, [], "generator.currency_weights.GBP"),
+        ({"models": {"random_forest": {"n_trees": "5"}}}, [], "models.random_forest.n_trees"),
+        ({"models": {"random_forest": {"features_per_split": 2.0}}}, [],
+         "models.random_forest.features_per_split"),
+        ({"models": {"decision_tree": {"max_depth": 2.5}}}, [], "models.decision_tree.max_depth"),
+        ({"models": {"logistic_regression": {"l2": "0"}}}, [], "models.logistic_regression.l2"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, config, argv, named):

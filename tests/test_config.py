@@ -52,6 +52,21 @@ def test_unknown_nested_keys_are_named():
         ModelSettings(logistic_regression={"learning_rate": 0.1}).validate()
 
 
+def test_map_values_of_their_default_type_pass():
+    config = PipelineConfig.from_dict(
+        {
+            "generator": {"count": 5, "base_amount": 100, "currency_weights": {"GBP": 1}},
+            "models": {
+                "logistic_regression": {"l2": 1, "tolerance": 1e-6},
+                "random_forest": {"features_per_split": None, "n_trees": 5, "bootstrap": False},
+                "decision_tree": {"max_depth": 3},
+            },
+        }
+    )
+    assert config.models.overrides_for("random_forest")["features_per_split"] is None
+    assert ModelSettings(random_forest={"features_per_split": 4}).validate() is None
+
+
 def test_validation_catches_bad_values():
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"topic": {"partitions": 0}})

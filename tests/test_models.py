@@ -7,6 +7,8 @@ from amlstream.cli import _prepare_training
 from amlstream.errors import ConfigError, DataError, SchemaMismatchError
 from amlstream.models import (
     EvalMetrics,
+    TrainedModel,
+    TreeNode,
     evaluate,
     logistic_gradient,
     logistic_loss,
@@ -22,6 +24,33 @@ from amlstream.txgen import GeneratorConfig, generate
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def one_hot_fixture(n=400, seed=1, levels=(4, 3, 5)):
+    """Rows of categorical fields, one-hot encoded, with a label that
+    leans on two of them."""
+    rng = rng_for(seed)
+    codes = np.column_stack([rng.integers(0, k, size=n) for k in levels])
+    X = np.concatenate([np.eye(k)[codes[:, i]] for i, k in enumerate(levels)], axis=1)
+    y = rng.random(n) < 0.2 + 0.3 * (codes[:, 0] == 1) + 0.3 * (codes[:, 2] >= 3)
+    return X, y
+
+
+def oracle_leaf(node, row):
+    while not node.is_leaf:
+        node = node.left if row[node.column] < node.threshold else node.right
+    return node.prob
+
+
+def oracle_forest(trees, X):
+    """Walk each row down each tree; sum the leaf values in tree order."""
+    out = []
+    for row in X:
+        total = 0.0
+        for tree in trees:
+            total += oracle_leaf(tree, row)
+        out.append(total / len(trees))
+    return np.array(out)
 
 
 def separable_fixture(n=200, seed=1):
@@ -246,17 +275,8 @@ def test_forest_probability_is_mean_of_tree_leaf_fractions():
     X = (rng.standard_normal((200, 5)) > 0).astype(np.float64)
     y = rng.random(200) > 0.5
     model = train_forest(X, y, {"n_trees": 7}, seed=3)
-
-    def walk(node, row):
-        while not node.is_leaf:
-            node = node.left if row[node.column] < node.threshold else node.right
-        return node.prob
-
     sample = X[:20]
-    manual = np.array(
-        [np.mean([walk(t, row) for t in model.trees]) for row in sample]
-    )
-    assert np.allclose(predict_proba(model, sample), manual, atol=1e-12)
+    assert np.array_equal(predict_proba(model, sample), oracle_forest(model.trees, sample))
 
 
 def test_forest_degenerate_config_equals_single_tree():
@@ -305,6 +325,89 @@ def test_predict_single_equals_batch():
             single = predict_proba(model, X[i])
             assert single.shape == (1,)
             assert single[0] == batch[i], model.kind
+
+
+def test_predict_single_equals_batch_on_large_forest():
+    # 50 leaf values per row: a sum whose order followed the batch shape
+    # would differ in the last bit between one row and a batch
+    X, y = one_hot_fixture(seed=62)
+    model = train_forest(X, y, {"n_trees": 50, "min_leaf": 2}, seed=4)
+    batch = predict_proba(model, X)
+    single = np.array([predict_proba(model, row)[0] for row in X])
+    assert np.array_equal(single, batch)
+    assert np.array_equal(batch, oracle_forest(model.trees, X))
+
+
+def hand_model(kind, *trees, width=2):
+    model = TrainedModel(kind=kind, width=width, schema_hash="", train_seed=0, hyperparameters={})
+    if kind == "decision_tree":
+        model.root = trees[0]
+    else:
+        model.trees = list(trees)
+    return model
+
+
+def split(column, threshold, left, right):
+    return TreeNode(prob=(left.prob + right.prob) / 2, count=2, column=column,
+                    threshold=threshold, left=left, right=right)
+
+
+def leaf(prob):
+    return TreeNode(prob=prob, count=1)
+
+
+def test_tree_value_equal_to_threshold_goes_right():
+    model = hand_model("decision_tree", split(1, 0.25, leaf(0.125), leaf(0.875)))
+    X = np.array([[9.0, 0.25], [9.0, np.nextafter(0.25, 0.0)], [-9.0, 0.3]])
+    assert predict_proba(model, X).tolist() == [0.875, 0.125, 0.875]
+
+
+def test_tree_on_real_valued_columns_matches_walk():
+    rng = rng_for(64)
+    X = rng.standard_normal((300, 4))
+    y = rng.random(300) < 0.3 + 0.4 * (X[:, 2] > 0.5)
+    model = train_tree(X, y, {"max_depth": 6, "min_leaf": 3})
+    # probe at the thresholds themselves, and just below and above them
+    thresholds = []
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            thresholds.append((node.column, node.threshold))
+            stack += [node.left, node.right]
+    probe = np.repeat(X[:len(thresholds)], 3, axis=0)
+    for i, (column, threshold) in enumerate(thresholds):
+        for j, value in enumerate((np.nextafter(threshold, -np.inf), threshold,
+                                   np.nextafter(threshold, np.inf))):
+            probe[3 * i + j, column] = value
+    probe = np.vstack([probe, X])
+    assert np.array_equal(predict_proba(model, probe), oracle_forest([model.root], probe))
+
+
+def test_tree_whose_root_is_a_leaf():
+    model = hand_model("decision_tree", leaf(0.375))
+    assert predict_proba(model, np.zeros((5, 2))).tolist() == [0.375] * 5
+    trained = train_tree(np.array([[0.0], [1.0]]), np.array([False, False]))
+    assert trained.root.is_leaf
+    assert predict_proba(trained, np.array([[0.0], [7.0]])).tolist() == [0.0, 0.0]
+
+
+def test_forest_with_unequal_tree_depths():
+    deep = split(0, 0.5, split(1, 0.5, leaf(0.0), split(0, 0.25, leaf(0.25), leaf(0.5))), leaf(1.0))
+    trees = (leaf(0.75), split(1, 0.5, leaf(0.125), leaf(0.625)), deep)
+    model = hand_model("random_forest", *trees)
+    grid = np.array([[a, b] for a in (0.0, 0.25, 0.3, 0.5, 0.9) for b in (0.0, 0.5, 1.0)])
+    assert np.array_equal(predict_proba(model, grid), oracle_forest(trees, grid))
+
+
+def test_predict_zero_rows():
+    X, y = separable_fixture(seed=65)
+    for model in (
+        train_logistic(X, y),
+        train_tree(X, y),
+        train_forest(X, y, {"n_trees": 3}, seed=1),
+    ):
+        assert predict_proba(model, np.zeros((0, 2))).shape == (0,), model.kind
 
 
 def test_logistic_probability_formula():
@@ -381,6 +484,15 @@ def test_serialization_round_trip_all_kinds():
         assert np.array_equal(predict_proba(back, probe), predict_proba(model, probe))
         # serialization is stable: a second round trip is byte-identical
         assert model_to_json(back) == text
+
+
+def test_reloaded_forest_predicts_bit_identically():
+    X, y = one_hot_fixture(seed=86)
+    model = train_forest(X, y, {"n_trees": 50, "min_leaf": 2}, seed=9)
+    trained = predict_proba(model, X)
+    back = model_from_json(model_to_json(model))
+    assert np.array_equal(predict_proba(back, X), trained)
+    assert np.array_equal([predict_proba(back, row)[0] for row in X[:40]], trained[:40])
 
 
 def test_serialization_rejects_unknown_format():

@@ -8,7 +8,7 @@ import pytest
 from amlstream.errors import DataError
 from amlstream.eventlog import EventLog
 from amlstream.featstore import build_schema, encode_matrix
-from amlstream.models import train_logistic, train_tree
+from amlstream.models import train_forest, train_logistic, train_tree
 from amlstream.streamproc import (
     RULE_CORRIDOR,
     RULE_HIGH_RISK,
@@ -369,6 +369,35 @@ def test_model_scores_match_single_record_scoring(tmp_path):
             expected[t.id] = p
     assert {a.transaction_id: a.score for a in alerts} == expected
     assert all(a.source == "model:v3" for a in alerts)
+
+
+def test_forest_alerts_do_not_depend_on_batch_size(tmp_path):
+    # a trigger that drains one record must score it exactly as a full
+    # batch would: 50 trees average 50 leaf values per record
+    pool = list(generate(GeneratorConfig(seed=15, count=700)))
+    schema = build_schema(pool)
+    X, _, _ = encode_matrix(pool[:500], schema)
+    y = np.array([t.is_laundering or (i % 3 == 0) for i, t in enumerate(pool[:500])])
+    model = train_forest(X, y, {"n_trees": 50, "min_leaf": 2}, schema_hash=schema.schema_hash, seed=5)
+    log = fresh_log(tmp_path, partitions=2)
+    for t in pool[500:]:
+        publish_transaction(log, "transactions", t)
+    lines = {}
+    for batch_max in (1, 1000):
+        proc = make_processor(
+            tmp_path / str(batch_max),
+            log,
+            group=f"batch{batch_max}",
+            batch_max=batch_max,
+            alert_threshold=0.0,  # every record alerts with its score
+            model_source=lambda: (1, schema, model),
+            rule_config=RuleConfig(enable_high_risk=False, enable_corridor=False, enable_velocity=False),
+        )
+        proc.drain_all()
+        proc.close()
+        lines[batch_max] = (tmp_path / str(batch_max) / "alerts.jsonl").read_text().splitlines()
+    assert len(lines[1]) == 200
+    assert lines[1] == lines[1000]
 
 
 def test_schema_mismatch_falls_back_to_rules(tmp_path):
