@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import os
 import sys
 from dataclasses import replace
 
 from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSET, PipelineConfig
-from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError
+from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError, reading
 from .eventlog import EventLog
 from .featstore import (
     EncodingSchema,
@@ -43,6 +44,7 @@ from .lifecycle import (
     maybe_retrain,
 )
 from .models import (
+    MODEL_KINDS,
     evaluate,
     predict_proba,
     train_forest,
@@ -96,7 +98,7 @@ REPORT_FILES = (
 
 
 class Workspace:
-    """Lazily opened stores under one data directory."""
+    """Stores under one data directory, each opened on first use."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -107,36 +109,25 @@ class Workspace:
         self.alerts_path = os.path.join(root, "alerts.jsonl")
         self.dead_letter_path = os.path.join(root, "dead_letter.jsonl")
         self.registry_path = os.path.join(root, "registry.jsonl")
-        self._log = None
-        self._tables = None
-        self._blobs = None
-        self._registry = None
 
-    @property
+    @functools.cached_property
     def log(self) -> EventLog:
-        if self._log is None:
-            self._log = EventLog(self.log_dir)
-        return self._log
+        return EventLog(self.log_dir)
 
-    @property
+    @functools.cached_property
     def tables(self) -> TableStore:
-        if self._tables is None:
-            self._tables = TableStore(self.tables_dir)
-            self._tables.create_table("transactions", TRANSACTION_COLUMNS, key="id")
-            self._tables.create_table("alerts", ALERT_COLUMNS, key="alert_id")
-        return self._tables
+        tables = TableStore(self.tables_dir)
+        tables.create_table("transactions", TRANSACTION_COLUMNS, key="id")
+        tables.create_table("alerts", ALERT_COLUMNS, key="alert_id")
+        return tables
 
-    @property
+    @functools.cached_property
     def blobs(self) -> BlobStore:
-        if self._blobs is None:
-            self._blobs = BlobStore(self.blobs_dir)
-        return self._blobs
+        return BlobStore(self.blobs_dir)
 
-    @property
+    @functools.cached_property
     def registry(self) -> ModelRegistry:
-        if self._registry is None:
-            self._registry = ModelRegistry(self.registry_path, self.blobs)
-        return self._registry
+        return ModelRegistry(self.registry_path, self.blobs)
 
 
 def _date_for_day(day: int) -> str:
@@ -154,8 +145,10 @@ def _save_schema(ws: Workspace, schema: EncodingSchema) -> None:
 
 
 def _load_schema(ws: Workspace, schema_hash: str) -> EncodingSchema:
-    raw = ws.blobs.get_blob(SCHEMA_NAMESPACE, MODEL_BLOB_DATE, f"{schema_hash}.json")
-    return EncodingSchema.from_json(raw.decode("utf-8"))
+    name = f"{schema_hash}.json"
+    raw = ws.blobs.get_blob(SCHEMA_NAMESPACE, MODEL_BLOB_DATE, name)
+    with reading(f"schema blob {SCHEMA_NAMESPACE}/{MODEL_BLOB_DATE}/{name}"):
+        return EncodingSchema.from_json(raw.decode("utf-8"))
 
 
 def _load_table_transactions(ws: Workspace) -> list[Transaction]:
@@ -273,41 +266,44 @@ def _prepare_training(transactions, seed: int):
     return schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr
 
 
-def _fit_and_score(kind: str, prepared, config: PipelineConfig, seed: int):
-    """Fit one model kind on the balanced training matrix of ``prepared``
-    and score it on the validation and test splits: (model, validation, test)."""
-    schema, X, y, _, idx_val, idx_test, Xtr, ytr = prepared
-    overrides = config.models.overrides_for(kind)
-    if kind == "logistic_regression":
-        model = train_logistic(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
-    elif kind == "decision_tree":
-        model = train_tree(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
-    else:
-        model = train_forest(Xtr, ytr, overrides, schema_hash=schema.schema_hash, seed=seed)
+def _fit_kinds(ws: Workspace, transactions, kinds, seed: int):
+    """Save the schema of ``transactions``, then fit each of ``kinds`` (the
+    forest from ``seed + FOREST_SEED_OFFSET``) and score it on the validation
+    and test splits: (training profile, [(model, validation, test), ...])."""
+    config = ws.config
+    schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(transactions, seed)
+    _save_schema(ws, schema)
+    profile = feature_profile([transactions[i] for i in idx_train])
     threshold = config.stream.alert_threshold
-    validation = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
-    test = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
-    return model, validation, test
+    fitted = []
+    for kind in kinds:
+        overrides = config.models.overrides_for(kind)
+        if kind == "logistic_regression":
+            model = train_logistic(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
+        elif kind == "decision_tree":
+            model = train_tree(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
+        else:
+            model = train_forest(
+                Xtr, ytr, overrides, schema_hash=schema.schema_hash, seed=seed + FOREST_SEED_OFFSET
+            )
+        validation = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
+        test = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
+        fitted.append((model, validation, test))
+    return profile, fitted
 
 
 def _train_models(ws: Workspace, transactions, tick: int, echo) -> None:
-    """Fit, score and register the three kinds; activate the best."""
-    config = ws.config
+    """Fit, score and register every model kind; activate the best."""
     if len(transactions) < 5:
         raise DataError("not enough transactions to train on; ingest more data first")
     echo(f"training on {len(transactions)} transactions")
-    prepared = _prepare_training(transactions, config.seed)
-    schema, _, _, idx_train, *_ = prepared
-    _save_schema(ws, schema)
-    profile = feature_profile([transactions[i] for i in idx_train])
-
+    profile, fitted = _fit_kinds(ws, transactions, MODEL_KINDS, ws.config.seed)
     records = []
-    for kind in ("logistic_regression", "decision_tree", "random_forest"):
-        model, val_m, test_m = _fit_and_score(kind, prepared, config, config.forest_seed)
+    for model, val_m, test_m in fitted:
         record = ws.registry.register(model, val_m, profile, tick, test_m)
         records.append(record)
         echo(
-            f"  {kind}: v{record.version} validation accuracy={val_m.accuracy:.6f} "
+            f"  {model.kind}: v{record.version} validation accuracy={val_m.accuracy:.6f} "
             f"f1={val_m.f1:.6f} | test accuracy={test_m.accuracy:.6f} f1={test_m.f1:.6f}"
         )
 
@@ -321,11 +317,7 @@ def _retrain_trainer(ws: Workspace):
     """Single-kind trainer used by the drift-driven retraining hook."""
 
     def train(kind: str, transactions, seed: int):
-        prepared = _prepare_training(transactions, seed)
-        schema, _, _, idx_train, *_ = prepared
-        _save_schema(ws, schema)
-        model, val_m, test_m = _fit_and_score(kind, prepared, ws.config, seed + FOREST_SEED_OFFSET)
-        profile = feature_profile([transactions[i] for i in idx_train])
+        profile, [(model, val_m, test_m)] = _fit_kinds(ws, transactions, [kind], seed)
         return model, val_m, test_m, profile
 
     return train

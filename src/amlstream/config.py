@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .lifecycle import DriftThresholds
-from .models import FOREST_DEFAULTS, LOGISTIC_DEFAULTS, TREE_DEFAULTS
+from .models import MODEL_KINDS
 from .streamproc import DEFAULT_HIGH_RISK_TYPES, RuleConfig
 from .txgen import GeneratorConfig
 
@@ -148,11 +148,7 @@ class ModelSettings:
     random_forest: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        for kind, defaults in (
-            ("logistic_regression", LOGISTIC_DEFAULTS),
-            ("decision_tree", TREE_DEFAULTS),
-            ("random_forest", FOREST_DEFAULTS),
-        ):
+        for kind, defaults in MODEL_KINDS.items():
             overrides = getattr(self, kind)
             unknown = set(overrides) - set(defaults)
             if unknown:

@@ -5,6 +5,8 @@ I/O problems (plain OSError), and data problems are kept separate so
 scripted callers can branch on the failure class.
 """
 
+import contextlib
+
 
 class PipelineError(Exception):
     """Base class for every error raised by this package."""
@@ -48,3 +50,20 @@ class TableSchemaError(DataError):
 
 class CorruptLogError(PipelineError):
     """Checksum mismatch inside an event-log segment."""
+
+
+# What reading a malformed stored document raises: JSONDecodeError and
+# UnicodeDecodeError are ValueErrors, a missing key or unknown version is
+# a LookupError, a value of the wrong shape is a TypeError or an
+# AttributeError, and a field the reader checks itself is a DataError.
+MALFORMED = (DataError, ValueError, LookupError, TypeError, AttributeError)
+
+
+@contextlib.contextmanager
+def reading(where):
+    """Raise a failure to read a stored document inside the block as a
+    DataError that names ``where``, the document's path."""
+    try:
+        yield
+    except MALFORMED as exc:
+        raise DataError(f"{where}: unreadable: {exc!r}") from exc

@@ -47,6 +47,7 @@ from .errors import (
     CorruptLogError,
     NotFoundError,
     OffsetRangeError,
+    reading,
 )
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -207,8 +208,9 @@ class EventLog:
 
     def _load_existing(self) -> None:
         for meta_path in sorted(self.root.glob("*/topic.json")):
-            meta = json.loads(meta_path.read_text())
-            topic = Topic(meta["name"], meta["partition_count"])
+            with reading(meta_path):
+                meta = json.loads(meta_path.read_text())
+                topic = Topic(meta["name"], meta["partition_count"])
             parts = []
             for p in range(topic.partition_count):
                 part = _Partition(meta_path.parent / f"p{p:03d}")
@@ -218,11 +220,12 @@ class EventLog:
             self._partitions[topic.name] = parts
             pos_path = meta_path.parent / "positions.json"
             if pos_path.exists():
-                raw = json.loads(pos_path.read_text())
-                self._positions[topic.name] = {
-                    group: {int(k): v for k, v in by_part.items()}
-                    for group, by_part in raw.items()
-                }
+                with reading(pos_path):
+                    raw = json.loads(pos_path.read_text())
+                    self._positions[topic.name] = {
+                        group: {int(k): v for k, v in by_part.items()}
+                        for group, by_part in raw.items()
+                    }
             else:
                 self._positions[topic.name] = {}
 

@@ -40,8 +40,6 @@ FEATURE_FIELDS = (
     "payment_type",
 )
 
-LABEL_COLUMN = "is_laundering"
-
 TRAIN_FRACTION = 0.6
 VALIDATION_FRACTION = 0.2
 

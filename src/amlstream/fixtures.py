@@ -36,8 +36,6 @@ from .txgen import GeneratorConfig, Transaction, generate
 CORE_SAFE_CURRENCY = "GBP"  # receiving anything else is the linear signal
 CORE_RATE = 0.97
 
-XOR_SENDERS = ("Italy", "Netherlands")
-XOR_RECEIVERS = ("Canada", "Japan")
 FRAUD_CORRIDORS = (("Italy", "Canada"), ("Netherlands", "Japan"))
 XOR_RATE = 0.95
 

@@ -23,7 +23,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DataError, NotFoundError
+from .errors import ConfigError, DataError, NotFoundError, reading
 from .featstore import FEATURE_FIELDS
 from .models import EvalMetrics, TrainedModel, model_from_json, model_to_json
 from .storage import BlobStore, JournalWriter, read_journal
@@ -165,7 +165,6 @@ def check_drift(
 class ModelRecord:
     version: int
     kind: str
-    created_at: int
     metrics: EvalMetrics
     schema_hash: str
     status: str
@@ -220,8 +219,8 @@ class ModelRegistry:
     # -- journal ------------------------------------------------------------
 
     def _replay(self) -> None:
-        for event in read_journal(self.journal_path):
-            self._apply(event)
+        # folds each event into state as it is read, so a bad one names path:line
+        read_journal(self.journal_path, self._apply)
 
     def _append(self, event: dict) -> None:
         if self._journal is None:
@@ -238,7 +237,6 @@ class ModelRegistry:
             self._records[version] = ModelRecord(
                 version=version,
                 kind=payload["kind"],
-                created_at=event["tick"],
                 metrics=_metrics_from_dict(payload["metrics"]),
                 schema_hash=payload["schema_hash"],
                 status=STATUS_REGISTERED,
@@ -334,7 +332,8 @@ class ModelRegistry:
     def load_model(self, version: int) -> TrainedModel:
         record = self.record(version)
         payload = self.blob_store.get_blob(MODEL_NAMESPACE, MODEL_BLOB_DATE, record.blob_name)
-        return model_from_json(payload.decode("utf-8"))
+        with reading(f"model blob {MODEL_NAMESPACE}/{MODEL_BLOB_DATE}/{record.blob_name}"):
+            return model_from_json(payload.decode("utf-8"))
 
 
 @dataclass

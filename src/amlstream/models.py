@@ -14,19 +14,25 @@ Determinism:
 - each forest tree derives its own generator from seed + tree_index, so
   serial and (hypothetical) parallel builds produce identical forests.
 
+A decision tree is a forest of one (Breiman, Machine Learning 45, 2001),
+grown without a bootstrap from every column: both kinds grow through one
+grower and hold their trees in ``TrainedModel.trees``. Only their blobs
+differ, as format 1 always has: a decision tree keeps its tree under
+"root", a forest its list under "trees".
+
 Prediction contract: predict_proba computes per-row values with
 row-local arithmetic (no batch-shape-dependent reductions), so scoring
 one record equals scoring it inside any batch, bit for bit.
 
 Trees grow and serialize as linked TreeNodes. For prediction, a tree
 model is compiled once per model object into parallel node arrays
-(scikit-learn's tree_ layout, leaves pointing to themselves); a decision
-tree is a forest of one. predict_proba then steps the (trees, rows) node
-matrix from the roots, every tree at once, at most max_depth times
-(Hummingbird's tree traversal; Nakandala et al., OSDI 2020). The forest
-score is the mean of the leaf values summed in tree order, so it is the
-same for one row as in any batch. The compiled form is never serialized:
-model bytes are unchanged by it.
+(scikit-learn's tree_ layout, leaves pointing to themselves).
+predict_proba then steps the (trees, rows) node matrix from the roots,
+every tree at once, at most max_depth times (Hummingbird's tree
+traversal; Nakandala et al., OSDI 2020). The score is the mean of the
+leaf values summed in tree order, so it is the same for one row as in
+any batch. The compiled form is never serialized: model bytes are
+unchanged by it.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SchemaMismatchError
 
-MODEL_KINDS = ("logistic_regression", "decision_tree", "random_forest")
-
 LOGISTIC_DEFAULTS = {
     "tolerance": 1e-6,
     "max_iters": 100,  # Newton steps
@@ -53,11 +57,17 @@ _MAX_HALVINGS = 30  # a step cut 2**30 times that still raises the loss means th
 TREE_DEFAULTS = {"max_depth": 12, "min_leaf": 5}
 FOREST_DEFAULTS = {
     "n_trees": 50,
-    "max_depth": 12,
-    "min_leaf": 5,
+    **TREE_DEFAULTS,
     "features_per_split": None,  # None -> ceil(sqrt(width))
     "bootstrap": True,
 }
+# every model kind and its hyperparameter defaults, in training order
+MODEL_KINDS = {
+    "logistic_regression": LOGISTIC_DEFAULTS,
+    "decision_tree": TREE_DEFAULTS,
+    "random_forest": FOREST_DEFAULTS,
+}
+_TREE_KINDS = ("decision_tree", "random_forest")
 
 SERIALIZATION_FORMAT = 1
 _PREDICT_BLOCK = 1024  # rows scored at once; bounds the (trees, rows) node matrix
@@ -86,16 +96,14 @@ class TrainedModel:
     hyperparameters: dict
     weights: Optional[np.ndarray] = None  # logistic
     bias: float = 0.0
-    root: Optional[TreeNode] = None  # tree
-    trees: Optional[list[TreeNode]] = None  # forest
+    trees: Optional[list[TreeNode]] = None  # tree (a list of one) or forest
     loss_history: list[float] = field(default_factory=list, repr=False)
     n_iters: int = 0
 
     @functools.cached_property
     def _flat_trees(self) -> "_FlatTrees":
-        """The tree or the forest compiled for prediction, once per model
-        object; a decision tree is a forest of one."""
-        return _flatten_trees(self.trees if self.kind == "random_forest" else [self.root])
+        """The trees compiled for prediction, once per model object."""
+        return _flatten_trees(self.trees)
 
 
 @dataclass(frozen=True)
@@ -233,7 +241,7 @@ def train_logistic(
 
 
 # ---------------------------------------------------------------------------
-# decision tree
+# decision trees and random forests
 # ---------------------------------------------------------------------------
 
 def _weighted_gini(n_left, pos_left, n_right, pos_right):
@@ -329,82 +337,62 @@ def _binary_columns(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grow_trees(X, y, hyper, n_trees, bootstrap, features_per_split, seed) -> list[TreeNode]:
+    """Grow ``n_trees`` trees. Tree t draws from its own generator,
+    PCG64(seed + t): its bootstrap sample when ``bootstrap`` is set, and the
+    columns each split scores when ``features_per_split`` is below the width."""
+    n, width = X.shape
+    max_depth, min_leaf = int(hyper["max_depth"]), int(hyper["min_leaf"])
+    sampled = features_per_split if features_per_split < width else None
+    binary_cols = _binary_columns(X)
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.Generator(np.random.PCG64(seed + t))  # per-tree stream
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(_grow_tree(X, y, idx, 0, max_depth, min_leaf, rng, sampled, binary_cols))
+    return trees
+
+
 def train_tree(
     X, y, hyperparameters: dict | None = None, schema_hash: str = ""
 ) -> TrainedModel:
-    """CART-style tree minimizing weighted Gini impurity.
+    """CART-style tree minimizing weighted Gini impurity: a forest of one
+    tree, grown on every row and scoring every column at each split.
 
     Splits whenever a valid split exists on an impure node, even at zero
     gain: parity patterns need the gain to appear a level deeper.
     """
     hyper = _merge_hyper(TREE_DEFAULTS, hyperparameters)
     X, y = _check_training_input(X, y)
-    root = _grow_tree(
-        X,
-        y,
-        np.arange(X.shape[0]),
-        depth=0,
-        max_depth=int(hyper["max_depth"]),
-        min_leaf=int(hyper["min_leaf"]),
-        rng=None,
-        features_per_split=None,
-        binary_cols=_binary_columns(X),
-    )
+    width = X.shape[1]
     return TrainedModel(
         kind="decision_tree",
-        width=X.shape[1],
+        width=width,
         schema_hash=schema_hash,
         train_seed=0,
         hyperparameters=hyper,
-        root=root,
+        trees=_grow_trees(X, y, hyper, 1, bootstrap=False, features_per_split=width, seed=0),
     )
 
-
-# ---------------------------------------------------------------------------
-# random forest
-# ---------------------------------------------------------------------------
 
 def train_forest(
     X, y, hyperparameters: dict | None = None, schema_hash: str = "", seed: int = 0
 ) -> TrainedModel:
     hyper = _merge_hyper(FOREST_DEFAULTS, hyperparameters)
     X, y = _check_training_input(X, y)
-    n, width = X.shape
+    width = X.shape[1]
     n_trees = int(hyper["n_trees"])
     if n_trees < 1:
         raise ConfigError("n_trees must be >= 1")
     k = hyper["features_per_split"]
-    features_per_split = int(k) if k is not None else math.ceil(math.sqrt(width))
-    features_per_split = min(features_per_split, width)
-    binary_cols = _binary_columns(X)
-
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.Generator(np.random.PCG64(seed + t))  # per-tree stream
-        if hyper["bootstrap"]:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        trees.append(
-            _grow_tree(
-                X,
-                y,
-                idx,
-                depth=0,
-                max_depth=int(hyper["max_depth"]),
-                min_leaf=int(hyper["min_leaf"]),
-                rng=rng,
-                features_per_split=features_per_split if features_per_split < width else None,
-                binary_cols=binary_cols,
-            )
-        )
+    features_per_split = min(int(k) if k is not None else math.ceil(math.sqrt(width)), width)
     return TrainedModel(
         kind="random_forest",
         width=width,
         schema_hash=schema_hash,
         train_seed=seed,
         hyperparameters=dict(hyper, features_per_split=features_per_split),
-        trees=trees,
+        trees=_grow_trees(X, y, hyper, n_trees, hyper["bootstrap"], features_per_split, seed),
     )
 
 
@@ -495,7 +483,7 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
         # row-local sum keeps single-row and batched scoring bit-identical
         z = (X * model.weights).sum(axis=1) + model.bias
         return sigmoid(z)
-    if model.kind in ("decision_tree", "random_forest"):
+    if model.kind in _TREE_KINDS:
         flat = model._flat_trees
         blocks = [
             _predict_flat(flat, X[start:start + _PREDICT_BLOCK])
@@ -565,10 +553,11 @@ def model_to_json(model: TrainedModel) -> str:
             "weights": [float(w) for w in model.weights],
             "bias": float(model.bias),
         }
-    elif model.kind == "decision_tree":
-        payload["parameters"] = {"root": _node_to_dict(model.root)}
-    elif model.kind == "random_forest":
-        payload["parameters"] = {"trees": [_node_to_dict(t) for t in model.trees]}
+    elif model.kind in _TREE_KINDS:
+        trees = [_node_to_dict(t) for t in model.trees]
+        # format 1 keeps a decision tree's one tree under "root"
+        key, value = ("root", trees[0]) if model.kind == "decision_tree" else ("trees", trees)
+        payload["parameters"] = {key: value}
     else:
         raise ConfigError(f"unknown model kind {model.kind!r}")
     return json.dumps(payload, sort_keys=True)
@@ -590,10 +579,9 @@ def model_from_json(text: str) -> TrainedModel:
     if kind == "logistic_regression":
         model.weights = np.array(params["weights"], dtype=np.float64)
         model.bias = float(params["bias"])
-    elif kind == "decision_tree":
-        model.root = _node_from_dict(params["root"])
-    elif kind == "random_forest":
-        model.trees = [_node_from_dict(t) for t in params["trees"]]
+    elif kind in _TREE_KINDS:
+        trees = [params["root"]] if kind == "decision_tree" else params["trees"]
+        model.trees = [_node_from_dict(t) for t in trees]
     else:
         raise DataError(f"unknown model kind {kind!r}")
     return model

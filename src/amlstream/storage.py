@@ -31,9 +31,11 @@ from pathlib import Path
 from .errors import (
     AlreadyExistsError,
     ConfigError,
+    MALFORMED,
     DataError,
     NotFoundError,
     TableSchemaError,
+    reading,
 )
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -72,8 +74,10 @@ def truncate_torn_tail(path) -> None:
         fh.truncate(0)
 
 
-def read_journal(path) -> list:
-    """The parsed lines of a JSON-lines journal, oldest first."""
+def read_journal(path, decode=None) -> list:
+    """The parsed lines of a JSON-lines journal, oldest first, each passed
+    through ``decode`` when one is given. A line that does not parse or
+    decode raises DataError naming ``path:line``."""
     truncate_torn_tail(path)
     entries = []
     # surrogateescape hands undecodable bytes to json.loads, so they end
@@ -84,9 +88,10 @@ def read_journal(path) -> list:
             if not line:
                 continue
             try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{number}: bad journal line: {exc}") from exc
+                entry = json.loads(line)
+                entries.append(entry if decode is None else decode(entry))
+            except MALFORMED as exc:
+                raise DataError(f"{path}:{number}: bad journal line: {exc!r}") from exc
     return entries
 
 
@@ -195,14 +200,15 @@ class TableStore:
 
     def _load_existing(self) -> None:
         for schema_path in sorted(self.root.glob("*/schema.json")):
-            meta = json.loads(schema_path.read_text())
-            table = _Table(
-                meta["name"], meta["columns"], meta["key"], schema_path.parent
-            )
+            with reading(schema_path):
+                meta = json.loads(schema_path.read_text())
+                table = _Table(meta["name"], meta["columns"], meta["key"], schema_path.parent)
             journal = table.directory / "journal.jsonl"
             if journal.exists():
-                for row in read_journal(journal):
-                    table.rows[row[table.key]] = row
+                rows = read_journal(journal)
+                with reading(journal):
+                    for row in rows:
+                        table.rows[row[table.key]] = row
             self._tables[table.name] = table
 
     def close(self) -> None:

@@ -149,11 +149,7 @@ def decode_payload(payload: bytes) -> Transaction:
 
 def read_alerts(path: str) -> list[Alert]:
     """Every alert in an alert journal, oldest first."""
-    entries = read_journal(path)
-    try:
-        return [alert_from_dict(raw) for raw in entries]
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return read_journal(path, alert_from_dict)
 
 
 @dataclass

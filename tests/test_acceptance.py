@@ -207,9 +207,9 @@ def test_metric_and_training_oracles_agree():
         model = train_tree(X, y.astype(np.float64), {"min_leaf": 5})
         want = exhaustive_root_split(X, y.astype(np.float64), 5)
         if want is None:
-            assert model.root.is_leaf
+            assert model.trees[0].is_leaf
         else:
-            assert (model.root.column, model.root.threshold) == (want[1], want[2]), trial
+            assert (model.trees[0].column, model.trees[0].threshold) == (want[1], want[2]), trial
         checked += 1
     assert checked >= 40
 

@@ -8,6 +8,7 @@ reduced through the config file so the suite stays fast.
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -289,6 +290,90 @@ def test_flow_train_from_dataset_file(flow, tmp_path):
     assert cli.main(["--config", config_path, "train", "--dataset", str(dataset)]) == 0
     tables = TableStore(str(tmp_path / "data" / "tables"))
     assert tables.count("transactions") == 3000  # dataset mirrored into the warehouse
+
+
+def cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def append_line(line):
+    def corrupt(path):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+
+    return corrupt
+
+
+def active_model_blob(data):
+    active = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs"))).active()
+    return data / "blobs" / "models" / "2023-01-01" / active.blob_name
+
+
+# (file to corrupt, how, the command that reads it, whether the error names a line)
+CORRUPT_FILES = {
+    "empty_positions": (
+        lambda data: data / "log" / "transactions" / "positions.json",
+        lambda path: path.write_text(""),
+        ["stream"],
+        False,
+    ),
+    "cut_topic": (lambda data: data / "log" / "transactions" / "topic.json", cut_in_half, ["stream"], False),
+    "cut_table_schema": (
+        lambda data: data / "tables" / "transactions" / "schema.json", cut_in_half, ["report"], False,
+    ),
+    "table_row_not_an_object": (
+        lambda data: data / "tables" / "transactions" / "journal.jsonl",
+        append_line("[1, 2]"),
+        ["report"],
+        False,
+    ),
+    "table_row_without_key": (
+        lambda data: data / "tables" / "transactions" / "journal.jsonl",
+        append_line('{"amount": 1.0}'),
+        ["report"],
+        False,
+    ),
+    "registry_unknown_version": (
+        lambda data: data / "registry.jsonl",
+        append_line('{"event": "activate", "payload": {}, "tick": 0, "version": 99}'),
+        ["report"],
+        True,
+    ),
+    "registry_without_payload": (
+        lambda data: data / "registry.jsonl",
+        append_line('{"event": "register", "tick": 0, "version": 9}'),
+        ["report"],
+        True,
+    ),
+    "cut_schema_blob": (
+        lambda data: next((data / "blobs" / "schemas").glob("*/*.json")), cut_in_half, ["report"], False,
+    ),
+    "cut_model_blob": (active_model_blob, cut_in_half, ["stream", "--feed", "{feed}"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_FILES))
+def test_corrupt_persisted_file_exits_4_naming_it(flow, tmp_path, capsys, case):
+    target, corrupt, command, names_line = CORRUPT_FILES[case]
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=20)), str(feed))
+    path = target(data)
+    corrupt(path)
+    capsys.readouterr()
+    argv = [
+        "--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "reports"),
+        *[arg.format(feed=feed) for arg in command],
+    ]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    expected = path.name
+    if names_line:
+        expected += f":{len(path.read_text().splitlines())}"
+    assert expected in err, err
 
 
 # ---------------------------------------------------------------------------

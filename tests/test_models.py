@@ -1,5 +1,7 @@
 """Classifier tests: training behavior, oracles, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ def test_tree_solves_xor_at_depth_two():
     y = X[:, 0].astype(bool) ^ X[:, 1].astype(bool)
     model = train_tree(X, y, {"max_depth": 2})
     assert evaluate(predict_proba(model, X), y).accuracy == 1.0
-    assert tree_depth(model.root) <= 2
+    assert tree_depth(model.trees[0]) <= 2
 
 
 def exhaustive_root_split(X, y, min_leaf):
@@ -212,7 +214,7 @@ def test_tree_root_matches_exhaustive_search():
             continue
         model = train_tree(X, y.astype(np.float64), {"min_leaf": 5})
         want = exhaustive_root_split(X, y.astype(np.float64), 5)
-        root = model.root
+        root = model.trees[0]
         if want is None:
             assert root.is_leaf
         else:
@@ -225,7 +227,7 @@ def test_tree_tie_breaks_to_lowest_column():
     X = np.column_stack([col, col, rng.integers(0, 2, size=100)]).astype(np.float64)
     y = col.astype(bool)
     model = train_tree(X, y)
-    assert model.root.column == 0  # column 1 is identical; 0 wins the tie
+    assert model.trees[0].column == 0  # column 1 is identical; 0 wins the tie
 
 
 def test_tree_respects_depth_and_min_leaf():
@@ -233,24 +235,24 @@ def test_tree_respects_depth_and_min_leaf():
     X = rng.standard_normal((500, 6))
     y = rng.random(500) > 0.5
     model = train_tree(X, y, {"max_depth": 4, "min_leaf": 10})
-    assert tree_depth(model.root) <= 4
+    assert tree_depth(model.trees[0]) <= 4
 
     def check(node):
         if node.is_leaf:
-            assert node.count >= 10 or node is model.root
+            assert node.count >= 10 or node is model.trees[0]
         else:
             check(node.left)
             check(node.right)
 
-    check(model.root)
+    check(model.trees[0])
 
 
 def test_tree_pure_node_is_leaf():
     X = np.array([[0.0], [1.0], [0.5]])
     y = np.array([True, True, True])
     model = train_tree(X, y)
-    assert model.root.is_leaf
-    assert model.root.prob == 1.0
+    assert model.trees[0].is_leaf
+    assert model.trees[0].prob == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +294,9 @@ def test_forest_degenerate_config_equals_single_tree():
     )
     probe = rng.standard_normal((100, 4))
     assert np.array_equal(predict_proba(tree, probe), predict_proba(forest, probe))
+    # the same tree, node for node: columns, thresholds, counts and leaf values
+    grown = json.loads(model_to_json(tree))["parameters"]["root"]
+    assert json.loads(model_to_json(forest))["parameters"]["trees"] == [grown]
 
 
 def test_forest_separates_signal():
@@ -339,12 +344,9 @@ def test_predict_single_equals_batch_on_large_forest():
 
 
 def hand_model(kind, *trees, width=2):
-    model = TrainedModel(kind=kind, width=width, schema_hash="", train_seed=0, hyperparameters={})
-    if kind == "decision_tree":
-        model.root = trees[0]
-    else:
-        model.trees = list(trees)
-    return model
+    return TrainedModel(
+        kind=kind, width=width, schema_hash="", train_seed=0, hyperparameters={}, trees=list(trees)
+    )
 
 
 def split(column, threshold, left, right):
@@ -369,7 +371,7 @@ def test_tree_on_real_valued_columns_matches_walk():
     model = train_tree(X, y, {"max_depth": 6, "min_leaf": 3})
     # probe at the thresholds themselves, and just below and above them
     thresholds = []
-    stack = [model.root]
+    stack = [model.trees[0]]
     while stack:
         node = stack.pop()
         if not node.is_leaf:
@@ -381,14 +383,14 @@ def test_tree_on_real_valued_columns_matches_walk():
                                    np.nextafter(threshold, np.inf))):
             probe[3 * i + j, column] = value
     probe = np.vstack([probe, X])
-    assert np.array_equal(predict_proba(model, probe), oracle_forest([model.root], probe))
+    assert np.array_equal(predict_proba(model, probe), oracle_forest(model.trees, probe))
 
 
 def test_tree_whose_root_is_a_leaf():
     model = hand_model("decision_tree", leaf(0.375))
     assert predict_proba(model, np.zeros((5, 2))).tolist() == [0.375] * 5
     trained = train_tree(np.array([[0.0], [1.0]]), np.array([False, False]))
-    assert trained.root.is_leaf
+    assert trained.trees[0].is_leaf
     assert predict_proba(trained, np.array([[0.0], [7.0]])).tolist() == [0.0, 0.0]
 
 
@@ -493,6 +495,33 @@ def test_reloaded_forest_predicts_bit_identically():
     back = model_from_json(model_to_json(model))
     assert np.array_equal(predict_proba(back, X), trained)
     assert np.array_equal([predict_proba(back, row)[0] for row in X[:40]], trained[:40])
+
+
+# A decision tree blob in serialization format 1, as the format has
+# always been written: its one tree sits under "root".
+FORMAT_1_TREE = (
+    '{"format": 1, "hyperparameters": {"max_depth": 2, "min_leaf": 2}, "kind": "decision_tree", '
+    '"parameters": {"root": {"column": 0, "count": 12, "left": {"column": 1, "count": 6, '
+    '"left": {"count": 3, "prob": 0.3333333333333333}, "prob": 0.6666666666666666, '
+    '"right": {"count": 3, "prob": 1.0}, "threshold": 0.5}, "prob": 0.5833333333333334, '
+    '"right": {"column": 1, "count": 6, "left": {"count": 3, "prob": 1.0}, "prob": 0.5, '
+    '"right": {"count": 3, "prob": 0.0}, "threshold": 0.5}, "threshold": 0.5}}, '
+    '"schema_hash": "abc123", "train_seed": 0, "width": 2}'
+)
+
+
+def test_format_1_decision_tree_loads_predicts_and_rewrites_unchanged():
+    model = model_from_json(FORMAT_1_TREE)
+    assert model.kind == "decision_tree" and len(model.trees) == 1
+    grid = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    assert predict_proba(model, grid).tolist() == [0.3333333333333333, 1.0, 1.0, 0.0]
+    assert model_to_json(model) == FORMAT_1_TREE
+    # training on the data it was grown from still writes these bytes
+    X = np.tile(grid, (3, 1))
+    y = np.tile([0.0, 1.0, 1.0, 0.0], 3)
+    y[0] = 1.0
+    trained = train_tree(X, y, {"max_depth": 2, "min_leaf": 2}, schema_hash="abc123")
+    assert model_to_json(trained) == FORMAT_1_TREE
 
 
 def test_serialization_rejects_unknown_format():
