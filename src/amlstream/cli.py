@@ -19,7 +19,7 @@ import datetime
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSET, PipelineConfig
 from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError, reading
@@ -67,24 +67,11 @@ RAW_NAMESPACE = "raw"
 STREAM_GROUP = "stream"
 UPSERT_CHUNK = 5000
 
-TRANSACTION_COLUMNS = {
-    "id": "int",
-    "timestamp": "int",
-    "amount": "float",
-    "payment_currency": "str",
-    "received_currency": "str",
-    "sender_bank_location": "str",
-    "receiver_bank_location": "str",
-    "payment_type": "str",
-    "is_laundering": "bool",
-}
-ALERT_COLUMNS = {
-    "alert_id": "str",
-    "transaction_id": "int",
-    "source": "str",
-    "score": "float",
-    "tick": "int",
-}
+# Warehouse columns are the record types' fields. Under postponed
+# annotations each field's type is its annotation's text, which reads
+# "int", "float", "str" or "bool", the names TableStore takes.
+TRANSACTION_COLUMNS = {f.name: f.type for f in fields(Transaction)}
+ALERT_COLUMNS = {"alert_id": "str", **{f.name: f.type for f in fields(Alert)}}
 
 REPORT_FILES = (
     "payment_type_table.csv",
@@ -219,16 +206,7 @@ def _make_processor(ws: Workspace) -> StreamProcessor:
 
 
 def _store_alerts(ws: Workspace, alerts) -> None:
-    rows = [
-        {
-            "alert_id": f"{a.transaction_id}:{a.source}",
-            "transaction_id": a.transaction_id,
-            "source": a.source,
-            "score": a.score,
-            "tick": a.tick,
-        }
-        for a in alerts
-    ]
+    rows = [{"alert_id": f"{a.transaction_id}:{a.source}", **a.to_dict()} for a in alerts]
     for start in range(0, len(rows), UPSERT_CHUNK):
         ws.tables.upsert_rows("alerts", rows[start : start + UPSERT_CHUNK])
 
@@ -249,6 +227,16 @@ def _drain_summary(results, processor, echo) -> None:
         echo(f"  latency ticks p50={p50} p95={p95} max={worst}")
     if processor.schema_mismatch_count:
         echo(f"  warning: {processor.schema_mismatch_count} batches fell back to rules only")
+
+
+def _drain(ws: Workspace, processor, echo=None, results=()) -> None:
+    """Drain the backlog after ``results``, the batches already drained,
+    land their alerts in the warehouse and, given ``echo``, print the
+    summary."""
+    results = [r for r in [*results, *processor.drain_all()] if r.record_count]
+    _store_alerts(ws, [a for r in results for a in r.alerts])
+    if echo is not None:
+        _drain_summary(results, processor, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +483,7 @@ def cmd_stream(args, config: PipelineConfig) -> int:
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())
-    results.extend(processor.drain_all())
-    results = [r for r in results if r.record_count]
-    _store_alerts(ws, [a for r in results for a in r.alerts])
-    _drain_summary(results, processor, print)
+    _drain(ws, processor, print, results)
     processor.close()
     return 0
 
@@ -567,8 +552,18 @@ def _shifted_currency_weights(config: PipelineConfig) -> dict:
     return weights
 
 
-def _offset_ids(transactions, offset: int):
-    return [replace(t, id=t.id + offset) for t in transactions]
+def _monitor_window(
+    ws: Workspace, processor, profile, transactions, id_offset, window_id, label, echo
+):
+    """Publish and store one window of traffic under ids moved by
+    ``id_offset``, drain it, and check it for drift against ``profile``."""
+    window = [replace(t, id=t.id + id_offset) for t in transactions]
+    _publish_and_store(ws, window, echo)
+    _drain(ws, processor)
+    report = check_drift(profile, window, [], ws.config.drift, window_id=window_id)
+    feature, psi = report.worst_feature
+    echo(f"{label}: decision={report.decision} worst psi={psi:.4f} ({feature})")
+    return report
 
 
 def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
@@ -585,54 +580,35 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
     echo("== phase 2: train and activate models ==")
     _train_models(ws, base, ws.log.ticks(), echo)
-    active = ws.registry.active()
+    profile = ws.registry.active().reference_profile
 
     echo("== phase 3: drain the stream with the active model ==")
     processor = _make_processor(ws)
-    results = processor.drain_all()
-    _store_alerts(ws, [a for r in results for a in r.alerts])
-    _drain_summary(results, processor, echo)
+    _drain(ws, processor, echo)
 
     window_size = config.drift.window
 
     echo("== phase 4: steady-state monitoring windows ==")
     for w in range(CONTROL_WINDOWS):
-        live = list(generate(config.generator_config(count=window_size, seed=config.seed + 50 + w)))
-        live = _offset_ids(live, CONTROL_ID_STRIDE * (w + 1))
-        _publish_and_store(ws, live, echo)
-        results = processor.drain_all()
-        _store_alerts(ws, [a for r in results for a in r.alerts])
-        report = check_drift(
-            active.reference_profile, live, [], config.drift, window_id=w + 1
-        )
-        feature, psi = report.worst_feature
-        echo(f"window {w + 1}: decision={report.decision} worst psi={psi:.4f} ({feature})")
+        live = generate(config.generator_config(count=window_size, seed=config.seed + 50 + w))
+        offset, label = CONTROL_ID_STRIDE * (w + 1), f"window {w + 1}"
+        report = _monitor_window(ws, processor, profile, live, offset, w + 1, label, echo)
         outcome["control_decisions"].append(report.decision)
 
     if shift:
         echo("== phase 5: currency mix shifts ==")
-        shifted = list(
-            generate(
-                config.generator_config(
-                    count=window_size,
-                    seed=config.seed + 60,
-                    currency_weights=_shifted_currency_weights(config),
-                )
+        shifted = generate(
+            config.generator_config(
+                count=window_size,
+                seed=config.seed + 60,
+                currency_weights=_shifted_currency_weights(config),
             )
         )
-        shifted = _offset_ids(shifted, SHIFT_ID_OFFSET)
-        _publish_and_store(ws, shifted, echo)
-        results = processor.drain_all()
-        _store_alerts(ws, [a for r in results for a in r.alerts])
-        report = check_drift(
-            active.reference_profile,
-            shifted,
-            [],
-            config.drift,
-            window_id=CONTROL_WINDOWS + 1,
+        window_id = CONTROL_WINDOWS + 1
+        report = _monitor_window(
+            ws, processor, profile, shifted, SHIFT_ID_OFFSET, window_id, "shift window", echo
         )
         feature, psi = report.worst_feature
-        echo(f"shift window: decision={report.decision} worst psi={psi:.4f} ({feature})")
 
         echo("== phase 6: drift-triggered retraining ==")
         next_version = len(ws.registry.records()) + 1

@@ -1,18 +1,24 @@
 """Pipeline configuration: one JSON document drives every subcommand.
 
-Unknown keys are rejected, recursively, with the offending path named,
-and so is a value whose type differs from its default's, inside the
-free-form ``generator`` and ``models.<kind>`` maps too. A config file
-that parses but contains a typo must fail loudly, not silently run with
-defaults.
+The document's keys are the fields of PipelineConfig and of its section
+dataclasses (TopicSettings, RuleSettings, StreamSettings, ModelSettings,
+DriftThresholds); one reader walks those fields, so a key is declared
+nowhere else. Unknown keys are rejected, recursively, with the offending
+path named, and so is a value whose type differs from its default's,
+inside the free-form ``generator`` and ``models.<kind>`` maps too. A
+config file that parses but contains a typo must fail loudly, not
+silently run with defaults.
 
 All randomness in one pipeline run derives from the single top-level
 seed: the generator uses it directly, the dataset split adds
 SPLIT_SEED_OFFSET (1), class rebalancing OVERSAMPLE_SEED_OFFSET (2) and
 forest training FOREST_SEED_OFFSET (3). Retraining for registry version
 v starts from seed + RETRAIN_SEED_STRIDE * v (1000 * v) and adds the
-same offsets to that. Runs with the same config are therefore
-bit-for-bit reproducible.
+same offsets to that. Runs with the same config and the same BLAS thread
+count (OPENBLAS_NUM_THREADS and the like) are therefore bit-for-bit
+reproducible; a different thread count can change floating-point sums in
+training, and with them the fitted models and the alerts they raise. The
+benchmark pins one thread.
 """
 
 from __future__ import annotations
@@ -37,14 +43,27 @@ _GENERATOR_KEYS = frozenset(f.name for f in fields(GeneratorConfig)) - {"seed"}
 _GENERATOR_DEFAULTS = vars(GeneratorConfig(seed=0, count=1))
 
 
-def _take(section: str, raw: dict, allowed) -> dict:
+def _read(cls, raw, path: str = ""):
+    """Build the dataclass ``cls`` from the JSON object ``raw``: each key
+    must name a field, a field whose default is a section dataclass is read
+    the same way, and a map value is copied. ``path`` names the section in
+    messages; the top level is ``config``."""
+    where = path or "config"
     if not isinstance(raw, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    unknown = set(raw) - set(allowed)
+        raise ConfigError(f"config section {where!r} must be an object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown config key {section}.{name}")
-    return dict(raw)
+        raise ConfigError(f"unknown config key {where}.{unknown[0]}")
+    defaults = cls()
+    kwargs = {}
+    for key, value in raw.items():
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            value = _read(type(default), value, f"{path}.{key}" if path else key)
+        elif isinstance(value, dict):
+            value = dict(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def _type_ok(value, default) -> bool:
@@ -231,39 +250,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        top = _take(
-            "config",
-            raw,
-            {
-                "data_dir",
-                "report_dir",
-                "seed",
-                "generator",
-                "topic",
-                "rules",
-                "stream",
-                "models",
-                "drift",
-                "corr_max_rows",
-            },
-        )
-        kwargs = {}
-        for key in ("data_dir", "report_dir", "seed", "corr_max_rows"):
-            if key in top:
-                kwargs[key] = top[key]
-        if "generator" in top:
-            kwargs["generator"] = _take("generator", top["generator"], _GENERATOR_KEYS)
-        for key, section_cls in (
-            ("topic", TopicSettings),
-            ("rules", RuleSettings),
-            ("stream", StreamSettings),
-            ("models", ModelSettings),
-            ("drift", DriftThresholds),
-        ):
-            if key in top:
-                fields = section_cls.__dataclass_fields__
-                kwargs[key] = section_cls(**_take(key, top[key], fields))
-        config = cls(**kwargs)
+        config = _read(cls, raw)
         config.validate()
         return config
 

@@ -14,11 +14,17 @@ SEGMENT_RECORDS records). Consumer positions live in a sidecar
 
 Durability policy: every publish is written to the OS before the call
 returns; fsync is batched every FSYNC_INTERVAL records, and flush()
-forces an fsync (micro-batch boundaries call it before committing their
-watermark). A simulated in-process crash therefore never loses an
-acknowledged publish; recovery also tolerates a torn final record by
-truncating to the last whole frame. A checksum mismatch on a fully
-framed record is real corruption and raises CorruptLogError.
+forces an fsync. The CLI's ingest and demo call flush() after each batch
+they publish; ``stream --feed`` and the stream's micro-batches do not,
+so a commit can record offsets whose records still await their fsync,
+and positions.json is replaced atomically but not fsynced. A simulated
+in-process crash therefore never loses an acknowledged publish; a crash
+of the machine can lose the unsynced tail. Recovery also tolerates a
+torn final record by truncating to the last whole frame. A checksum
+mismatch on a fully framed record is real corruption and raises
+CorruptLogError; a partition count that is not an int of at least 1, or
+a committed offset that is not an int within the partition's records,
+raises DataError naming the file.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
 partition count. FNV-1a is fixed here precisely so replays hash
@@ -45,6 +51,7 @@ from .errors import (
     AlreadyExistsError,
     ConfigError,
     CorruptLogError,
+    DataError,
     NotFoundError,
     OffsetRangeError,
     reading,
@@ -211,23 +218,42 @@ class EventLog:
             with reading(meta_path):
                 meta = json.loads(meta_path.read_text())
                 topic = Topic(meta["name"], meta["partition_count"])
-            parts = []
-            for p in range(topic.partition_count):
-                part = _Partition(meta_path.parent / f"p{p:03d}")
-                part.load(self._next_tick)
-                parts.append(part)
-            self._topics[topic.name] = topic
-            self._partitions[topic.name] = parts
+                count = topic.partition_count
+                if type(count) is not int or count < 1:
+                    raise DataError(f"partition_count {count!r} is not an int >= 1")
+            parts = self._add_topic(topic, meta_path.parent)
             pos_path = meta_path.parent / "positions.json"
             if pos_path.exists():
                 with reading(pos_path):
                     raw = json.loads(pos_path.read_text())
-                    self._positions[topic.name] = {
+                    positions = {
                         group: {int(k): v for k, v in by_part.items()}
                         for group, by_part in raw.items()
                     }
-            else:
-                self._positions[topic.name] = {}
+                    for group, by_part in positions.items():
+                        for p, offset in by_part.items():
+                            if not 0 <= p < len(parts):
+                                raise DataError(f"group {group!r} names no partition {p}")
+                            length = len(parts[p].records)
+                            if type(offset) is not int or not 0 <= offset <= length:
+                                raise DataError(
+                                    f"group {group!r} offset {offset!r} on partition {p} "
+                                    f"lies outside [0, {length}]"
+                                )
+                    self._positions[topic.name] = positions
+
+    def _add_topic(self, topic: Topic, tdir: Path) -> list[_Partition]:
+        """Load or create the partitions of ``topic`` under ``tdir`` and
+        register it with no consumer positions."""
+        parts = []
+        for p in range(topic.partition_count):
+            part = _Partition(tdir / f"p{p:03d}")
+            part.load(self._next_tick)
+            parts.append(part)
+        self._topics[topic.name] = topic
+        self._partitions[topic.name] = parts
+        self._positions[topic.name] = {}
+        return parts
 
     def _next_tick(self) -> int:
         self._ticks += 1
@@ -267,14 +293,7 @@ class EventLog:
             (tdir / "topic.json").write_text(
                 json.dumps({"name": name, "partition_count": partition_count})
             )
-            parts = []
-            for p in range(partition_count):
-                part = _Partition(tdir / f"p{p:03d}")
-                part.directory.mkdir(parents=True, exist_ok=True)
-                parts.append(part)
-            self._topics[name] = topic
-            self._partitions[name] = parts
-            self._positions[name] = {}
+            self._add_topic(topic, tdir)
             return topic
 
     def topic(self, name: str) -> Topic:
@@ -372,7 +391,7 @@ class EventLog:
         os.replace(tmp, path)
 
     def flush(self, topic: str | None = None) -> None:
-        """fsync pending appends (micro-batch boundary)."""
+        """fsync pending appends."""
         with self._lock:
             names = [topic] if topic is not None else list(self._partitions)
             for name in names:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, DataError, NotFoundError, reading
 from .featstore import FEATURE_FIELDS
@@ -173,18 +173,6 @@ class ModelRecord:
     test_metrics: EvalMetrics | None = None
 
 
-def _metrics_to_dict(metrics: EvalMetrics) -> dict:
-    return {
-        "tn": metrics.tn,
-        "fp": metrics.fp,
-        "fn": metrics.fn,
-        "tp": metrics.tp,
-        "accuracy": metrics.accuracy,
-        "f1": metrics.f1,
-        "threshold": metrics.threshold,
-    }
-
-
 def _metrics_from_dict(raw: dict) -> EvalMetrics:
     try:
         return EvalMetrics(
@@ -283,10 +271,8 @@ class ModelRegistry:
                 "payload": {
                     "kind": model.kind,
                     "schema_hash": model.schema_hash,
-                    "metrics": _metrics_to_dict(metrics),
-                    "test_metrics": (
-                        None if test_metrics is None else _metrics_to_dict(test_metrics)
-                    ),
+                    "metrics": asdict(metrics),
+                    "test_metrics": None if test_metrics is None else asdict(test_metrics),
                     "reference_profile": reference_profile,
                     "blob_name": blob_name,
                 },

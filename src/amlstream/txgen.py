@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -110,18 +110,6 @@ AMOUNT_SIGMA = 0.4  # log-normal noise; mean-corrected so E[noise] = 1
 WEIGHT_SUM_TOLERANCE = 1e-9
 CHUNK_RECORDS = 65_536  # fixed: replay depends on it
 
-TRANSACTION_FIELDS = (
-    "id",
-    "timestamp",
-    "amount",
-    "payment_currency",
-    "received_currency",
-    "sender_bank_location",
-    "receiver_bank_location",
-    "payment_type",
-    "is_laundering",
-)
-
 # Historical exports misspell the label column; accept both on read,
 # always write the canonical spelling.
 LABEL_ALIASES = ("is_laundering", "is_laundersing")
@@ -145,6 +133,9 @@ class Transaction:
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in TRANSACTION_FIELDS}
+
+
+TRANSACTION_FIELDS = tuple(f.name for f in fields(Transaction))
 
 
 @dataclass

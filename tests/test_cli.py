@@ -104,6 +104,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
          "models.random_forest.features_per_split"),
         ({"models": {"decision_tree": {"max_depth": 2.5}}}, [], "models.decision_tree.max_depth"),
         ({"models": {"logistic_regression": {"l2": "0"}}}, [], "models.logistic_regression.l2"),
+        ({"topic": 3}, [], "topic"),
+        ({"generator": []}, [], "generator"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, config, argv, named):
@@ -232,8 +234,43 @@ def test_flow_exit_codes(flow):
     assert codes == [0, 0, 0, 0, 0]
 
 
+# the on-disk table schemas, spelled out so that a renamed or reordered
+# Transaction or Alert field shows up here rather than silently on disk
+STORED_SCHEMAS = {
+    "transactions": {
+        "name": "transactions",
+        "columns": {
+            "id": "int",
+            "timestamp": "int",
+            "amount": "float",
+            "payment_currency": "str",
+            "received_currency": "str",
+            "sender_bank_location": "str",
+            "receiver_bank_location": "str",
+            "payment_type": "str",
+            "is_laundering": "bool",
+        },
+        "key": "id",
+    },
+    "alerts": {
+        "name": "alerts",
+        "columns": {
+            "alert_id": "str",
+            "transaction_id": "int",
+            "source": "str",
+            "score": "float",
+            "tick": "int",
+        },
+        "key": "alert_id",
+    },
+}
+
+
 def test_flow_warehouse_state(flow):
     root, _, _ = flow
+    for name, schema in STORED_SCHEMAS.items():
+        text = (root / "data" / "tables" / name / "schema.json").read_text()
+        assert text == json.dumps(schema), name
     tables = TableStore(str(root / "data" / "tables"))
     assert tables.count("transactions") == 3000
     alerts = tables.query("alerts")
@@ -305,6 +342,15 @@ def append_line(line):
     return corrupt
 
 
+def edit_json(edit):
+    def corrupt(path):
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+
+    return corrupt
+
+
 def active_model_blob(data):
     active = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs"))).active()
     return data / "blobs" / "models" / "2023-01-01" / active.blob_name
@@ -319,6 +365,36 @@ CORRUPT_FILES = {
         False,
     ),
     "cut_topic": (lambda data: data / "log" / "transactions" / "topic.json", cut_in_half, ["stream"], False),
+    "partition_count_text": (
+        lambda data: data / "log" / "transactions" / "topic.json",
+        edit_json(lambda topic: topic.update(partition_count="4")),
+        ["stream"],
+        False,
+    ),
+    "partition_count_zero": (
+        lambda data: data / "log" / "transactions" / "topic.json",
+        edit_json(lambda topic: topic.update(partition_count=0)),
+        ["stream", "--feed", "{feed}"],
+        False,
+    ),
+    "offset_text": (
+        lambda data: data / "log" / "transactions" / "positions.json",
+        edit_json(lambda positions: positions["stream"].update({"0": "5"})),
+        ["stream"],
+        False,
+    ),
+    "offset_past_end": (
+        lambda data: data / "log" / "transactions" / "positions.json",
+        edit_json(lambda positions: positions["stream"].update({"0": positions["stream"]["0"] + 64})),
+        ["stream"],
+        False,
+    ),
+    "offset_negative": (
+        lambda data: data / "log" / "transactions" / "positions.json",
+        edit_json(lambda positions: positions["stream"].update({"0": -4})),
+        ["stream"],
+        False,
+    ),
     "cut_table_schema": (
         lambda data: data / "tables" / "transactions" / "schema.json", cut_in_half, ["report"], False,
     ),
