@@ -65,7 +65,6 @@ from .txgen import (
 SCHEMA_NAMESPACE = "schemas"
 RAW_NAMESPACE = "raw"
 STREAM_GROUP = "stream"
-UPSERT_CHUNK = 5000
 
 # Warehouse columns are the record types' fields. Under postponed
 # annotations each field's type is its annotation's text, which reads
@@ -143,11 +142,7 @@ def _load_table_transactions(ws: Workspace) -> list[Transaction]:
 
 
 def _store_transactions(ws: Workspace, transactions) -> None:
-    """Upsert transactions into the warehouse table in chunks."""
-    for start in range(0, len(transactions), UPSERT_CHUNK):
-        ws.tables.upsert_rows(
-            "transactions", [t.to_dict() for t in transactions[start : start + UPSERT_CHUNK]]
-        )
+    ws.tables.upsert_rows("transactions", [t.to_dict() for t in transactions])
 
 
 def _ensure_topic(ws: Workspace) -> None:
@@ -206,9 +201,9 @@ def _make_processor(ws: Workspace) -> StreamProcessor:
 
 
 def _store_alerts(ws: Workspace, alerts) -> None:
-    rows = [{"alert_id": f"{a.transaction_id}:{a.source}", **a.to_dict()} for a in alerts]
-    for start in range(0, len(rows), UPSERT_CHUNK):
-        ws.tables.upsert_rows("alerts", rows[start : start + UPSERT_CHUNK])
+    if alerts:
+        rows = [{"alert_id": f"{a.transaction_id}:{a.source}", **a.to_dict()} for a in alerts]
+        ws.tables.upsert_rows("alerts", rows)
 
 
 def _drain_summary(results, processor, echo) -> None:
@@ -480,6 +475,7 @@ def cmd_stream(args, config: PipelineConfig) -> int:
                 publish_transaction(ws.log, config.topic.name, t)
             # report joins alerts to this table, so fed records land in it too
             _store_transactions(ws, window)
+            ws.log.flush(config.topic.name)  # synced before the drain commits them
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())

@@ -14,17 +14,16 @@ SEGMENT_RECORDS records). Consumer positions live in a sidecar
 
 Durability policy: every publish is written to the OS before the call
 returns; fsync is batched every FSYNC_INTERVAL records, and flush()
-forces an fsync. The CLI's ingest and demo call flush() after each batch
-they publish; ``stream --feed`` and the stream's micro-batches do not,
-so a commit can record offsets whose records still await their fsync,
-and positions.json is replaced atomically but not fsynced. A simulated
-in-process crash therefore never loses an acknowledged publish; a crash
-of the machine can lose the unsynced tail. Recovery also tolerates a
-torn final record by truncating to the last whole frame. A checksum
-mismatch on a fully framed record is real corruption and raises
-CorruptLogError; a partition count that is not an int of at least 1, or
-a committed offset that is not an int within the partition's records,
-raises DataError naming the file.
+forces an fsync. The CLI's ingest, demo and ``stream --feed`` call
+flush() after each batch they publish, before a drain commits its
+offsets; commit() itself does not fsync, and positions.json is replaced
+atomically but not fsynced. A simulated in-process crash therefore never
+loses an acknowledged publish; a crash of the machine can lose the
+unsynced tail. Recovery also tolerates a torn final record by truncating
+to the last whole frame. A checksum mismatch on a fully framed record is
+real corruption and raises CorruptLogError; a partition count that is
+not an int of at least 1, or a committed offset that is not an int
+within the partition's records, raises DataError naming the file.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
 partition count. FNV-1a is fixed here precisely so replays hash

@@ -1,15 +1,17 @@
 """Model lifecycle: registry, drift detection, guarded retraining.
 
 The registry is an append-only storage journal of lifecycle events
-(register, activate, retire, retrain_failed) plus one serialized model
-blob per version. A register event carries the version's validation
-and test metrics; no other store keeps them. Each event is fsynced
-before the call that made it returns. In-memory state is a pure fold
-over the journal, so restarting from disk reproduces exactly the
-registry that crashed; a journal line torn by the crash is dropped.
-Model blobs are written before their journal entry: a torn registration
-leaves an orphaned blob, never a journal entry pointing at a missing
-model.
+(register, activate, retrain_failed) plus one serialized model blob per
+version. A register event carries the version's validation and test
+metrics; no other store keeps them. An activate event also retires the
+active version, so no crash leaves the registry without an active model
+once one was activated; older journals' ``retire`` events still replay.
+Each event is fsynced before the call that made it returns. In-memory
+state is a pure fold over the journal, so restarting from disk
+reproduces exactly the registry that crashed; a journal line torn by
+the crash is dropped. Model blobs are written before their journal
+entry: a torn registration leaves an orphaned blob, never a journal
+entry pointing at a missing model.
 
 Drift is measured per categorical feature with the population stability
 index between the activation-time reference profile and a live window,
@@ -234,6 +236,8 @@ class ModelRegistry:
             )
         elif name == "activate":
             self._records[version].status = STATUS_ACTIVE
+            if self._active_version not in (None, version):
+                self._records[self._active_version].status = STATUS_RETIRED
             self._active_version = version
         elif name == "retire":
             self._records[version].status = STATUS_RETIRED
@@ -285,8 +289,6 @@ class ModelRegistry:
             raise NotFoundError(f"no registered model version {version}")
         if self._active_version == version:
             return self._records[version]
-        if self._active_version is not None:
-            self._append({"event": "retire", "version": self._active_version, "tick": tick, "payload": {}})
         self._append({"event": "activate", "version": version, "tick": tick, "payload": {}})
         return self._records[version]
 

@@ -4,12 +4,13 @@ BlobStore: named byte objects under namespace/date/name directories,
 written atomically (temp file + rename) so a concurrent reader sees
 either the old bytes or the new bytes, never a mix.
 
-TableStore: small keyed tables held in memory; on disk a table is its
-schema.json plus a journal of upserts, replayed in full on load.
-Upserts are idempotent per primary key and validated against the
-declared column schema before anything is applied, so a rejected batch
-leaves the table untouched. A query returns a whole table sorted by
-primary key, which keeps every downstream report deterministic.
+TableStore: keyed tables, each its schema.json plus an append-only
+journal of upserts. Opening reads only the schemas and no rows are held
+in memory: a query or count folds the journal, the last upsert of a key
+winning. Upserts are idempotent per primary key and validated against
+the declared column schema before anything is written, so a rejected
+batch leaves the table untouched. A query returns a whole table sorted
+by primary key, which keeps every downstream report deterministic.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's alert and dead-letter files) follows one rule. JournalWriter is
@@ -156,8 +157,7 @@ class _Table:
         self.name = name
         self.columns = columns
         self.key = key
-        self.directory = directory
-        self.rows: dict = {}
+        self.journal = directory / "journal.jsonl"
 
     def validate_row(self, row: dict) -> None:
         if not isinstance(row, dict):
@@ -203,12 +203,6 @@ class TableStore:
             with reading(schema_path):
                 meta = json.loads(schema_path.read_text())
                 table = _Table(meta["name"], meta["columns"], meta["key"], schema_path.parent)
-            journal = table.directory / "journal.jsonl"
-            if journal.exists():
-                rows = read_journal(journal)
-                with reading(journal):
-                    for row in rows:
-                        table.rows[row[table.key]] = row
             self._tables[table.name] = table
 
     def close(self) -> None:
@@ -250,17 +244,24 @@ class TableStore:
             table.validate_row(row)
         journal = self._journals.get(name)
         if journal is None:
-            journal = JournalWriter(table.directory / "journal.jsonl")
+            journal = JournalWriter(table.journal)
             self._journals[name] = journal
         journal.write(rows)
-        for row in rows:
-            table.rows[row[table.key]] = dict(row)
         return len(rows)
+
+    def _fold(self, name: str) -> dict:
+        """A table's rows by primary key, the last upsert of a key winning.
+        Folding as each line is read makes a keyless row name ``path:line``."""
+        table = self._require(name)
+        rows: dict = {}
+        if table.journal.exists():
+            read_journal(table.journal, lambda row: rows.__setitem__(row[table.key], row))
+        return rows
 
     def query(self, name: str) -> list[dict]:
         """Every row of a table, sorted by primary key."""
-        table = self._require(name)
-        return [dict(table.rows[key]) for key in sorted(table.rows)]
+        rows = self._fold(name)
+        return [rows[key] for key in sorted(rows)]
 
     def count(self, name: str) -> int:
-        return len(self._require(name).rows)
+        return len(self._fold(name))

@@ -15,8 +15,9 @@ from dataclasses import replace
 
 import pytest
 
-from amlstream import cli
+from amlstream import cli, lifecycle, storage, streamproc
 from amlstream.config import PipelineConfig
+from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
 from amlstream.storage import BlobStore, TableStore
 from amlstream.txgen import GeneratorConfig, generate, read_dataset, write_jsonl
@@ -402,13 +403,19 @@ CORRUPT_FILES = {
         lambda data: data / "tables" / "transactions" / "journal.jsonl",
         append_line("[1, 2]"),
         ["report"],
-        False,
+        True,
     ),
     "table_row_without_key": (
         lambda data: data / "tables" / "transactions" / "journal.jsonl",
         append_line('{"amount": 1.0}'),
         ["report"],
-        False,
+        True,
+    ),
+    "table_key_not_hashable": (
+        lambda data: data / "tables" / "transactions" / "journal.jsonl",
+        append_line('{"id": [1]}'),
+        ["report"],
+        True,
     ),
     "registry_unknown_version": (
         lambda data: data / "registry.jsonl",
@@ -491,6 +498,57 @@ def test_report_after_feeding_new_ids(tmp_path, capsys):
     assert tables.count("transactions") == 3_500  # fed records land in the warehouse
     lines = (tmp_path / "reports" / "alerts_per_month.csv").read_text().splitlines()
     assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == tables.count("alerts")
+
+
+def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    (data / "log" / "transactions" / "positions.json").unlink()  # so the stream drains again
+    read = []
+    real_read_journal = storage.read_journal
+
+    def recording_read_journal(path, decode=None):
+        read.append(os.path.relpath(path, data))
+        return real_read_journal(path, decode)
+
+    for module in (storage, lifecycle, streamproc):
+        monkeypatch.setattr(module, "read_journal", recording_read_journal)
+    assert cli.main(["--config", config_path, "--data-dir", str(data), "stream"]) == 0
+    assert "registry.jsonl" in read  # the active model is still looked up
+    assert not [path for path in read if path.startswith("tables")], read
+
+
+def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch, capsys):
+    config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=300)), str(feed))
+    synced = {}  # (device, inode) -> file size at its last fsync
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        st = os.fstat(fd)
+        synced[(st.st_dev, st.st_ino)] = st.st_size
+
+    commits, unsynced = [], []
+    real_commit = EventLog.commit
+
+    def checking_commit(self, group, topic, partition, offset):
+        commits.append((partition, offset))
+        for segment in (self.root / topic).glob("*/segment-*.log"):
+            st = segment.stat()
+            if synced.get((st.st_dev, st.st_ino)) != st.st_size:
+                unsynced.append((segment.name, partition, offset))
+        real_commit(self, group, topic, partition, offset)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(EventLog, "commit", checking_commit)
+    argv = ["--config", config_path, "stream", "--feed", str(feed), "--rate", "100"]
+    assert cli.main(argv) == 0
+    assert "drained 300 records" in capsys.readouterr().out
+    assert commits
+    assert not unsynced
 
 
 def test_stream_on_empty_workspace_is_quiet(tmp_path, capsys):

@@ -257,6 +257,44 @@ def test_registry_restart_reproduces_state(tmp_path):
     )
 
 
+def two_activations(tmp_path):
+    registry = make_registry(tmp_path)
+    registry.register(make_model(seed=1), make_metrics(f1=0.7), {"payment_type": {"ACH": 1.0}}, tick=1)
+    registry.register(make_model(seed=2), make_metrics(f1=0.8), {}, tick=2)
+    registry.activate(1, tick=3)
+    registry.activate(2, tick=4)
+    return registry
+
+
+def test_registry_has_an_active_model_after_any_crash_once_activated(tmp_path):
+    registry = two_activations(tmp_path)
+    with open(registry.journal_path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    first = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "activate")
+    for end in range(len(lines) + 1):
+        prefix = tmp_path / f"prefix{end}.jsonl"
+        prefix.write_text("".join(lines[:end]), encoding="utf-8")
+        replayed = ModelRegistry(str(prefix), registry.blob_store)
+        assert (replayed.active() is not None) == (end > first), end
+
+
+def test_registry_replays_retire_events_of_older_journals(tmp_path):
+    registry = two_activations(tmp_path)
+    events = [json.loads(line) for line in open(registry.journal_path)]
+    assert [e["event"] for e in events] == ["register", "register", "activate", "activate"]
+    # the same history as journaled when activation wrote a retire event first
+    retire = {"event": "retire", "version": 1, "tick": 4, "payload": {}}
+    older = tmp_path / "older.jsonl"
+    older.write_text(
+        "".join(json.dumps(e, sort_keys=True) + "\n" for e in [*events[:3], retire, events[3]]),
+        encoding="utf-8",
+    )
+    replayed = ModelRegistry(str(older), registry.blob_store)
+    assert replayed.records() == registry.records()
+    assert [r.status for r in replayed.records()] == ["retired", "active"]
+    assert replayed.active().version == 2
+
+
 def test_registry_test_metrics_survive_restart(tmp_path):
     registry = make_registry(tmp_path)
     test = make_metrics(f1=0.75, accuracy=0.97)

@@ -151,8 +151,20 @@ def test_bad_journal_line_mid_file_names_path_and_line(tmp_path):
     lines = journal.read_text().splitlines(keepends=True)
     lines[1] = '{"key": "k1", "sco\n'
     journal.write_text("".join(lines))
+    again = TableStore(tmp_path / "tables")  # opening reads only the schemas
     with pytest.raises(DataError, match=r"journal\.jsonl:2: bad journal line"):
-        TableStore(tmp_path / "tables")
+        again.query("alerts")
+
+
+def test_table_is_read_from_its_journal_not_from_memory(tmp_path):
+    reader = make_store(tmp_path)
+    writer = TableStore(tmp_path / "tables")
+    writer.upsert_rows("alerts", alert_rows(2))
+    assert reader.query("alerts") == alert_rows(2)
+    writer.upsert_rows("alerts", [dict(alert_rows(1)[0], score=0.5)])
+    assert reader.count("alerts") == 2
+    assert reader.query("alerts")[0]["score"] == 0.5
+    writer.close()
 
 
 def table_upsert(tmp_path):
