@@ -17,7 +17,8 @@ v starts from seed + RETRAIN_SEED_STRIDE * v (1000 * v) and adds the
 same offsets to that. Runs with the same config and the same BLAS thread
 count (OPENBLAS_NUM_THREADS and the like) are therefore bit-for-bit
 reproducible; a different thread count can change floating-point sums in
-training, and with them the fitted models and the alerts they raise. The
+the logistic fit, and with them its weights and the alerts it raises
+(tree sums add whole counts, so trees do not depend on it). The
 benchmark pins one thread.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .lifecycle import DriftThresholds
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, check_hyperparameters
 from .streamproc import DEFAULT_HIGH_RISK_TYPES, RuleConfig
 from .txgen import GeneratorConfig
 
@@ -160,7 +161,8 @@ class RuleSettings:
 
 @dataclass
 class ModelSettings:
-    """Per-kind hyperparameter overrides, validated against the defaults."""
+    """Per-kind hyperparameter overrides, validated against the defaults'
+    keys and types and the least values the models accept."""
 
     logistic_regression: dict = field(default_factory=dict)
     decision_tree: dict = field(default_factory=dict)
@@ -175,6 +177,7 @@ class ModelSettings:
                     f"unknown hyperparameter models.{kind}.{sorted(unknown)[0]}"
                 )
             _check_map_types(f"models.{kind}.", overrides, defaults)
+            check_hyperparameters(overrides, f"models.{kind}.")
 
     def overrides_for(self, kind: str) -> dict:
         return dict(getattr(self, kind))

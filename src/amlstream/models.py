@@ -20,6 +20,18 @@ grower and hold their trees in ``TrainedModel.trees``. Only their blobs
 differ, as format 1 always has: a decision tree keeps its tree under
 "root", a forest its list under "trees".
 
+Every fit runs on the distinct (row, label) pairs of its training matrix,
+each with its count: one-hot rows repeat heavily, and Gini impurity and
+log-loss depend only on weighted counts. A tree's sample, bootstrap or
+whole, becomes each pair's count in it (a bootstrap sample is a vector of
+row multiplicities), and a node scores all its sampled 0/1 columns with
+one product of counts, as split search over aggregated statistics does in
+XGBoost (Chen & Guestrin, KDD 2016). Split sums add integer-valued counts,
+so they are exact in any order or BLAS split: trees come out node for node
+as if grown row by row. The logistic fit sums the same terms in another
+order, so its weights can move in the last digits (about 1e-8 on the
+default data) with the row grouping or the BLAS thread count.
+
 Prediction contract: predict_proba computes per-row values with
 row-local arithmetic (no batch-shape-dependent reductions), so scoring
 one record equals scoring it inside any batch, bit for bit.
@@ -52,7 +64,7 @@ LOGISTIC_DEFAULTS = {
     "max_iters": 100,  # Newton steps
     "l2": 0.0,
 }
-_HESSIAN_BLOCK = 4096  # rows of X scaled at once when forming the Hessian
+_ROW_BLOCK = 512  # distinct rows scaled or gathered at once: Hessian terms, split counts
 _MAX_HALVINGS = 30  # a step cut 2**30 times that still raises the loss means the floor
 TREE_DEFAULTS = {"max_depth": 12, "min_leaf": 5}
 FOREST_DEFAULTS = {
@@ -68,12 +80,23 @@ MODEL_KINDS = {
     "random_forest": FOREST_DEFAULTS,
 }
 _TREE_KINDS = ("decision_tree", "random_forest")
+# the least value of each numeric hyperparameter; a None features_per_split
+# means ceil(sqrt(width))
+_HYPER_MINIMUMS = {
+    "tolerance": 0,
+    "max_iters": 0,
+    "l2": 0,
+    "max_depth": 0,
+    "min_leaf": 1,
+    "n_trees": 1,
+    "features_per_split": 1,
+}
 
 SERIALIZATION_FORMAT = 1
 _PREDICT_BLOCK = 1024  # rows scored at once; bounds the (trees, rows) node matrix
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     prob: float
     count: int
@@ -117,25 +140,75 @@ class EvalMetrics:
     threshold: float
 
 
+def check_hyperparameters(hyper: dict, prefix: str = "") -> None:
+    """Raise ConfigError naming the first numeric hyperparameter of
+    ``hyper`` below its least value (NaN included); ``prefix`` leads the
+    key in the message."""
+    for key, value in hyper.items():
+        least = _HYPER_MINIMUMS.get(key)
+        if least is not None and value is not None and not value >= least:
+            raise ConfigError(f"{prefix}{key} must be >= {least}, not {value!r}")
+
+
 def _merge_hyper(defaults: dict, overrides: dict | None) -> dict:
     merged = dict(defaults)
     for key, value in (overrides or {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown hyperparameter {key!r}")
         merged[key] = value
+    check_hyperparameters(merged)
     return merged
 
 
-def _check_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal (row, label) pairs of a training set.
+
+    Returns ``first``, one row index per group, and ``inverse``, each row's
+    group, so ``X[first][inverse]`` equals ``X``. A lexsort over the label
+    and the column views orders the rows; a row starts a group when it
+    differs from its sorted neighbour in the label or in any column. No
+    sorted or stacked copy of X is made. A row holding a NaN differs from
+    every row, so it is a group of its own.
+    """
+    order = np.lexsort([y, *X.T])
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    labels = y[order]
+    starts[1:] = labels[1:] != labels[:-1]
+    for c in range(X.shape[1]):
+        col = X[order, c]
+        starts[1:] |= col[1:] != col[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+class _Distinct(NamedTuple):
+    """A training set as its distinct (row, label) pairs: row ``X[i]`` with
+    label ``y[i]`` occurs ``counts[i]`` times (float64), and input row j is
+    pair ``inverse[j]``."""
+
+    X: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+
+def _distinct_training_set(X, y) -> _Distinct:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("training set must be a non-empty 2-D matrix")
     if y.shape[0] != X.shape[0]:
         raise DataError("labels must align with the feature matrix")
-    if not np.all(np.isfinite(X)):
+    y = y.astype(np.float64)
+    first, inverse = _distinct_rows(X, y)
+    Xu = X[first]
+    # every value of X is in Xu, so the distinct rows are all to check
+    if not np.all(np.isfinite(Xu)):
         raise DataError("training matrix contains non-finite values")
-    return X, y.astype(np.float64)
+    counts = np.bincount(inverse, minlength=first.size).astype(np.float64)
+    return _Distinct(Xu, y[first], counts, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -146,39 +219,49 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def logistic_loss(X, y, w, b, l2=0.0) -> float:
-    p = sigmoid(np.asarray(X) @ np.asarray(w) + b)
+def _logistic_loss(X, y, counts, w, b, l2) -> float:
+    """Mean log-loss over rows counted ``counts`` times, plus L2 on weights."""
+    p = sigmoid(X @ w + b)
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    data = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    data = -((counts * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))).sum() / counts.sum())
     return float(data + 0.5 * l2 * float(np.dot(w, w)))
+
+
+def _logistic_gradient(X, y, counts, w, b, l2) -> tuple[np.ndarray, float]:
+    """Gradient of ``_logistic_loss`` over (weights, bias)."""
+    residual = counts * (sigmoid(X @ w + b) - y)
+    total = counts.sum()
+    return X.T @ residual / total + l2 * w, float(residual.sum() / total)
+
+
+def logistic_loss(X, y, w, b, l2=0.0) -> float:
+    y = np.asarray(y)
+    return _logistic_loss(np.asarray(X), y, np.ones(y.shape[0]), np.asarray(w), b, l2)
 
 
 def logistic_gradient(X, y, w, b, l2=0.0) -> tuple[np.ndarray, float]:
     """Gradient of the mean log-loss (plus L2 on weights, not bias)."""
-    X = np.asarray(X)
-    residual = sigmoid(X @ np.asarray(w) + b) - y
-    g_w = X.T @ residual / X.shape[0] + l2 * np.asarray(w)
-    g_b = float(np.mean(residual))
-    return g_w, g_b
+    y = np.asarray(y)
+    return _logistic_gradient(np.asarray(X), y, np.ones(y.shape[0]), np.asarray(w), b, l2)
 
 
-def _logistic_hessian(X, w, b, l2) -> np.ndarray:
-    """Hessian of the mean log-loss over (weights, bias), bias last.
+def _logistic_hessian(X, counts, w, b, l2) -> np.ndarray:
+    """Hessian of ``_logistic_loss`` over (weights, bias), bias last.
 
     X^T S X is summed over row blocks, so the scaled copy of X is at most
-    _HESSIAN_BLOCK rows.
+    _ROW_BLOCK rows.
     """
     n, width = X.shape
     H = np.zeros((width + 1, width + 1), dtype=np.float64)
-    for start in range(0, n, _HESSIAN_BLOCK):
-        block = X[start:start + _HESSIAN_BLOCK]
+    for start in range(0, n, _ROW_BLOCK):
+        block = X[start:start + _ROW_BLOCK]
         p = sigmoid(block @ w + b)
-        s = p * (1.0 - p)
+        s = p * (1.0 - p) * counts[start:start + _ROW_BLOCK]
         scaled = block * s[:, None]
         H[:width, :width] += scaled.T @ block
         H[:width, width] += scaled.sum(axis=0)
         H[width, width] += s.sum()
-    H /= n
+    H /= counts.sum()
     H[width, :width] = H[:width, width]
     H[np.arange(width), np.arange(width)] += l2  # the bias is not penalised
     return H
@@ -195,29 +278,31 @@ def train_logistic(
     up; when no halving keeps it from rising, the loss is at its floor and
     training stops. Otherwise it stops when the gradient max-norm drops
     below `tolerance` or after `max_iters` Newton steps. Records the loss
-    after every step.
+    after every step. Loss, gradient and Hessian are sums over the
+    distinct (row, label) pairs, each weighted by its count.
     """
     hyper = _merge_hyper(LOGISTIC_DEFAULTS, hyperparameters)
-    X, y = _check_training_input(X, y)
+    X, y, counts, _ = _distinct_training_set(X, y)
     tol = float(hyper["tolerance"])
     l2 = float(hyper["l2"])
     max_iters = int(hyper["max_iters"])
 
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
-    losses = [logistic_loss(X, y, w, b, l2)]
+    losses = [_logistic_loss(X, y, counts, w, b, l2)]
     iters = 0
     for _ in range(max_iters):
-        g_w, g_b = logistic_gradient(X, y, w, b, l2)
+        g_w, g_b = _logistic_gradient(X, y, counts, w, b, l2)
         g_max = max(float(np.max(np.abs(g_w))) if g_w.size else 0.0, abs(g_b))
         if g_max < tol:
             break
-        step = np.linalg.lstsq(_logistic_hessian(X, w, b, l2), np.append(g_w, g_b), rcond=None)[0]
+        H = _logistic_hessian(X, counts, w, b, l2)
+        step = np.linalg.lstsq(H, np.append(g_w, g_b), rcond=None)[0]
         for halving in range(_MAX_HALVINGS + 1):
             scale = 0.5**halving
             w_new = w - scale * step[:-1]
             b_new = b - scale * float(step[-1])
-            loss = logistic_loss(X, y, w_new, b_new, l2)
+            loss = _logistic_loss(X, y, counts, w_new, b_new, l2)
             if loss <= losses[-1]:
                 break
         else:
@@ -253,38 +338,28 @@ def _weighted_gini(n_left, pos_left, n_right, pos_right):
     return (n_left * g_left + n_right * g_right) / (n_left + n_right)
 
 
-def _best_split_on_column(x, y, min_leaf, binary):
-    """Best (cost, threshold) on one column, or None if no valid split.
+def _best_split_on_column(x, counts, min_leaf):
+    """Best (cost, threshold) on one real-valued column, or None if no
+    valid split. Row i of ``x`` counts ``counts[0, i]`` times,
+    ``counts[1, i]`` of them positive.
 
     Thresholds are midpoints of adjacent distinct sorted values; a split
-    is valid when both sides hold at least min_leaf rows. Binary 0/1
-    columns short-circuit to the single midpoint 0.5 with count math.
+    is valid when both sides count at least min_leaf rows.
     """
-    n = x.shape[0]
-    if binary:
-        n_right = float(x.sum())  # ones go right of the 0.5 threshold
-        n_left = n - n_right
-        if n_left < min_leaf or n_right < min_leaf:
-            return None
-        pos_right = float(x @ y)
-        pos_left = float(y.sum()) - pos_right
-        return _weighted_gini(n_left, pos_left, n_right, pos_right), 0.5
-
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    ys = y[order]
     boundaries = np.flatnonzero(xs[1:] != xs[:-1])  # split after sorted index i
     if boundaries.size == 0:
         return None
-    n_left = boundaries + 1.0
-    n_right = n - n_left
+    cum_w, cum_pos = np.cumsum(counts[:, order], axis=1)
+    n_left = cum_w[boundaries]
+    n_right = cum_w[-1] - n_left
     valid = (n_left >= min_leaf) & (n_right >= min_leaf)
     if not valid.any():
         return None
     boundaries = boundaries[valid]
     n_left = n_left[valid]
     n_right = n_right[valid]
-    cum_pos = np.cumsum(ys)
     pos_left = cum_pos[boundaries]
     pos_right = cum_pos[-1] - pos_left
     costs = _weighted_gini(n_left, pos_left, n_right, pos_right)
@@ -293,38 +368,61 @@ def _best_split_on_column(x, y, min_leaf, binary):
     return float(costs[best]), float(thr)
 
 
-def _grow_tree(X, y, idx, depth, max_depth, min_leaf, rng, features_per_split, binary_cols):
-    n = idx.size
-    y_node = y[idx]
-    pos = float(y_node.sum())
+def _best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols):
+    """(column, threshold) of a node's lowest-cost valid split over the
+    sorted ``cols``, or None; ties keep the lowest column, then the lowest
+    threshold.
+
+    Binary 0/1 columns split at 0.5 and are scored together: one product
+    counts the node's ones and its positive ones. Every sum here adds
+    integer-valued counts, so it is exact in any order.
+    """
+    costs = np.full(cols.size, np.inf)
+    thresholds = np.full(cols.size, 0.5)
+    binary = binary_cols[cols]
+    if binary.any():
+        ones_cols = cols[binary]
+        right = np.zeros((2, ones_cols.size))  # ones go right of the 0.5 threshold
+        for start in range(0, rows.size, _ROW_BLOCK):
+            part = slice(start, start + _ROW_BLOCK)
+            right += counts[:, part] @ Xu[rows[part, None], ones_cols]
+        n_right, pos_right = right
+        n_left = n - n_right
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        costs[np.flatnonzero(binary)[valid]] = _weighted_gini(
+            n_left[valid], pos - pos_right[valid], n_right[valid], pos_right[valid]
+        )
+    for i in np.flatnonzero(~binary):
+        found = _best_split_on_column(Xu[rows, cols[i]], counts, min_leaf)
+        if found is not None:
+            costs[i], thresholds[i] = found
+    if not np.any(costs < np.inf):
+        return None
+    best = int(np.argmin(costs))  # first minimum -> lowest column
+    return int(cols[best]), float(thresholds[best])
+
+
+def _grow_tree(Xu, rows, counts, depth, max_depth, min_leaf, rng, features_per_split, binary_cols):
+    """Grow the subtree over the distinct rows ``rows`` of ``Xu``, row
+    ``rows[i]`` counted ``counts[0, i]`` times, ``counts[1, i]`` of them
+    positive. Nodes draw their columns in pre-order, left before right."""
+    n, pos = (float(total) for total in counts.sum(axis=1))
     node = TreeNode(prob=pos / n, count=int(n))
     if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
         return node
-    width = X.shape[1]
-    if features_per_split is not None and features_per_split < width:
+    width = Xu.shape[1]
+    if features_per_split is not None:
         cols = np.sort(rng.choice(width, size=features_per_split, replace=False))
     else:
-        cols = range(width)
-    best = None  # (cost, column, threshold); ties keep the earliest
-    for c in cols:
-        found = _best_split_on_column(X[idx, c], y_node, min_leaf, binary_cols[c])
-        if found is None:
-            continue
-        cost, thr = found
-        if best is None or cost < best[0]:
-            best = (cost, int(c), thr)
-    if best is None:
+        cols = np.arange(width)
+    split = _best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols)
+    if split is None:
         return node
-    _, column, threshold = best
-    mask = X[idx, column] < threshold
-    node.column = column
-    node.threshold = threshold
-    node.left = _grow_tree(
-        X, y, idx[mask], depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols
-    )
-    node.right = _grow_tree(
-        X, y, idx[~mask], depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols
-    )
+    node.column, node.threshold = split
+    left = Xu[rows, node.column] < node.threshold
+    below = (depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols)
+    node.left = _grow_tree(Xu, rows[left], counts[:, left], *below)
+    node.right = _grow_tree(Xu, rows[~left], counts[:, ~left], *below)
     return node
 
 
@@ -337,19 +435,32 @@ def _binary_columns(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_trees(X, y, hyper, n_trees, bootstrap, features_per_split, seed) -> list[TreeNode]:
+def _grow_trees(data: _Distinct, hyper, n_trees, bootstrap, features_per_split, seed):
     """Grow ``n_trees`` trees. Tree t draws from its own generator,
     PCG64(seed + t): its bootstrap sample when ``bootstrap`` is set, and the
-    columns each split scores when ``features_per_split`` is below the width."""
-    n, width = X.shape
+    columns each split scores when ``features_per_split`` is below the width.
+
+    Trees grow on the distinct (row, label) pairs of the training set. A
+    tree's sample becomes each pair's count in it, and a node holds the
+    pairs it counts at least once.
+    """
+    n, distinct = data.inverse.size, data.y.size
     max_depth, min_leaf = int(hyper["max_depth"]), int(hyper["min_leaf"])
-    sampled = features_per_split if features_per_split < width else None
-    binary_cols = _binary_columns(X)
+    sampled = features_per_split if features_per_split < data.X.shape[1] else None
+    binary_cols = _binary_columns(data.X)
     trees = []
     for t in range(n_trees):
         rng = np.random.Generator(np.random.PCG64(seed + t))  # per-tree stream
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(X, y, idx, 0, max_depth, min_leaf, rng, sampled, binary_cols))
+        if bootstrap:  # n row draws, counted per pair
+            counts = np.bincount(data.inverse[rng.integers(0, n, size=n)], minlength=distinct)
+        else:
+            counts = data.counts
+        rows = np.flatnonzero(counts)
+        w = counts[rows].astype(np.float64)
+        trees.append(_grow_tree(
+            data.X, rows, np.stack((w, w * data.y[rows])), 0, max_depth, min_leaf, rng,
+            sampled, binary_cols,
+        ))
     return trees
 
 
@@ -363,15 +474,15 @@ def train_tree(
     gain: parity patterns need the gain to appear a level deeper.
     """
     hyper = _merge_hyper(TREE_DEFAULTS, hyperparameters)
-    X, y = _check_training_input(X, y)
-    width = X.shape[1]
+    data = _distinct_training_set(X, y)
+    width = data.X.shape[1]
     return TrainedModel(
         kind="decision_tree",
         width=width,
         schema_hash=schema_hash,
         train_seed=0,
         hyperparameters=hyper,
-        trees=_grow_trees(X, y, hyper, 1, bootstrap=False, features_per_split=width, seed=0),
+        trees=_grow_trees(data, hyper, 1, bootstrap=False, features_per_split=width, seed=0),
     )
 
 
@@ -379,11 +490,8 @@ def train_forest(
     X, y, hyperparameters: dict | None = None, schema_hash: str = "", seed: int = 0
 ) -> TrainedModel:
     hyper = _merge_hyper(FOREST_DEFAULTS, hyperparameters)
-    X, y = _check_training_input(X, y)
-    width = X.shape[1]
-    n_trees = int(hyper["n_trees"])
-    if n_trees < 1:
-        raise ConfigError("n_trees must be >= 1")
+    data = _distinct_training_set(X, y)
+    width = data.X.shape[1]
     k = hyper["features_per_split"]
     features_per_split = min(int(k) if k is not None else math.ceil(math.sqrt(width)), width)
     return TrainedModel(
@@ -392,7 +500,9 @@ def train_forest(
         schema_hash=schema_hash,
         train_seed=seed,
         hyperparameters=dict(hyper, features_per_split=features_per_split),
-        trees=_grow_trees(X, y, hyper, n_trees, hyper["bootstrap"], features_per_split, seed),
+        trees=_grow_trees(
+            data, hyper, int(hyper["n_trees"]), hyper["bootstrap"], features_per_split, seed
+        ),
     )
 
 

@@ -125,6 +125,29 @@ def test_bad_input_exits_2_without_traceback(tmp_path, config, argv, named):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("decision_tree", "min_leaf", 0),
+        ("decision_tree", "max_depth", -1),
+        ("random_forest", "features_per_split", 0),
+        ("random_forest", "features_per_split", -2),
+        ("random_forest", "n_trees", 0),
+        ("random_forest", "min_leaf", 0),
+        ("logistic_regression", "max_iters", -1),
+        ("logistic_regression", "tolerance", -1e-6),
+        ("logistic_regression", "l2", -0.5),
+    ],
+)
+def test_out_of_range_hyperparameter_exits_2_before_training(tmp_path, capsys, kind, key, value):
+    data = tmp_path / "data"
+    path = write_config(tmp_path / "config.json", data_dir=str(data), models={kind: {key: value}})
+    # without the config check, train on an empty data dir would exit 4
+    assert cli.main(["--config", path, "train"]) == 2
+    assert f"models.{kind}.{key}" in capsys.readouterr().err
+    assert not data.exists()
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["--config", missing, "generate", "--count", "5"]) == 3

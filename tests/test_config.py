@@ -78,6 +78,34 @@ def test_validation_catches_bad_values():
         PipelineConfig.from_dict({"rules": {"velocity_max_count": 0}})
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("decision_tree", "min_leaf", 0),
+        ("decision_tree", "max_depth", -1),
+        ("random_forest", "min_leaf", 0),
+        ("random_forest", "features_per_split", 0),
+        ("random_forest", "features_per_split", -2),
+        ("random_forest", "n_trees", 0),
+        ("logistic_regression", "max_iters", -1),
+        ("logistic_regression", "tolerance", -1e-6),
+        ("logistic_regression", "l2", -0.5),
+        ("logistic_regression", "l2", float("nan")),
+    ],
+)
+def test_out_of_range_hyperparameter_is_named(kind, key, value):
+    with pytest.raises(ConfigError, match=f"models.{kind}.{key} must be >="):
+        PipelineConfig.from_dict({"models": {kind: {key: value}}})
+
+
+def test_least_hyperparameter_values_pass():
+    ModelSettings(
+        logistic_regression={"max_iters": 0, "tolerance": 0, "l2": 0},
+        decision_tree={"max_depth": 0, "min_leaf": 1},
+        random_forest={"n_trees": 1, "features_per_split": 1, "min_leaf": 1, "max_depth": 0},
+    ).validate()
+
+
 def test_seed_derivation():
     config = PipelineConfig(seed=100)
     assert config.split_seed == 101

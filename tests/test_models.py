@@ -1,11 +1,15 @@
 """Classifier tests: training behavior, oracles, serialization."""
 
+import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from amlstream.cli import _prepare_training
+from amlstream.config import FOREST_SEED_OFFSET
 from amlstream.errors import ConfigError, DataError, SchemaMismatchError
 from amlstream.models import (
     EvalMetrics,
@@ -305,6 +309,189 @@ def test_forest_separates_signal():
     y = (X[:, 1] + X[:, 4] >= 2).astype(bool)
     model = train_forest(X, y, {"n_trees": 25}, seed=11)
     assert evaluate(predict_proba(model, X), y).accuracy > 0.97
+
+
+# ---------------------------------------------------------------------------
+# training on distinct rows
+# ---------------------------------------------------------------------------
+
+# The reference grower: it scans every sampled row, one column at a time.
+# Growing on distinct rows with counts must give the same trees, byte for
+# byte, because every split sum adds whole counts.
+
+def reference_split_on_column(x, y, min_leaf, binary):
+    n = x.shape[0]
+    if binary:
+        n_right = float(x.sum())
+        n_left = n - n_right
+        if n_left < min_leaf or n_right < min_leaf:
+            return None
+        pos_right = float(x @ y)
+        pos_left = float(y.sum()) - pos_right
+        pl, pr = pos_left / n_left, pos_right / n_right
+        g_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+        g_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+        return (n_left * g_left + n_right * g_right) / (n_left + n_right), 0.5
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    boundaries = np.flatnonzero(xs[1:] != xs[:-1])
+    if boundaries.size == 0:
+        return None
+    n_left = boundaries + 1.0
+    n_right = n - n_left
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    boundaries, n_left, n_right = boundaries[valid], n_left[valid], n_right[valid]
+    cum_pos = np.cumsum(ys)
+    pos_left = cum_pos[boundaries]
+    pos_right = cum_pos[-1] - pos_left
+    pl, pr = pos_left / n_left, pos_right / n_right
+    g_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    g_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    costs = (n_left * g_left + n_right * g_right) / (n_left + n_right)
+    best = int(np.argmin(costs))
+    return float(costs[best]), float((xs[boundaries[best]] + xs[boundaries[best] + 1]) / 2.0)
+
+
+def reference_tree(X, y, idx, depth, max_depth, min_leaf, rng, features_per_split, binary_cols):
+    n = idx.size
+    y_node = y[idx]
+    pos = float(y_node.sum())
+    node = TreeNode(prob=pos / n, count=int(n))
+    if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
+        return node
+    width = X.shape[1]
+    if features_per_split is not None and features_per_split < width:
+        cols = np.sort(rng.choice(width, size=features_per_split, replace=False))
+    else:
+        cols = range(width)
+    best = None
+    for c in cols:
+        found = reference_split_on_column(X[idx, c], y_node, min_leaf, binary_cols[c])
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], int(c), found[1])
+    if best is None:
+        return node
+    _, node.column, node.threshold = best
+    mask = X[idx, node.column] < node.threshold
+    args = (depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols)
+    node.left = reference_tree(X, y, idx[mask], *args)
+    node.right = reference_tree(X, y, idx[~mask], *args)
+    return node
+
+
+def reference_model_json(model, X, y):
+    """``model`` with its trees regrown row by row, serialized."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, width = X.shape
+    hyper = model.hyperparameters
+    bootstrap = model.kind == "random_forest" and hyper["bootstrap"]
+    k = hyper.get("features_per_split", width)
+    binary_cols = [bool(np.all((X[:, c] == 0.0) | (X[:, c] == 1.0))) for c in range(width)]
+    trees = []
+    for t in range(len(model.trees)):
+        rng = np.random.Generator(np.random.PCG64(model.train_seed + t))
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(reference_tree(
+            X, y, idx, 0, hyper["max_depth"], hyper["min_leaf"], rng, k, binary_cols
+        ))
+    return model_to_json(TrainedModel(
+        kind=model.kind, width=width, schema_hash=model.schema_hash,
+        train_seed=model.train_seed, hyperparameters=hyper, trees=trees,
+    ))
+
+
+def repeated_rows_fixture(seed):
+    """Few distinct rows, many repeats: three one-hot fields, one real-valued
+    column with ties and one with few levels; a repeated row can carry
+    either label."""
+    rng = rng_for(seed)
+    X, _ = one_hot_fixture(n=int(rng.integers(15, 40)), seed=seed)
+    X = np.column_stack([X, rng.standard_normal(X.shape[0]), rng.integers(0, 4, X.shape[0]) / 4])
+    X[rng.random(X.shape[0]) < 0.3, -2] = 0.5  # ties on the real-valued column
+    rows = rng.integers(0, X.shape[0], size=int(rng.integers(100, 400)))
+    lean = rng.random(X.shape[0])
+    y = rng.random(rows.size) < lean[rows]
+    return X[rows], y
+
+
+def test_trees_on_distinct_rows_equal_the_row_wise_reference():
+    for seed in range(12):
+        X, y = repeated_rows_fixture(1000 + seed)
+        min_leaf = (1, 2, 5)[seed % 3]
+        max_depth = (3, 12)[seed % 2]
+        tree = train_tree(X, y, {"max_depth": max_depth, "min_leaf": min_leaf})
+        assert model_to_json(tree) == reference_model_json(tree, X, y), seed
+        for hyper in (
+            {"n_trees": 6, "bootstrap": True, "features_per_split": 3},
+            {"n_trees": 3, "bootstrap": False, "features_per_split": 2},
+            {"n_trees": 4, "bootstrap": True, "features_per_split": None},
+            {"n_trees": 2, "bootstrap": True, "features_per_split": X.shape[1]},
+        ):
+            hyper = dict(hyper, max_depth=max_depth, min_leaf=min_leaf)
+            forest = train_forest(X, y, hyper, seed=seed)
+            assert model_to_json(forest) == reference_model_json(forest, X, y), (seed, hyper)
+
+
+# sha256 of model_to_json for the tree and the forest fitted on 3,000
+# generated rows at seed 7, as the row-wise grower wrote them
+PINNED_TREE_SHA256 = "fae41420a74b6fde5e34e1e9f798fcd92b6a81c30bd609096d7dbaa299d22e01"
+PINNED_FOREST_SHA256 = "84dcaae4433bc895fb4a9a4ed90944dc7d8b93dbf510203b36a6d3414188e5f5"
+
+
+def test_tree_and_forest_bytes_are_pinned():
+    transactions = list(generate(GeneratorConfig(seed=7, count=3_000)))
+    schema, *_, Xtr, ytr = _prepare_training(transactions, seed=7)
+    tree = train_tree(Xtr, ytr, schema_hash=schema.schema_hash)
+    forest = train_forest(Xtr, ytr, schema_hash=schema.schema_hash, seed=7 + FOREST_SEED_OFFSET)
+    assert hashlib.sha256(model_to_json(tree).encode()).hexdigest() == PINNED_TREE_SHA256
+    assert hashlib.sha256(model_to_json(forest).encode()).hexdigest() == PINNED_FOREST_SHA256
+
+
+def test_training_allocates_under_a_quarter_of_the_matrix():
+    # the oversampled default training set: about 24k rows, 2.7k distinct
+    transactions = list(generate(GeneratorConfig(seed=1, count=20_000)))
+    *_, Xtr, ytr = _prepare_training(transactions, seed=1)
+    del transactions
+    for train in (train_logistic, train_tree, train_forest):
+        tracemalloc.start()
+        try:
+            train(Xtr, ytr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Xtr.nbytes / 4, (train.__name__, peak, Xtr.nbytes)
+
+
+def test_logistic_on_repeated_rows_equals_the_row_wise_objective():
+    # the counted fit minimises the mean loss over every input row
+    X, y = repeated_rows_fixture(77)
+    model = train_logistic(X, y, {"l2": 0.01})
+    g_w, g_b = logistic_gradient(X, y.astype(np.float64), model.weights, model.bias, 0.01)
+    assert max(float(np.max(np.abs(g_w))), abs(g_b)) < model.hyperparameters["tolerance"]
+    final = logistic_loss(X, y.astype(np.float64), model.weights, model.bias, 0.01)
+    assert math.isclose(final, model.loss_history[-1], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "train, hyper",
+    [
+        (train_tree, {"min_leaf": 0}),
+        (train_tree, {"max_depth": -1}),
+        (train_forest, {"features_per_split": 0}),
+        (train_forest, {"features_per_split": -2}),
+        (train_forest, {"n_trees": 0}),
+        (train_forest, {"min_leaf": 0}),
+        (train_logistic, {"max_iters": -1}),
+        (train_logistic, {"tolerance": -1e-6}),
+        (train_logistic, {"l2": float("nan")}),
+    ],
+)
+def test_out_of_range_hyperparameters_are_rejected(train, hyper):
+    X, y = one_hot_fixture(n=60, seed=5)
+    with pytest.raises(ConfigError, match=next(iter(hyper))):
+        train(X, y, hyper)
 
 
 # ---------------------------------------------------------------------------
