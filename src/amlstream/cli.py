@@ -52,7 +52,7 @@ from .models import (
     train_tree,
 )
 from .storage import BlobStore, TableStore
-from .streamproc import Alert, StreamProcessor, latency_summary, publish_transaction
+from .streamproc import Alert, StreamProcessor, alert_from_dict, latency_summary, publish_transaction
 from .txgen import (
     Transaction,
     generate,
@@ -92,7 +92,6 @@ class Workspace:
         self.log_dir = os.path.join(root, "log")
         self.tables_dir = os.path.join(root, "tables")
         self.blobs_dir = os.path.join(root, "blobs")
-        self.alerts_path = os.path.join(root, "alerts.jsonl")
         self.dead_letter_path = os.path.join(root, "dead_letter.jsonl")
         self.registry_path = os.path.join(root, "registry.jsonl")
 
@@ -106,6 +105,11 @@ class Workspace:
         tables.create_table("transactions", TRANSACTION_COLUMNS, key="id")
         tables.create_table("alerts", ALERT_COLUMNS, key="alert_id")
         return tables
+
+    @property
+    def alerts_path(self) -> str:
+        """The alerts table's journal, the stream's only alert sink."""
+        return str(self.tables.journal_path("alerts"))
 
     @functools.cached_property
     def blobs(self) -> BlobStore:
@@ -200,12 +204,6 @@ def _make_processor(ws: Workspace) -> StreamProcessor:
     )
 
 
-def _store_alerts(ws: Workspace, alerts) -> None:
-    if alerts:
-        rows = [{"alert_id": f"{a.transaction_id}:{a.source}", **a.to_dict()} for a in alerts]
-        ws.tables.upsert_rows("alerts", rows)
-
-
 def _drain_summary(results, processor, echo) -> None:
     records = sum(r.record_count for r in results)
     echo(f"drained {records} records in {len(results)} batches")
@@ -224,12 +222,10 @@ def _drain_summary(results, processor, echo) -> None:
         echo(f"  warning: {processor.schema_mismatch_count} batches fell back to rules only")
 
 
-def _drain(ws: Workspace, processor, echo=None, results=()) -> None:
+def _drain(processor, echo=None, results=()) -> None:
     """Drain the backlog after ``results``, the batches already drained,
-    land their alerts in the warehouse and, given ``echo``, print the
-    summary."""
+    and, given ``echo``, print the summary."""
     results = [r for r in [*results, *processor.drain_all()] if r.record_count]
-    _store_alerts(ws, [a for r in results for a in r.alerts])
     if echo is not None:
         _drain_summary(results, processor, echo)
 
@@ -318,15 +314,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _alerts_from_table(ws: Workspace) -> list[Alert]:
-    return [
-        Alert(
-            transaction_id=row["transaction_id"],
-            source=row["source"],
-            score=row["score"],
-            tick=row["tick"],
-        )
-        for row in ws.tables.query("alerts")
-    ]
+    rows = ws.tables.query("alerts")
+    with reading(ws.alerts_path):
+        return [alert_from_dict(row) for row in rows]
 
 
 def _write_report(ws: Workspace, echo) -> list[str]:
@@ -479,7 +469,7 @@ def cmd_stream(args, config: PipelineConfig) -> int:
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())
-    _drain(ws, processor, print, results)
+    _drain(processor, print, results)
     processor.close()
     return 0
 
@@ -555,7 +545,7 @@ def _monitor_window(
     ``id_offset``, drain it, and check it for drift against ``profile``."""
     window = [replace(t, id=t.id + id_offset) for t in transactions]
     _publish_and_store(ws, window, echo)
-    _drain(ws, processor)
+    _drain(processor)
     report = check_drift(profile, window, [], ws.config.drift, window_id=window_id)
     feature, psi = report.worst_feature
     echo(f"{label}: decision={report.decision} worst psi={psi:.4f} ({feature})")
@@ -580,7 +570,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
     echo("== phase 3: drain the stream with the active model ==")
     processor = _make_processor(ws)
-    _drain(ws, processor, echo)
+    _drain(processor, echo)
 
     window_size = config.drift.window
 

@@ -10,13 +10,15 @@ in memory: a query or count folds the journal, the last upsert of a key
 winning. Upserts are idempotent per primary key and validated against
 the declared column schema before anything is written, so a rejected
 batch leaves the table untouched. A query returns a whole table sorted
-by primary key, which keeps every downstream report deterministic.
+by primary key, which keeps every downstream report deterministic. The
+stream appends its alerts, unvalidated, straight to a table's journal
+(journal_path); the fold counts a replayed alert once.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
-stream's alert and dead-letter files) follows one rule. JournalWriter is
-its only append side: each write appends one sorted-key JSON object per
-line and is flushed and fsynced before it returns. A final line without
-its newline was torn by a crash mid-append; truncate_torn_tail cuts it,
+stream's dead-letter file) follows one rule. JournalWriter is its only
+append side: each write appends one sorted-key JSON object per line and
+is flushed and fsynced before it returns. A final line without its
+newline was torn by a crash mid-append; truncate_torn_tail cuts it,
 when a writer opens the file and before read_journal parses it, so the
 next append starts on a clean line. A bad line anywhere else is
 corruption and raises DataError.
@@ -236,6 +238,9 @@ class TableStore:
         if name not in self._tables:
             raise NotFoundError(f"table {name!r} does not exist")
         return self._tables[name]
+
+    def journal_path(self, name: str) -> Path:
+        return self._require(name).journal
 
     def upsert_rows(self, name: str, rows: list[dict]) -> int:
         """Insert or replace by primary key. All-or-nothing per call."""

@@ -4,8 +4,9 @@ Each drain polls one micro-batch per consumer group, applies the rule
 engine record by record, scores the whole batch with the active model
 (when one is installed), persists every alert durably, and only then
 commits the consumer position. A crash between persistence and commit
-therefore replays the batch: at-least-once, with alert writes keyed so
-replays are idempotent downstream. The alert and dead-letter files are
+therefore replays the batch: at-least-once. Alert lines are rows of the
+alerts table, keyed by ``transaction_id:source``, so the table's fold
+counts a replayed alert once. The alert and dead-letter files are
 storage journals: each batch's lines are fsynced before the commit, and
 a line torn by a crash is cut when the file is next opened or read.
 
@@ -65,7 +66,9 @@ class Alert:
     tick: int
 
     def to_dict(self) -> dict:
+        """The alerts table row, keyed by ``transaction_id:source``."""
         return {
+            "alert_id": f"{self.transaction_id}:{self.source}",
             "transaction_id": self.transaction_id,
             "source": self.source,
             "score": self.score,

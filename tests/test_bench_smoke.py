@@ -48,3 +48,6 @@ def test_traced_backfill_probes_read_the_program(tmp_path):
         "streamproc.batches",
     ):
         assert metrics[name]["value"] > 0, name
+    # only `ingest` writes through TableStore.upsert_rows: the stream
+    # appends its alerts to the alerts table's journal itself
+    assert metrics["storage.upsert_rows"]["value"] == 3000
