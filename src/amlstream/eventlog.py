@@ -10,7 +10,9 @@ records framed into segment files:
 CRC32 covers key bytes followed by payload bytes. Offsets are implied
 by record order across a partition's segments (segments roll every
 SEGMENT_RECORDS records). Consumer positions live in a sidecar
-``positions.json`` per topic, replaced atomically on commit.
+``positions.json`` per topic, replaced atomically on commit; a commit of
+a whole watermark, which is how the stream commits each batch, checks
+every partition's offset first and then replaces the file once.
 
 Durability policy: every publish is written to the OS before the call
 returns; fsync is batched every FSYNC_INTERVAL records, and flush()
@@ -41,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,7 +204,6 @@ class EventLog:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
         self._topics: dict[str, Topic] = {}
         self._partitions: dict[str, list[_Partition]] = {}
         self._positions: dict[str, dict[str, dict[int, int]]] = {}  # topic -> group -> part -> next
@@ -259,22 +259,19 @@ class EventLog:
         return self._ticks
 
     def ticks(self) -> int:
-        with self._lock:
-            return self._ticks
+        return self._ticks
 
     def advance_ticks(self, n: int) -> int:
         """Inject idle simulated time (no records published)."""
         if n < 0:
             raise ConfigError("cannot advance ticks backwards")
-        with self._lock:
-            self._ticks += n
-            return self._ticks
+        self._ticks += n
+        return self._ticks
 
     def close(self) -> None:
-        with self._lock:
-            for parts in self._partitions.values():
-                for part in parts:
-                    part.close()
+        for parts in self._partitions.values():
+            for part in parts:
+                part.close()
 
     # -- topics --------------------------------------------------------
 
@@ -283,29 +280,26 @@ class EventLog:
             raise ConfigError("partition_count must be >= 1")
         if not name or "/" in name or name.startswith("."):
             raise ConfigError(f"invalid topic name {name!r}")
-        with self._lock:
-            if name in self._topics:
-                raise AlreadyExistsError(f"topic {name!r} already exists")
-            topic = Topic(name, partition_count)
-            tdir = self.root / name
-            tdir.mkdir(parents=True, exist_ok=True)
-            (tdir / "topic.json").write_text(
-                json.dumps({"name": name, "partition_count": partition_count})
-            )
-            self._add_topic(topic, tdir)
-            return topic
+        if name in self._topics:
+            raise AlreadyExistsError(f"topic {name!r} already exists")
+        topic = Topic(name, partition_count)
+        tdir = self.root / name
+        tdir.mkdir(parents=True, exist_ok=True)
+        (tdir / "topic.json").write_text(
+            json.dumps({"name": name, "partition_count": partition_count})
+        )
+        self._add_topic(topic, tdir)
+        return topic
 
     def topic(self, name: str) -> Topic:
-        with self._lock:
-            if name not in self._topics:
-                raise NotFoundError(f"topic {name!r} does not exist")
-            return self._topics[name]
+        if name not in self._topics:
+            raise NotFoundError(f"topic {name!r} does not exist")
+        return self._topics[name]
 
     def partition_length(self, topic: str, partition: int) -> int:
-        with self._lock:
-            parts = self._require_parts(topic)
-            self._check_partition(topic, partition)
-            return len(parts[partition].records)
+        parts = self._require_parts(topic)
+        self._check_partition(topic, partition)
+        return len(parts[partition].records)
 
     def _require_parts(self, topic: str) -> list[_Partition]:
         if topic not in self._topics:
@@ -325,12 +319,11 @@ class EventLog:
         """Append one record; returns (partition, offset) once durable."""
         if not isinstance(key, bytes) or not isinstance(payload, bytes):
             raise ConfigError("key and payload must be bytes")
-        with self._lock:
-            parts = self._require_parts(topic)
-            partition = fnv1a_64(key) % len(parts)
-            tick = self._next_tick()
-            offset = parts[partition].append(key, payload, tick)
-            return partition, offset
+        parts = self._require_parts(topic)
+        partition = fnv1a_64(key) % len(parts)
+        tick = self._next_tick()
+        offset = parts[partition].append(key, payload, tick)
+        return partition, offset
 
     def poll(self, group: str, topic: str, max_records: int) -> list[LogRecord]:
         """Read from the group's committed positions, never advancing them.
@@ -341,26 +334,31 @@ class EventLog:
         """
         if max_records < 1:
             raise ConfigError("max_records must be >= 1")
-        with self._lock:
-            parts = self._require_parts(topic)
-            by_group = self._positions[topic].setdefault(group, {})
-            out: list[LogRecord] = []
-            budget = max_records
-            for p, part in enumerate(parts):
-                if budget <= 0:
-                    break
-                start = by_group.get(p, 0)
-                stop = min(len(part.records), start + budget)
-                for offset in range(start, stop):
-                    key, payload, tick = part.records[offset]
-                    out.append(LogRecord(topic, p, offset, key, payload, tick))
-                budget -= stop - start
-            return out
+        parts = self._require_parts(topic)
+        by_group = self._positions[topic].setdefault(group, {})
+        out: list[LogRecord] = []
+        budget = max_records
+        for p, part in enumerate(parts):
+            if budget <= 0:
+                break
+            start = by_group.get(p, 0)
+            stop = min(len(part.records), start + budget)
+            for offset in range(start, stop):
+                key, payload, tick = part.records[offset]
+                out.append(LogRecord(topic, p, offset, key, payload, tick))
+            budget -= stop - start
+        return out
 
     def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
         """Mark offsets 0..offset consumed; the next poll starts at offset+1."""
-        with self._lock:
-            parts = self._require_parts(topic)
+        self.commit_watermark(group, topic, {partition: offset})
+
+    def commit_watermark(self, group: str, topic: str, watermark: dict[int, int]) -> None:
+        """Commit ``{partition: last consumed offset}`` for several
+        partitions with one positions replace. Every entry is checked
+        before any position moves, so a bad one commits nothing."""
+        parts = self._require_parts(topic)
+        for partition, offset in watermark.items():
             self._check_partition(topic, partition)
             length = len(parts[partition].records)
             if offset < 0 or offset >= length:
@@ -368,16 +366,16 @@ class EventLog:
                     f"commit offset {offset} beyond end of {topic}/p{partition} "
                     f"(length {length})"
                 )
-            by_group = self._positions[topic].setdefault(group, {})
+        by_group = self._positions[topic].setdefault(group, {})
+        for partition, offset in watermark.items():
             by_group[partition] = offset + 1
-            self._persist_positions(topic)
+        self._persist_positions(topic)
 
     def position(self, group: str, topic: str, partition: int) -> ConsumerPosition:
-        with self._lock:
-            self._require_parts(topic)
-            self._check_partition(topic, partition)
-            next_offset = self._positions[topic].get(group, {}).get(partition, 0)
-            return ConsumerPosition(group, topic, partition, next_offset)
+        self._require_parts(topic)
+        self._check_partition(topic, partition)
+        next_offset = self._positions[topic].get(group, {}).get(partition, 0)
+        return ConsumerPosition(group, topic, partition, next_offset)
 
     def _persist_positions(self, topic: str) -> None:
         path = self.root / topic / "positions.json"
@@ -391,8 +389,7 @@ class EventLog:
 
     def flush(self, topic: str | None = None) -> None:
         """fsync pending appends."""
-        with self._lock:
-            names = [topic] if topic is not None else list(self._partitions)
-            for name in names:
-                for part in self._require_parts(name):
-                    part.fsync()
+        names = [topic] if topic is not None else list(self._partitions)
+        for name in names:
+            for part in self._require_parts(name):
+                part.fsync()

@@ -13,13 +13,16 @@ hash of the schema they were trained against; scoring paths compare
 hashes before trusting a vector's layout.
 
 Unknown categories at encode time map to an all-zero block for that
-feature and are counted in encode_matrix's third return value instead of
-failing: the speed layer must keep scoring even when live traffic drifts
-away from the training vocabulary.
+feature and are counted in the unseen count encode_columns and
+encode_matrix return instead of failing: the speed layer must keep
+scoring even when live traffic drifts away from the training vocabulary.
+The stream encodes its batches as columns through encode_columns, and
+encode_matrix, for lists of transactions, goes through it too.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -67,6 +70,15 @@ class EncodingSchema:
     total_width: int
     schema_hash: str
     offsets: dict[str, int] = field(repr=False)
+
+    @functools.cached_property
+    def _columns(self) -> tuple[dict[str, int], ...]:
+        """Per feature, in FEATURE_FIELDS order, each vocabulary value's
+        column in the encoded matrix; built once per schema object."""
+        return tuple(
+            {code: self.offsets[f] + i for i, code in enumerate(self.vocabularies[f])}
+            for f in FEATURE_FIELDS
+        )
 
     def column_names(self) -> list[str]:
         names = []
@@ -139,35 +151,34 @@ def build_schema(transactions: Sequence[Transaction]) -> EncodingSchema:
     return _schema_from_vocabularies(vocabs)
 
 
-def encode_matrix(
-    transactions: Sequence[Transaction], schema: EncodingSchema
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One-hot encode a batch: returns (X, labels, unseen_count).
+def encode_columns(columns, schema: EncodingSchema) -> tuple[np.ndarray, int]:
+    """One-hot encode a batch held as columns, one sequence of values per
+    FEATURE_FIELDS entry in that order: returns (X, unseen_count).
 
-    Each in-vocabulary field sets one 1.0 in its feature block; an unseen
+    Each in-vocabulary value sets one 1.0 in its feature block; an unseen
     category leaves its block all-zero and adds one to unseen_count.
     Never raises on data values.
     """
-    n = len(transactions)
+    n = len(columns[0])
     X = np.zeros((n, schema.total_width), dtype=np.float64)
-    y = np.zeros(n, dtype=bool)
     unseen = 0
-    lookups = {
-        f: {code: i for i, code in enumerate(schema.vocabularies[f])}
-        for f in FEATURE_FIELDS
-    }
     rows = np.arange(n)
-    for feature in FEATURE_FIELDS:
-        table = lookups[feature]
-        offset = schema.offsets[feature]
-        cols = np.full(n, -1, dtype=np.int64)
-        for i, t in enumerate(transactions):
-            cols[i] = table.get(getattr(t, feature), -1)
-        hit = cols >= 0
-        unseen += int(n - hit.sum())
-        X[rows[hit], offset + cols[hit]] = 1.0
-    for i, t in enumerate(transactions):
-        y[i] = t.is_laundering
+    for lookup, column in zip(schema._columns, columns):
+        codes = np.fromiter((lookup.get(v, -1) for v in column), dtype=np.int64, count=n)
+        hit = codes >= 0
+        unseen += n - int(np.count_nonzero(hit))
+        X[rows[hit], codes[hit]] = 1.0
+    return X, unseen
+
+
+def encode_matrix(
+    transactions: Sequence[Transaction], schema: EncodingSchema
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One-hot encode a list of transactions: returns (X, labels,
+    unseen_count), X as encode_columns gives it."""
+    columns = [[getattr(t, f) for t in transactions] for f in FEATURE_FIELDS]
+    X, unseen = encode_columns(columns, schema)
+    y = np.array([t.is_laundering for t in transactions], dtype=bool)
     return X, y, unseen
 
 

@@ -110,10 +110,14 @@ class JournalWriter:
         self._handle = open(path, "a", encoding="utf-8")
 
     def write(self, rows) -> None:
-        if not rows:
+        self.append("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+    def append(self, lines: str) -> None:
+        """Append whole lines, each the sorted-key JSON of one row, already
+        formatted; flushed and fsynced before it returns."""
+        if not lines:
             return
-        for row in rows:
-            self._handle.write(json.dumps(row, sort_keys=True) + "\n")
+        self._handle.write(lines)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 

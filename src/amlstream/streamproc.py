@@ -1,19 +1,25 @@
 """Speed layer: micro-batch stream processing over the event log.
 
-Each drain polls one micro-batch per consumer group, applies the rule
-engine record by record, scores the whole batch with the active model
-(when one is installed), persists every alert durably, and only then
-commits the consumer position. A crash between persistence and commit
-therefore replays the batch: at-least-once. Alert lines are rows of the
-alerts table, keyed by ``transaction_id:source``, so the table's fold
-counts a replayed alert once. The alert and dead-letter files are
-storage journals: each batch's lines are fsynced before the commit, and
-a line torn by a crash is cut when the file is next opened or read.
+Each drain polls one micro-batch per consumer group and works on it as
+columns: every payload is decoded on its own (a bad one is dead-lettered
+alone) into per-field column lists, the high-risk and corridor rules are
+evaluated over those columns, the velocity windows are stepped through
+the batch in record order, and the active model (when one is installed)
+scores the whole batch from one encoded matrix. The batch's alert lines
+are then appended and fsynced in one write, and only after that does one
+commit move the consumer positions of every partition the batch read. A
+crash between persistence and commit therefore replays the batch:
+at-least-once. Alert lines are rows of the alerts table, keyed by
+``transaction_id:source``, so the table's fold counts a replayed alert
+once. The alert and dead-letter files are storage journals: each batch's
+lines are fsynced before the commit, and a line torn by a crash is cut
+when the file is next opened or read.
 
-Rule evaluation is deterministic and ordered: high-risk payment type,
-then corridor mismatch, then sender velocity. The velocity window is
-measured in ingest ticks, not wall time, so replays of the same log
-produce the same alerts.
+Rule evaluation is deterministic and ordered: each record's rule alerts
+come in the order high-risk payment type, corridor mismatch, sender
+velocity, and the model's alerts follow in record order. The velocity
+window is measured in ingest ticks, not wall time, so replays of the same
+log produce the same alerts.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, SchemaMismatchError
-from .eventlog import EventLog, LogRecord
-from .featstore import EncodingSchema, encode_matrix
+from .eventlog import EventLog
+from .featstore import FEATURE_FIELDS, EncodingSchema, encode_columns
 from .models import TrainedModel, predict_proba
 from .storage import JournalWriter, read_journal
-from .txgen import Transaction, transaction_from_dict, transaction_to_json
+from .txgen import TRANSACTION_FIELDS, Transaction, _transaction_values, transaction_to_json
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
 
@@ -58,22 +64,21 @@ class RuleConfig:
             raise ConfigError("velocity_window_ticks must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Alert:
     transaction_id: int
     source: str
     score: float
     tick: int
 
-    def to_dict(self) -> dict:
-        """The alerts table row, keyed by ``transaction_id:source``."""
-        return {
-            "alert_id": f"{self.transaction_id}:{self.source}",
-            "transaction_id": self.transaction_id,
-            "source": self.source,
-            "score": self.score,
-            "tick": self.tick,
-        }
+
+# One alerts-table row, keyed by ``transaction_id:source``, as the bytes
+# json.dumps(row, sort_keys=True) gives plus a newline: keys sorted, int ids
+# and ticks, repr() of the float score. Sources are the rule names above or
+# "model:v<version>", so none needs escaping.
+_ALERT_LINE = (
+    '{"alert_id": "%d:%s", "score": %r, "source": "%s", "tick": %d, "transaction_id": %d}\n'
+)
 
 
 def alert_from_dict(raw: dict) -> Alert:
@@ -88,49 +93,6 @@ def alert_from_dict(raw: dict) -> Alert:
         raise DataError(f"malformed alert record: {exc}") from exc
 
 
-class RollingStats:
-    """Per-sender velocity windows over recent ingest ticks.
-
-    Sender identity is the sending bank location, the only sender field
-    the transaction schema carries; velocity is therefore per-location.
-    """
-
-    def __init__(self, window_ticks: int = 1000):
-        self.window_ticks = window_ticks
-        self._recent: dict[str, deque] = {}
-
-    def observe(self, transaction: Transaction, tick: int) -> int:
-        """Record one transaction; returns the sender's count inside the
-        window, including this one."""
-        sender = transaction.sender_bank_location
-        window = self._recent.setdefault(sender, deque())
-        cutoff = tick - self.window_ticks
-        while window and window[0] <= cutoff:
-            window.popleft()
-        window.append(tick)
-        return len(window)
-
-
-def apply_rules(
-    transaction: Transaction,
-    velocity_count: int,
-    config: RuleConfig,
-) -> list[str]:
-    """Evaluate the rules in fixed order; returns the sources that fired."""
-    fired = []
-    if config.enable_high_risk and transaction.payment_type in config.high_risk_types:
-        fired.append(RULE_HIGH_RISK)
-    if (
-        config.enable_corridor
-        and transaction.payment_currency != transaction.received_currency
-        and transaction.sender_bank_location != transaction.receiver_bank_location
-    ):
-        fired.append(RULE_CORRIDOR)
-    if config.enable_velocity and velocity_count > config.velocity_max_count:
-        fired.append(RULE_VELOCITY)
-    return fired
-
-
 def publish_transaction(log: EventLog, topic: str, transaction: Transaction):
     """Key by sender location so one sender's flow stays ordered."""
     return log.publish(
@@ -140,14 +102,15 @@ def publish_transaction(log: EventLog, topic: str, transaction: Transaction):
     )
 
 
-def decode_payload(payload: bytes) -> Transaction:
+def _decode(payload: bytes) -> tuple:
+    """One payload's transaction field values, in TRANSACTION_FIELDS order."""
     try:
         raw = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"payload is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError("payload is not a JSON object")
-    return transaction_from_dict(raw)
+    return _transaction_values(raw)
 
 
 def read_alerts(path: str) -> list[Alert]:
@@ -213,7 +176,7 @@ class StreamProcessor:
         self.alert_threshold = alert_threshold
         self.batch_max = batch_max
         self.model_source = model_source
-        self.stats = RollingStats(window_ticks=self.rule_config.velocity_window_ticks)
+        self._windows: dict[str, deque] = {}  # sender -> ticks in its velocity window
         self._alert_writer = JournalWriter(alerts_path)
         self._dead_letter_writer = JournalWriter(dead_letter_path)
         self._model_version: int | None = None
@@ -232,14 +195,61 @@ class StreamProcessor:
         provided = self.model_source()
         self._model_version, self._schema, self._model = provided or (None, None, None)
 
-    def _score_batch(self, transactions) -> np.ndarray:
+    def _score(self, features) -> np.ndarray:
         if self._model.schema_hash and self._model.schema_hash != self._schema.schema_hash:
             raise SchemaMismatchError(
                 f"model was trained for schema {self._model.schema_hash}, "
                 f"encoder provides {self._schema.schema_hash}"
             )
-        X, _, _ = encode_matrix(transactions, self._schema)
+        X, _ = encode_columns(features, self._schema)
         return predict_proba(self._model, X)
+
+    def _velocity_flags(self, senders, ticks) -> list[bool]:
+        """Step each sender's window through the batch in record order:
+        ticks at or before ``tick - window`` leave it, then the record's
+        tick joins it. Flags the records whose window then holds more than
+        the allowed count. The sender is the sending bank location, the
+        only sender field the transaction schema carries, so velocity is
+        per location."""
+        windows = self._windows
+        span = self.rule_config.velocity_window_ticks
+        limit = self.rule_config.velocity_max_count
+        flags = []
+        for sender, tick in zip(senders, ticks):
+            window = windows.get(sender)
+            if window is None:
+                window = windows[sender] = deque()
+            cutoff = tick - span
+            while window and window[0] <= cutoff:
+                window.popleft()
+            window.append(tick)
+            flags.append(len(window) > limit)
+        return flags
+
+    def _rules(self, columns, ticks) -> list[tuple[str, list[bool]]]:
+        """The enabled rules in fixed order, each as its source and the
+        records of the batch it fired for."""
+        config = self.rule_config
+        rules = []
+        if config.enable_high_risk:
+            high_risk = config.high_risk_types
+            rules.append((RULE_HIGH_RISK, [t in high_risk for t in columns["payment_type"]]))
+        if config.enable_corridor:
+            corridor = [
+                paid != received and sender != receiver
+                for paid, received, sender, receiver in zip(
+                    columns["payment_currency"],
+                    columns["received_currency"],
+                    columns["sender_bank_location"],
+                    columns["receiver_bank_location"],
+                )
+            ]
+            rules.append((RULE_CORRIDOR, corridor))
+        if config.enable_velocity:
+            rules.append(
+                (RULE_VELOCITY, self._velocity_flags(columns["sender_bank_location"], ticks))
+            )
+        return rules
 
     # -- draining -----------------------------------------------------------
 
@@ -251,71 +261,62 @@ class StreamProcessor:
         emit_tick = self.log.ticks()
         self._refresh_model()
         result = BatchResult(record_count=len(records), model_version=self._model_version)
+        # poll returns each partition's records in offset order
+        result.watermark = {r.partition: r.offset for r in records}
 
-        decoded: list[tuple[LogRecord, Transaction]] = []
-        dead_rows = []
+        rows, ticks, dead_rows = [], [], []
         for record in records:
-            high = result.watermark.get(record.partition, -1)
-            if record.offset > high:
-                result.watermark[record.partition] = record.offset
             try:
-                decoded.append((record, decode_payload(record.payload)))
+                rows.append(_decode(record.payload))
             except DataError as exc:
                 dead_rows.append(
-                    {
-                        "partition": record.partition,
-                        "offset": record.offset,
-                        "error": str(exc),
-                    }
+                    {"partition": record.partition, "offset": record.offset, "error": str(exc)}
                 )
+            else:
+                ticks.append(record.ingest_tick)
+        columns = dict.fromkeys(TRANSACTION_FIELDS, ())
+        columns.update(zip(TRANSACTION_FIELDS, zip(*rows)))
+        ids = columns["id"]
+        result.latencies = [emit_tick - tick for tick in ticks]
 
-        alerts: list[Alert] = []
-        rule_alerted: set[int] = set()
-        for record, transaction in decoded:
-            velocity = self.stats.observe(transaction, record.ingest_tick)
-            for source in apply_rules(transaction, velocity, self.rule_config):
-                alerts.append(
-                    Alert(
-                        transaction_id=transaction.id,
-                        source=source,
-                        score=1.0,
-                        tick=emit_tick,
-                    )
-                )
-                rule_alerted.add(transaction.id)
-            result.latencies.append(emit_tick - record.ingest_tick)
+        rules = self._rules(columns, ticks)
+        hits = [
+            (tx_id, source, 1.0)
+            for i, tx_id in enumerate(ids)
+            for source, fired in rules
+            if fired[i]
+        ]
+        # the model fills in for transaction ids no rule alerted in this batch
+        rule_alerted = {tx_id for tx_id, _, _ in hits}
 
-        if self._model is not None and decoded:
-            transactions = [t for _, t in decoded]
+        if self._model is not None and rows:
             try:
-                probabilities = self._score_batch(transactions)
+                probabilities = self._score([columns[f] for f in FEATURE_FIELDS])
             except SchemaMismatchError:
                 self.schema_mismatch_count += 1
                 result.rules_only_fallback = True
             else:
                 label = f"model:v{self._model_version}"
-                for transaction, p in zip(transactions, probabilities):
-                    if p >= self.alert_threshold and transaction.id not in rule_alerted:
-                        alerts.append(
-                            Alert(
-                                transaction_id=transaction.id,
-                                source=label,
-                                score=float(p),
-                                tick=emit_tick,
-                            )
-                        )
+                scores = probabilities.tolist()
+                for i in np.flatnonzero(probabilities >= self.alert_threshold).tolist():
+                    if ids[i] not in rule_alerted:
+                        hits.append((ids[i], label, scores[i]))
 
         # Durability before progress: alerts and dead letters hit disk
         # first, and only then does the consumer position move.
-        self._alert_writer.write([a.to_dict() for a in alerts])
+        self._alert_writer.append(
+            "".join(
+                _ALERT_LINE % (tx_id, source, score, source, emit_tick, tx_id)
+                for tx_id, source, score in hits
+            )
+        )
         self._dead_letter_writer.write(dead_rows)
-        for partition, offset in sorted(result.watermark.items()):
-            self.log.commit(self.group, self.topic, partition, offset)
+        self.log.commit_watermark(self.group, self.topic, result.watermark)
 
-        result.alerts = alerts
+        result.alerts = [Alert(tx_id, source, score, emit_tick) for tx_id, source, score in hits]
         result.dead_letters = len(dead_rows)
-        self.records_processed += len(decoded)
-        self.alerts_emitted += len(alerts)
+        self.records_processed += len(rows)
+        self.alerts_emitted += len(hits)
         self.dead_letter_count += len(dead_rows)
         return result
 

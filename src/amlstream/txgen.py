@@ -333,7 +333,8 @@ def _coerce_label(value) -> bool:
     raise DataError(f"unparseable laundering label: {value!r}")
 
 
-def transaction_from_dict(data: dict) -> Transaction:
+def _transaction_values(data: dict) -> tuple:
+    """One record's coerced field values, in TRANSACTION_FIELDS order."""
     label = None
     for alias in LABEL_ALIASES:
         if alias in data:
@@ -342,19 +343,23 @@ def transaction_from_dict(data: dict) -> Transaction:
     if label is None:
         raise DataError("record is missing the is_laundering field")
     try:
-        return Transaction(
-            id=int(data["id"]),
-            timestamp=int(data["timestamp"]),
-            amount=float(data["amount"]),
-            payment_currency=str(data["payment_currency"]),
-            received_currency=str(data["received_currency"]),
-            sender_bank_location=str(data["sender_bank_location"]),
-            receiver_bank_location=str(data["receiver_bank_location"]),
-            payment_type=str(data["payment_type"]),
-            is_laundering=_coerce_label(label),
+        return (
+            int(data["id"]),
+            int(data["timestamp"]),
+            float(data["amount"]),
+            str(data["payment_currency"]),
+            str(data["received_currency"]),
+            str(data["sender_bank_location"]),
+            str(data["receiver_bank_location"]),
+            str(data["payment_type"]),
+            _coerce_label(label),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"malformed transaction record: {exc}") from exc
+
+
+def transaction_from_dict(data: dict) -> Transaction:
+    return Transaction(*_transaction_values(data))
 
 
 def transaction_to_json(t: Transaction) -> str:

@@ -568,22 +568,24 @@ def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch,
         synced[(st.st_dev, st.st_ino)] = st.st_size
 
     commits, unsynced = [], []
-    real_commit = EventLog.commit
+    real_commit = EventLog.commit_watermark
 
-    def checking_commit(self, group, topic, partition, offset):
-        commits.append((partition, offset))
+    def checking_commit(self, group, topic, watermark):
+        commits.append(dict(watermark))
         for segment in (self.root / topic).glob("*/segment-*.log"):
             st = segment.stat()
             if synced.get((st.st_dev, st.st_ino)) != st.st_size:
-                unsynced.append((segment.name, partition, offset))
-        real_commit(self, group, topic, partition, offset)
+                unsynced.append((segment.name, dict(watermark)))
+        real_commit(self, group, topic, watermark)
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
-    monkeypatch.setattr(EventLog, "commit", checking_commit)
+    monkeypatch.setattr(EventLog, "commit_watermark", checking_commit)
     argv = ["--config", config_path, "stream", "--feed", str(feed), "--rate", "100"]
     assert cli.main(argv) == 0
-    assert "drained 300 records" in capsys.readouterr().out
+    batches = re.search(r"drained 300 records in (\d+) batches", capsys.readouterr().out)
+    assert batches
     assert commits
+    assert len(commits) == int(batches.group(1))  # one commit per batch
     assert not unsynced
 
 
@@ -604,7 +606,7 @@ class Killed(Exception):
 # where the killed stream dies: (owner, method, the call that raises)
 KILLS = {
     "between_batches": (streamproc.StreamProcessor, "drain_once", 4),
-    "between_alert_write_and_commit": (EventLog, "commit", 4),
+    "between_alert_write_and_commit": (EventLog, "commit_watermark", 4),
 }
 
 
@@ -671,22 +673,17 @@ def test_killed_stream_resumes_to_the_unbroken_report(
     assert alert_outputs(data, tmp_path / "reports") == unbroken_outputs
 
 
-# sha256 of the alerts journal after a seed-7, 3,000-row ingest -> train ->
-# stream of the drill's data, served by the forest: its scores, unlike the
-# logistic model's, do not depend on the BLAS thread count
-ALERT_SINK_SHA256 = "ae51c30d3cd7501afd9f8924e0c3245b2b304d91c28325147f19dea40d2041e0"
-
-
-def test_alert_sink_bytes_are_pinned_table_rows(tmp_path):
+def stream_to_pinned_forest(tmp_path, **overrides):
+    """The alerts journal after a seed-7, 3,000-row ingest -> train ->
+    stream of the drill's data, served by the forest: its scores, unlike the
+    logistic model's, do not depend on the BLAS thread count."""
     data = tmp_path / "data"
     config_path = write_config(
         tmp_path / "config.json",
         seed=7,
         generator=dict(DEMO_GENERATOR, count=3000),
-        # high-risk types are where the drill's laundering is, and velocity
-        # fires on nearly every record: off, so the model's alerts show
-        rules={"enable_high_risk": False, "enable_velocity": False},
         data_dir=str(data),
+        **overrides,
     )
     for argv in (["generate"], ["ingest"], ["train"]):
         assert cli.main(["--config", config_path, *argv]) == 0, argv
@@ -697,6 +694,19 @@ def test_alert_sink_bytes_are_pinned_table_rows(tmp_path):
     assert not (data / "alerts.jsonl").exists()
     sink = (data / "tables" / "alerts" / "journal.jsonl").read_bytes()
     assert f'"source": "model:v{forest.version}"'.encode() in sink
+    return sink
+
+
+# sha256 of that journal with the high-risk and velocity rules off
+ALERT_SINK_SHA256 = "ae51c30d3cd7501afd9f8924e0c3245b2b304d91c28325147f19dea40d2041e0"
+
+
+def test_alert_sink_bytes_are_pinned_table_rows(tmp_path):
+    # high-risk types are where the drill's laundering is, and velocity
+    # fires on nearly every record: off, so the model's alerts show
+    sink = stream_to_pinned_forest(
+        tmp_path, rules={"enable_high_risk": False, "enable_velocity": False}
+    )
     assert hashlib.sha256(sink).hexdigest() == ALERT_SINK_SHA256
     # every line is a row the alerts table accepts, and upserting the
     # lines through the table writes the same bytes
@@ -705,6 +715,24 @@ def test_alert_sink_bytes_are_pinned_table_rows(tmp_path):
     scratch.upsert_rows("alerts", [json.loads(line) for line in sink.splitlines()])
     scratch.close()
     assert (tmp_path / "scratch" / "alerts" / "journal.jsonl").read_bytes() == sink
+
+
+# sha256 of that journal with all rules on, as the per-record drain wrote
+# it before the drain went columnar
+INTERLEAVED_SINK_SHA256 = "21b94fd020cdc5bbd4110213e2a52339a3a1d5a25545cee6e607861b741cec78"
+
+
+def test_alert_sink_pins_rule_and_model_interleaving(tmp_path):
+    # all three rules on, with a narrow high-risk set and a loose velocity
+    # limit so that every rule and the model alert, in 50-record batches
+    sink = stream_to_pinned_forest(
+        tmp_path,
+        rules={"high_risk_types": ["Cash Withdrawal"], "velocity_max_count": 150},
+        stream={"batch_max": 50},
+    )
+    for source in (streamproc.RULE_HIGH_RISK, streamproc.RULE_CORRIDOR, streamproc.RULE_VELOCITY):
+        assert f'"source": "{source}"'.encode() in sink
+    assert hashlib.sha256(sink).hexdigest() == INTERLEAVED_SINK_SHA256
 
 
 # ---------------------------------------------------------------------------

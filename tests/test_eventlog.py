@@ -110,6 +110,26 @@ def test_commit_advances_and_bounds(log):
         log.commit("g", "t", 0, -1)
 
 
+def test_watermark_commit_is_all_or_nothing(tmp_path, log):
+    log.create_topic("t", 4)
+    for i in range(40):
+        log.publish("t", f"k{i}".encode(), str(i).encode())
+    lengths = [log.partition_length("t", p) for p in range(4)]
+    log.commit_watermark("g", "t", {0: 0, 1: 0, 2: 0, 3: 0})
+    positions = tmp_path / "log" / "t" / "positions.json"
+    before = positions.read_bytes()
+    watermark = {0: lengths[0] - 1, 1: lengths[1] - 1, 2: lengths[2], 3: lengths[3] - 1}
+    with pytest.raises(OffsetRangeError):
+        log.commit_watermark("g", "t", watermark)
+    assert [log.position("g", "t", p).committed_offset for p in range(4)] == [1, 1, 1, 1]
+    assert positions.read_bytes() == before
+    del watermark[2]
+    log.commit_watermark("g", "t", watermark)
+    assert [log.position("g", "t", p).committed_offset for p in range(4)] == [
+        lengths[0], lengths[1], 1, lengths[3]
+    ]
+
+
 def test_groups_are_independent(log):
     log.create_topic("t", 1)
     for i in range(10):

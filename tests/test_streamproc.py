@@ -1,12 +1,15 @@
 """Stream processor tests: rules, scoring, durability, delivery semantics."""
 
+import hashlib
 import json
+import os
+from collections import deque
 
 import numpy as np
 import pytest
 
 from amlstream.errors import DataError
-from amlstream.eventlog import EventLog
+from amlstream.eventlog import EventLog, fnv1a_64
 from amlstream.featstore import build_schema, encode_matrix
 from amlstream.models import train_forest, train_logistic, train_tree
 from amlstream.streamproc import (
@@ -14,16 +17,13 @@ from amlstream.streamproc import (
     RULE_HIGH_RISK,
     RULE_VELOCITY,
     Alert,
-    RollingStats,
     RuleConfig,
     StreamProcessor,
-    apply_rules,
-    decode_payload,
     latency_summary,
     publish_transaction,
     read_alerts,
 )
-from amlstream.txgen import GeneratorConfig, Transaction, generate
+from amlstream.txgen import GeneratorConfig, Transaction, generate, transaction_to_json
 
 
 def make_tx(
@@ -70,66 +70,111 @@ def fresh_log(tmp_path, partitions=2):
 # rules
 # ---------------------------------------------------------------------------
 
-def test_high_risk_type_rule():
-    cfg = RuleConfig()
-    assert apply_rules(make_tx(1, payment_type="Cash Deposit"), 1, cfg) == [RULE_HIGH_RISK]
-    assert apply_rules(make_tx(2, payment_type="Cash Withdrawal"), 1, cfg) == [RULE_HIGH_RISK]
-    assert apply_rules(make_tx(3, payment_type="Cross-border"), 1, cfg) == [RULE_HIGH_RISK]
-    assert apply_rules(make_tx(4, payment_type="Credit Card"), 1, cfg) == []
+def drain_sources(tmp_path, transactions, *configs, idle=None):
+    """Publish ``transactions`` to one partition, ``idle[i]`` idle ticks
+    before the i-th, and drain them in one batch per rule config, each
+    under its own consumer group. Returns, per config, each transaction's
+    alert sources in the order the batch raised them."""
+    log = fresh_log(tmp_path, partitions=1)
+    for i, t in enumerate(transactions):
+        log.advance_ticks(idle[i] if idle else 0)
+        publish_transaction(log, "transactions", t)
+    runs = []
+    for n, config in enumerate(configs):
+        proc = make_processor(tmp_path / f"run{n}", log, group=f"run{n}", rule_config=config)
+        result = proc.drain_once()
+        proc.close()
+        assert result.record_count == len(transactions)
+        by_id = {t.id: [] for t in transactions}
+        for a in result.alerts:
+            by_id[a.transaction_id].append(a.source)
+        runs.append([by_id[t.id] for t in transactions])
+    return runs
 
 
-def test_corridor_rule_needs_both_mismatches():
-    cfg = RuleConfig()
+def test_high_risk_type_rule(tmp_path):
+    txs = [
+        make_tx(1, payment_type="Cash Deposit"),
+        make_tx(2, payment_type="Cash Withdrawal"),
+        make_tx(3, payment_type="Cross-border"),
+        make_tx(4, payment_type="Credit Card"),
+    ]
+    [sources] = drain_sources(tmp_path, txs, RuleConfig())
+    assert sources == [[RULE_HIGH_RISK], [RULE_HIGH_RISK], [RULE_HIGH_RISK], []]
+
+
+def test_corridor_rule_needs_both_mismatches(tmp_path):
     both = make_tx(1, payment_currency="GBP", received_currency="EUR", sender="UK", receiver="France")
     currency_only = make_tx(2, payment_currency="GBP", received_currency="EUR")
     location_only = make_tx(3, sender="UK", receiver="France")
-    assert apply_rules(both, 1, cfg) == [RULE_CORRIDOR]
-    assert apply_rules(currency_only, 1, cfg) == []
-    assert apply_rules(location_only, 1, cfg) == []
+    [sources] = drain_sources(tmp_path, [both, currency_only, location_only], RuleConfig())
+    assert sources == [[RULE_CORRIDOR], [], []]
 
 
-def test_velocity_rule_fires_above_threshold_only():
-    cfg = RuleConfig(velocity_max_count=5)
-    plain = make_tx(1)
-    assert apply_rules(plain, 5, cfg) == []
-    assert apply_rules(plain, 6, cfg) == [RULE_VELOCITY]
-
-
-def test_rules_fire_in_fixed_order():
-    cfg = RuleConfig()
-    tx = make_tx(
-        1,
-        payment_type="Cross-border",
-        payment_currency="GBP",
-        received_currency="USD",
-        sender="UK",
-        receiver="USA",
+def test_velocity_rule_fires_above_threshold_only(tmp_path):
+    # the sixth record from one sender inside the window is the first over 5
+    [sources] = drain_sources(
+        tmp_path, [make_tx(i) for i in range(1, 7)], RuleConfig(velocity_max_count=5)
     )
-    assert apply_rules(tx, 10, cfg) == [RULE_HIGH_RISK, RULE_CORRIDOR, RULE_VELOCITY]
+    assert sources == [[], [], [], [], [], [RULE_VELOCITY]]
 
 
-def test_rule_switches_disable_individually():
+def test_rules_fire_in_fixed_order(tmp_path):
+    txs = [
+        make_tx(
+            i,
+            payment_type="Cross-border",
+            payment_currency="GBP",
+            received_currency="USD",
+            sender="UK",
+            receiver="USA",
+        )
+        for i in range(1, 11)
+    ]
+    [sources] = drain_sources(tmp_path, txs, RuleConfig())
+    assert sources[0] == [RULE_HIGH_RISK, RULE_CORRIDOR]
+    assert sources[-1] == [RULE_HIGH_RISK, RULE_CORRIDOR, RULE_VELOCITY]
+
+
+def test_rule_switches_disable_individually(tmp_path):
     cfg = RuleConfig(enable_high_risk=False, enable_velocity=False)
-    tx = make_tx(1, payment_type="Cash Deposit")
-    assert apply_rules(tx, 100, cfg) == []
+    txs = [make_tx(i, payment_type="Cash Deposit") for i in range(1, 101)]
+    [sources] = drain_sources(tmp_path, txs, cfg)
+    assert sources == [[]] * 100
 
 
-def test_rolling_stats_window_eviction():
-    # window covers (tick - 10, tick]: a tick exactly 10 old is evicted
-    stats = RollingStats(window_ticks=10)
-    tx = make_tx(1, sender="UK")
-    assert stats.observe(tx, 1) == 1
-    assert stats.observe(tx, 2) == 2
-    assert stats.observe(tx, 3) == 3
-    assert stats.observe(tx, 11) == 3  # tick 1 evicted, 2 and 3 survive
-    assert stats.observe(tx, 13) == 2  # ticks 2 and 3 evicted
-    other = make_tx(2, sender="Spain")
-    assert stats.observe(other, 13) == 1  # senders tracked independently
+def test_rolling_stats_window_eviction(tmp_path):
+    # window covers (tick - 10, tick]: a tick exactly 10 old is evicted.
+    # UK publishes at ticks 1, 2, 3, 11 and 13, so its window holds 1, 2, 3,
+    # 3 and 2 ticks; Spain, at 14, is tracked on its own and holds 1.
+    txs = [make_tx(i, sender="UK") for i in range(1, 6)] + [make_tx(6, sender="Spain")]
+    counts_over = [RuleConfig(velocity_window_ticks=10, velocity_max_count=k) for k in (1, 2, 3)]
+    over_1, over_2, over_3 = drain_sources(tmp_path, txs, *counts_over, idle=[0, 0, 0, 7, 1, 0])
+    v = [RULE_VELOCITY]
+    assert over_1 == [[], v, v, v, v, []]
+    assert over_2 == [[], [], v, v, [], []]
+    assert over_3 == [[]] * 6
 
 
 # ---------------------------------------------------------------------------
 # draining
 # ---------------------------------------------------------------------------
+
+def oracle_sources(t, velocity, config):
+    """Reference rules for one record, given its sender's window count."""
+    fired = []
+    if config.enable_high_risk and t.payment_type in config.high_risk_types:
+        fired.append(RULE_HIGH_RISK)
+    if (
+        config.enable_corridor
+        and t.payment_currency != t.received_currency
+        and t.sender_bank_location != t.receiver_bank_location
+    ):
+        fired.append(RULE_CORRIDOR)
+    if config.enable_velocity and velocity > config.velocity_max_count:
+        fired.append(RULE_VELOCITY)
+    return fired
+
 
 def test_drain_rules_only_matches_replay_oracle(tmp_path):
     config = GeneratorConfig(seed=77, count=600)
@@ -144,22 +189,25 @@ def test_drain_rules_only_matches_replay_oracle(tmp_path):
     results = proc.drain_all()
     assert sum(r.record_count for r in results) == 600
 
-    # independent replay: same rules applied to the per-partition streams
+    # independent replay: each record's window and rules, one at a time,
+    # over the per-partition streams in the order the batches poll them
     by_partition = {}
     for t in transactions:
         key = t.sender_bank_location
-        from amlstream.eventlog import fnv1a_64
-
         by_partition.setdefault(fnv1a_64(key.encode()) % 3, []).append(t)
-    stats = RollingStats(window_ticks=proc.rule_config.velocity_window_ticks)
-    expected = set()
+    rules = proc.rule_config
+    windows = {}
+    expected = []
     for partition in sorted(by_partition):
         for t in by_partition[partition]:
-            velocity = stats.observe(t, ticks[t.id])
-            for source in apply_rules(t, velocity, proc.rule_config):
-                expected.add((t.id, source))
+            window = windows.setdefault(t.sender_bank_location, deque())
+            while window and window[0] <= ticks[t.id] - rules.velocity_window_ticks:
+                window.popleft()
+            window.append(ticks[t.id])
+            for source in oracle_sources(t, len(window), rules):
+                expected.append((t.id, source))
 
-    got = {(a.transaction_id, a.source) for r in results for a in r.alerts}
+    got = [(a.transaction_id, a.source) for r in results for a in r.alerts]
     assert got == expected
     assert proc.alerts_emitted == len(got)
 
@@ -230,7 +278,14 @@ def test_torn_alert_and_dead_letter_tails_are_cut_on_restart(tmp_path):
 def test_read_alerts_drops_torn_tail_and_names_file_on_bad_alert(tmp_path):
     path = tmp_path / "alerts.jsonl"
     alerts = [Alert(transaction_id=i, source=RULE_HIGH_RISK, score=1.0, tick=i) for i in range(3)]
-    whole = "".join(json.dumps(a.to_dict(), sort_keys=True) + "\n" for a in alerts)
+    whole = "".join(
+        json.dumps(
+            {"alert_id": f"{i}:{RULE_HIGH_RISK}", "transaction_id": i, "source": RULE_HIGH_RISK,
+             "score": 1.0, "tick": i},
+            sort_keys=True,
+        ) + "\n"
+        for i in range(3)
+    )
     path.write_text(whole + '{"score": 1.0, "sou')  # crash mid-append
     assert read_alerts(str(path)) == alerts
     assert path.read_text() == whole
@@ -249,7 +304,7 @@ def test_commit_happens_after_alert_write(tmp_path, monkeypatch):
     def boom(rows):
         raise OSError("disk full")
 
-    monkeypatch.setattr(proc._alert_writer, "write", boom)
+    monkeypatch.setattr(proc._alert_writer, "append", boom)
     with pytest.raises(OSError):
         proc.drain_once()
 
@@ -474,13 +529,87 @@ def test_replay_of_same_log_is_deterministic(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_decode_payload_round_trip():
-    tx = make_tx(42, payment_type="ACH", laundering=True)
-    from amlstream.txgen import transaction_to_json
+def test_decode_payload_round_trip(tmp_path):
+    # every field the rules read comes back from the payload as published
+    tx = make_tx(
+        42,
+        payment_type="ACH",
+        payment_currency="GBP",
+        received_currency="EUR",
+        sender="UK",
+        receiver="France",
+        laundering=True,
+    )
+    [sources] = drain_sources(tmp_path, [tx], RuleConfig(high_risk_types=frozenset({"ACH"})))
+    assert sources == [[RULE_HIGH_RISK, RULE_CORRIDOR]]
 
-    back = decode_payload(transaction_to_json(tx).encode())
-    assert back == tx
-    with pytest.raises(DataError):
-        decode_payload(b"\xff\xfe")
-    with pytest.raises(DataError):
-        decode_payload(b"[1, 2]")
+
+# sha256 of the dead-letter and alert journals that the parent of the
+# columnar drain wrote for the mixed batch below
+MIXED_DEAD_LETTER_SHA256 = "d6e2a82bce440bbfc5ad9a18b9f12c98e425ba3075dceefd3dd444254e3942b8"
+MIXED_ALERTS_SHA256 = "97e8ed13e581df5df2932c0e29ea2493c9f48c677af1d6c4f5522115f35f53af"
+
+
+def test_mixed_batch_dead_letters_each_bad_record_alone(tmp_path):
+    good = json.loads(transaction_to_json(make_tx(99)))
+    no_label = {k: v for k, v in good.items() if k != "is_laundering"}
+    bad = [
+        [b"\xff\xfe"],
+        [b"{not json"],
+        [b"[1, 2]"],
+        [json.dumps(no_label).encode()],
+        [json.dumps(dict(good, id="x")).encode()],
+        # joined with a comma, this pair would parse as {"k":","}
+        [b'{"k":"', b'"}'],
+    ]
+    log = fresh_log(tmp_path, partitions=1)
+    for i, payloads in enumerate(bad, start=1):
+        publish_transaction(log, "transactions", make_tx(i, payment_type="Cash Deposit"))
+        for payload in payloads:
+            log.publish("transactions", b"UK", payload)
+    publish_transaction(log, "transactions", make_tx(7, payment_type="Cash Deposit"))
+
+    proc = make_processor(tmp_path, log)
+    result = proc.drain_once()
+    proc.close()
+    assert result.record_count == 14
+    assert result.dead_letters == 7
+    rows = [json.loads(line) for line in open(tmp_path / "dead.jsonl")]
+    assert [(r["offset"], r["error"]) for r in rows] == [
+        (1, "payload is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"),
+        (3, "payload is not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)"),
+        (5, "payload is not a JSON object"),
+        (7, "record is missing the is_laundering field"),
+        (9, "malformed transaction record: invalid literal for int() with base 10: 'x'"),
+        (11, "payload is not valid JSON: Unterminated string starting at: line 1 column 6 (char 5)"),
+        (12, "payload is not valid JSON: Unterminated string starting at: line 1 column 1 (char 0)"),
+    ]
+    assert hashlib.sha256((tmp_path / "dead.jsonl").read_bytes()).hexdigest() == MIXED_DEAD_LETTER_SHA256
+    # the good records alert as they would without the bad ones between them
+    assert [(a.transaction_id, a.source) for a in result.alerts] == [
+        *[(i, RULE_HIGH_RISK) for i in range(1, 6)],
+        (6, RULE_HIGH_RISK), (6, RULE_VELOCITY),
+        (7, RULE_HIGH_RISK), (7, RULE_VELOCITY),
+    ]
+    assert hashlib.sha256((tmp_path / "alerts.jsonl").read_bytes()).hexdigest() == MIXED_ALERTS_SHA256
+    assert log.position("stream", "transactions", 0).committed_offset == 14
+
+
+def test_one_positions_replace_per_batch(tmp_path, monkeypatch):
+    log = fresh_log(tmp_path, partitions=4)
+    for t in generate(GeneratorConfig(seed=5, count=200)):
+        publish_transaction(log, "transactions", t)
+    proc = make_processor(tmp_path, log, batch_max=1000)
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    result = proc.drain_once()
+    assert sorted(result.watermark) == [0, 1, 2, 3]
+    assert replaced == ["positions.json"]
