@@ -197,7 +197,7 @@ def _make_processor(ws: Workspace) -> StreamProcessor:
         STREAM_GROUP,
         alerts_path=ws.alerts_path,
         dead_letter_path=ws.dead_letter_path,
-        rule_config=config.rules.rule_config(),
+        rule_config=config.rules,
         alert_threshold=config.stream.alert_threshold,
         batch_max=config.stream.batch_max,
         model_source=_model_source(ws),
@@ -444,7 +444,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
     ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
     _publish_and_store(ws, transactions, print)
     print(f"archived raw file under {RAW_NAMESPACE}/{archive_date}/{os.path.basename(path)}")
-    print(f"warehouse now holds {ws.tables.count('transactions')} transactions")
+    print(f"stored {len(transactions)} transactions in the warehouse")
     return 0
 
 

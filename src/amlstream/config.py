@@ -1,13 +1,15 @@
 """Pipeline configuration: one JSON document drives every subcommand.
 
 The document's keys are the fields of PipelineConfig and of its section
-dataclasses (TopicSettings, RuleSettings, StreamSettings, ModelSettings,
-DriftThresholds); one reader walks those fields, so a key is declared
-nowhere else. Unknown keys are rejected, recursively, with the offending
-path named, and so is a value whose type differs from its default's,
-inside the free-form ``generator`` and ``models.<kind>`` maps too. A
-config file that parses but contains a typo must fail loudly, not
-silently run with defaults.
+dataclasses (TopicSettings, streamproc.RuleConfig, StreamSettings,
+ModelSettings, lifecycle.DriftThresholds); one reader walks those fields,
+so a key is declared nowhere else, and the section a component takes is
+the one the reader built. A field whose default is a frozenset, such as
+``rules.high_risk_types``, is read from a JSON list of strings. Unknown
+keys are rejected, recursively, with the offending path named, and so is
+a value whose type differs from its default's, inside the free-form
+``generator`` and ``models.<kind>`` maps too. A config file that parses
+but contains a typo must fail loudly, not silently run with defaults.
 
 All randomness in one pipeline run derives from the single top-level
 seed: the generator uses it directly, the dataset split adds
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .errors import ConfigError
 from .lifecycle import DriftThresholds
 from .models import MODEL_KINDS, check_hyperparameters
-from .streamproc import DEFAULT_HIGH_RISK_TYPES, RuleConfig
+from .streamproc import RuleConfig
 from .txgen import GeneratorConfig
 
 SPLIT_SEED_OFFSET = 1
@@ -47,7 +49,8 @@ _GENERATOR_DEFAULTS = vars(GeneratorConfig(seed=0, count=1))
 def _read(cls, raw, path: str = ""):
     """Build the dataclass ``cls`` from the JSON object ``raw``: each key
     must name a field, a field whose default is a section dataclass is read
-    the same way, and a map value is copied. ``path`` names the section in
+    the same way, one whose default is a frozenset is read from a list of
+    strings, and a map value is copied. ``path`` names the section in
     messages; the top level is ``config``."""
     where = path or "config"
     if not isinstance(raw, dict):
@@ -58,9 +61,16 @@ def _read(cls, raw, path: str = ""):
     defaults = cls()
     kwargs = {}
     for key, value in raw.items():
-        default = getattr(defaults, key)
+        default, name = getattr(defaults, key), f"{path}.{key}" if path else key
         if is_dataclass(default):
-            value = _read(type(default), value, f"{path}.{key}" if path else key)
+            value = _read(type(default), value, name)
+        elif isinstance(default, frozenset):
+            # asdict() of a config hands the frozenset itself back
+            if not isinstance(value, (list, frozenset)) or not all(
+                isinstance(item, str) for item in value
+            ):
+                raise ConfigError(f"config key {name} must be a list of strings")
+            value = frozenset(value)
         elif isinstance(value, dict):
             value = dict(value)
         kwargs[key] = value
@@ -138,28 +148,6 @@ class StreamSettings:
 
 
 @dataclass
-class RuleSettings:
-    high_risk_types: list = field(default_factory=lambda: sorted(DEFAULT_HIGH_RISK_TYPES))
-    enable_high_risk: bool = True
-    enable_corridor: bool = True
-    enable_velocity: bool = True
-    velocity_max_count: int = 5
-    velocity_window_ticks: int = 1000
-
-    def rule_config(self) -> RuleConfig:
-        cfg = RuleConfig(
-            high_risk_types=frozenset(self.high_risk_types),
-            enable_high_risk=self.enable_high_risk,
-            enable_corridor=self.enable_corridor,
-            enable_velocity=self.enable_velocity,
-            velocity_max_count=self.velocity_max_count,
-            velocity_window_ticks=self.velocity_window_ticks,
-        )
-        cfg.validate()
-        return cfg
-
-
-@dataclass
 class ModelSettings:
     """Per-kind hyperparameter overrides, validated against the defaults'
     keys and types and the least values the models accept."""
@@ -190,7 +178,7 @@ class PipelineConfig:
     seed: int = 7
     generator: dict = field(default_factory=dict)
     topic: TopicSettings = field(default_factory=TopicSettings)
-    rules: RuleSettings = field(default_factory=RuleSettings)
+    rules: RuleConfig = field(default_factory=RuleConfig)
     stream: StreamSettings = field(default_factory=StreamSettings)
     models: ModelSettings = field(default_factory=ModelSettings)
     drift: DriftThresholds = field(default_factory=DriftThresholds)
@@ -212,7 +200,7 @@ class PipelineConfig:
         self.stream.validate()
         self.drift.validate()
         self.models.validate()
-        self.rules.rule_config()
+        self.rules.validate()
         if self.corr_max_rows < 2:
             raise ConfigError("corr_max_rows must be at least 2")
 
@@ -262,7 +250,7 @@ class PipelineConfig:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")

@@ -338,7 +338,7 @@ class RetrainHooks:
     train: object
     seed: int
     tick: int
-    f1_guard: float = 0.005
+    f1_guard: float
 
 
 def maybe_retrain(report: DriftReport, hooks: RetrainHooks) -> ModelRecord | None:

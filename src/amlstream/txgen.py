@@ -354,8 +354,21 @@ def _transaction_values(data: dict) -> tuple:
             str(data["payment_type"]),
             _coerce_label(label),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed transaction record: {exc}") from exc
+
+
+def _parse_transaction(record: bytes) -> tuple:
+    """One serialized record, a log payload or a JSON-lines dataset line,
+    to its coerced field values in TRANSACTION_FIELDS order. Anything that
+    is not a UTF-8 JSON object of a transaction raises DataError."""
+    try:
+        data = json.loads(record.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"payload is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError("payload is not a JSON object")
+    return _transaction_values(data)
 
 
 def transaction_from_dict(data: dict) -> Transaction:
@@ -377,19 +390,15 @@ def write_jsonl(transactions: Iterable[Transaction], path) -> int:
 
 
 def read_jsonl(path) -> Iterator[Transaction]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                yield transaction_from_dict(data)
+                values = _parse_transaction(line)
             except DataError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
+            yield Transaction(*values)
 
 
 def write_csv(transactions: Iterable[Transaction], path) -> int:
@@ -416,18 +425,22 @@ def write_csv(transactions: Iterable[Transaction], path) -> int:
 
 
 def read_csv(path) -> Iterator[Transaction]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty CSV, expected a header row")
-        header = set(reader.fieldnames)
-        if not any(a in header for a in LABEL_ALIASES):
-            raise DataError(f"{path}: header is missing the is_laundering column")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                yield transaction_from_dict(row)
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty CSV, expected a header row")
+            header = set(reader.fieldnames)
+            if not any(a in header for a in LABEL_ALIASES):
+                raise DataError(f"{path}: header is missing the is_laundering column")
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    yield transaction_from_dict(row)
+                except DataError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # text is decoded in blocks, so the reader cannot name the line
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_dataset(path) -> Iterator[Transaction]:

@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .txgen import GeneratorConfig, Transaction, generate
+from amlstream.txgen import GeneratorConfig, Transaction, generate
 
 CORE_SAFE_CURRENCY = "GBP"  # receiving anything else is the linear signal
 CORE_RATE = 0.97

@@ -23,8 +23,8 @@ from amlstream.featstore import (
     payment_type_table,
     split_indices,
 )
-from amlstream.fixtures import DEFAULT_SEED as FIXTURE_SEED
-from amlstream.fixtures import build_signal_dataset
+from fixtures import DEFAULT_SEED as FIXTURE_SEED
+from fixtures import build_signal_dataset
 from amlstream.models import (
     evaluate,
     logistic_gradient,

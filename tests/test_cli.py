@@ -119,11 +119,20 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ({"models": {"logistic_regression": {"l2": "0"}}}, [], "models.logistic_regression.l2"),
         ({"topic": 3}, [], "topic"),
         ({"generator": []}, [], "generator"),
+        ({"rules": {"high_risk_types": [[1]]}}, [], "rules.high_risk_types"),
+        ({"rules": {"high_risk_types": [1, 2]}}, [], "rules.high_risk_types"),
+        ({"rules": {"high_risk_types": 5}}, [], "rules.high_risk_types"),
+        # a config file that is not UTF-8 or nests too deep is named by its path
+        pytest.param(b'{"seed": "\xff"}', [], "config.json", id="not-utf8-config"),
+        pytest.param(b"[" * 100_000, [], "config.json", id="nested-config"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, config, argv, named):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"data_dir": str(tmp_path / "data"), **config}))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps({"data_dir": str(tmp_path / "data"), **config}))
     command = argv if "stream" in argv else argv + ["generate", "--count", "5"]
     proc = run_cli_process(["--config", str(path), *command])
     assert proc.returncode == 2, proc.stderr
@@ -195,6 +204,45 @@ def test_report_without_data_exits_4(tmp_path, capsys):
 def test_train_without_data_exits_4(tmp_path, capsys):
     assert cli.main(["--data-dir", str(tmp_path / "d"), "train"]) == 4
     assert "ingest" in capsys.readouterr().err
+
+
+GOOD_LINE = b'{"id":1,"timestamp":5,"amount":1.0,"payment_currency":"GBP",' \
+    b'"received_currency":"GBP","sender_bank_location":"UK",' \
+    b'"receiver_bank_location":"UK","payment_type":"ACH","is_laundering":false}'
+
+
+# name -> (file content, what stderr names); the bad record is on line 2
+BAD_DATASETS = {
+    "number.jsonl": (GOOD_LINE + b"\n5\n", "line 2: payload is not a JSON object"),
+    "null.jsonl": (GOOD_LINE + b"\nnull\n", "line 2: payload is not a JSON object"),
+    "string.jsonl": (GOOD_LINE + b'\n"x"\n', "line 2: payload is not a JSON object"),
+    "latin1.jsonl": (GOOD_LINE + b"\n\xff\xfe\n", "line 2: payload is not valid JSON"),
+    "overflow.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"timestamp":5', b'"timestamp":1e400'),
+        "line 2: malformed transaction record",
+    ),
+    "nested.jsonl": (GOOD_LINE + b"\n" + b"[" * 100_000 + b"\n", "line 2: payload is not valid JSON"),
+    # a CSV reader decodes text in blocks, so it names the file, not the line
+    "latin1.csv": (
+        b"id,timestamp,amount,payment_currency,received_currency,"
+        b"sender_bank_location,receiver_bank_location,payment_type,is_laundering\n"
+        b"1,5,1.0,GBP,GBP,UK,UK,ACH,0\n2,5,1.0,GBP,GBP,Espa\xf1a,UK,ACH,0\n",
+        "latin1.csv: not UTF-8 text",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DATASETS))
+def test_ingest_of_bad_dataset_exits_4_without_traceback(tmp_path, name):
+    content, named = BAD_DATASETS[name]
+    dataset = tmp_path / name
+    dataset.write_bytes(content)
+    data = tmp_path / "data"
+    proc = run_cli_process(["--data-dir", str(data), "ingest", "--input", str(dataset)])
+    assert proc.returncode == 4, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not data.exists()
 
 
 def test_ingest_missing_input_exits_3(tmp_path):

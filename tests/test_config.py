@@ -7,6 +7,7 @@ import pytest
 
 from amlstream.config import ModelSettings, PipelineConfig
 from amlstream.errors import ConfigError
+from amlstream.streamproc import RuleConfig
 
 
 def test_defaults_are_valid():
@@ -137,6 +138,16 @@ def test_rule_config_conversion():
     assert rules.high_risk_types == frozenset({"ACH"})
     assert not rules.enable_velocity
     assert rules.enable_high_risk
+
+
+def test_rules_section_is_the_stream_rule_config():
+    config = PipelineConfig.from_dict({"rules": {"high_risk_types": ["ACH", "Cheque"]}})
+    assert PipelineConfig().rules == RuleConfig()
+    assert config.rules == RuleConfig(high_risk_types=frozenset({"ACH", "Cheque"}))
+    assert PipelineConfig.from_dict(asdict(config)) == config
+    for bad in ([[1]], [1, 2], 5, "ACH", {"ACH": 1}):
+        with pytest.raises(ConfigError, match="rules.high_risk_types"):
+            PipelineConfig.from_dict({"rules": {"high_risk_types": bad}})
 
 
 def test_from_file(tmp_path):

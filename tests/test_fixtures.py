@@ -2,7 +2,7 @@
 
 import pytest
 
-from amlstream.fixtures import (
+from fixtures import (
     BACKGROUND_RATE,
     CORE_RATE,
     FRAUD_CORRIDORS,

@@ -245,6 +245,29 @@ def test_dead_letter_quarantines_poison_and_continues(tmp_path):
     assert proc.drain_once().record_count == 0
 
 
+def test_overflowing_number_is_dead_lettered_alone(tmp_path):
+    huge = transaction_to_json(make_tx(2)).replace('"timestamp":20,', '"timestamp":1e400,')
+    assert "1e400" in huge
+    log = fresh_log(tmp_path, partitions=1)
+    publish_transaction(log, "transactions", make_tx(1, payment_type="Cash Deposit"))
+    log.publish("transactions", b"UK", huge.encode())
+    publish_transaction(log, "transactions", make_tx(3, payment_type="Cash Deposit"))
+
+    proc = make_processor(tmp_path, log, rule_config=RuleConfig(enable_velocity=False))
+    result = proc.drain_once()
+    proc.close()
+    assert result.record_count == 3
+    assert [(a.transaction_id, a.source) for a in result.alerts] == [
+        (1, RULE_HIGH_RISK), (3, RULE_HIGH_RISK),
+    ]
+    rows = [json.loads(line) for line in open(tmp_path / "dead.jsonl")]
+    assert [(r["offset"], r["error"]) for r in rows] == [
+        (1, "malformed transaction record: cannot convert float infinity to integer"),
+    ]
+    assert log.position("stream", "transactions", 0).committed_offset == 3
+    assert proc.drain_once().record_count == 0
+
+
 def test_torn_alert_and_dead_letter_tails_are_cut_on_restart(tmp_path):
     log = fresh_log(tmp_path, partitions=1)
     rules = RuleConfig(enable_velocity=False)
