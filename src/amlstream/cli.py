@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime
 import functools
 import os
 import sys
@@ -38,7 +37,6 @@ from .featstore import (
 from .lifecycle import (
     MODEL_BLOB_DATE,
     ModelRegistry,
-    RetrainHooks,
     check_drift,
     feature_profile,
     maybe_retrain,
@@ -55,6 +53,7 @@ from .storage import BlobStore, TableStore
 from .streamproc import Alert, StreamProcessor, alert_from_dict, latency_summary, publish_transaction
 from .txgen import (
     Transaction,
+    calendar_date,
     generate,
     read_dataset,
     transaction_from_dict,
@@ -118,11 +117,6 @@ class Workspace:
     @functools.cached_property
     def registry(self) -> ModelRegistry:
         return ModelRegistry(self.registry_path, self.blobs)
-
-
-def _date_for_day(day: int) -> str:
-    wrapped = (day - 1) % 365
-    return (datetime.date(2023, 1, 1) + datetime.timedelta(days=wrapped)).isoformat()
 
 
 def _save_schema(ws: Workspace, schema: EncodingSchema) -> None:
@@ -292,16 +286,6 @@ def _train_models(ws: Workspace, transactions, tick: int, echo) -> None:
     echo(f"activated v{best.version} ({best.kind})")
 
 
-def _retrain_trainer(ws: Workspace):
-    """Single-kind trainer used by the drift-driven retraining hook."""
-
-    def train(kind: str, transactions, seed: int):
-        profile, [(model, val_m, test_m)] = _fit_kinds(ws, transactions, [kind], seed)
-        return model, val_m, test_m, profile
-
-    return train
-
-
 # ---------------------------------------------------------------------------
 # report bundle
 # ---------------------------------------------------------------------------
@@ -440,7 +424,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
         raise DataError(f"{path} contains no records")
     with open(path, "rb") as handle:
         raw = handle.read()
-    archive_date = _date_for_day(transactions[0].day)
+    archive_date = calendar_date(transactions[0].day).isoformat()
     ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
     _publish_and_store(ws, transactions, print)
     print(f"archived raw file under {RAW_NAMESPACE}/{archive_date}/{os.path.basename(path)}")
@@ -461,11 +445,9 @@ def cmd_stream(args, config: PipelineConfig) -> int:
         cadence = config.stream.cadence
         for start in range(0, len(incoming), rate):
             window = incoming[start : start + rate]
-            for t in window:
-                publish_transaction(ws.log, config.topic.name, t)
-            # report joins alerts to this table, so fed records land in it too
-            _store_transactions(ws, window)
-            ws.log.flush(config.topic.name)  # synced before the drain commits them
+            # report joins alerts to the warehouse table, so fed records land
+            # in it too; both are synced before the drain commits them
+            _publish_and_store(ws, window, lambda line: None)
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())
@@ -597,16 +579,16 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
         feature, psi = report.worst_feature
 
         echo("== phase 6: drift-triggered retraining ==")
-        next_version = len(ws.registry.records()) + 1
-        hooks = RetrainHooks(
-            registry=ws.registry,
-            load_transactions=lambda: _load_table_transactions(ws),
-            train=_retrain_trainer(ws),
-            seed=config.retrain_seed(next_version),
-            tick=ws.log.ticks(),
-            f1_guard=config.drift.f1_guard,
+        seed = config.retrain_seed(len(ws.registry.records()) + 1)
+
+        def train(kind):
+            transactions = _load_table_transactions(ws)
+            profile, [(model, validation, test)] = _fit_kinds(ws, transactions, [kind], seed)
+            return model, validation, test, profile
+
+        challenger = maybe_retrain(
+            report, ws.registry, train, ws.log.ticks(), config.drift.f1_guard
         )
-        challenger = maybe_retrain(report, hooks)
         after = ws.registry.active()
         outcome["shift"] = {
             "decision": report.decision,

@@ -3,6 +3,11 @@
 The CLI maps these onto distinct exit codes: configuration problems,
 I/O problems (plain OSError), and data problems are kept separate so
 scripted callers can branch on the failure class.
+
+A malformed stored document raises one of MALFORMED, and the reader that
+opened it (``storage.read_journal`` or ``reading()``) reports it as a
+DataError naming the file, and the line for a journal; the decoders of
+stored documents carry no handlers of their own.
 """
 
 import contextlib
@@ -55,8 +60,12 @@ class CorruptLogError(PipelineError):
 # What reading a malformed stored document raises: JSONDecodeError and
 # UnicodeDecodeError are ValueErrors, a missing key or unknown version is
 # a LookupError, a value of the wrong shape is a TypeError or an
-# AttributeError, and a field the reader checks itself is a DataError.
-MALFORMED = (DataError, ValueError, LookupError, TypeError, AttributeError)
+# AttributeError, int() of an out-of-range number such as 1e400 is an
+# ArithmeticError, nesting too deep for the JSON decoder is a
+# RecursionError, and a field the reader checks itself is a DataError.
+MALFORMED = (
+    DataError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError,
+)
 
 
 @contextlib.contextmanager

@@ -10,19 +10,20 @@ records framed into segment files:
 CRC32 covers key bytes followed by payload bytes. Offsets are implied
 by record order across a partition's segments (segments roll every
 SEGMENT_RECORDS records). Consumer positions live in a sidecar
-``positions.json`` per topic, replaced atomically on commit; a commit of
-a whole watermark, which is how the stream commits each batch, checks
-every partition's offset first and then replaces the file once.
+``positions.json`` per topic, replaced on commit; a commit of a whole
+watermark, which is how the stream commits each batch, checks every
+partition's offset first and then replaces the file once.
 
 Durability policy: every publish is written to the OS before the call
 returns; fsync is batched every FSYNC_INTERVAL records, and flush()
 forces an fsync. The CLI's ingest, demo and ``stream --feed`` call
 flush() after each batch they publish, before a drain commits its
-offsets; commit() itself does not fsync, and positions.json is replaced
-atomically but not fsynced. A simulated in-process crash therefore never
-loses an acknowledged publish; a crash of the machine can lose the
-unsynced tail. Recovery also tolerates a torn final record by truncating
-to the last whole frame. A checksum mismatch on a fully framed record is
+offsets. topic.json and positions.json are written by storage's
+replace_file, so each is fsynced before it is renamed into place. A
+simulated in-process crash therefore never loses an acknowledged
+publish; a crash of the machine can lose the unsynced tail. Recovery
+also tolerates a torn final record by truncating to the last whole
+frame. A checksum mismatch on a fully framed record is
 real corruption and raises CorruptLogError; a partition count that is
 not an int of at least 1, or a committed offset that is not an int
 within the partition's records, raises DataError naming the file.
@@ -56,6 +57,7 @@ from .errors import (
     OffsetRangeError,
     reading,
 )
+from .storage import replace_file
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -204,7 +206,6 @@ class EventLog:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._topics: dict[str, Topic] = {}
         self._partitions: dict[str, list[_Partition]] = {}
         self._positions: dict[str, dict[str, dict[int, int]]] = {}  # topic -> group -> part -> next
         self._ticks = 0
@@ -216,11 +217,10 @@ class EventLog:
         for meta_path in sorted(self.root.glob("*/topic.json")):
             with reading(meta_path):
                 meta = json.loads(meta_path.read_text())
-                topic = Topic(meta["name"], meta["partition_count"])
-                count = topic.partition_count
+                name, count = meta["name"], meta["partition_count"]
                 if type(count) is not int or count < 1:
                     raise DataError(f"partition_count {count!r} is not an int >= 1")
-            parts = self._add_topic(topic, meta_path.parent)
+            parts = self._add_topic(name, count, meta_path.parent)
             pos_path = meta_path.parent / "positions.json"
             if pos_path.exists():
                 with reading(pos_path):
@@ -239,19 +239,18 @@ class EventLog:
                                     f"group {group!r} offset {offset!r} on partition {p} "
                                     f"lies outside [0, {length}]"
                                 )
-                    self._positions[topic.name] = positions
+                    self._positions[name] = positions
 
-    def _add_topic(self, topic: Topic, tdir: Path) -> list[_Partition]:
-        """Load or create the partitions of ``topic`` under ``tdir`` and
-        register it with no consumer positions."""
+    def _add_topic(self, name: str, partition_count: int, tdir: Path) -> list[_Partition]:
+        """Load or create the ``partition_count`` partitions of topic
+        ``name`` under ``tdir`` and register it with no consumer positions."""
         parts = []
-        for p in range(topic.partition_count):
+        for p in range(partition_count):
             part = _Partition(tdir / f"p{p:03d}")
             part.load(self._next_tick)
             parts.append(part)
-        self._topics[topic.name] = topic
-        self._partitions[topic.name] = parts
-        self._positions[topic.name] = {}
+        self._partitions[name] = parts
+        self._positions[name] = {}
         return parts
 
     def _next_tick(self) -> int:
@@ -280,21 +279,19 @@ class EventLog:
             raise ConfigError("partition_count must be >= 1")
         if not name or "/" in name or name.startswith("."):
             raise ConfigError(f"invalid topic name {name!r}")
-        if name in self._topics:
+        if name in self._partitions:
             raise AlreadyExistsError(f"topic {name!r} already exists")
-        topic = Topic(name, partition_count)
         tdir = self.root / name
         tdir.mkdir(parents=True, exist_ok=True)
-        (tdir / "topic.json").write_text(
-            json.dumps({"name": name, "partition_count": partition_count})
+        replace_file(
+            tdir / "topic.json",
+            json.dumps({"name": name, "partition_count": partition_count}).encode("utf-8"),
         )
-        self._add_topic(topic, tdir)
-        return topic
+        self._add_topic(name, partition_count, tdir)
+        return Topic(name, partition_count)
 
     def topic(self, name: str) -> Topic:
-        if name not in self._topics:
-            raise NotFoundError(f"topic {name!r} does not exist")
-        return self._topics[name]
+        return Topic(name, len(self._require_parts(name)))
 
     def partition_length(self, topic: str, partition: int) -> int:
         parts = self._require_parts(topic)
@@ -302,12 +299,12 @@ class EventLog:
         return len(parts[partition].records)
 
     def _require_parts(self, topic: str) -> list[_Partition]:
-        if topic not in self._topics:
+        if topic not in self._partitions:
             raise NotFoundError(f"topic {topic!r} does not exist")
         return self._partitions[topic]
 
     def _check_partition(self, topic: str, partition: int) -> None:
-        count = self._topics[topic].partition_count
+        count = len(self._partitions[topic])
         if not 0 <= partition < count:
             raise NotFoundError(
                 f"topic {topic!r} has no partition {partition} (count {count})"
@@ -378,14 +375,12 @@ class EventLog:
         return ConsumerPosition(group, topic, partition, next_offset)
 
     def _persist_positions(self, topic: str) -> None:
-        path = self.root / topic / "positions.json"
-        tmp = path.with_suffix(".json.tmp")
         data = {
             group: {str(p): off for p, off in sorted(by_part.items())}
             for group, by_part in sorted(self._positions[topic].items())
         }
-        tmp.write_text(json.dumps(data, sort_keys=True))
-        os.replace(tmp, path)
+        path = self.root / topic / "positions.json"
+        replace_file(path, json.dumps(data, sort_keys=True).encode("utf-8"))
 
     def flush(self, topic: str | None = None) -> None:
         """fsync pending appends."""

@@ -5,7 +5,8 @@ deterministic schemas (vocabularies sorted lexicographically), splits
 datasets 60/20/20 by seeded shuffle, balances training data by random
 oversampling, and computes the tabular/plot datasets the report command
 writes (payment-type table, daily seasonality, alerts-per-month grid,
-correlation matrix).
+correlation matrix). The alerts-per-month grid dates each transaction
+by txgen's calendar_date, through a month table built once.
 
 Schema identity: schema_hash is the first 8 bytes (hex) of BLAKE2b over
 the canonical JSON of the ordered vocabularies. Models remember the
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateClassError, SchemaMismatchError
-from .txgen import Transaction
+from .txgen import YEAR_DAYS, Transaction, calendar_date
 
 FEATURE_FIELDS = (
     "payment_currency",
@@ -46,22 +47,15 @@ FEATURE_FIELDS = (
 TRAIN_FRACTION = 0.6
 VALIDATION_FRACTION = 0.2
 
-# non-leap simulated year
-_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-_MONTH_STARTS = tuple(
-    sum(_MONTH_LENGTHS[:i]) + 1 for i in range(12)
-)  # day-of-year each month begins
+# calendar month of each day of the simulated year, built once so the
+# per-alert lookup is one index
+_MONTHS = tuple(calendar_date(day).month for day in range(1, YEAR_DAYS + 1))
 
 
 def month_of_day(day: int) -> int:
-    """Calendar month (1..12) for a simulated day index; wraps at 365."""
-    d = (day - 1) % 365 + 1
-    month = 12
-    for i, start in enumerate(_MONTH_STARTS):
-        if d < start:
-            month = i
-            break
-    return month
+    """Calendar month (1..12) of a simulated day index, as txgen's
+    calendar_date gives it; wraps every YEAR_DAYS days."""
+    return _MONTHS[(day - 1) % YEAR_DAYS]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ once one was activated; older journals' ``retire`` events still replay.
 Each event is fsynced before the call that made it returns. In-memory
 state is a pure fold over the journal, so restarting from disk
 reproduces exactly the registry that crashed; a journal line torn by
-the crash is dropped. Model blobs are written before their journal
-entry: a torn registration leaves an orphaned blob, never a journal
-entry pointing at a missing model.
+the crash is dropped, and a malformed one (a missing field, a metric of
+1e400) stops the fold with a DataError naming ``path:line``. Model blobs
+are written before their journal entry: a torn registration leaves an
+orphaned blob, never a journal entry pointing at a missing model.
 
 Drift is measured per categorical feature with the population stability
 index between the activation-time reference profile and a live window,
 plus an accuracy check once enough labeled feedback has accumulated.
+maybe_retrain acts on a drift report: it calls the caller's
+``train(kind)`` for the active model's kind and registers, and perhaps
+activates, the challenger.
 """
 
 from __future__ import annotations
@@ -107,7 +111,6 @@ class DriftThresholds:
 @dataclass
 class DriftReport:
     window_id: int
-    window_size: int
     psi_by_feature: dict[str, float]
     accuracy: float | None
     breached: list = field(default_factory=list)
@@ -155,7 +158,6 @@ def check_drift(
 
     return DriftReport(
         window_id=window_id,
-        window_size=len(window),
         psi_by_feature=psi_by_feature,
         accuracy=accuracy,
         breached=breached,
@@ -176,18 +178,15 @@ class ModelRecord:
 
 
 def _metrics_from_dict(raw: dict) -> EvalMetrics:
-    try:
-        return EvalMetrics(
-            tn=int(raw["tn"]),
-            fp=int(raw["fp"]),
-            fn=int(raw["fn"]),
-            tp=int(raw["tp"]),
-            accuracy=float(raw["accuracy"]),
-            f1=float(raw["f1"]),
-            threshold=float(raw["threshold"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed metrics payload: {exc}") from exc
+    return EvalMetrics(
+        tn=int(raw["tn"]),
+        fp=int(raw["fp"]),
+        fn=int(raw["fn"]),
+        tp=int(raw["tp"]),
+        accuracy=float(raw["accuracy"]),
+        f1=float(raw["f1"]),
+        threshold=float(raw["threshold"]),
+    )
 
 
 class ModelRegistry:
@@ -324,45 +323,29 @@ class ModelRegistry:
             return model_from_json(payload.decode("utf-8"))
 
 
-@dataclass
-class RetrainHooks:
-    """Everything maybe_retrain needs from the surrounding pipeline.
-
-    ``train`` is a callable (kind, transactions, seed) returning a tuple
-    of (model, validation_metrics, test_metrics, reference_profile); both
-    metric sets are registered with the challenger.
-    """
-
-    registry: ModelRegistry
-    load_transactions: object
-    train: object
-    seed: int
-    tick: int
-    f1_guard: float
-
-
-def maybe_retrain(report: DriftReport, hooks: RetrainHooks) -> ModelRecord | None:
+def maybe_retrain(
+    report: DriftReport, registry: ModelRegistry, train, tick: int, f1_guard: float
+) -> ModelRecord | None:
     """Retrain the active model's kind when a drift report demands it.
 
-    The challenger is always registered, but only activated when its
-    validation F1 is no worse than the incumbent's by more than the
-    guard. A training failure is journaled and leaves the incumbent
-    untouched.
+    ``train(kind)`` fits one model of that kind and returns (model,
+    validation_metrics, test_metrics, reference_profile); both metric sets
+    are registered with the challenger. The challenger is always
+    registered, but only activated when its validation F1 is no worse than
+    the incumbent's by more than ``f1_guard``. A training failure (a
+    DataError) is journaled at ``tick`` and leaves the incumbent untouched.
     """
     if report.decision != DECISION_RETRAIN:
         return None
-    incumbent = hooks.registry.active()
+    incumbent = registry.active()
     if incumbent is None:
         raise DataError("drift signaled but no active model exists to retrain")
-    transactions = hooks.load_transactions()
     try:
-        model, metrics, test_metrics, profile = hooks.train(
-            incumbent.kind, transactions, hooks.seed
-        )
+        model, metrics, test_metrics, profile = train(incumbent.kind)
     except DataError as exc:
-        hooks.registry.record_failure(str(exc), hooks.tick, report.window_id)
+        registry.record_failure(str(exc), tick, report.window_id)
         return None
-    challenger = hooks.registry.register(model, metrics, profile, hooks.tick, test_metrics)
-    if metrics.f1 >= incumbent.metrics.f1 - hooks.f1_guard:
-        hooks.registry.activate(challenger.version, hooks.tick)
-    return hooks.registry.record(challenger.version)
+    challenger = registry.register(model, metrics, profile, tick, test_metrics)
+    if metrics.f1 >= incumbent.metrics.f1 - f1_guard:
+        registry.activate(challenger.version, tick)
+    return registry.record(challenger.version)

@@ -1,8 +1,11 @@
 """File-backed blob and table stores, and the JSON-lines journal.
 
-BlobStore: named byte objects under namespace/date/name directories,
-written atomically (temp file + rename) so a concurrent reader sees
-either the old bytes or the new bytes, never a mix.
+Every whole-file write (a blob, a table's schema.json, the event log's
+topic.json and positions.json) goes through replace_file: a temp file is
+written, fsynced and renamed over the target, so a reader, or a restart
+after a crash, sees either the old bytes or the new bytes, never a mix.
+
+BlobStore: named byte objects under namespace/date/name directories.
 
 TableStore: keyed tables, each its schema.json plus an append-only
 journal of upserts. Opening reads only the schemas and no rows are held
@@ -77,6 +80,17 @@ def truncate_torn_tail(path) -> None:
         fh.truncate(0)
 
 
+def replace_file(path: Path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``: write a temp file beside
+    it, fsync it, then rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def read_journal(path, decode=None) -> list:
     """The parsed lines of a JSON-lines journal, oldest first, each passed
     through ``decode`` when one is given. A line that does not parse or
@@ -144,12 +158,7 @@ class BlobStore:
         if not isinstance(data, bytes):
             raise ConfigError("blob data must be bytes")
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)  # atomic overwrite
+        replace_file(path, data)
 
     def get_blob(self, namespace: str, date_partition: str, name: str) -> bytes:
         path = self._path(namespace, date_partition, name)
@@ -233,8 +242,9 @@ class TableStore:
             raise AlreadyExistsError(f"table {name!r} exists with a different schema")
         directory = self.root / name
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "schema.json").write_text(
-            json.dumps({"name": name, "columns": columns, "key": key})
+        replace_file(
+            directory / "schema.json",
+            json.dumps({"name": name, "columns": columns, "key": key}).encode("utf-8"),
         )
         self._tables[name] = _Table(name, columns, key, directory)
 

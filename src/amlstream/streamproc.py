@@ -89,15 +89,13 @@ _ALERT_LINE = (
 
 
 def alert_from_dict(raw: dict) -> Alert:
-    try:
-        return Alert(
-            transaction_id=int(raw["transaction_id"]),
-            source=str(raw["source"]),
-            score=float(raw["score"]),
-            tick=int(raw["tick"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed alert record: {exc}") from exc
+    """One stored alert row; a malformed one raises one of MALFORMED."""
+    return Alert(
+        transaction_id=int(raw["transaction_id"]),
+        source=str(raw["source"]),
+        score=float(raw["score"]),
+        tick=int(raw["tick"]),
+    )
 
 
 def publish_transaction(log: EventLog, topic: str, transaction: Transaction):
@@ -120,7 +118,6 @@ class BatchResult:
     alerts: list = field(default_factory=list)
     latencies: list = field(default_factory=list)
     dead_letters: int = 0
-    model_version: int | None = None
     rules_only_fallback: bool = False
     watermark: dict = field(default_factory=dict)
 
@@ -256,7 +253,7 @@ class StreamProcessor:
 
         emit_tick = self.log.ticks()
         self._refresh_model()
-        result = BatchResult(record_count=len(records), model_version=self._model_version)
+        result = BatchResult(record_count=len(records))
         # poll returns each partition's records in offset order
         result.watermark = {r.partition: r.offset for r in records}
 

@@ -21,11 +21,17 @@ Day assignment walks evenly across one simulated year starting at
 ``start_day`` (day 1 = Jan 1 of the simulated year), which keeps the
 stream time-ordered. The intra-day second is random. ``timestamp`` is
 ``(day - 1) * 86400 + second`` so day and second round-trip losslessly.
+calendar_date maps a day index to its date in the simulated year, 2023.
+
+One decoder reads every serialized transaction (a log payload, a dataset
+line or CSV row); a malformed record, an out-of-range number or a
+non-finite amount raises DataError.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -103,6 +109,7 @@ DEFAULT_LOCATION_WEIGHTS: dict[str, float] = {
 }
 
 YEAR_DAYS = 365
+_YEAR_START = datetime.date(2023, 1, 1)  # a non-leap year
 DAY_SECONDS = 86_400
 SEASONAL_PEAK_DAYS = (182, 360)
 SEASONAL_HALF_WIDTH = 30
@@ -113,6 +120,12 @@ CHUNK_RECORDS = 65_536  # fixed: replay depends on it
 # Historical exports misspell the label column; accept both on read,
 # always write the canonical spelling.
 LABEL_ALIASES = ("is_laundering", "is_laundersing")
+
+
+def calendar_date(day: int) -> datetime.date:
+    """The calendar date of a simulated day index (day 1 = 2023-01-01),
+    wrapping every YEAR_DAYS days."""
+    return _YEAR_START + datetime.timedelta(days=(day - 1) % YEAR_DAYS)
 
 
 @dataclass(slots=True)
@@ -343,7 +356,7 @@ def _transaction_values(data: dict) -> tuple:
     if label is None:
         raise DataError("record is missing the is_laundering field")
     try:
-        return (
+        values = (
             int(data["id"]),
             int(data["timestamp"]),
             float(data["amount"]),
@@ -356,6 +369,9 @@ def _transaction_values(data: dict) -> tuple:
         )
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed transaction record: {exc}") from exc
+    if not math.isfinite(values[2]):
+        raise DataError(f"malformed transaction record: amount {values[2]!r} is not finite")
+    return values
 
 
 def _parse_transaction(record: bytes) -> tuple:

@@ -222,6 +222,14 @@ BAD_DATASETS = {
         "line 2: malformed transaction record",
     ),
     "nested.jsonl": (GOOD_LINE + b"\n" + b"[" * 100_000 + b"\n", "line 2: payload is not valid JSON"),
+    "nan_amount.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"amount":1.0', b'"amount":NaN'),
+        "line 2: malformed transaction record: amount nan is not finite",
+    ),
+    "infinite_amount.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"amount":1.0', b'"amount":1e400'),
+        "line 2: malformed transaction record: amount inf is not finite",
+    ),
     # a CSV reader decodes text in blocks, so it names the file, not the line
     "latin1.csv": (
         b"id,timestamp,amount,payment_currency,received_currency,"
@@ -501,6 +509,38 @@ CORRUPT_FILES = {
         ["report"],
         False,
     ),
+    "alert_tick_overflow": (
+        lambda data: data / "tables" / "alerts" / "journal.jsonl",
+        append_line(
+            '{"alert_id": "1:rule:x", "score": 1.0, "source": "rule:x", "tick": 1e400, '
+            '"transaction_id": 1}'
+        ),
+        ["report"],
+        False,
+    ),
+    "registry_metric_overflow": (
+        lambda data: data / "registry.jsonl",
+        append_line(
+            '{"event": "register", "payload": {"blob_name": "v9.json", "kind": "decision_tree", '
+            '"metrics": {"accuracy": 1.0, "f1": 1.0, "fn": 0, "fp": 0, "threshold": 0.5, '
+            '"tn": 1e400, "tp": 0}, "reference_profile": {}, "schema_hash": "x", '
+            '"test_metrics": null}, "tick": 0, "version": 9}'
+        ),
+        ["report"],
+        True,
+    ),
+    "nested_topic": (
+        lambda data: data / "log" / "transactions" / "topic.json",
+        lambda path: path.write_text("[" * 100_000),
+        ["stream"],
+        False,
+    ),
+    "nested_table_row": (
+        lambda data: data / "tables" / "transactions" / "journal.jsonl",
+        append_line("[" * 100_000),
+        ["train"],
+        True,
+    ),
     "registry_unknown_version": (
         lambda data: data / "registry.jsonl",
         append_line('{"event": "activate", "payload": {}, "tick": 0, "version": 99}'),
@@ -634,6 +674,39 @@ def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch,
     assert batches
     assert commits
     assert len(commits) == int(batches.group(1))  # one commit per batch
+    assert not unsynced
+
+
+def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, monkeypatch, capsys):
+    config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=300)), str(feed))
+    synced = {}  # (device, inode) -> file size at its last fsync
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        st = os.fstat(fd)
+        synced[(st.st_dev, st.st_ino)] = st.st_size
+
+    replaced, unsynced = [], []
+    real_replace = os.replace
+
+    def checking_replace(src, dst):
+        st = os.stat(src)
+        replaced.append(os.path.basename(dst))
+        if synced.get((st.st_dev, st.st_ino)) != st.st_size:
+            unsynced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", checking_replace)
+    argv = ["--config", config_path, "stream", "--feed", str(feed), "--rate", "100"]
+    assert cli.main(argv) == 0
+    batches = re.search(r"drained 300 records in (\d+) batches", capsys.readouterr().out)
+    assert batches
+    assert sorted(set(replaced)) == ["positions.json", "schema.json", "topic.json"]
+    assert replaced.count("positions.json") == int(batches.group(1))  # one per batch
     assert not unsynced
 
 

@@ -12,7 +12,6 @@ from amlstream.lifecycle import (
     DECISION_RETRAIN,
     DriftThresholds,
     ModelRegistry,
-    RetrainHooks,
     check_drift,
     feature_profile,
     maybe_retrain,
@@ -378,26 +377,21 @@ def drifted_report():
 
 
 def hooks_for(registry, f1, fail=False, guard=0.005):
-    def train(kind, transactions, seed):
+    """maybe_retrain's arguments after the report: the registry, a fake
+    trainer, the tick and the F1 guard."""
+
+    def train(kind):
         if fail:
             raise DataError("training window was degenerate")
         assert kind == "logistic_regression"
-        assert transactions == ["sentinel"]
         return (
-            make_model(seed=seed),
+            make_model(seed=77),
             make_metrics(f1=f1),
             make_metrics(f1=f1, accuracy=0.95),
             {"payment_type": {"ACH": 1.0}},
         )
 
-    return RetrainHooks(
-        registry=registry,
-        load_transactions=lambda: ["sentinel"],
-        train=train,
-        seed=77,
-        tick=99,
-        f1_guard=guard,
-    )
+    return registry, train, 99, guard
 
 
 def seeded_registry(tmp_path, incumbent_f1=0.90):
@@ -409,13 +403,13 @@ def seeded_registry(tmp_path, incumbent_f1=0.90):
 
 def test_maybe_retrain_noop_without_drift(tmp_path):
     registry = seeded_registry(tmp_path)
-    assert maybe_retrain(quiet_report(), hooks_for(registry, f1=0.99)) is None
+    assert maybe_retrain(quiet_report(), *hooks_for(registry, f1=0.99)) is None
     assert len(registry.records()) == 1
 
 
 def test_maybe_retrain_promotes_better_challenger(tmp_path):
     registry = seeded_registry(tmp_path, incumbent_f1=0.90)
-    record = maybe_retrain(drifted_report(), hooks_for(registry, f1=0.95))
+    record = maybe_retrain(drifted_report(), *hooks_for(registry, f1=0.95))
     assert record.version == 2
     assert record.status == "active"
     assert record.test_metrics == make_metrics(f1=0.95, accuracy=0.95)
@@ -424,7 +418,7 @@ def test_maybe_retrain_promotes_better_challenger(tmp_path):
 
 def test_maybe_retrain_guards_against_worse_challenger(tmp_path):
     registry = seeded_registry(tmp_path, incumbent_f1=0.90)
-    record = maybe_retrain(drifted_report(), hooks_for(registry, f1=0.80))
+    record = maybe_retrain(drifted_report(), *hooks_for(registry, f1=0.80))
     assert record.version == 2
     assert record.status == "registered"  # kept, but not promoted
     assert registry.active().version == 1
@@ -432,13 +426,13 @@ def test_maybe_retrain_guards_against_worse_challenger(tmp_path):
 
 def test_maybe_retrain_guard_tolerates_small_regression(tmp_path):
     registry = seeded_registry(tmp_path, incumbent_f1=0.90)
-    record = maybe_retrain(drifted_report(), hooks_for(registry, f1=0.897, guard=0.005))
+    record = maybe_retrain(drifted_report(), *hooks_for(registry, f1=0.897, guard=0.005))
     assert record.status == "active"
 
 
 def test_maybe_retrain_records_training_failure(tmp_path):
     registry = seeded_registry(tmp_path)
-    assert maybe_retrain(drifted_report(), hooks_for(registry, f1=0.95, fail=True)) is None
+    assert maybe_retrain(drifted_report(), *hooks_for(registry, f1=0.95, fail=True)) is None
     assert registry.active().version == 1
     assert len(registry.records()) == 1
     events = [json.loads(l)["event"] for l in open(registry.journal_path)]
@@ -451,4 +445,4 @@ def test_maybe_retrain_records_training_failure(tmp_path):
 def test_maybe_retrain_requires_an_incumbent(tmp_path):
     registry = make_registry(tmp_path)
     with pytest.raises(DataError):
-        maybe_retrain(drifted_report(), hooks_for(registry, f1=0.9))
+        maybe_retrain(drifted_report(), *hooks_for(registry, f1=0.9))

@@ -268,6 +268,30 @@ def test_overflowing_number_is_dead_lettered_alone(tmp_path):
     assert proc.drain_once().record_count == 0
 
 
+def test_non_finite_amount_is_dead_lettered_alone(tmp_path):
+    log = fresh_log(tmp_path, partitions=1)
+    publish_transaction(log, "transactions", make_tx(1, payment_type="Cash Deposit"))
+    for tx_id, amount in ((2, "1e400"), (3, "NaN"), (4, "-Infinity")):
+        payload = transaction_to_json(make_tx(tx_id, payment_type="Cash Deposit"))
+        log.publish("transactions", b"UK", payload.replace('"amount":100.0', f'"amount":{amount}').encode())
+    publish_transaction(log, "transactions", make_tx(5, payment_type="Cash Deposit"))
+
+    proc = make_processor(tmp_path, log, rule_config=RuleConfig(enable_velocity=False))
+    result = proc.drain_once()
+    proc.close()
+    assert result.record_count == 5
+    assert [(a.transaction_id, a.source) for a in result.alerts] == [
+        (1, RULE_HIGH_RISK), (5, RULE_HIGH_RISK),
+    ]
+    rows = [json.loads(line) for line in open(tmp_path / "dead.jsonl")]
+    assert [(r["offset"], r["error"]) for r in rows] == [
+        (1, "malformed transaction record: amount inf is not finite"),
+        (2, "malformed transaction record: amount nan is not finite"),
+        (3, "malformed transaction record: amount -inf is not finite"),
+    ]
+    assert log.position("stream", "transactions", 0).committed_offset == 5
+
+
 def test_torn_alert_and_dead_letter_tails_are_cut_on_restart(tmp_path):
     log = fresh_log(tmp_path, partitions=1)
     rules = RuleConfig(enable_velocity=False)
@@ -407,7 +431,9 @@ def test_model_alerts_skip_rule_alerted_transactions(tmp_path):
         has_rule = any(s.startswith("rule:") for s in sources)
         has_model = any(s.startswith("model:") for s in sources)
         assert has_rule != has_model  # model fills in only where rules were silent
-    assert all(r.model_version == 1 for r in results)
+    assert {s for sources in by_tx.values() for s in sources if s.startswith("model:")} == {
+        "model:v1"
+    }
 
 
 def test_model_below_threshold_stays_silent(tmp_path):
@@ -515,7 +541,11 @@ def test_model_swap_at_batch_boundary(tmp_path):
         m.bias = bias
         return m
 
-    versions = [(1, schema, stub_model(10.0)), (2, schema, stub_model(-10.0))]
+    versions = [
+        (1, schema, stub_model(10.0)),
+        (2, schema, stub_model(-10.0)),
+        (3, schema, stub_model(10.0)),
+    ]
     current = {"value": versions[0]}
     log = fresh_log(tmp_path, partitions=1)
     proc = make_processor(
@@ -532,8 +562,12 @@ def test_model_swap_at_batch_boundary(tmp_path):
     current["value"] = versions[1]
     publish_transaction(log, "transactions", make_tx(2))
     second = proc.drain_once()
-    assert second.model_version == 2
     assert second.alerts == []  # v2 scores everything near zero
+
+    current["value"] = versions[2]
+    publish_transaction(log, "transactions", make_tx(3))
+    third = proc.drain_once()
+    assert [a.source for a in third.alerts] == ["model:v3"]
 
 
 def test_replay_of_same_log_is_deterministic(tmp_path):
