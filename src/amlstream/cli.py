@@ -18,7 +18,7 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSET, PipelineConfig
 from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError, reading
@@ -50,13 +50,13 @@ from .models import (
     train_tree,
 )
 from .storage import BlobStore, TableStore
-from .streamproc import Alert, StreamProcessor, alert_from_dict, latency_summary, publish_transaction
+from .streamproc import StreamProcessor, alert_from_dict, latency_summary, transaction_key
 from .txgen import (
-    Transaction,
     calendar_date,
     generate,
     read_dataset,
     transaction_from_dict,
+    transaction_to_json,
     write_csv,
     write_jsonl,
 )
@@ -64,12 +64,6 @@ from .txgen import (
 SCHEMA_NAMESPACE = "schemas"
 RAW_NAMESPACE = "raw"
 STREAM_GROUP = "stream"
-
-# Warehouse columns are the record types' fields. Under postponed
-# annotations each field's type is its annotation's text, which reads
-# "int", "float", "str" or "bool", the names TableStore takes.
-TRANSACTION_COLUMNS = {f.name: f.type for f in fields(Transaction)}
-ALERT_COLUMNS = {"alert_id": "str", **{f.name: f.type for f in fields(Alert)}}
 
 REPORT_FILES = (
     "payment_type_table.csv",
@@ -101,8 +95,8 @@ class Workspace:
     @functools.cached_property
     def tables(self) -> TableStore:
         tables = TableStore(self.tables_dir)
-        tables.create_table("transactions", TRANSACTION_COLUMNS, key="id")
-        tables.create_table("alerts", ALERT_COLUMNS, key="alert_id")
+        tables.create_table("transactions", key="id")
+        tables.create_table("alerts", key="alert_id")
         return tables
 
     @property
@@ -135,12 +129,12 @@ def _load_schema(ws: Workspace, schema_hash: str) -> EncodingSchema:
         return EncodingSchema.from_json(raw.decode("utf-8"))
 
 
-def _load_table_transactions(ws: Workspace) -> list[Transaction]:
-    return [transaction_from_dict(row) for row in ws.tables.query("transactions")]
-
-
-def _store_transactions(ws: Workspace, transactions) -> None:
-    ws.tables.upsert_rows("transactions", [t.to_dict() for t in transactions])
+def _read_table(ws: Workspace, name: str, decode) -> list:
+    """A warehouse table's rows, each through its record type's decoder;
+    a row that does not decode names the table's journal."""
+    rows = ws.tables.query(name)
+    with reading(ws.tables.journal_path(name)):
+        return [decode(row) for row in rows]
 
 
 def _ensure_topic(ws: Workspace) -> None:
@@ -152,14 +146,18 @@ def _ensure_topic(ws: Workspace) -> None:
 
 
 def _publish_and_store(ws: Workspace, transactions, echo) -> dict[int, int]:
-    """Publish to the topic, then upsert the warehouse table."""
+    """Publish to the topic, then upsert the warehouse table; each
+    transaction is encoded once, its log payload being its table row."""
     topic = ws.config.topic
     _ensure_topic(ws)
     per_partition: dict[int, int] = {}
+    lines = []
     for t in transactions:
-        partition, _ = publish_transaction(ws.log, topic.name, t)
+        line = transaction_to_json(t)
+        partition, _ = ws.log.publish(topic.name, transaction_key(t), line.encode("utf-8"))
         per_partition[partition] = per_partition.get(partition, 0) + 1
-    _store_transactions(ws, transactions)
+        lines.append(line)
+    ws.tables.upsert_rows("transactions", lines)
     ws.log.flush()
     counts = ", ".join(f"p{p}={n}" for p, n in sorted(per_partition.items()))
     echo(f"published {sum(per_partition.values())} records to '{topic.name}' ({counts})")
@@ -297,15 +295,9 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _alerts_from_table(ws: Workspace) -> list[Alert]:
-    rows = ws.tables.query("alerts")
-    with reading(ws.alerts_path):
-        return [alert_from_dict(row) for row in rows]
-
-
 def _write_report(ws: Workspace, echo) -> list[str]:
     config = ws.config
-    transactions = _load_table_transactions(ws)
+    transactions = _read_table(ws, "transactions", transaction_from_dict)
     if not transactions:
         raise DataError("no transactions in the warehouse; run `amlstream ingest` first")
     records = ws.registry.records()
@@ -326,7 +318,7 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         [(r.payment_type, r.count, r.fraud_count, f"{r.fraud_percent:.2f}") for r in type_rows],
     )
 
-    grid = alerts_per_month(_alerts_from_table(ws), transactions)
+    grid = alerts_per_month(_read_table(ws, "alerts", alert_from_dict), transactions)
     alerts_by_type = dict(zip(grid.payment_types, grid.counts.sum(axis=0).tolist()))
     _write_csv(
         out("fraud_by_payment_type.csv"),
@@ -461,9 +453,9 @@ def cmd_train(args, config: PipelineConfig) -> int:
     if args.dataset:
         transactions = list(read_dataset(args.dataset))
         # keep the warehouse consistent with what the models saw
-        _store_transactions(ws, transactions)
+        ws.tables.upsert_rows("transactions", [transaction_to_json(t) for t in transactions])
     else:
-        transactions = _load_table_transactions(ws)
+        transactions = _read_table(ws, "transactions", transaction_from_dict)
         if not transactions:
             raise DataError(
                 "no transactions to train on; run `amlstream ingest` or pass --dataset"
@@ -582,7 +574,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
         seed = config.retrain_seed(len(ws.registry.records()) + 1)
 
         def train(kind):
-            transactions = _load_table_transactions(ws)
+            transactions = _read_table(ws, "transactions", transaction_from_dict)
             profile, [(model, validation, test)] = _fit_kinds(ws, transactions, [kind], seed)
             return model, validation, test, profile
 

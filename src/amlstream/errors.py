@@ -45,14 +45,6 @@ class SchemaMismatchError(PipelineError):
     """Feature schema or model width does not match the data."""
 
 
-class TableSchemaError(DataError):
-    """Row violates a table schema; carries the offending column name."""
-
-    def __init__(self, column: str, message: str):
-        self.column = column
-        super().__init__(message)
-
-
 class CorruptLogError(PipelineError):
     """Checksum mismatch inside an event-log segment."""
 

@@ -218,6 +218,8 @@ class EventLog:
             with reading(meta_path):
                 meta = json.loads(meta_path.read_text())
                 name, count = meta["name"], meta["partition_count"]
+                if name != meta_path.parent.name:
+                    raise DataError(f"topic name {name!r} is not its directory's name")
                 if type(count) is not int or count < 1:
                     raise DataError(f"partition_count {count!r} is not an int >= 1")
             parts = self._add_topic(name, count, meta_path.parent)

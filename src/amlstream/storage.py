@@ -7,24 +7,27 @@ after a crash, sees either the old bytes or the new bytes, never a mix.
 
 BlobStore: named byte objects under namespace/date/name directories.
 
-TableStore: keyed tables, each its schema.json plus an append-only
-journal of upserts. Opening reads only the schemas and no rows are held
-in memory: a query or count folds the journal, the last upsert of a key
-winning. Upserts are idempotent per primary key and validated against
-the declared column schema before anything is written, so a rejected
-batch leaves the table untouched. A query returns a whole table sorted
-by primary key, which keeps every downstream report deterministic. The
-stream appends its alerts, unvalidated, straight to a table's journal
-(journal_path); the fold counts a replayed alert once.
+TableStore: keyed tables, each its schema.json (the table's name and
+primary key) plus an append-only journal of upserts. A row is one JSON
+object per line, written as its producer formatted it: ingest's lines
+are the event log's payloads, and the stream appends its alert lines
+straight to the alerts table's journal (journal_path). Types are not
+checked on write; each record type's decoder checks them when a row is
+read back. Opening reads only the schemas and no rows are held in
+memory: a query or count folds the journal, the last upsert of a key
+winning, so a replayed row counts once. A query returns a whole table
+sorted by primary key, which keeps every downstream report
+deterministic.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's dead-letter file) follows one rule. JournalWriter is its only
-append side: each write appends one sorted-key JSON object per line and
-is flushed and fsynced before it returns. A final line without its
-newline was torn by a crash mid-append; truncate_torn_tail cuts it,
-when a writer opens the file and before read_journal parses it, so the
-next append starts on a clean line. A bad line anywhere else is
-corruption and raises DataError.
+append side: each call appends one JSON object per line (write encodes
+rows as sorted-key JSON, append takes lines already formatted) and is
+flushed and fsynced before it returns. A final line without its newline
+was torn by a crash mid-append; truncate_torn_tail cuts it, when a
+writer opens the file and before read_journal parses it, so the next
+append starts on a clean line. A bad line anywhere else is corruption
+and raises DataError.
 """
 
 from __future__ import annotations
@@ -40,21 +43,12 @@ from .errors import (
     MALFORMED,
     DataError,
     NotFoundError,
-    TableSchemaError,
     reading,
 )
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9._:-]+$")
 _TAIL_CHUNK = 4096
-
-# column type name -> accepted python types
-_COLUMN_TYPES = {
-    "int": (int,),
-    "float": (int, float),  # ints upcast cleanly
-    "str": (str,),
-    "bool": (bool,),
-}
 
 
 def truncate_torn_tail(path) -> None:
@@ -127,7 +121,7 @@ class JournalWriter:
         self.append("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
     def append(self, lines: str) -> None:
-        """Append whole lines, each the sorted-key JSON of one row, already
+        """Append whole lines, each the JSON object of one row, already
         formatted; flushed and fsynced before it returns."""
         if not lines:
             return
@@ -167,47 +161,11 @@ class BlobStore:
         return path.read_bytes()
 
 
-class _Table:
-    def __init__(self, name: str, columns: dict[str, str], key: str, directory: Path):
-        self.name = name
-        self.columns = columns
-        self.key = key
-        self.journal = directory / "journal.jsonl"
-
-    def validate_row(self, row: dict) -> None:
-        if not isinstance(row, dict):
-            raise TableSchemaError("", f"{self.name}: row must be a mapping")
-        for col in row:
-            if col not in self.columns:
-                raise TableSchemaError(
-                    col, f"{self.name}: unknown column {col!r}"
-                )
-        for col, type_name in self.columns.items():
-            if col not in row or row[col] is None:
-                if col == self.key:
-                    raise TableSchemaError(
-                        col, f"{self.name}: missing primary key column {col!r}"
-                    )
-                continue  # non-key columns may be absent/null
-            accepted = _COLUMN_TYPES[type_name]
-            value = row[col]
-            if type_name in ("int", "float") and isinstance(value, bool):
-                raise TableSchemaError(
-                    col, f"{self.name}: column {col!r} expects {type_name}, got bool"
-                )
-            if not isinstance(value, accepted):
-                raise TableSchemaError(
-                    col,
-                    f"{self.name}: column {col!r} expects {type_name}, "
-                    f"got {type(value).__name__}",
-                )
-
-
 class TableStore:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._tables: dict[str, _Table] = {}
+        self._tables: dict[str, str] = {}  # table name -> primary key
         self._journals: dict[str, JournalWriter] = {}
         self._load_existing()
 
@@ -217,8 +175,12 @@ class TableStore:
         for schema_path in sorted(self.root.glob("*/schema.json")):
             with reading(schema_path):
                 meta = json.loads(schema_path.read_text())
-                table = _Table(meta["name"], meta["columns"], meta["key"], schema_path.parent)
-            self._tables[table.name] = table
+                name, key = meta["name"], meta["key"]
+                if name != schema_path.parent.name:
+                    raise DataError(f"table name {name!r} is not its directory's name")
+                if type(key) is not str:
+                    raise DataError(f"table key {key!r} is not a string")
+            self._tables[name] = key
 
     def close(self) -> None:
         for journal in self._journals.values():
@@ -227,60 +189,57 @@ class TableStore:
 
     # -- tables ----------------------------------------------------------
 
-    def create_table(self, name: str, columns: dict[str, str], key: str) -> None:
+    def create_table(self, name: str, key: str) -> None:
         if not _NAME_RE.match(name or ""):
             raise ConfigError(f"invalid table name {name!r}")
-        for col, type_name in columns.items():
-            if type_name not in _COLUMN_TYPES:
-                raise ConfigError(f"column {col!r} has unknown type {type_name!r}")
-        if key not in columns:
-            raise ConfigError(f"key column {key!r} is not declared")
         existing = self._tables.get(name)
         if existing is not None:
-            if existing.columns == columns and existing.key == key:
+            if existing == key:
                 return  # idempotent re-declaration
-            raise AlreadyExistsError(f"table {name!r} exists with a different schema")
+            raise AlreadyExistsError(f"table {name!r} exists with key {existing!r}")
         directory = self.root / name
         directory.mkdir(parents=True, exist_ok=True)
         replace_file(
-            directory / "schema.json",
-            json.dumps({"name": name, "columns": columns, "key": key}).encode("utf-8"),
+            directory / "schema.json", json.dumps({"name": name, "key": key}).encode("utf-8")
         )
-        self._tables[name] = _Table(name, columns, key, directory)
+        self._tables[name] = key
 
-    def _require(self, name: str) -> _Table:
+    def _require(self, name: str) -> str:
+        """The primary key of table ``name``."""
         if name not in self._tables:
             raise NotFoundError(f"table {name!r} does not exist")
         return self._tables[name]
 
     def journal_path(self, name: str) -> Path:
-        return self._require(name).journal
+        self._require(name)
+        return self.root / name / "journal.jsonl"
 
-    def upsert_rows(self, name: str, rows: list[dict]) -> int:
-        """Insert or replace by primary key. All-or-nothing per call."""
-        table = self._require(name)
-        for row in rows:
-            table.validate_row(row)
+    def upsert_rows(self, name: str, lines: list[str]) -> int:
+        """Insert or replace by primary key: append ``lines``, each one
+        row's JSON object without its newline, as they are."""
         journal = self._journals.get(name)
         if journal is None:
-            journal = JournalWriter(table.journal)
+            journal = JournalWriter(self.journal_path(name))
             self._journals[name] = journal
-        journal.write(rows)
-        return len(rows)
+        journal.append("".join(line + "\n" for line in lines))
+        return len(lines)
 
     def _fold(self, name: str) -> dict:
         """A table's rows by primary key, the last upsert of a key winning.
         Folding as each line is read makes a keyless row name ``path:line``."""
-        table = self._require(name)
+        key = self._require(name)
+        journal = self.journal_path(name)
         rows: dict = {}
-        if table.journal.exists():
-            read_journal(table.journal, lambda row: rows.__setitem__(row[table.key], row))
+        if journal.exists():
+            read_journal(journal, lambda row: rows.__setitem__(row[key], row))
         return rows
 
     def query(self, name: str) -> list[dict]:
-        """Every row of a table, sorted by primary key."""
+        """Every row of a table, sorted by primary key; keys of more than
+        one type cannot be sorted and raise DataError naming the journal."""
         rows = self._fold(name)
-        return [rows[key] for key in sorted(rows)]
+        with reading(self.journal_path(name)):
+            return [rows[key] for key in sorted(rows)]
 
     def count(self, name: str) -> int:
         return len(self._fold(name))

@@ -98,13 +98,16 @@ def alert_from_dict(raw: dict) -> Alert:
     )
 
 
+def transaction_key(transaction: Transaction) -> bytes:
+    """A transaction's log key: its sender location, so one sender's flow
+    stays ordered in one partition."""
+    return transaction.sender_bank_location.encode("utf-8")
+
+
 def publish_transaction(log: EventLog, topic: str, transaction: Transaction):
-    """Key by sender location so one sender's flow stays ordered."""
-    return log.publish(
-        topic,
-        transaction.sender_bank_location.encode("utf-8"),
-        transaction_to_json(transaction).encode("utf-8"),
-    )
+    """Publish one transaction under its key; returns (partition, offset)."""
+    payload = transaction_to_json(transaction).encode("utf-8")
+    return log.publish(topic, transaction_key(transaction), payload)
 
 
 def read_alerts(path: str) -> list[Alert]:

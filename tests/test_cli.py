@@ -13,7 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -321,35 +321,11 @@ def test_flow_exit_codes(flow):
     assert codes == [0, 0, 0, 0, 0]
 
 
-# the on-disk table schemas, spelled out so that a renamed or reordered
-# Transaction or Alert field shows up here rather than silently on disk
+# the on-disk table schemas: a table is a name and a primary key, and its
+# rows are the JSON-object lines their producers wrote
 STORED_SCHEMAS = {
-    "transactions": {
-        "name": "transactions",
-        "columns": {
-            "id": "int",
-            "timestamp": "int",
-            "amount": "float",
-            "payment_currency": "str",
-            "received_currency": "str",
-            "sender_bank_location": "str",
-            "receiver_bank_location": "str",
-            "payment_type": "str",
-            "is_laundering": "bool",
-        },
-        "key": "id",
-    },
-    "alerts": {
-        "name": "alerts",
-        "columns": {
-            "alert_id": "str",
-            "transaction_id": "int",
-            "source": "str",
-            "score": "float",
-            "tick": "int",
-        },
-        "key": "alert_id",
-    },
+    "transactions": {"name": "transactions", "key": "id"},
+    "alerts": {"name": "alerts", "key": "alert_id"},
 }
 
 
@@ -416,6 +392,55 @@ def test_flow_train_from_dataset_file(flow, tmp_path):
     assert tables.count("transactions") == 3000  # dataset mirrored into the warehouse
 
 
+def test_ingest_stores_each_log_payload_as_its_table_row(flow):
+    root, _, _ = flow
+    log = EventLog(str(root / "data" / "log"))
+    records = log.poll("payload-check", "transactions", 10_000)
+    log.close()
+    payloads = {json.loads(record.payload)["id"]: record.payload for record in records}
+    rows = (root / "data" / "tables" / "transactions" / "journal.jsonl").read_bytes().splitlines()
+    assert len(rows) == len(payloads) == 3000
+    for row in rows:
+        assert row == payloads[json.loads(row)["id"]]
+
+
+# the transactions table as older versions wrote it: sorted-key rows and
+# a schema.json that also declared each column's type
+OLDER_TRANSACTIONS_SCHEMA = {
+    "name": "transactions",
+    "columns": {
+        "id": "int",
+        "timestamp": "int",
+        "amount": "float",
+        "payment_currency": "str",
+        "received_currency": "str",
+        "sender_bank_location": "str",
+        "receiver_bank_location": "str",
+        "payment_type": "str",
+        "is_laundering": "bool",
+    },
+    "key": "id",
+}
+
+
+def test_report_reads_an_older_sorted_key_warehouse(flow, tmp_path):
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    table = data / "tables" / "transactions"
+    journal = table / "journal.jsonl"
+    rows = [json.loads(line) for line in journal.read_text().splitlines()]
+    older = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert older != journal.read_text()
+    journal.write_text(older)
+    (table / "schema.json").write_text(json.dumps(OLDER_TRANSACTIONS_SCHEMA))
+    reports = tmp_path / "reports"
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(reports)]
+    assert cli.main([*argv, "report"]) == 0
+    for name in cli.REPORT_FILES:
+        assert (reports / name).read_bytes() == (root / "reports" / name).read_bytes(), name
+
+
 def cut_in_half(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -442,6 +467,19 @@ def active_model_blob(data):
     active = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs"))).active()
     return data / "blobs" / "models" / "2023-01-01" / active.blob_name
 
+
+# a well-formed transactions-table row
+TABLE_ROW = {
+    "id": 1,
+    "timestamp": 0,
+    "amount": 1.0,
+    "payment_currency": "GBP",
+    "received_currency": "GBP",
+    "sender_bank_location": "UK",
+    "receiver_bank_location": "UK",
+    "payment_type": "ACH",
+    "is_laundering": False,
+}
 
 # (file to corrupt, how, the command that reads it, whether the error names a line)
 CORRUPT_FILES = {
@@ -502,6 +540,38 @@ CORRUPT_FILES = {
         append_line('{"id": [1]}'),
         ["report"],
         True,
+    ),
+    "table_key_mixed_types": (
+        lambda data: data / "tables" / "transactions" / "journal.jsonl",
+        append_line(json.dumps(dict(TABLE_ROW, id="5"))),
+        ["report"],
+        False,
+    ),
+    "table_amount_text": (
+        lambda data: data / "tables" / "transactions" / "journal.jsonl",
+        append_line(json.dumps(dict(TABLE_ROW, amount="x"))),
+        ["report"],
+        False,
+    ),
+    "table_name_not_text": (
+        lambda data: data / "tables" / "transactions" / "schema.json",
+        edit_json(lambda schema: schema.update(name=[1])),
+        ["train"],
+        False,
+    ),
+    "topic_name_not_text": (
+        lambda data: data / "log" / "transactions" / "topic.json",
+        edit_json(lambda topic: topic.update(name=[1])),
+        ["stream"],
+        False,
+    ),
+    "alert_key_mixed_types": (
+        lambda data: data / "tables" / "alerts" / "journal.jsonl",
+        append_line(
+            '{"alert_id": 5, "score": 1.0, "source": "rule:x", "tick": 5, "transaction_id": 1}'
+        ),
+        ["report"],
+        False,
     ),
     "alert_row_without_score": (
         lambda data: data / "tables" / "alerts" / "journal.jsonl",
@@ -829,13 +899,20 @@ def test_alert_sink_bytes_are_pinned_table_rows(tmp_path):
         tmp_path, rules={"enable_high_risk": False, "enable_velocity": False}
     )
     assert hashlib.sha256(sink).hexdigest() == ALERT_SINK_SHA256
-    # every line is a row the alerts table accepts, and upserting the
-    # lines through the table writes the same bytes
+    # upserting the lines through the table writes the same bytes, and
+    # every folded row decodes to an alert that re-encodes to its line
+    lines = sink.decode("utf-8").splitlines()
     scratch = TableStore(str(tmp_path / "scratch"))
-    scratch.create_table("alerts", cli.ALERT_COLUMNS, key="alert_id")
-    scratch.upsert_rows("alerts", [json.loads(line) for line in sink.splitlines()])
+    scratch.create_table("alerts", key="alert_id")
+    assert scratch.upsert_rows("alerts", lines) == len(lines)
     scratch.close()
     assert (tmp_path / "scratch" / "alerts" / "journal.jsonl").read_bytes() == sink
+    rows = scratch.query("alerts")
+    assert len(rows) == len(lines)
+    for row in rows:
+        alert = streamproc.alert_from_dict(row)
+        encoded = {"alert_id": f"{alert.transaction_id}:{alert.source}", **asdict(alert)}
+        assert json.dumps(encoded, sort_keys=True) == json.dumps(row, sort_keys=True)
 
 
 # sha256 of that journal with all rules on, as the per-record drain wrote

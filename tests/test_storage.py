@@ -6,13 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from amlstream.errors import (
-    AlreadyExistsError,
-    ConfigError,
-    DataError,
-    NotFoundError,
-    TableSchemaError,
-)
+from amlstream.errors import AlreadyExistsError, ConfigError, DataError, NotFoundError
 from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
 from amlstream.models import EvalMetrics, train_logistic
@@ -63,54 +57,33 @@ def test_blob_key_validation(tmp_path):
 # tables
 # ---------------------------------------------------------------------------
 
-ALERT_COLUMNS = {
-    "key": "str",
-    "transaction_id": "int",
-    "source": "str",
-    "score": "float",
-    "month": "int",
-}
-
-
 def make_store(tmp_path):
     store = TableStore(tmp_path / "tables")
-    store.create_table("alerts", ALERT_COLUMNS, key="key")
+    store.create_table("alerts", key="key")
     return store
+
+
+def lines(rows):
+    """Rows as the one-object JSON lines a table stores."""
+    return [json.dumps(row) for row in rows]
 
 
 def test_upsert_is_idempotent_per_key(tmp_path):
     store = make_store(tmp_path)
     row = {"key": "1:rule", "transaction_id": 1, "source": "rule", "score": 1.0, "month": 2}
-    store.upsert_rows("alerts", [row])
-    store.upsert_rows("alerts", [row])
+    assert store.upsert_rows("alerts", lines([row])) == 1
+    store.upsert_rows("alerts", lines([row]))
     assert store.count("alerts") == 1
     updated = dict(row, score=0.5)
-    store.upsert_rows("alerts", [updated])
+    store.upsert_rows("alerts", lines([updated]))
     assert store.query("alerts")[0]["score"] == 0.5
-
-
-def test_schema_violation_names_column_and_changes_nothing(tmp_path):
-    store = make_store(tmp_path)
-    good = {"key": "a", "transaction_id": 1, "source": "rule", "score": 1.0, "month": 1}
-    bad = {"key": "b", "transaction_id": "oops", "source": "rule", "score": 1.0, "month": 1}
-    with pytest.raises(TableSchemaError) as exc:
-        store.upsert_rows("alerts", [good, bad])
-    assert exc.value.column == "transaction_id"
-    assert store.count("alerts") == 0  # the good row was not applied either
-
-    with pytest.raises(TableSchemaError) as exc:
-        store.upsert_rows("alerts", [dict(good, extra=1)])
-    assert exc.value.column == "extra"
 
 
 def test_table_survives_restart_with_journal_and_checkpoint(tmp_path):
     store = make_store(tmp_path)
-    rows = [
-        {"key": f"k{i}", "transaction_id": i, "source": "rule", "score": 1.0, "month": 1}
-        for i in range(20)
-    ]
-    store.upsert_rows("alerts", rows[:10])
-    store.upsert_rows("alerts", rows[10:])
+    rows = alert_rows(20)
+    store.upsert_rows("alerts", lines(rows[:10]))
+    store.upsert_rows("alerts", lines(rows[10:]))
     store.close()
 
     again = TableStore(tmp_path / "tables")
@@ -129,7 +102,7 @@ def alert_rows(n):
 def test_torn_journal_tail_is_dropped_and_truncated(tmp_path):
     store = make_store(tmp_path)
     rows = alert_rows(4)
-    store.upsert_rows("alerts", rows[:3])
+    store.upsert_rows("alerts", lines(rows[:3]))
     store.close()
     journal = tmp_path / "tables" / "alerts" / "journal.jsonl"
     whole = journal.read_bytes()
@@ -138,19 +111,19 @@ def test_torn_journal_tail_is_dropped_and_truncated(tmp_path):
     again = TableStore(tmp_path / "tables")
     assert again.query("alerts") == rows[:3]
     assert journal.read_bytes() == whole  # the next append starts on a clean line
-    again.upsert_rows("alerts", rows[3:])
+    again.upsert_rows("alerts", lines(rows[3:]))
     again.close()
     assert TableStore(tmp_path / "tables").query("alerts") == rows
 
 
 def test_bad_journal_line_mid_file_names_path_and_line(tmp_path):
     store = make_store(tmp_path)
-    store.upsert_rows("alerts", alert_rows(3))
+    store.upsert_rows("alerts", lines(alert_rows(3)))
     store.close()
     journal = tmp_path / "tables" / "alerts" / "journal.jsonl"
-    lines = journal.read_text().splitlines(keepends=True)
-    lines[1] = '{"key": "k1", "sco\n'
-    journal.write_text("".join(lines))
+    text = journal.read_text().splitlines(keepends=True)
+    text[1] = '{"key": "k1", "sco\n'
+    journal.write_text("".join(text))
     again = TableStore(tmp_path / "tables")  # opening reads only the schemas
     with pytest.raises(DataError, match=r"journal\.jsonl:2: bad journal line"):
         again.query("alerts")
@@ -159,9 +132,9 @@ def test_bad_journal_line_mid_file_names_path_and_line(tmp_path):
 def test_table_is_read_from_its_journal_not_from_memory(tmp_path):
     reader = make_store(tmp_path)
     writer = TableStore(tmp_path / "tables")
-    writer.upsert_rows("alerts", alert_rows(2))
+    writer.upsert_rows("alerts", lines(alert_rows(2)))
     assert reader.query("alerts") == alert_rows(2)
-    writer.upsert_rows("alerts", [dict(alert_rows(1)[0], score=0.5)])
+    writer.upsert_rows("alerts", lines([dict(alert_rows(1)[0], score=0.5)]))
     assert reader.count("alerts") == 2
     assert reader.query("alerts")[0]["score"] == 0.5
     writer.close()
@@ -170,7 +143,7 @@ def test_table_is_read_from_its_journal_not_from_memory(tmp_path):
 def table_upsert(tmp_path):
     store = make_store(tmp_path)
     return tmp_path / "tables" / "alerts" / "journal.jsonl", lambda: store.upsert_rows(
-        "alerts", alert_rows(3)
+        "alerts", lines(alert_rows(3))
     )
 
 
@@ -220,13 +193,24 @@ def test_journal_append_is_fsynced_before_it_returns(tmp_path, monkeypatch, appe
 
 def test_create_table_idempotent_and_conflicting(tmp_path):
     store = make_store(tmp_path)
-    store.create_table("alerts", ALERT_COLUMNS, key="key")  # same schema: fine
+    store.create_table("alerts", key="key")  # same key: fine
     with pytest.raises(AlreadyExistsError):
-        store.create_table("alerts", {"key": "str"}, key="key")
+        store.create_table("alerts", key="id")
     with pytest.raises(ConfigError):
-        store.create_table("x", {"a": "varchar"}, key="a")
-    with pytest.raises(ConfigError):
-        store.create_table("x", {"a": "int"}, key="b")
+        store.create_table("../x", key="a")
+
+
+def test_schema_holds_name_and_key_and_older_schemas_load(tmp_path):
+    make_store(tmp_path)
+    schema = tmp_path / "tables" / "alerts" / "schema.json"
+    assert json.loads(schema.read_text()) == {"name": "alerts", "key": "key"}
+    # the older form also declared column types; the columns are not read
+    schema.write_text(json.dumps({"name": "alerts", "columns": {"key": "str"}, "key": "key"}))
+    again = TableStore(tmp_path / "tables")
+    again.create_table("alerts", key="key")  # same key: the file is kept
+    again.upsert_rows("alerts", lines(alert_rows(2)))
+    assert again.query("alerts") == alert_rows(2)
+    assert "columns" in json.loads(schema.read_text())
 
 
 def test_missing_table_raises(tmp_path):
@@ -240,18 +224,16 @@ def test_query_results_sorted_by_key(tmp_path):
     for key in ("z", "a", "m"):
         store.upsert_rows(
             "alerts",
-            [{"key": key, "transaction_id": 1, "source": "rule", "score": 1.0, "month": 1}],
+            lines([{"key": key, "transaction_id": 1, "source": "rule", "score": 1.0, "month": 1}]),
         )
     assert [r["key"] for r in store.query("alerts")] == ["a", "m", "z"]
 
 
 def test_journal_lines_are_json(tmp_path):
     store = make_store(tmp_path)
-    store.upsert_rows(
-        "alerts",
-        [{"key": "a", "transaction_id": 7, "source": "rule", "score": 0.25, "month": 3}],
-    )
-    journal = (tmp_path / "tables" / "alerts" / "journal.jsonl").read_text()
-    parsed = json.loads(journal.strip())
-    assert parsed["transaction_id"] == 7
+    line = '{"key":"a","transaction_id":7,"source":"rule","score":0.25,"month":3}'
+    store.upsert_rows("alerts", [line])
     store.close()
+    journal = (tmp_path / "tables" / "alerts" / "journal.jsonl").read_text()
+    assert journal == line + "\n"  # stored as given, not re-encoded
+    assert json.loads(journal)["transaction_id"] == 7
