@@ -74,6 +74,7 @@ REPORT_FILES = (
     "model_metrics.csv",
     "correlation_matrix.csv",
 )
+CORR_MAX_ROWS = 200_000  # warehouse rows the correlation matrix is computed over
 
 
 class Workspace:
@@ -369,7 +370,7 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         [("actual_negative", c.tn, c.fp), ("actual_positive", c.fn, c.tp)],
     )
 
-    sample = transactions[: config.corr_max_rows]
+    sample = transactions[:CORR_MAX_ROWS]
     schema = _load_schema(ws, active.schema_hash)
     X, y, _ = encode_matrix(sample, schema)
     corr = correlation_from_arrays(X, y)
@@ -489,11 +490,6 @@ DEMO_GENERATOR = {
     },
 }
 
-# validation splits at demo scale hold only a few hundred positives, so the
-# F1 comparison carries sampling noise around +-0.01; the canned drill widens
-# the promotion guard accordingly (a genuinely broken challenger drops far more)
-DEMO_F1_GUARD = 0.03
-
 SHIFT_GBP_WEIGHT = 0.30  # drifted payment-currency mix for the drill
 CONTROL_WINDOWS = 2
 CONTROL_ID_STRIDE = 1_000_000
@@ -520,7 +516,7 @@ def _monitor_window(
     window = [replace(t, id=t.id + id_offset) for t in transactions]
     _publish_and_store(ws, window, echo)
     _drain(processor)
-    report = check_drift(profile, window, [], ws.config.drift, window_id=window_id)
+    report = check_drift(profile, window, ws.config.drift, window_id=window_id)
     feature, psi = report.worst_feature
     echo(f"{label}: decision={report.decision} worst psi={psi:.4f} ({feature})")
     return report
@@ -530,7 +526,6 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     """Scripted end-to-end drill; returns a structured outcome."""
     if not config.generator:
         config.generator = dict(DEMO_GENERATOR)
-        config.drift = replace(config.drift, f1_guard=DEMO_F1_GUARD)
     ws = Workspace(config)
     outcome: dict = {"control_decisions": [], "shift": None}
 

@@ -10,6 +10,8 @@ keys are rejected, recursively, with the offending path named, and so is
 a value whose type differs from its default's, inside the free-form
 ``generator`` and ``models.<kind>`` maps too. A config file that parses
 but contains a typo must fail loudly, not silently run with defaults.
+Every key is one that some command reads, and no command overwrites a
+configured value; tests/test_config.py pins the list of keys.
 
 All randomness in one pipeline run derives from the single top-level
 seed: the generator uses it directly, the dataset split adds
@@ -182,7 +184,6 @@ class PipelineConfig:
     stream: StreamSettings = field(default_factory=StreamSettings)
     models: ModelSettings = field(default_factory=ModelSettings)
     drift: DriftThresholds = field(default_factory=DriftThresholds)
-    corr_max_rows: int = 200_000
 
     def validate(self) -> None:
         _check_types("", self)
@@ -201,8 +202,6 @@ class PipelineConfig:
         self.drift.validate()
         self.models.validate()
         self.rules.validate()
-        if self.corr_max_rows < 2:
-            raise ConfigError("corr_max_rows must be at least 2")
 
     # -- seeds ---------------------------------------------------------------
 

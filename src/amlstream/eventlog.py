@@ -384,9 +384,8 @@ class EventLog:
         path = self.root / topic / "positions.json"
         replace_file(path, json.dumps(data, sort_keys=True).encode("utf-8"))
 
-    def flush(self, topic: str | None = None) -> None:
-        """fsync pending appends."""
-        names = [topic] if topic is not None else list(self._partitions)
-        for name in names:
-            for part in self._require_parts(name):
+    def flush(self) -> None:
+        """fsync pending appends of every topic."""
+        for parts in self._partitions.values():
+            for part in parts:
                 part.fsync()

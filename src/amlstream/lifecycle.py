@@ -14,9 +14,11 @@ the crash is dropped, and a malformed one (a missing field, a metric of
 are written before their journal entry: a torn registration leaves an
 orphaned blob, never a journal entry pointing at a missing model.
 
-Drift is measured per categorical feature with the population stability
-index between the activation-time reference profile and a live window,
-plus an accuracy check once enough labeled feedback has accumulated.
+Drift has one signal: per categorical feature, the population stability
+index between the activation-time reference profile and a live window.
+There is no accuracy signal: on the default data, predicting "not
+laundering" for every row scores 0.9992, and fraud labels arrive too
+late to be in a live window.
 maybe_retrain acts on a drift report: it calls the caller's
 ``train(kind)`` for the active model's kind and registers, and perhaps
 activates, the challenger.
@@ -62,22 +64,18 @@ def feature_profile(transactions) -> dict[str, dict[str, float]]:
     }
 
 
-def population_stability_index(
-    reference: dict[str, float],
-    live: dict[str, float],
-    epsilon: float = PSI_EPSILON,
-) -> float:
+def population_stability_index(reference: dict[str, float], live: dict[str, float]) -> float:
     """PSI between two category-frequency maps.
 
-    Zero-frequency categories are floored at epsilon so a category seen
+    Zero-frequency categories are floored at PSI_EPSILON so a category seen
     on only one side contributes a finite penalty. Identical inputs give
     exactly 0.0, and every summand is non-negative because (p - q) and
     ln(p / q) always share a sign.
     """
     total = 0.0
     for code in sorted(set(reference) | set(live)):
-        p = reference.get(code, 0.0) or epsilon
-        q = live.get(code, 0.0) or epsilon
+        p = reference.get(code, 0.0) or PSI_EPSILON
+        q = live.get(code, 0.0) or PSI_EPSILON
         if p == q:
             continue
         total += (p - q) * math.log(p / q)
@@ -90,18 +88,15 @@ class DriftThresholds:
     how large the window is, and how much worse a challenger may be."""
 
     psi_threshold: float = 0.2
-    accuracy_drop: float = 0.02
-    min_feedback: int = 200
     window: int = 10_000
-    f1_guard: float = 0.005
+    # validation splits at demo scale hold only a few hundred positives, so
+    # the F1 comparison carries sampling noise around +-0.01; the guard is
+    # that wide (a genuinely broken challenger drops far more)
+    f1_guard: float = 0.03
 
     def validate(self) -> None:
         if self.psi_threshold <= 0:
             raise ConfigError("drift.psi_threshold must be positive")
-        if self.accuracy_drop < 0:
-            raise ConfigError("drift.accuracy_drop must be non-negative")
-        if self.min_feedback < 1:
-            raise ConfigError("drift.min_feedback must be at least 1")
         if self.window < 10:
             raise ConfigError("drift.window must be at least 10")
         if self.f1_guard < 0:
@@ -112,7 +107,6 @@ class DriftThresholds:
 class DriftReport:
     window_id: int
     psi_by_feature: dict[str, float]
-    accuracy: float | None
     breached: list = field(default_factory=list)
     decision: str = DECISION_NONE
 
@@ -124,17 +118,12 @@ class DriftReport:
 def check_drift(
     reference_profile: dict[str, dict[str, float]],
     window,
-    feedback,
     thresholds: DriftThresholds,
-    reference_accuracy: float | None = None,
     window_id: int = 0,
 ) -> DriftReport:
-    """Compare one live window against the reference profile.
-
-    ``feedback`` is a sequence of (predicted, actual) label pairs; the
-    accuracy signal only participates once at least ``min_feedback``
-    pairs exist, so early windows cannot trip it on noise.
-    """
+    """Compare one live window against the reference profile; a feature
+    whose PSI exceeds the threshold is a breach, and any breach decides a
+    retrain."""
     if not window:
         raise DataError("drift check requires a non-empty window")
     live = feature_profile(window)
@@ -148,18 +137,9 @@ def check_drift(
         if value > thresholds.psi_threshold
     ]
 
-    accuracy = None
-    if reference_accuracy is not None and len(feedback) >= thresholds.min_feedback:
-        agree = sum(1 for predicted, actual in feedback if bool(predicted) == bool(actual))
-        accuracy = agree / len(feedback)
-        drop = reference_accuracy - accuracy
-        if drop > thresholds.accuracy_drop:
-            breached.append(("accuracy_drop", drop, thresholds.accuracy_drop))
-
     return DriftReport(
         window_id=window_id,
         psi_by_feature=psi_by_feature,
-        accuracy=accuracy,
         breached=breached,
         decision=DECISION_RETRAIN if breached else DECISION_NONE,
     )

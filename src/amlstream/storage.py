@@ -85,10 +85,10 @@ def replace_file(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def read_journal(path, decode=None) -> list:
+def read_journal(path, decode) -> list:
     """The parsed lines of a JSON-lines journal, oldest first, each passed
-    through ``decode`` when one is given. A line that does not parse or
-    decode raises DataError naming ``path:line``."""
+    through ``decode``. A line that does not parse or decode raises
+    DataError naming ``path:line``."""
     truncate_torn_tail(path)
     entries = []
     # surrogateescape hands undecodable bytes to json.loads, so they end
@@ -100,7 +100,7 @@ def read_journal(path, decode=None) -> list:
                 continue
             try:
                 entry = json.loads(line)
-                entries.append(entry if decode is None else decode(entry))
+                entries.append(decode(entry))
             except MALFORMED as exc:
                 raise DataError(f"{path}:{number}: bad journal line: {exc!r}") from exc
     return entries

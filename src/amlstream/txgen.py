@@ -336,7 +336,7 @@ def generate(config: GeneratorConfig) -> Iterator[Transaction]:
 def _coerce_label(value) -> bool:
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and value in (0, 1):
         return bool(value)
     text = str(value).strip().lower()
     if text in ("1", "true", "t", "yes"):
@@ -356,9 +356,10 @@ def _transaction_values(data: dict) -> tuple:
     if label is None:
         raise DataError("record is missing the is_laundering field")
     try:
+        tx_id, timestamp = data["id"], data["timestamp"]
         values = (
-            int(data["id"]),
-            int(data["timestamp"]),
+            int(tx_id),
+            int(timestamp),
             float(data["amount"]),
             str(data["payment_currency"]),
             str(data["received_currency"]),
@@ -371,6 +372,11 @@ def _transaction_values(data: dict) -> tuple:
         raise DataError(f"malformed transaction record: {exc}") from exc
     if not math.isfinite(values[2]):
         raise DataError(f"malformed transaction record: amount {values[2]!r} is not finite")
+    # int() truncates a JSON float; text that is not an integer fails in it
+    if type(tx_id) is float and tx_id != values[0]:
+        raise DataError(f"malformed transaction record: id {tx_id!r} is not an integer")
+    if type(timestamp) is float and timestamp != values[1]:
+        raise DataError(f"malformed transaction record: timestamp {timestamp!r} is not an integer")
     return values
 
 

@@ -230,6 +230,23 @@ BAD_DATASETS = {
         GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"amount":1.0', b'"amount":1e400'),
         "line 2: malformed transaction record: amount inf is not finite",
     ),
+    # int() would truncate these, and two ids could then land on one key
+    "fractional_id.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"id":1', b'"id":2.5'),
+        "line 2: malformed transaction record: id 2.5 is not an integer",
+    ),
+    "fractional_timestamp.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"timestamp":5', b'"timestamp":7.9'),
+        "line 2: malformed transaction record: timestamp 7.9 is not an integer",
+    ),
+    "fractional_label.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"is_laundering":false', b'"is_laundering":0.4'),
+        "line 2: unparseable laundering label: 0.4",
+    ),
+    "label_two.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"is_laundering":false', b'"is_laundering":2'),
+        "line 2: unparseable laundering label: 2",
+    ),
     # a CSV reader decodes text in blocks, so it names the file, not the line
     "latin1.csv": (
         b"id,timestamp,amount,payment_currency,received_currency,"
@@ -702,7 +719,7 @@ def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
     read = []
     real_read_journal = storage.read_journal
 
-    def recording_read_journal(path, decode=None):
+    def recording_read_journal(path, decode):
         read.append(os.path.relpath(path, data))
         return real_read_journal(path, decode)
 
@@ -967,6 +984,21 @@ def test_demo_writes_report_bundle(demo_outcome):
     assert len(demo_outcome["report_files"]) == len(cli.REPORT_FILES)
     for path in demo_outcome["report_files"]:
         assert os.path.isfile(path)
+
+
+def test_demo_keeps_the_configured_f1_guard(tmp_path):
+    # no generator section: the demo runs on its own generator settings
+    config = PipelineConfig.from_dict(
+        {
+            "data_dir": str(tmp_path / "data"),
+            "report_dir": str(tmp_path / "reports"),
+            "drift": {"window": 1000, "f1_guard": 0.0},
+            "models": {"logistic_regression": {"max_iters": 120}, "random_forest": {"n_trees": 8}},
+        }
+    )
+    cli.run_demo(config, shift=False, echo=lambda *_: None)
+    assert config.generator == cli.DEMO_GENERATOR
+    assert config.drift.f1_guard == 0.0
 
 
 def test_demo_no_shift_sees_no_drift(tmp_path):

@@ -1,13 +1,19 @@
 """Configuration loading, validation, and seed derivation tests."""
 
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
 from amlstream.config import ModelSettings, PipelineConfig
 from amlstream.errors import ConfigError
+from amlstream.models import MODEL_KINDS
 from amlstream.streamproc import RuleConfig
+from amlstream.txgen import GeneratorConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_are_valid():
@@ -51,6 +57,10 @@ def test_unknown_nested_keys_are_named():
         PipelineConfig.from_dict({"models": {"decision_tree": {"depth": 3}}})
     with pytest.raises(ConfigError, match="models.logistic_regression.learning_rate"):
         ModelSettings(logistic_regression={"learning_rate": 0.1}).validate()
+    # keys of the deleted drift accuracy signal
+    for removed in ("accuracy_drop", "min_feedback"):
+        with pytest.raises(ConfigError, match=f"unknown config key drift.{removed}"):
+            PipelineConfig.from_dict({"drift": {removed: 1}})
 
 
 def test_map_values_of_their_default_type_pass():
@@ -177,3 +187,73 @@ def test_model_overrides_surface():
     assert config.models.overrides_for("random_forest") == {"n_trees": 10}
     assert config.models.overrides_for("logistic_regression") == {"max_iters": 50}
     assert config.models.overrides_for("decision_tree") == {}
+
+
+def accepted_keys(cls=PipelineConfig, prefix=""):
+    """The key paths the config reader accepts: each field, the fields of a
+    section under its name, and the keys of the free-form generator and
+    models.<kind> maps."""
+    maps = {
+        "generator": [f.name for f in fields(GeneratorConfig) if f.name != "seed"],
+        **{f"models.{kind}": list(defaults) for kind, defaults in MODEL_KINDS.items()},
+    }
+    defaults, keys = cls(), []
+    for f in fields(cls):
+        path, default = prefix + f.name, getattr(defaults, f.name)
+        if is_dataclass(default):
+            keys += accepted_keys(type(default), path + ".")
+        elif path in maps:
+            keys += [f"{path}.{key}" for key in maps[path]]
+        else:
+            keys.append(path)
+    return keys
+
+
+def test_accepted_config_keys_are_pinned():
+    # a new key is a new setting: add it here, and to README's config block
+    assert sorted(accepted_keys()) == sorted([
+        "data_dir", "report_dir", "seed",
+        "generator.count", "generator.start_day", "generator.payment_type_weights",
+        "generator.fraud_rate_by_type", "generator.currency_weights",
+        "generator.location_weights", "generator.base_amount", "generator.seasonal_amplitude",
+        "topic.name", "topic.partitions",
+        "rules.high_risk_types", "rules.enable_high_risk", "rules.enable_corridor",
+        "rules.enable_velocity", "rules.velocity_max_count", "rules.velocity_window_ticks",
+        "stream.cadence", "stream.batch_max", "stream.alert_threshold",
+        "models.logistic_regression.tolerance", "models.logistic_regression.max_iters",
+        "models.logistic_regression.l2",
+        "models.decision_tree.max_depth", "models.decision_tree.min_leaf",
+        "models.random_forest.n_trees", "models.random_forest.max_depth",
+        "models.random_forest.min_leaf", "models.random_forest.features_per_split",
+        "models.random_forest.bootstrap",
+        "drift.psi_threshold", "drift.window", "drift.f1_guard",
+    ])
+
+
+def test_readme_defaults_block_loads_at_the_defaults(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"Defaults shown:\n\n```json\n(.*?)```", text, re.S)
+    path = tmp_path / "defaults.json"
+    path.write_text(block, encoding="utf-8")
+    config, defaults = PipelineConfig.from_file(str(path)), PipelineConfig()
+    assert replace(config, generator={}, models=ModelSettings()) == defaults
+    assert config.generator_config(count=1) == defaults.generator_config(count=1)
+    for kind, hyperparameters in MODEL_KINDS.items():
+        assert config.models.overrides_for(kind) == hyperparameters
+    # the block holds every key but the count and the weight maps, which
+    # the prose under it describes
+    described = ["generator.count", *(f"generator.{name}" for name in WEIGHT_MAPS)]
+    assert sorted(accepted_keys()) == sorted([*described, *key_paths(json.loads(block))])
+
+
+WEIGHT_MAPS = (
+    "payment_type_weights", "fraud_rate_by_type", "currency_weights", "location_weights"
+)
+
+
+def key_paths(raw: dict, prefix=""):
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key

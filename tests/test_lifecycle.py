@@ -128,7 +128,7 @@ def shifted_currency_config(seed, count):
 def test_check_drift_flags_currency_shift():
     reference = feature_profile(list(generate(GeneratorConfig(seed=31, count=20_000))))
     window = list(generate(shifted_currency_config(32, 8_000)))
-    report = check_drift(reference, window, [], DriftThresholds(), window_id=4)
+    report = check_drift(reference, window, DriftThresholds(), window_id=4)
     assert report.decision == DECISION_RETRAIN
     breached_signals = [name for name, _, _ in report.breached]
     assert "psi:payment_currency" in breached_signals
@@ -140,45 +140,14 @@ def test_check_drift_flags_currency_shift():
 def test_check_drift_quiet_on_matching_window():
     reference = feature_profile(list(generate(GeneratorConfig(seed=33, count=20_000))))
     window = list(generate(GeneratorConfig(seed=34, count=8_000)))
-    report = check_drift(reference, window, [], DriftThresholds())
+    report = check_drift(reference, window, DriftThresholds())
     assert report.decision == DECISION_NONE
     assert report.breached == []
-    assert report.accuracy is None
-
-
-def test_check_drift_accuracy_needs_min_feedback():
-    reference = feature_profile(list(generate(GeneratorConfig(seed=35, count=5_000))))
-    window = list(generate(GeneratorConfig(seed=36, count=5_000)))
-    bad_feedback = [(True, False)] * 150  # all wrong, but below the floor
-    report = check_drift(
-        reference, window, bad_feedback, DriftThresholds(min_feedback=200), reference_accuracy=0.99
-    )
-    assert report.accuracy is None
-    assert report.decision == DECISION_NONE
-
-    report = check_drift(
-        reference, window, bad_feedback + [(True, True)] * 50,
-        DriftThresholds(min_feedback=200), reference_accuracy=0.99,
-    )
-    assert report.accuracy == pytest.approx(50 / 200)
-    assert report.decision == DECISION_RETRAIN
-    assert any(name == "accuracy_drop" for name, _, _ in report.breached)
-
-
-def test_check_drift_accuracy_within_tolerance_passes():
-    reference = feature_profile(list(generate(GeneratorConfig(seed=37, count=5_000))))
-    window = list(generate(GeneratorConfig(seed=38, count=5_000)))
-    feedback = [(True, True)] * 985 + [(False, True)] * 15  # 98.5% vs 99% reference
-    report = check_drift(
-        reference, window, feedback, DriftThresholds(accuracy_drop=0.02), reference_accuracy=0.99
-    )
-    assert report.accuracy == pytest.approx(0.985)
-    assert report.decision == DECISION_NONE
 
 
 def test_check_drift_rejects_empty_window():
     with pytest.raises(DataError):
-        check_drift({}, [], [], DriftThresholds())
+        check_drift({}, [], DriftThresholds())
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +330,6 @@ def quiet_report():
     return check_drift(
         feature_profile(list(generate(GeneratorConfig(seed=41, count=2_000)))),
         list(generate(GeneratorConfig(seed=42, count=2_000))),
-        [],
         DriftThresholds(),
     )
 
@@ -370,7 +338,6 @@ def drifted_report():
     return check_drift(
         feature_profile(list(generate(GeneratorConfig(seed=43, count=5_000)))),
         list(generate(shifted_currency_config(44, 5_000))),
-        [],
         DriftThresholds(),
         window_id=2,
     )
