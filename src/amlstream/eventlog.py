@@ -2,17 +2,23 @@
 
 Serves as the pipeline's ingest buffer: producers append keyed records,
 consumer groups poll from committed offsets, and nothing is ever
-deleted. One directory per topic, one subdirectory per partition,
-records framed into segment files:
+deleted. One directory per topic, one subdirectory per partition, and
+each partition is one append-only file, ``segment-00000000.log``, of
+frames:
 
     [u32 LE payload length][u32 LE CRC32][u16 LE key length][key][payload]
 
-CRC32 covers key bytes followed by payload bytes. Offsets are implied
-by record order across a partition's segments (segments roll every
-SEGMENT_RECORDS records). Consumer positions live in a sidecar
-``positions.json`` per topic, replaced on commit; a commit of a whole
-watermark, which is how the stream commits each batch, checks every
-partition's offset first and then replaces the file once.
+CRC32 covers key bytes followed by payload bytes. The file is the only
+copy of a record: memory keeps, per record, the byte offset where its
+frame ends and its ingest tick, and poll reads the frames it returns
+from the file between those offsets. Offsets are implied by frame
+order. The file never rolls; older versions rolled to a second segment
+after 65,536 records, and a partition holding any other
+``segment-*.log`` raises CorruptLogError naming it rather than skip its
+records. Consumer positions live in a sidecar ``positions.json`` per
+topic, replaced on commit; a commit of a whole watermark, which is how
+the stream commits each batch, checks every partition's offset first
+and then replaces the file once.
 
 Durability policy: every publish is written to the OS before the call
 returns; fsync is batched every FSYNC_INTERVAL records, and flush()
@@ -21,10 +27,10 @@ flush() after each batch they publish, before a drain commits its
 offsets. topic.json and positions.json are written by storage's
 replace_file, so each is fsynced before it is renamed into place. A
 simulated in-process crash therefore never loses an acknowledged
-publish; a crash of the machine can lose the unsynced tail. Recovery
-also tolerates a torn final record by truncating to the last whole
-frame. A checksum mismatch on a fully framed record is
-real corruption and raises CorruptLogError; a partition count that is
+publish; a crash of the machine can lose the unsynced tail. Opening
+walks every frame once: it tolerates a torn final record by truncating
+to the last whole frame, and a checksum mismatch on a fully framed
+record is real corruption and raises CorruptLogError; a partition count that is
 not an int of at least 1, or a committed offset that is not an int
 within the partition's records, raises DataError naming the file.
 
@@ -45,6 +51,7 @@ import json
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +70,7 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
-SEGMENT_RECORDS = 65_536
+SEGMENT_NAME = "segment-00000000.log"
 FSYNC_INTERVAL = 256
 _HEADER = struct.Struct("<IIH")  # payload length, crc32, key length
 
@@ -101,103 +108,99 @@ class ConsumerPosition:
     committed_offset: int  # next offset this group will read
 
 
-def _encode_frame(key: bytes, payload: bytes) -> bytes:
-    if len(key) > 0xFFFF:
-        raise ConfigError("record key longer than 65535 bytes")
-    crc = zlib.crc32(key + payload) & 0xFFFFFFFF
-    return _HEADER.pack(len(payload), crc, len(key)) + key + payload
-
-
 class _Partition:
-    """One partition: in-memory records plus append-only segment files."""
+    """One partition: an append-only frame file plus, per record, the
+    byte offset where its frame ends and its ingest tick."""
 
     def __init__(self, directory: Path):
         self.directory = directory
-        self.records: list[tuple[bytes, bytes, int]] = []  # key, payload, tick
+        self.path = directory / SEGMENT_NAME
+        self.ends = array("q")
+        self.ticks = array("q")
         self._fh = None
-        self._segment_index = 0
-        self._records_in_segment = 0
         self._unsynced = 0
 
-    # -- recovery ------------------------------------------------------
-
-    def load(self, tick_source) -> None:
+    def load(self, ticks_before: int) -> int:
+        """Index every whole frame, checking its CRC, and cut a torn tail.
+        Records get ticks after ``ticks_before`` in frame order; returns
+        how many there are."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        segments = sorted(self.directory.glob("segment-*.log"))
-        for seg_no, seg in enumerate(segments):
-            last_good, self._records_in_segment = self._scan_segment(seg, tick_source)
-            size = seg.stat().st_size
-            if last_good < size:
-                # torn tail from a crash mid-append: drop the partial frame
-                if seg_no != len(segments) - 1:
-                    raise CorruptLogError(f"{seg}: truncated frame mid-log")
-                with open(seg, "r+b") as fh:
-                    fh.truncate(last_good)
-        if segments:
-            self._segment_index = int(segments[-1].stem.split("-")[1])
-
-    def _scan_segment(self, path: Path, tick_source) -> tuple[int, int]:
-        """Append valid records to memory; return the byte offset of the
-        last whole frame and the number of whole frames."""
-        good = 0
-        count = 0
-        with open(path, "rb") as fh:
+        for seg in sorted(self.directory.glob("segment-*.log")):
+            if seg != self.path:
+                raise CorruptLogError(f"{seg}: rolled segment of an older version")
+        if not self.path.exists():
+            return 0
+        with open(self.path, "rb") as fh:
             data = fh.read()
+        view = memoryview(data)
         pos = 0
         while pos + _HEADER.size <= len(data):
             plen, crc, klen = _HEADER.unpack_from(data, pos)
             end = pos + _HEADER.size + klen + plen
             if end > len(data):
                 break  # torn tail
-            key = data[pos + _HEADER.size : pos + _HEADER.size + klen]
-            payload = data[pos + _HEADER.size + klen : end]
-            if zlib.crc32(key + payload) & 0xFFFFFFFF != crc:
-                raise CorruptLogError(f"{path}: checksum mismatch at byte {pos}")
-            self.records.append((key, payload, tick_source()))
+            # the key and payload are contiguous, as the CRC covers them
+            if zlib.crc32(view[pos + _HEADER.size : end]) != crc:
+                raise CorruptLogError(f"{self.path}: checksum mismatch at byte {pos}")
+            self.ends.append(end)
             pos = end
-            good = pos
-            count += 1
-        return good, count
+        if pos < len(data):
+            # torn tail from a crash mid-append: drop the partial frame
+            with open(self.path, "r+b") as fh:
+                fh.truncate(pos)
+        self.ticks = array("q", range(ticks_before + 1, ticks_before + 1 + len(self.ends)))
+        return len(self.ends)
 
-    # -- appends -------------------------------------------------------
-
-    def _segment_path(self) -> Path:
-        return self.directory / f"segment-{self._segment_index:08d}.log"
-
-    def _open_for_append(self):
+    def _handle(self):
         if self._fh is None:
             # buffering=0: bytes reach the OS on every write, so an
             # acknowledged publish survives a simulated process crash.
-            self._fh = open(self._segment_path(), "ab", buffering=0)
+            self._fh = open(self.path, "a+b", buffering=0)
         return self._fh
 
     def append(self, key: bytes, payload: bytes, tick: int) -> int:
-        if self._records_in_segment >= SEGMENT_RECORDS:
-            self._close_handle()
-            self._segment_index += 1
-            self._records_in_segment = 0
-        fh = self._open_for_append()
-        fh.write(_encode_frame(key, payload))
-        self._records_in_segment += 1
+        if len(key) > 0xFFFF:
+            raise ConfigError("record key longer than 65535 bytes")
+        crc = zlib.crc32(key + payload) & 0xFFFFFFFF
+        frame = _HEADER.pack(len(payload), crc, len(key)) + key + payload
+        self._handle().write(frame)
         self._unsynced += 1
         if self._unsynced >= FSYNC_INTERVAL:
             self.fsync()
-        self.records.append((key, payload, tick))
-        return len(self.records) - 1
+        self.ends.append((self.ends[-1] if self.ends else 0) + len(frame))
+        self.ticks.append(tick)
+        return len(self.ends) - 1
+
+    def read(self, topic: str, partition: int, start: int, stop: int) -> list[LogRecord]:
+        """Records start..stop-1, sliced at their indexed frame ends out
+        of one read of their bytes; the CRCs were checked at load."""
+        base = self.ends[start - 1] if start else 0
+        size = self.ends[stop - 1] - base
+        data = os.pread(self._handle().fileno(), size, base)
+        if len(data) < size:
+            raise CorruptLogError(f"{self.path}: ends before record {stop - 1}")
+        out = []
+        pos = 0
+        offsets = range(start, stop)
+        for offset, end, tick in zip(offsets, self.ends[start:stop], self.ticks[start:stop]):
+            end -= base
+            key_start = pos + _HEADER.size
+            key_end = key_start + (data[pos + 8] | data[pos + 9] << 8)  # u16 LE key length
+            key, payload = data[key_start:key_end], data[key_end:end]
+            out.append(LogRecord(topic, partition, offset, key, payload, tick))
+            pos = end
+        return out
 
     def fsync(self) -> None:
         if self._fh is not None and self._unsynced:
             os.fsync(self._fh.fileno())
         self._unsynced = 0
 
-    def _close_handle(self) -> None:
+    def close(self) -> None:
+        self.fsync()
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def close(self) -> None:
-        self.fsync()
-        self._close_handle()
 
 
 class EventLog:
@@ -235,7 +238,7 @@ class EventLog:
                         for p, offset in by_part.items():
                             if not 0 <= p < len(parts):
                                 raise DataError(f"group {group!r} names no partition {p}")
-                            length = len(parts[p].records)
+                            length = len(parts[p].ends)
                             if type(offset) is not int or not 0 <= offset <= length:
                                 raise DataError(
                                     f"group {group!r} offset {offset!r} on partition {p} "
@@ -249,15 +252,11 @@ class EventLog:
         parts = []
         for p in range(partition_count):
             part = _Partition(tdir / f"p{p:03d}")
-            part.load(self._next_tick)
+            self._ticks += part.load(self._ticks)
             parts.append(part)
         self._partitions[name] = parts
         self._positions[name] = {}
         return parts
-
-    def _next_tick(self) -> int:
-        self._ticks += 1
-        return self._ticks
 
     def ticks(self) -> int:
         return self._ticks
@@ -298,7 +297,7 @@ class EventLog:
     def partition_length(self, topic: str, partition: int) -> int:
         parts = self._require_parts(topic)
         self._check_partition(topic, partition)
-        return len(parts[partition].records)
+        return len(parts[partition].ends)
 
     def _require_parts(self, topic: str) -> list[_Partition]:
         if topic not in self._partitions:
@@ -320,8 +319,8 @@ class EventLog:
             raise ConfigError("key and payload must be bytes")
         parts = self._require_parts(topic)
         partition = fnv1a_64(key) % len(parts)
-        tick = self._next_tick()
-        offset = parts[partition].append(key, payload, tick)
+        self._ticks += 1
+        offset = parts[partition].append(key, payload, self._ticks)
         return partition, offset
 
     def poll(self, group: str, topic: str, max_records: int) -> list[LogRecord]:
@@ -341,10 +340,9 @@ class EventLog:
             if budget <= 0:
                 break
             start = by_group.get(p, 0)
-            stop = min(len(part.records), start + budget)
-            for offset in range(start, stop):
-                key, payload, tick = part.records[offset]
-                out.append(LogRecord(topic, p, offset, key, payload, tick))
+            stop = min(len(part.ends), start + budget)
+            if start < stop:
+                out.extend(part.read(topic, p, start, stop))
             budget -= stop - start
         return out
 
@@ -359,7 +357,7 @@ class EventLog:
         parts = self._require_parts(topic)
         for partition, offset in watermark.items():
             self._check_partition(topic, partition)
-            length = len(parts[partition].records)
+            length = len(parts[partition].ends)
             if offset < 0 or offset >= length:
                 raise OffsetRangeError(
                     f"commit offset {offset} beyond end of {topic}/p{partition} "

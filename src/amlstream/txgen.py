@@ -341,7 +341,7 @@ def _coerce_label(value) -> bool:
     text = str(value).strip().lower()
     if text in ("1", "true", "t", "yes"):
         return True
-    if text in ("0", "false", "f", "no", ""):
+    if text in ("0", "false", "f", "no"):
         return False
     raise DataError(f"unparseable laundering label: {value!r}")
 
@@ -356,11 +356,11 @@ def _transaction_values(data: dict) -> tuple:
     if label is None:
         raise DataError("record is missing the is_laundering field")
     try:
-        tx_id, timestamp = data["id"], data["timestamp"]
+        tx_id, timestamp, amount = data["id"], data["timestamp"], data["amount"]
         values = (
             int(tx_id),
             int(timestamp),
-            float(data["amount"]),
+            float(amount),
             str(data["payment_currency"]),
             str(data["received_currency"]),
             str(data["sender_bank_location"]),
@@ -372,11 +372,14 @@ def _transaction_values(data: dict) -> tuple:
         raise DataError(f"malformed transaction record: {exc}") from exc
     if not math.isfinite(values[2]):
         raise DataError(f"malformed transaction record: amount {values[2]!r} is not finite")
-    # int() truncates a JSON float; text that is not an integer fails in it
-    if type(tx_id) is float and tx_id != values[0]:
+    # int() truncates a JSON float, int() and float() read a JSON boolean
+    # as 0 or 1, and text that is not a number fails in them
+    if type(tx_id) is bool or type(tx_id) is float and tx_id != values[0]:
         raise DataError(f"malformed transaction record: id {tx_id!r} is not an integer")
-    if type(timestamp) is float and timestamp != values[1]:
+    if type(timestamp) is bool or type(timestamp) is float and timestamp != values[1]:
         raise DataError(f"malformed transaction record: timestamp {timestamp!r} is not an integer")
+    if type(amount) is bool:
+        raise DataError(f"malformed transaction record: amount {amount!r} is not a number")
     return values
 
 

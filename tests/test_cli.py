@@ -247,12 +247,32 @@ BAD_DATASETS = {
         GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"is_laundering":false', b'"is_laundering":2'),
         "line 2: unparseable laundering label: 2",
     ),
+    # float() and int() would read these as 1, 0 and 1.0
+    "boolean_id.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"id":1', b'"id":true'),
+        "line 2: malformed transaction record: id True is not an integer",
+    ),
+    "boolean_timestamp.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"timestamp":5', b'"timestamp":false'),
+        "line 2: malformed transaction record: timestamp False is not an integer",
+    ),
+    "boolean_amount.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"amount":1.0', b'"amount":true'),
+        "line 2: malformed transaction record: amount True is not a number",
+    ),
     # a CSV reader decodes text in blocks, so it names the file, not the line
     "latin1.csv": (
         b"id,timestamp,amount,payment_currency,received_currency,"
         b"sender_bank_location,receiver_bank_location,payment_type,is_laundering\n"
         b"1,5,1.0,GBP,GBP,UK,UK,ACH,0\n2,5,1.0,GBP,GBP,Espa\xf1a,UK,ACH,0\n",
         "latin1.csv: not UTF-8 text",
+    ),
+    # a missing label is not "not laundering"
+    "empty_label.csv": (
+        b"id,timestamp,amount,payment_currency,received_currency,"
+        b"sender_bank_location,receiver_bank_location,payment_type,is_laundering\n"
+        b"1,5,1.0,GBP,GBP,UK,UK,ACH,\n",
+        "line 2: unparseable laundering label: ''",
     ),
 }
 
@@ -644,6 +664,13 @@ CORRUPT_FILES = {
         lambda data: next((data / "blobs" / "schemas").glob("*/*.json")), cut_in_half, ["report"], False,
     ),
     "cut_model_blob": (active_model_blob, cut_in_half, ["stream", "--feed", "{feed}"], False),
+    # older versions rolled a partition to a second segment after 65,536 records
+    "leftover_segment": (
+        lambda data: data / "log" / "transactions" / "p000" / "segment-00000001.log",
+        lambda path: path.write_bytes(b""),
+        ["stream"],
+        False,
+    ),
 }
 
 

@@ -3,11 +3,11 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 
 import pytest
 
-from amlstream import eventlog
 from amlstream.errors import (
     AlreadyExistsError,
     ConfigError,
@@ -245,27 +245,58 @@ def test_checksum_corruption_detected(tmp_path):
         EventLog(root)
 
 
-def test_segment_rolling(tmp_path, monkeypatch):
-    monkeypatch.setattr(eventlog, "SEGMENT_RECORDS", 16)
+def test_file_cut_after_open_is_reported_at_poll(tmp_path):
     root = tmp_path / "log"
     log = EventLog(root)
     log.create_topic("t", 1)
-    for i in range(50):
+    for i in range(10):
+        log.publish("t", b"k", str(i).encode())
+    seg = root / "t" / "p000" / "segment-00000000.log"
+    seg.write_bytes(seg.read_bytes()[:-1])
+    try:
+        with pytest.raises(CorruptLogError, match="segment-00000000.log"):
+            log.poll("g", "t", 100)
+    finally:
+        log.close()
+
+
+def test_leftover_segment_is_refused(tmp_path):
+    # older versions rolled to a second segment after 65,536 records;
+    # reading only the first would silently drop the rest
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    for i in range(5):
         log.publish("t", b"k", str(i).encode())
     log.close()
+    first = root / "t" / "p000" / "segment-00000000.log"
+    (first.parent / "segment-00000001.log").write_bytes(first.read_bytes())
 
-    segments = sorted((root / "t" / "p000").glob("segment-*.log"))
-    assert len(segments) == 4  # 16 + 16 + 16 + 2
+    with pytest.raises(CorruptLogError, match="segment-00000001.log"):
+        EventLog(root)
 
-    reloaded = EventLog(root)
+
+def test_opening_holds_no_payloads(tmp_path):
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 4)
+    for i in range(20_000):
+        payload = json.dumps({"id": i, "amount": i * 1.5, "note": "x" * 150}).encode()
+        log.publish("t", f"k{i % 15}".encode(), payload)
+    log.close()
+
+    tracemalloc.start()
     try:
-        records = reloaded.poll("g", "t", 100)
-        assert [int(r.payload) for r in records] == list(range(50))
-        # appends continue in the tail segment
-        reloaded.publish("t", b"k", b"51")
-        assert reloaded.partition_length("t", 0) == 51
+        reopened = EventLog(root)
+        retained = tracemalloc.get_traced_memory()[0]
     finally:
-        reloaded.close()
+        tracemalloc.stop()
+    try:
+        assert reopened.poll("g", "t", 1)[0].payload.startswith(b'{"id": ')
+        assert sum(reopened.partition_length("t", p) for p in range(4)) == 20_000
+    finally:
+        reopened.close()
+    assert retained < 1_000_000, retained
 
 
 def test_ticks_advance_on_publish_and_idle(log):

@@ -675,6 +675,30 @@ def test_mixed_batch_dead_letters_each_bad_record_alone(tmp_path):
     assert log.position("stream", "transactions", 0).committed_offset == 14
 
 
+def test_empty_label_and_boolean_numbers_are_dead_lettered_alone(tmp_path):
+    good = json.loads(transaction_to_json(make_tx(99)))
+    bad = [dict(good, is_laundering=""), dict(good, id=True), dict(good, amount=False)]
+    log = fresh_log(tmp_path, partitions=1)
+    publish_transaction(log, "transactions", make_tx(1, payment_type="Cash Deposit"))
+    for payload in bad:
+        log.publish("transactions", b"UK", json.dumps(payload).encode())
+    publish_transaction(log, "transactions", make_tx(2, payment_type="Cash Deposit"))
+
+    proc = make_processor(tmp_path, log)
+    result = proc.drain_once()
+    proc.close()
+    assert (result.record_count, result.dead_letters) == (5, 3)
+    rows = [json.loads(line) for line in open(tmp_path / "dead.jsonl")]
+    assert [(r["offset"], r["error"]) for r in rows] == [
+        (1, "unparseable laundering label: ''"),
+        (2, "malformed transaction record: id True is not an integer"),
+        (3, "malformed transaction record: amount False is not a number"),
+    ]
+    assert [(a.transaction_id, a.source) for a in result.alerts] == [
+        (1, RULE_HIGH_RISK), (2, RULE_HIGH_RISK),
+    ]
+
+
 def test_one_positions_replace_per_batch(tmp_path, monkeypatch):
     log = fresh_log(tmp_path, partitions=4)
     for t in generate(GeneratorConfig(seed=5, count=200)):
