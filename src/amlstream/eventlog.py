@@ -27,12 +27,29 @@ flush() after each batch they publish, before a drain commits its
 offsets. topic.json and positions.json are written by storage's
 replace_file, so each is fsynced before it is renamed into place. A
 simulated in-process crash therefore never loses an acknowledged
-publish; a crash of the machine can lose the unsynced tail. Opening
-walks every frame once: it tolerates a torn final record by truncating
-to the last whole frame, and a checksum mismatch on a fully framed
-record is real corruption and raises CorruptLogError; a partition count that is
-not an int of at least 1, or a committed offset that is not an int
-within the partition's records, raises DataError naming the file.
+publish; a crash of the machine can lose the unsynced tail.
+
+Opening checks every byte poll can return, and finds most frames
+through a sidecar index, ``segment-00000000.index``:
+
+    [u64 LE n][u64 LE L][u32 LE CRC32 of segment bytes [0, L)]
+    [u32 LE CRC32 of the ends][n x u64 LE frame end]
+
+The index is adopted only if the CRC of its ends matches, ``L`` is no
+more than the segment's size, the last end is ``L``, and one CRC32 over
+the segment's first ``L`` bytes, read 1 MiB at a time, matches. Then
+only the frames from ``L`` on are scanned; with no index, or a stale
+or garbled one, every frame is, so a bad index costs one full scan and
+nothing else. The scan checks each frame's CRC: a mismatch on
+a fully framed record is real corruption and raises CorruptLogError
+naming its byte, and a torn final record from a crash mid-append is cut
+to the last whole frame. flush() rewrites the index, through
+replace_file after the segment's fsync, once INDEX_INTERVAL records lie
+past it, and close() whenever any does; the prefix CRC is kept running,
+so each rewrite reads only the segment bytes added since the last. A
+partition count that is not an int of at least 1, or a committed offset
+that is not an int within the partition's records, raises DataError
+naming the file.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
 partition count. FNV-1a is fixed here precisely so replays hash
@@ -50,6 +67,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -71,8 +89,12 @@ FNV_PRIME = 0x100000001B3
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 SEGMENT_NAME = "segment-00000000.log"
+INDEX_NAME = "segment-00000000.index"
 FSYNC_INTERVAL = 256
+INDEX_INTERVAL = 4096
 _HEADER = struct.Struct("<IIH")  # payload length, crc32, key length
+_INDEX_HEADER = struct.Struct("<QQII")  # records, covered bytes, their crc32, crc32 of the ends
+_CRC_CHUNK = 1 << 20
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -82,6 +104,18 @@ def fnv1a_64(data: bytes) -> int:
         h ^= b
         h = (h * FNV_PRIME) & _U64_MASK
     return h
+
+
+def _crc32_range(fd: int, start: int, stop: int, crc: int) -> int | None:
+    """``crc`` extended over bytes [start, stop) of ``fd``, read 1 MiB at
+    a time; None if the file ends before ``stop``."""
+    while start < stop:
+        chunk = os.pread(fd, min(_CRC_CHUNK, stop - start), start)
+        if not chunk:
+            return None
+        crc = zlib.crc32(chunk, crc)
+        start += len(chunk)
+    return crc
 
 
 @dataclass(frozen=True)
@@ -115,15 +149,19 @@ class _Partition:
     def __init__(self, directory: Path):
         self.directory = directory
         self.path = directory / SEGMENT_NAME
+        self.index_path = directory / INDEX_NAME
         self.ends = array("q")
         self.ticks = array("q")
         self._fh = None
         self._unsynced = 0
+        self._indexed = 0  # records the index file covers
+        self._prefix = (0, 0)  # (length, crc32) of the segment's checked prefix
 
     def load(self, ticks_before: int) -> int:
-        """Index every whole frame, checking its CRC, and cut a torn tail.
-        Records get ticks after ``ticks_before`` in frame order; returns
-        how many there are."""
+        """Index every whole frame, through the index file where it holds
+        and by a checked scan past it, and cut a torn tail. Records get
+        ticks after ``ticks_before`` in frame order; returns how many
+        there are."""
         self.directory.mkdir(parents=True, exist_ok=True)
         for seg in sorted(self.directory.glob("segment-*.log")):
             if seg != self.path:
@@ -131,6 +169,9 @@ class _Partition:
         if not self.path.exists():
             return 0
         with open(self.path, "rb") as fh:
+            self._load_index(fh.fileno())
+            start = self._prefix[0]
+            fh.seek(start)
             data = fh.read()
         view = memoryview(data)
         pos = 0
@@ -141,15 +182,61 @@ class _Partition:
                 break  # torn tail
             # the key and payload are contiguous, as the CRC covers them
             if zlib.crc32(view[pos + _HEADER.size : end]) != crc:
-                raise CorruptLogError(f"{self.path}: checksum mismatch at byte {pos}")
-            self.ends.append(end)
+                raise CorruptLogError(f"{self.path}: checksum mismatch at byte {start + pos}")
+            self.ends.append(start + end)
             pos = end
+        self._prefix = (start + pos, zlib.crc32(view[:pos], self._prefix[1]))
         if pos < len(data):
             # torn tail from a crash mid-append: drop the partial frame
             with open(self.path, "r+b") as fh:
-                fh.truncate(pos)
+                fh.truncate(start + pos)
         self.ticks = array("q", range(ticks_before + 1, ticks_before + 1 + len(self.ends)))
         return len(self.ends)
+
+    def _load_index(self, fd: int) -> None:
+        """Adopt the index file's frame ends and prefix if every check
+        passes; otherwise leave none, so the scan starts at byte 0."""
+        try:
+            raw = self.index_path.read_bytes()
+        except FileNotFoundError:
+            return
+        if len(raw) < _INDEX_HEADER.size:
+            return
+        count, length, prefix_crc, ends_crc = _INDEX_HEADER.unpack_from(raw)
+        body = memoryview(raw)[_INDEX_HEADER.size :]
+        if len(body) != 8 * count or zlib.crc32(body) != ends_crc:
+            return
+        ends = array("q")
+        ends.frombytes(body)
+        if sys.byteorder == "big":
+            ends.byteswap()
+        # the CRC read stops short, and fails, if the segment ends before ``length``
+        if not ends or ends[-1] != length or _crc32_range(fd, 0, length, 0) != prefix_crc:
+            return
+        self.ends = ends
+        self._indexed = count
+        self._prefix = (length, prefix_crc)
+
+    def _write_index(self) -> None:
+        """Replace the index file with one covering every record, extending
+        the prefix CRC over the bytes appended since the last one."""
+        length, crc = self._prefix
+        stop = self.ends[-1]
+        if length < stop:
+            crc = _crc32_range(self._handle().fileno(), length, stop, crc)
+            if crc is None:
+                return  # the file was cut under us; the next open scans it all
+        self._prefix = (stop, crc)
+        ends = self.ends
+        if sys.byteorder == "big":
+            ends = array("q", ends)
+            ends.byteswap()
+        body = ends.tobytes()
+        replace_file(
+            self.index_path,
+            _INDEX_HEADER.pack(len(self.ends), stop, crc, zlib.crc32(body)) + body,
+        )
+        self._indexed = len(self.ends)
 
     def _handle(self):
         if self._fh is None:
@@ -159,8 +246,6 @@ class _Partition:
         return self._fh
 
     def append(self, key: bytes, payload: bytes, tick: int) -> int:
-        if len(key) > 0xFFFF:
-            raise ConfigError("record key longer than 65535 bytes")
         crc = zlib.crc32(key + payload) & 0xFFFFFFFF
         frame = _HEADER.pack(len(payload), crc, len(key)) + key + payload
         self._handle().write(frame)
@@ -196,8 +281,15 @@ class _Partition:
             os.fsync(self._fh.fileno())
         self._unsynced = 0
 
-    def close(self) -> None:
+    def flush(self, index_after: int) -> None:
+        """fsync pending appends, then rewrite the index once
+        ``index_after`` records lie past it."""
         self.fsync()
+        if self.ends and len(self.ends) - self._indexed >= index_after:
+            self._write_index()
+
+    def close(self) -> None:
+        self.flush(index_after=1)
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -317,6 +409,8 @@ class EventLog:
         """Append one record; returns (partition, offset) once durable."""
         if not isinstance(key, bytes) or not isinstance(payload, bytes):
             raise ConfigError("key and payload must be bytes")
+        if len(key) > 0xFFFF:
+            raise ConfigError("record key longer than 65535 bytes")
         parts = self._require_parts(topic)
         partition = fnv1a_64(key) % len(parts)
         self._ticks += 1
@@ -383,7 +477,8 @@ class EventLog:
         replace_file(path, json.dumps(data, sort_keys=True).encode("utf-8"))
 
     def flush(self) -> None:
-        """fsync pending appends of every topic."""
+        """fsync pending appends of every topic, rewriting each index that
+        INDEX_INTERVAL records lie past."""
         for parts in self._partitions.values():
             for part in parts:
-                part.fsync()
+                part.flush(INDEX_INTERVAL)

@@ -11,13 +11,14 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
 
 import pytest
 
-from amlstream import cli, lifecycle, storage, streamproc
+from amlstream import cli, eventlog, lifecycle, storage, streamproc
 from amlstream.config import PipelineConfig
 from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
@@ -791,10 +792,10 @@ def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch,
     assert not unsynced
 
 
-def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, monkeypatch, capsys):
-    config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
-    feed = tmp_path / "feed.jsonl"
-    write_jsonl(generate(GeneratorConfig(seed=5, count=300)), str(feed))
+@pytest.fixture
+def checked_replaces(monkeypatch):
+    """Records the target name of each os.replace, and of each whose
+    source was not fsynced at its current size."""
     synced = {}  # (device, inode) -> file size at its last fsync
     real_fsync = os.fsync
 
@@ -815,6 +816,14 @@ def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(os, "replace", checking_replace)
+    return replaced, unsynced
+
+
+def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, checked_replaces, capsys):
+    config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=300)), str(feed))
+    replaced, unsynced = checked_replaces
     argv = ["--config", config_path, "stream", "--feed", str(feed), "--rate", "100"]
     assert cli.main(argv) == 0
     batches = re.search(r"drained 300 records in (\d+) batches", capsys.readouterr().out)
@@ -822,6 +831,21 @@ def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, monkeypatch
     assert sorted(set(replaced)) == ["positions.json", "schema.json", "topic.json"]
     assert replaced.count("positions.json") == int(batches.group(1))  # one per batch
     assert not unsynced
+
+
+def test_ingest_past_the_index_interval_leaves_a_synced_index(tmp_path, checked_replaces):
+    count = eventlog.INDEX_INTERVAL + 1
+    config_path = write_config(
+        tmp_path / "config.json", data_dir=str(tmp_path / "data"), topic={"partitions": 1}
+    )
+    dataset = tmp_path / "dataset.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=count)), str(dataset))
+    replaced, unsynced = checked_replaces
+    assert cli.main(["--config", config_path, "ingest", "--input", str(dataset)]) == 0
+    assert replaced.count(eventlog.INDEX_NAME) == 1
+    assert not unsynced
+    index = tmp_path / "data" / "log" / "transactions" / "p000" / eventlog.INDEX_NAME
+    assert struct.unpack_from("<Q", index.read_bytes()) == (count,)  # it covers every record
 
 
 def test_stream_on_empty_workspace_is_quiet(tmp_path, capsys):
@@ -878,6 +902,32 @@ def unbroken_outputs(trained_for_resume, tmp_path_factory):
     assert cli.main([*argv, "stream"]) == 0
     assert cli.main([*argv, "report"]) == 0
     return alert_outputs(work / "data", work / "reports")
+
+
+def test_resume_writes_the_same_files_with_or_without_the_index(trained_for_resume, tmp_path, capsys):
+    root, config_path = trained_for_resume
+    kept, lost = tmp_path / "kept", tmp_path / "lost"
+    shutil.copytree(root / "data", kept)
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=200)), str(feed))
+    argv = ["--config", config_path, "--data-dir", str(kept)]
+    assert cli.main([*argv, "stream"]) == 0
+    EventLog(kept / "log").close()  # closing indexes every record so far
+    assert cli.main([*argv, "ingest", "--input", str(feed)]) == 0  # an unindexed tail
+    shutil.copytree(kept, lost)
+    indexes = sorted((lost / "log").glob(f"*/p*/{eventlog.INDEX_NAME}"))
+    assert len(indexes) == 2
+    for index in indexes:
+        index.unlink()
+
+    written = []
+    for data in (kept, lost):
+        capsys.readouterr()
+        assert cli.main(["--config", config_path, "--data-dir", str(data), "stream"]) == 0
+        assert "drained 200 records" in capsys.readouterr().out
+        files = ["tables/alerts/journal.jsonl", "dead_letter.jsonl", "log/transactions/positions.json"]
+        written.append({name: (data / name).read_bytes() for name in files})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("kill", sorted(KILLS))

@@ -3,7 +3,10 @@
 import json
 import math
 import random
+import shutil
+import struct
 import tracemalloc
+import zlib
 from collections import defaultdict
 
 import pytest
@@ -15,7 +18,8 @@ from amlstream.errors import (
     NotFoundError,
     OffsetRangeError,
 )
-from amlstream.eventlog import EventLog, fnv1a_64
+from amlstream import eventlog
+from amlstream.eventlog import INDEX_NAME, SEGMENT_NAME, EventLog, fnv1a_64
 
 
 @pytest.fixture
@@ -320,3 +324,186 @@ def test_positions_file_is_valid_json(tmp_path):
     data = json.loads((tmp_path / "log" / "t" / "positions.json").read_text())
     assert data["g"][str(partition)] == offset + 1
     log.close()
+
+
+def test_oversized_key_is_refused_before_a_tick(log):
+    log.create_topic("t", 3)
+    log.publish("t", b"k", b"x")
+    before = (log.ticks(), [log.partition_length("t", p) for p in range(3)])
+    with pytest.raises(ConfigError, match="65535"):
+        log.publish("t", b"k" * 0x10000, b"x")
+    assert (log.ticks(), [log.partition_length("t", p) for p in range(3)]) == before
+
+
+# ---------------------------------------------------------------------------
+# the frame index: opening reads the same records whatever state it is in
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def parsed_frames(monkeypatch):
+    """Counts the frame headers opening parses."""
+    counted = []
+
+    class CountingHeader(struct.Struct):
+        def unpack_from(self, *args):
+            counted.append(1)
+            return super().unpack_from(*args)
+
+    monkeypatch.setattr(eventlog, "_HEADER", CountingHeader(eventlog._HEADER.format))
+    return counted
+
+
+def rewrite_index(path, edit):
+    """Rewrite an index file with ``edit`` applied to its header fields
+    and frame ends, its ends CRC recomputed so only the edit is wrong."""
+    raw = path.read_bytes()
+    header = struct.Struct("<QQII")
+    count, length, prefix_crc, _ = header.unpack_from(raw)
+    ends = list(struct.unpack_from(f"<{count}Q", raw, header.size))
+    count, length, prefix_crc, ends = edit(count, length, prefix_crc, ends)
+    body = struct.pack(f"<{len(ends)}Q", *ends)
+    path.write_bytes(header.pack(count, length, prefix_crc, zlib.crc32(body)) + body)
+
+
+def claim_one_more_byte(count, length, prefix_crc, ends):
+    return count, length + 1, prefix_crc, ends[:-1] + [ends[-1] + 1]
+
+
+def flip_first_end(path, stale):
+    raw = bytearray(path.read_bytes())
+    raw[struct.calcsize("<QQII")] ^= 0x01
+    path.write_bytes(raw)
+
+
+# state name -> how to put one partition's index (and its stale copy) in it
+INDEX_STATES = {
+    "valid": lambda path, stale: None,
+    "deleted": lambda path, stale: path.unlink(),
+    "bad_ends_crc": flip_first_end,
+    "cut_in_header": lambda path, stale: path.write_bytes(path.read_bytes()[:10]),
+    "cut_in_ends": lambda path, stale: path.write_bytes(path.read_bytes()[:-3]),
+    "length_past_segment_end": lambda path, stale: rewrite_index(path, claim_one_more_byte),
+    "stale_then_appends": lambda path, stale: path.write_bytes(stale),
+}
+
+
+@pytest.fixture(scope="module")
+def indexed_log(tmp_path_factory):
+    """Three partitions written in two sessions, each closed; every
+    partition's index as the first session left it is kept too."""
+    root = tmp_path_factory.mktemp("indexed") / "log"
+    sent = {}
+    for session, count in enumerate((400, 200)):
+        log = EventLog(root)
+        if session == 0:
+            log.create_topic("t", 3)
+        for i in range(count):
+            key = f"k{i % 23}".encode()
+            payload = f"{session}:{i}".encode() * (1 + i % 5)
+            partition, offset = log.publish("t", key, payload)
+            sent[(partition, offset)] = (key, payload)
+        log.commit_watermark("g", "t", {p: log.partition_length("t", p) // 2 for p in range(3)})
+        log.close()
+        if session == 0:
+            stale = [(root / "t" / f"p{p:03d}" / INDEX_NAME).read_bytes() for p in range(3)]
+    lengths = [sum(1 for p, _ in sent if p == q) for q in range(3)]
+    expected_records = []
+    tick = 0
+    # a reload assigns ticks in partition scan order
+    for p in range(3):
+        for offset in range(lengths[p]):
+            tick += 1
+            expected_records.append((p, offset, *sent[(p, offset)], tick))
+    expected = (tick, expected_records, [n // 2 + 1 for n in lengths])
+    return root, stale, expected
+
+
+def read_back(root):
+    log = EventLog(root)
+    try:
+        records = log.poll("reader", "t", 10_000)
+        return (
+            log.ticks(),
+            [(r.partition, r.offset, r.key, r.payload, r.ingest_tick) for r in records],
+            [log.position("g", "t", p).committed_offset for p in range(3)],
+        )
+    finally:
+        log.close()
+
+
+@pytest.mark.parametrize("state", sorted(INDEX_STATES))
+def test_every_index_state_reads_the_same_records(indexed_log, tmp_path, parsed_frames, state):
+    built, stale, expected = indexed_log
+    root = tmp_path / "log"
+    shutil.copytree(built, root)
+    for p in range(3):
+        INDEX_STATES[state](root / "t" / f"p{p:03d}" / INDEX_NAME, stale[p])
+    assert read_back(root) == expected
+    # closing left an index over every record: the next open parses no frame
+    parsed_frames.clear()
+    assert read_back(root) == expected
+    assert parsed_frames == []
+
+
+def test_valid_index_leaves_only_the_tail_to_parse(tmp_path, parsed_frames):
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    for i in range(1_000):
+        log.publish("t", b"k", str(i).encode())
+    log.close()
+    log = EventLog(root)
+    for i in range(37):
+        log.publish("t", b"k", b"tail")
+    del log  # simulated crash: the index still covers the first 1,000
+
+    parsed_frames.clear()
+    reopened = EventLog(root)
+    try:
+        assert len(parsed_frames) == 37
+        assert reopened.partition_length("t", 0) == 1_037
+        assert [r.payload for r in reopened.poll("g", "t", 2_000)][998:1_001] == [
+            b"998", b"999", b"tail"
+        ]
+    finally:
+        reopened.close()
+
+
+def test_flipped_byte_under_the_index_is_reported_at_open(tmp_path):
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    for i in range(1_000):
+        log.publish("t", f"k{i}".encode(), f"payload-{i}".encode())
+    frame_start = sum(len(r.key) + len(r.payload) + 10 for r in log.poll("g", "t", 500))
+    log.close()
+    partition = root / "t" / "p000"
+    assert (partition / INDEX_NAME).exists()
+
+    seg = partition / SEGMENT_NAME
+    raw = bytearray(seg.read_bytes())
+    raw[frame_start + 12] ^= 0x01  # a key byte of record 500
+    seg.write_bytes(raw)
+    with pytest.raises(
+        CorruptLogError, match=f"{SEGMENT_NAME}: checksum mismatch at byte {frame_start}$"
+    ):
+        EventLog(root)
+
+
+def test_flush_writes_the_index_once_interval_records_lie_past_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(eventlog, "INDEX_INTERVAL", 10)
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    index = root / "t" / "p000" / INDEX_NAME
+    try:
+        for i in range(9):
+            log.publish("t", b"k", b"x")
+        log.flush()
+        assert not index.exists()
+        log.publish("t", b"k", b"x")
+        log.flush()
+        count, length = struct.unpack_from("<QQ", index.read_bytes())
+        assert (count, length) == (10, (root / "t" / "p000" / SEGMENT_NAME).stat().st_size)
+    finally:
+        log.close()
