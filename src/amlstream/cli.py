@@ -24,21 +24,23 @@ from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSE
 from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError, reading
 from .eventlog import EventLog
 from .featstore import (
+    FEATURE_FIELDS,
     EncodingSchema,
-    build_schema,
+    alerts_per_month,
     correlation_from_arrays,
     encode_matrix,
     oversample_indices,
-    payment_type_table,
+    payment_type_counts,
+    schema_of_columns,
     seasonality_series,
     split_indices,
-    alerts_per_month,
+    transaction_columns,
 )
 from .lifecycle import (
     MODEL_BLOB_DATE,
     ModelRegistry,
+    category_profile,
     check_drift,
-    feature_profile,
     maybe_retrain,
 )
 from .models import (
@@ -49,14 +51,15 @@ from .models import (
     train_logistic,
     train_tree,
 )
-from .storage import BlobStore, TableStore
-from .streamproc import StreamProcessor, alert_from_dict, latency_summary, transaction_key
+from .storage import BlobStore, Categories, TableStore
+from .streamproc import ALERT_ROWS, StreamProcessor, latency_summary, transaction_key
 from .txgen import (
+    TRANSACTION_ROWS,
     calendar_date,
     generate,
     read_dataset,
-    transaction_from_dict,
     transaction_to_json,
+    transaction_values,
     write_csv,
     write_jsonl,
 )
@@ -96,8 +99,8 @@ class Workspace:
     @functools.cached_property
     def tables(self) -> TableStore:
         tables = TableStore(self.tables_dir)
-        tables.create_table("transactions", key="id")
-        tables.create_table("alerts", key="alert_id")
+        tables.create_table("transactions", key="id", row_type=TRANSACTION_ROWS)
+        tables.create_table("alerts", key="alert_id", row_type=ALERT_ROWS)
         return tables
 
     @property
@@ -130,14 +133,6 @@ def _load_schema(ws: Workspace, schema_hash: str) -> EncodingSchema:
         return EncodingSchema.from_json(raw.decode("utf-8"))
 
 
-def _read_table(ws: Workspace, name: str, decode) -> list:
-    """A warehouse table's rows, each through its record type's decoder;
-    a row that does not decode names the table's journal."""
-    rows = ws.tables.query(name)
-    with reading(ws.tables.journal_path(name)):
-        return [decode(row) for row in rows]
-
-
 def _ensure_topic(ws: Workspace) -> None:
     topic = ws.config.topic
     try:
@@ -148,7 +143,8 @@ def _ensure_topic(ws: Workspace) -> None:
 
 def _publish_and_store(ws: Workspace, transactions, echo) -> dict[int, int]:
     """Publish to the topic, then upsert the warehouse table; each
-    transaction is encoded once, its log payload being its table row."""
+    transaction is encoded once, its log payload being its table row, and
+    the table is handed its values to compact from."""
     topic = ws.config.topic
     _ensure_topic(ws)
     per_partition: dict[int, int] = {}
@@ -158,7 +154,7 @@ def _publish_and_store(ws: Workspace, transactions, echo) -> dict[int, int]:
         partition, _ = ws.log.publish(topic.name, transaction_key(t), line.encode("utf-8"))
         per_partition[partition] = per_partition.get(partition, 0) + 1
         lines.append(line)
-    ws.tables.upsert_rows("transactions", lines)
+    ws.tables.upsert_rows("transactions", lines, [transaction_values(t) for t in transactions])
     ws.log.flush()
     counts = ", ".join(f"p{p}={n}" for p, n in sorted(per_partition.items()))
     echo(f"published {sum(per_partition.values())} records to '{topic.name}' ({counts})")
@@ -227,25 +223,29 @@ def _drain(processor, echo=None, results=()) -> None:
 # training pipeline
 # ---------------------------------------------------------------------------
 
-def _prepare_training(transactions, seed: int):
-    """Schema, encoded splits, and the balanced training matrix; the split
-    and rebalancing seeds derive from ``seed`` as documented in config."""
-    schema = build_schema(transactions)
-    X, y, _ = encode_matrix(transactions, schema)
-    idx_train, idx_val, idx_test = split_indices(len(transactions), seed + SPLIT_SEED_OFFSET)
+def _prepare_training(columns, seed: int):
+    """Schema, encoded splits, and the balanced training matrix of the
+    transactions held as ``columns``; the split and rebalancing seeds
+    derive from ``seed`` as documented in config."""
+    schema = schema_of_columns(columns)
+    X, y, _ = encode_matrix(columns, schema)
+    idx_train, idx_val, idx_test = split_indices(len(y), seed + SPLIT_SEED_OFFSET)
     over = oversample_indices(y[idx_train], seed + OVERSAMPLE_SEED_OFFSET)
     Xtr, ytr = X[idx_train][over], y[idx_train][over]
     return schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr
 
 
-def _fit_kinds(ws: Workspace, transactions, kinds, seed: int):
-    """Save the schema of ``transactions``, then fit each of ``kinds`` (the
-    forest from ``seed + FOREST_SEED_OFFSET``) and score it on the validation
-    and test splits: (training profile, [(model, validation, test), ...])."""
+def _fit_kinds(ws: Workspace, columns, kinds, seed: int):
+    """Save the schema of the transactions held as ``columns``, then fit
+    each of ``kinds`` (the forest from ``seed + FOREST_SEED_OFFSET``) and
+    score it on the validation and test splits: (training profile,
+    [(model, validation, test), ...])."""
     config = ws.config
-    schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(transactions, seed)
+    schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(columns, seed)
     _save_schema(ws, schema)
-    profile = feature_profile([transactions[i] for i in idx_train])
+    profile = category_profile(
+        [Categories(columns[f].codes[idx_train], columns[f].vocabulary) for f in FEATURE_FIELDS]
+    )
     threshold = config.stream.alert_threshold
     fitted = []
     for kind in kinds:
@@ -264,12 +264,14 @@ def _fit_kinds(ws: Workspace, transactions, kinds, seed: int):
     return profile, fitted
 
 
-def _train_models(ws: Workspace, transactions, tick: int, echo) -> None:
-    """Fit, score and register every model kind; activate the best."""
-    if len(transactions) < 5:
+def _train_models(ws: Workspace, columns, tick: int, echo) -> None:
+    """Fit, score and register every model kind on the transactions held
+    as ``columns``; activate the best."""
+    n = len(columns["id"])
+    if n < 5:
         raise DataError("not enough transactions to train on; ingest more data first")
-    echo(f"training on {len(transactions)} transactions")
-    profile, fitted = _fit_kinds(ws, transactions, MODEL_KINDS, ws.config.seed)
+    echo(f"training on {n} transactions")
+    profile, fitted = _fit_kinds(ws, columns, MODEL_KINDS, ws.config.seed)
     records = []
     for model, val_m, test_m in fitted:
         record = ws.registry.register(model, val_m, profile, tick, test_m)
@@ -298,8 +300,10 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _write_report(ws: Workspace, echo) -> list[str]:
     config = ws.config
-    transactions = _read_table(ws, "transactions", transaction_from_dict)
-    if not transactions:
+    transactions = ws.tables.columns("transactions")
+    ids, types = transactions["id"], transactions["payment_type"]
+    fraud = transactions["is_laundering"]
+    if not len(ids):
         raise DataError("no transactions in the warehouse; run `amlstream ingest` first")
     records = ws.registry.records()
     if not records:
@@ -312,14 +316,15 @@ def _write_report(ws: Workspace, echo) -> list[str]:
     os.makedirs(config.report_dir, exist_ok=True)
     out = lambda name: os.path.join(config.report_dir, name)
 
-    type_rows = payment_type_table(transactions)
+    type_rows = payment_type_counts(types, fraud)
     _write_csv(
         out("payment_type_table.csv"),
         ("payment_type", "transactions", "fraud", "fraud_percent"),
         [(r.payment_type, r.count, r.fraud_count, f"{r.fraud_percent:.2f}") for r in type_rows],
     )
 
-    grid = alerts_per_month(_read_table(ws, "alerts", alert_from_dict), transactions)
+    alerted = ws.tables.columns("alerts")["transaction_id"]
+    grid = alerts_per_month(alerted, ids, transactions["timestamp"], types)
     alerts_by_type = dict(zip(grid.payment_types, grid.counts.sum(axis=0).tolist()))
     _write_csv(
         out("fraud_by_payment_type.csv"),
@@ -345,7 +350,7 @@ def _write_report(ws: Workspace, echo) -> list[str]:
                 f"{row.avg_amount_all:.2f}",
                 "" if row.avg_amount_fraud is None else f"{row.avg_amount_fraud:.2f}",
             )
-            for row in seasonality_series(transactions)
+            for row in seasonality_series(transactions["timestamp"], transactions["amount"], fraud)
         ],
     )
 
@@ -370,7 +375,11 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         [("actual_negative", c.tn, c.fp), ("actual_positive", c.fn, c.tp)],
     )
 
-    sample = transactions[:CORR_MAX_ROWS]
+    sample = {
+        f: Categories(transactions[f].codes[:CORR_MAX_ROWS], transactions[f].vocabulary)
+        for f in FEATURE_FIELDS
+    }
+    sample["is_laundering"] = fraud[:CORR_MAX_ROWS]
     schema = _load_schema(ws, active.schema_hash)
     X, y, _ = encode_matrix(sample, schema)
     corr = correlation_from_arrays(X, y)
@@ -454,14 +463,19 @@ def cmd_train(args, config: PipelineConfig) -> int:
     if args.dataset:
         transactions = list(read_dataset(args.dataset))
         # keep the warehouse consistent with what the models saw
-        ws.tables.upsert_rows("transactions", [transaction_to_json(t) for t in transactions])
+        ws.tables.upsert_rows(
+            "transactions",
+            [transaction_to_json(t) for t in transactions],
+            [transaction_values(t) for t in transactions],
+        )
+        columns = transaction_columns(transactions)
     else:
-        transactions = _read_table(ws, "transactions", transaction_from_dict)
-        if not transactions:
+        columns = ws.tables.columns("transactions")
+        if not len(columns["id"]):
             raise DataError(
                 "no transactions to train on; run `amlstream ingest` or pass --dataset"
             )
-    _train_models(ws, transactions, ws.log.ticks(), print)
+    _train_models(ws, columns, ws.log.ticks(), print)
     return 0
 
 
@@ -534,7 +548,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     _publish_and_store(ws, base, echo)
 
     echo("== phase 2: train and activate models ==")
-    _train_models(ws, base, ws.log.ticks(), echo)
+    _train_models(ws, transaction_columns(base), ws.log.ticks(), echo)
     profile = ws.registry.active().reference_profile
 
     echo("== phase 3: drain the stream with the active model ==")
@@ -569,8 +583,8 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
         seed = config.retrain_seed(len(ws.registry.records()) + 1)
 
         def train(kind):
-            transactions = _read_table(ws, "transactions", transaction_from_dict)
-            profile, [(model, validation, test)] = _fit_kinds(ws, transactions, [kind], seed)
+            columns = ws.tables.columns("transactions")
+            profile, [(model, validation, test)] = _fit_kinds(ws, columns, [kind], seed)
             return model, validation, test, profile
 
         challenger = maybe_retrain(

@@ -43,13 +43,16 @@ or garbled one, every frame is, so a bad index costs one full scan and
 nothing else. The scan checks each frame's CRC: a mismatch on
 a fully framed record is real corruption and raises CorruptLogError
 naming its byte, and a torn final record from a crash mid-append is cut
-to the last whole frame. flush() rewrites the index, through
-replace_file after the segment's fsync, once INDEX_INTERVAL records lie
-past it, and close() whenever any does; the prefix CRC is kept running,
-so each rewrite reads only the segment bytes added since the last. A
-partition count that is not an int of at least 1, or a committed offset
-that is not an int within the partition's records, raises DataError
-naming the file.
+to the last whole frame. A frame that runs past the file's end before
+the ``L`` of an index whose own CRC holds is not a torn tail (the
+segment was fsynced before the index was written) but a damaged
+length field, and raises CorruptLogError naming its byte too. flush()
+rewrites the index, through replace_file after the segment's fsync, once
+INDEX_INTERVAL records lie past it, and close() whenever any does; the
+prefix CRC is kept running, so each rewrite reads only the segment bytes
+added since the last. A partition count that is not an int of at least
+1, or a committed offset that is not an int within the partition's
+records, raises DataError naming the file.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
 partition count. FNV-1a is fixed here precisely so replays hash
@@ -169,7 +172,7 @@ class _Partition:
         if not self.path.exists():
             return 0
         with open(self.path, "rb") as fh:
-            self._load_index(fh.fileno())
+            whole = self._load_index(fh.fileno())
             start = self._prefix[0]
             fh.seek(start)
             data = fh.read()
@@ -179,6 +182,11 @@ class _Partition:
             plen, crc, klen = _HEADER.unpack_from(data, pos)
             end = pos + _HEADER.size + klen + plen
             if end > len(data):
+                if start + pos < whole:
+                    raise CorruptLogError(
+                        f"{self.path}: frame at byte {start + pos} runs past the end of the "
+                        f"file, inside the {whole} bytes its index found whole"
+                    )
                 break  # torn tail
             # the key and payload are contiguous, as the CRC covers them
             if zlib.crc32(view[pos + _HEADER.size : end]) != crc:
@@ -193,29 +201,34 @@ class _Partition:
         self.ticks = array("q", range(ticks_before + 1, ticks_before + 1 + len(self.ends)))
         return len(self.ends)
 
-    def _load_index(self, fd: int) -> None:
+    def _load_index(self, fd: int) -> int:
         """Adopt the index file's frame ends and prefix if every check
-        passes; otherwise leave none, so the scan starts at byte 0."""
+        passes; otherwise leave none, so the scan starts at byte 0. Returns
+        how many leading bytes of the segment were whole frames when an
+        index that is itself intact was written, 0 if none is: the segment
+        was fsynced before it, so no crash can tear a frame there."""
         try:
             raw = self.index_path.read_bytes()
         except FileNotFoundError:
-            return
+            return 0
         if len(raw) < _INDEX_HEADER.size:
-            return
+            return 0
         count, length, prefix_crc, ends_crc = _INDEX_HEADER.unpack_from(raw)
         body = memoryview(raw)[_INDEX_HEADER.size :]
         if len(body) != 8 * count or zlib.crc32(body) != ends_crc:
-            return
+            return 0
         ends = array("q")
         ends.frombytes(body)
         if sys.byteorder == "big":
             ends.byteswap()
+        if not ends or ends[-1] != length:
+            return 0
         # the CRC read stops short, and fails, if the segment ends before ``length``
-        if not ends or ends[-1] != length or _crc32_range(fd, 0, length, 0) != prefix_crc:
-            return
-        self.ends = ends
-        self._indexed = count
-        self._prefix = (length, prefix_crc)
+        if _crc32_range(fd, 0, length, 0) == prefix_crc:
+            self.ends = ends
+            self._indexed = count
+            self._prefix = (length, prefix_crc)
+        return length
 
     def _write_index(self) -> None:
         """Replace the index file with one covering every record, extending

@@ -5,7 +5,12 @@ deterministic schemas (vocabularies sorted lexicographically), splits
 datasets 60/20/20 by seeded shuffle, balances training data by random
 oversampling, and computes the tabular/plot datasets the report command
 writes (payment-type table, daily seasonality, alerts-per-month grid,
-correlation matrix). The alerts-per-month grid dates each transaction
+correlation matrix). Training and the report read the transactions
+table as columns (storage.TableStore.columns, or transaction_columns for
+a list held in memory), each string field as codes into its sorted
+vocabulary: the report datasets are np.bincount calls over those
+columns, and encode_matrix one-hot encodes codes by looking each
+vocabulary up once. The alerts-per-month grid dates each transaction
 by txgen's calendar_date, through a month table built once.
 
 Schema identity: schema_hash is the first 8 bytes (hex) of BLAKE2b over
@@ -17,8 +22,8 @@ Unknown categories at encode time map to an all-zero block for that
 feature and are counted in the unseen count encode_columns and
 encode_matrix return instead of failing: the speed layer must keep
 scoring even when live traffic drifts away from the training vocabulary.
-The stream encodes its batches as columns through encode_columns, and
-encode_matrix, for lists of transactions, goes through it too.
+The stream encodes its batches of values through encode_columns, and
+training and the report encode codes through encode_matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +39,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateClassError, SchemaMismatchError
-from .txgen import YEAR_DAYS, Transaction, calendar_date
+from .storage import Categories, to_columns
+from .txgen import (
+    DAY_SECONDS,
+    TRANSACTION_ROWS,
+    YEAR_DAYS,
+    Transaction,
+    calendar_date,
+    transaction_values,
+)
 
 FEATURE_FIELDS = (
     "payment_currency",
@@ -48,14 +61,20 @@ TRAIN_FRACTION = 0.6
 VALIDATION_FRACTION = 0.2
 
 # calendar month of each day of the simulated year, built once so the
-# per-alert lookup is one index
-_MONTHS = tuple(calendar_date(day).month for day in range(1, YEAR_DAYS + 1))
+# alerts' lookup is one gather
+_MONTHS = np.array([calendar_date(day).month for day in range(1, YEAR_DAYS + 1)])
 
 
-def month_of_day(day: int) -> int:
-    """Calendar month (1..12) of a simulated day index, as txgen's
-    calendar_date gives it; wraps every YEAR_DAYS days."""
+def month_of_day(day):
+    """Calendar month (1..12) of a simulated day index, or of an array of
+    them, as txgen's calendar_date gives it; wraps every YEAR_DAYS days."""
     return _MONTHS[(day - 1) % YEAR_DAYS]
+
+
+def transaction_columns(transactions: Sequence[Transaction]) -> dict:
+    """A list of transactions as the columns the transactions table reads
+    as (storage.to_columns)."""
+    return to_columns(TRANSACTION_ROWS, [transaction_values(t) for t in transactions])
 
 
 @dataclass(frozen=True)
@@ -145,6 +164,27 @@ def build_schema(transactions: Sequence[Transaction]) -> EncodingSchema:
     return _schema_from_vocabularies(vocabs)
 
 
+def schema_of_columns(columns) -> EncodingSchema:
+    """build_schema of a table read as columns: each feature's vocabulary
+    is its Categories' vocabulary, the distinct values, sorted."""
+    if not len(columns[FEATURE_FIELDS[0]].codes):
+        raise DataError("cannot build a schema from an empty dataset")
+    return _schema_from_vocabularies({f: columns[f].vocabulary for f in FEATURE_FIELDS})
+
+
+def _one_hot(n: int, features, schema: EncodingSchema) -> tuple[np.ndarray, int]:
+    """X with a 1.0 at each row's column of each feature, ``features`` being
+    per FEATURE_FIELDS entry the rows' encoded columns, -1 where unseen."""
+    X = np.zeros((n, schema.total_width), dtype=np.float64)
+    unseen = 0
+    rows = np.arange(n)
+    for codes in features:
+        hit = codes >= 0
+        unseen += n - int(np.count_nonzero(hit))
+        X[rows[hit], codes[hit]] = 1.0
+    return X, unseen
+
+
 def encode_columns(columns, schema: EncodingSchema) -> tuple[np.ndarray, int]:
     """One-hot encode a batch held as columns, one sequence of values per
     FEATURE_FIELDS entry in that order: returns (X, unseen_count).
@@ -154,26 +194,33 @@ def encode_columns(columns, schema: EncodingSchema) -> tuple[np.ndarray, int]:
     Never raises on data values.
     """
     n = len(columns[0])
-    X = np.zeros((n, schema.total_width), dtype=np.float64)
-    unseen = 0
-    rows = np.arange(n)
-    for lookup, column in zip(schema._columns, columns):
-        codes = np.fromiter((lookup.get(v, -1) for v in column), dtype=np.int64, count=n)
-        hit = codes >= 0
-        unseen += n - int(np.count_nonzero(hit))
-        X[rows[hit], codes[hit]] = 1.0
-    return X, unseen
+    return _one_hot(
+        n,
+        [
+            np.fromiter((lookup.get(v, -1) for v in column), dtype=np.int64, count=n)
+            for lookup, column in zip(schema._columns, columns)
+        ],
+        schema,
+    )
 
 
-def encode_matrix(
-    transactions: Sequence[Transaction], schema: EncodingSchema
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One-hot encode a list of transactions: returns (X, labels,
-    unseen_count), X as encode_columns gives it."""
-    columns = [[getattr(t, f) for t in transactions] for f in FEATURE_FIELDS]
-    X, unseen = encode_columns(columns, schema)
-    y = np.array([t.is_laundering for t in transactions], dtype=bool)
-    return X, y, unseen
+def encode_matrix(transactions, schema: EncodingSchema) -> tuple[np.ndarray, np.ndarray, int]:
+    """One-hot encode transactions, held as a list or as the columns the
+    transactions table reads as: returns (X, labels, unseen_count), X as
+    encode_columns gives it. Each feature's vocabulary is looked up once
+    and its codes gathered."""
+    if isinstance(transactions, dict):
+        features = [transactions[f] for f in FEATURE_FIELDS]
+        labels = transactions["is_laundering"]
+    else:
+        features = [Categories.of([getattr(t, f) for t in transactions]) for f in FEATURE_FIELDS]
+        labels = np.array([t.is_laundering for t in transactions], dtype=bool)
+    codes = [
+        np.array([lookup.get(v, -1) for v in column.vocabulary], dtype=np.int64)[column.codes]
+        for lookup, column in zip(schema._columns, features)
+    ]
+    X, unseen = _one_hot(len(labels), codes, schema)
+    return X, labels, unseen
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +317,35 @@ class PaymentTypeRow:
     fraud_percent: float  # 100 * fraud/count, half-up to 2 decimals
 
 
-def payment_type_table(transactions: Iterable[Transaction]) -> list[PaymentTypeRow]:
-    """Per-type counts, fraud counts, and fraud percent, sorted by count desc."""
-    counts: dict[str, int] = {}
-    frauds: dict[str, int] = {}
-    for t in transactions:
-        counts[t.payment_type] = counts.get(t.payment_type, 0) + 1
-        if t.is_laundering:
-            frauds[t.payment_type] = frauds.get(t.payment_type, 0) + 1
-    rows = []
-    for ptype in counts:
-        c = counts[ptype]
-        f = frauds.get(ptype, 0)
-        percent = float(
-            (Decimal(100 * f) / Decimal(c)).quantize(
-                Decimal("0.01"), rounding=ROUND_HALF_UP
-            )
-        )
-        rows.append(PaymentTypeRow(ptype, c, f, percent))
+def payment_type_counts(types: Categories, fraud: np.ndarray) -> list[PaymentTypeRow]:
+    """Per-type counts, fraud counts, and fraud percent, sorted by count
+    desc, of a payment-type column and its laundering flags."""
+    width = len(types.vocabulary)
+    counts = np.bincount(types.codes, minlength=width).tolist()
+    frauds = np.bincount(types.codes[fraud], minlength=width).tolist()
+    rows = [
+        PaymentTypeRow(ptype, c, f, _percent(f, c))
+        for ptype, c, f in zip(types.vocabulary, counts, frauds)
+        if c
+    ]
     rows.sort(key=lambda r: (-r.count, r.payment_type))
     return rows
+
+
+def _percent(part: int, whole: int) -> float:
+    """100 * part / whole, half-up to 2 decimals."""
+    return float(
+        (Decimal(100 * part) / Decimal(whole)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    )
+
+
+def payment_type_table(transactions: Iterable[Transaction]) -> list[PaymentTypeRow]:
+    """payment_type_counts of an iterable of transactions, read once."""
+    types, fraud = [], []
+    for t in transactions:
+        types.append(t.payment_type)
+        fraud.append(t.is_laundering)
+    return payment_type_counts(Categories.of(types), np.array(fraud, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -299,26 +355,21 @@ class DayAmounts:
     avg_amount_fraud: float | None  # None marks fraud-free days
 
 
-def seasonality_series(transactions: Iterable[Transaction]) -> list[DayAmounts]:
-    sums: dict[int, list[float]] = {}
-    for t in transactions:
-        entry = sums.setdefault(t.day, [0.0, 0, 0.0, 0])
-        entry[0] += t.amount
-        entry[1] += 1
-        if t.is_laundering:
-            entry[2] += t.amount
-            entry[3] += 1
-    out = []
-    for day in sorted(sums):
-        total, n, fraud_total, fraud_n = sums[day]
-        out.append(
-            DayAmounts(
-                day=day,
-                avg_amount_all=total / n,
-                avg_amount_fraud=(fraud_total / fraud_n) if fraud_n else None,
-            )
-        )
-    return out
+def seasonality_series(timestamps, amounts, fraud) -> list[DayAmounts]:
+    """Per simulated day, in day order, the mean amount of all rows and of
+    the fraudulent ones. Each day's sums add its amounts in row order."""
+    days, slot = np.unique(timestamps // DAY_SECONDS + 1, return_inverse=True)
+    width = len(days)
+    sums = [
+        np.bincount(slot, weights=amounts, minlength=width).tolist(),
+        np.bincount(slot, minlength=width).tolist(),
+        np.bincount(slot[fraud], weights=amounts[fraud], minlength=width).tolist(),
+        np.bincount(slot[fraud], minlength=width).tolist(),
+    ]
+    return [
+        DayAmounts(day, total / n, fraud_total / fraud_n if fraud_n else None)
+        for day, total, n, fraud_total, fraud_n in zip(days.tolist(), *sums)
+    ]
 
 
 @dataclass(frozen=True)
@@ -327,21 +378,20 @@ class AlertGrid:
     counts: np.ndarray  # shape (12, len(payment_types)); row i = month i+1
 
 
-def alerts_per_month(alerts: Iterable, transactions: Iterable[Transaction]) -> AlertGrid:
-    """12 x payment-type counts; alerts join transactions on transaction_id.
-
-    Every alert must reference a known transaction. Each alert row counts
-    once, so the grand total always equals the number of alerts.
-    """
-    tx_by_id: dict[int, Transaction] = {t.id: t for t in transactions}
-    types = tuple(sorted({t.payment_type for t in tx_by_id.values()}))
-    col = {ptype: i for i, ptype in enumerate(types)}
-    counts = np.zeros((12, max(len(types), 1)), dtype=np.int64)
-    for alert in alerts:
-        t = tx_by_id.get(alert.transaction_id)
-        if t is None:
-            raise DataError(f"alert references unknown transaction id {alert.transaction_id}")
-        counts[month_of_day(t.day) - 1, col[t.payment_type]] += 1
-    if not types:
-        counts = np.zeros((12, 0), dtype=np.int64)
-    return AlertGrid(payment_types=types, counts=counts)
+def alerts_per_month(alert_ids, ids, timestamps, types: Categories) -> AlertGrid:
+    """12 x payment-type counts of alerts, given by the transaction ids
+    they reference, over transactions given as columns; each alert counts
+    once, so the grand total always equals the number of alerts. An alert
+    of an id no transaction holds raises DataError."""
+    slot = np.zeros(len(alert_ids), dtype=np.int64)
+    unknown = np.ones(len(alert_ids), dtype=bool)
+    if len(ids):
+        order = np.argsort(ids, kind="stable")
+        slot = order[np.minimum(np.searchsorted(ids, alert_ids, sorter=order), len(ids) - 1)]
+        unknown = ids[slot] != alert_ids
+    if unknown.any():
+        raise DataError(f"alert references unknown transaction id {alert_ids[np.argmax(unknown)]}")
+    width = len(types.vocabulary)
+    months = month_of_day(timestamps[slot] // DAY_SECONDS + 1)
+    cells = np.bincount((months - 1) * width + types.codes[slot], minlength=12 * width)
+    return AlertGrid(payment_types=types.vocabulary, counts=cells.reshape(12, width))

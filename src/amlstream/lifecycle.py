@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, DataError, NotFoundError, reading
 from .featstore import FEATURE_FIELDS
 from .models import EvalMetrics, TrainedModel, model_from_json, model_to_json
-from .storage import BlobStore, JournalWriter, read_journal
+from .storage import BlobStore, Categories, JournalWriter, read_journal
 
 PSI_EPSILON = 1e-4
 MODEL_NAMESPACE = "models"
@@ -53,15 +54,20 @@ def feature_profile(transactions) -> dict[str, dict[str, float]]:
     """Per-feature category frequencies over the categorical fields."""
     if not transactions:
         raise DataError("cannot profile an empty window")
-    counts = {f: Counter() for f in FEATURE_FIELDS}
-    for t in transactions:
-        for f in FEATURE_FIELDS:
-            counts[f][getattr(t, f)] += 1
-    n = len(transactions)
-    return {
-        f: {code: c / n for code, c in sorted(counter.items())}
-        for f, counter in counts.items()
-    }
+    return category_profile(
+        [Categories.of([getattr(t, f) for t in transactions]) for f in FEATURE_FIELDS]
+    )
+
+
+def category_profile(features) -> dict[str, dict[str, float]]:
+    """feature_profile of rows held as one Categories per FEATURE_FIELDS
+    entry; a vocabulary value no code uses is left out."""
+    profile = {}
+    for f, column in zip(FEATURE_FIELDS, features):
+        n = len(column.codes)
+        counts = np.bincount(column.codes, minlength=len(column.vocabulary)).tolist()
+        profile[f] = {code: c / n for code, c in zip(column.vocabulary, counts) if c}
+    return profile
 
 
 def population_stability_index(reference: dict[str, float], live: dict[str, float]) -> float:

@@ -28,7 +28,7 @@ alerts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, SchemaMismatchError
 from .eventlog import EventLog
 from .featstore import FEATURE_FIELDS, EncodingSchema, encode_columns
 from .models import TrainedModel, predict_proba
-from .storage import JournalWriter, read_journal
+from .storage import JournalWriter, RowType, read_journal
 from .txgen import TRANSACTION_FIELDS, Transaction, _parse_transaction, transaction_to_json
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
@@ -88,14 +88,18 @@ _ALERT_LINE = (
 )
 
 
+def _alert_values(raw: dict) -> tuple:
+    """One stored alert row's values in Alert field order; a malformed
+    row raises one of MALFORMED."""
+    return int(raw["transaction_id"]), str(raw["source"]), float(raw["score"]), int(raw["tick"])
+
+
 def alert_from_dict(raw: dict) -> Alert:
-    """One stored alert row; a malformed one raises one of MALFORMED."""
-    return Alert(
-        transaction_id=int(raw["transaction_id"]),
-        source=str(raw["source"]),
-        score=float(raw["score"]),
-        tick=int(raw["tick"]),
-    )
+    return Alert(*_alert_values(raw))
+
+
+# The alerts table's rows: each Alert field with the kind of its value.
+ALERT_ROWS = RowType(tuple((f.name, f.type) for f in fields(Alert)), _alert_values)
 
 
 def transaction_key(transaction: Transaction) -> bytes:

@@ -24,8 +24,9 @@ stream time-ordered. The intra-day second is random. ``timestamp`` is
 calendar_date maps a day index to its date in the simulated year, 2023.
 
 One decoder reads every serialized transaction (a log payload, a dataset
-line or CSV row); a malformed record, an out-of-range number or a
-non-finite amount raises DataError.
+line or CSV row, a warehouse row); a malformed record, an out-of-range
+number, an id or timestamp outside int64 or a non-finite amount raises
+DataError.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ import datetime
 import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .storage import RowType
 
 # ---------------------------------------------------------------------------
 # reference distribution (counts from the production ledger the defaults
@@ -116,6 +119,7 @@ SEASONAL_HALF_WIDTH = 30
 AMOUNT_SIGMA = 0.4  # log-normal noise; mean-corrected so E[noise] = 1
 WEIGHT_SUM_TOLERANCE = 1e-9
 CHUNK_RECORDS = 65_536  # fixed: replay depends on it
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Historical exports misspell the label column; accept both on read,
 # always write the canonical spelling.
@@ -149,6 +153,8 @@ class Transaction:
 
 
 TRANSACTION_FIELDS = tuple(f.name for f in fields(Transaction))
+# a transaction's field values in TRANSACTION_FIELDS order, as the decoder gives them
+transaction_values = attrgetter(*TRANSACTION_FIELDS)
 
 
 @dataclass
@@ -380,6 +386,11 @@ def _transaction_values(data: dict) -> tuple:
         raise DataError(f"malformed transaction record: timestamp {timestamp!r} is not an integer")
     if type(amount) is bool:
         raise DataError(f"malformed transaction record: amount {amount!r} is not a number")
+    # the warehouse keeps ids and timestamps as int64 columns
+    if not _INT64_MIN <= values[0] <= _INT64_MAX:
+        raise DataError(f"malformed transaction record: id {values[0]} is outside int64")
+    if not _INT64_MIN <= values[1] <= _INT64_MAX:
+        raise DataError(f"malformed transaction record: timestamp {values[1]} is outside int64")
     return values
 
 
@@ -398,6 +409,13 @@ def _parse_transaction(record: bytes) -> tuple:
 
 def transaction_from_dict(data: dict) -> Transaction:
     return Transaction(*_transaction_values(data))
+
+
+# The transactions table's rows: each field with the kind of its decoded
+# value, which is its annotation.
+TRANSACTION_ROWS = RowType(
+    tuple((f.name, f.type) for f in fields(Transaction)), _transaction_values
+)
 
 
 def transaction_to_json(t: Transaction) -> str:

@@ -18,12 +18,18 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from amlstream import cli, eventlog, lifecycle, storage, streamproc
+from amlstream import cli, eventlog, lifecycle, storage, streamproc, txgen
 from amlstream.config import PipelineConfig
 from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
 from amlstream.storage import BlobStore, TableStore
-from amlstream.txgen import GeneratorConfig, generate, read_dataset, write_jsonl
+from amlstream.txgen import (
+    GeneratorConfig,
+    generate,
+    read_dataset,
+    transaction_to_json,
+    write_jsonl,
+)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -248,6 +254,15 @@ BAD_DATASETS = {
         GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"is_laundering":false', b'"is_laundering":2'),
         "line 2: unparseable laundering label: 2",
     ),
+    # the warehouse keeps ids and timestamps as int64 columns
+    "id_past_int64.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"id":1', b'"id":%d' % 2**70),
+        f"line 2: malformed transaction record: id {2**70} is outside int64",
+    ),
+    "timestamp_below_int64.jsonl": (
+        GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"timestamp":5', b'"timestamp":%d' % -(2**63 + 1)),
+        f"line 2: malformed transaction record: timestamp {-(2**63 + 1)} is outside int64",
+    ),
     # float() and int() would read these as 1, 0 and 1.0
     "boolean_id.jsonl": (
         GOOD_LINE + b"\n" + GOOD_LINE.replace(b'"id":1', b'"id":true'),
@@ -289,6 +304,15 @@ def test_ingest_of_bad_dataset_exits_4_without_traceback(tmp_path, name):
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not data.exists()
+
+
+@pytest.mark.parametrize("name", ["id_past_int64.jsonl", "timestamp_below_int64.jsonl"])
+def test_train_on_a_dataset_outside_int64_exits_4_naming_the_line(tmp_path, capsys, name):
+    content, named = BAD_DATASETS[name]
+    dataset = tmp_path / name
+    dataset.write_bytes(content)
+    assert cli.main(["--data-dir", str(tmp_path / "data"), "train", "--dataset", str(dataset)]) == 4
+    assert named in capsys.readouterr().err
 
 
 def test_ingest_missing_input_exits_3(tmp_path):
@@ -739,11 +763,31 @@ def test_report_after_feeding_new_ids(tmp_path, capsys):
     assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == tables.count("alerts")
 
 
+def compact_transactions(data, monkeypatch):
+    """Write a compaction over every row of a data dir's transactions."""
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    with monkeypatch.context() as patch:
+        patch.setattr(storage, "COMPACT_ROWS", 1)
+        tables.upsert_rows("transactions", [], [])
+    tables.close()
+    assert (data / "tables" / "transactions" / storage.COMPACTION_NAME).exists()
+
+
 def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
     root, config_path, _ = flow
     data = tmp_path / "data"
     shutil.copytree(root / "data", data)
     (data / "log" / "transactions" / "positions.json").unlink()  # so the stream drains again
+    compact_transactions(data, monkeypatch)
+    compactions = []
+    real_read_compaction = storage._read_compaction
+
+    def recording_read_compaction(path, row_type, key):
+        compactions.append(path)
+        return real_read_compaction(path, row_type, key)
+
+    monkeypatch.setattr(storage, "_read_compaction", recording_read_compaction)
+    monkeypatch.setattr(storage, "_write_compaction", lambda *args: compactions.append(args))
     read = []
     real_read_journal = storage.read_journal
 
@@ -756,6 +800,39 @@ def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
     assert cli.main(["--config", config_path, "--data-dir", str(data), "stream"]) == 0
     assert "registry.jsonl" in read  # the active model is still looked up
     assert not [path for path in read if path.startswith("tables")], read
+    assert compactions == []  # and no compaction is read or written
+
+
+def test_report_decodes_only_the_rows_past_the_compaction(flow, tmp_path, monkeypatch, capsys):
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    compact_transactions(data, monkeypatch)
+    # seven rows past the compaction, three of them replacing compacted rows
+    extra = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=8, count=4))]
+    extra += [replace(t, amount=t.amount + 1) for t in generate(GeneratorConfig(seed=11, count=3))]
+    with open(data / "tables" / "transactions" / "journal.jsonl", "a") as fh:
+        fh.write("".join(transaction_to_json(t) + "\n" for t in extra))
+    decoded = []
+
+    def counting_decode(row):
+        decoded.append(row["id"])
+        return txgen._transaction_values(row)
+
+    counting = storage.RowType(txgen.TRANSACTION_ROWS.columns, counting_decode)
+    reports = {}
+    for name in ("compacted", "journal"):
+        if name == "journal":
+            (data / "tables" / "transactions" / storage.COMPACTION_NAME).unlink()
+        decoded.clear()
+        monkeypatch.setattr(cli, "TRANSACTION_ROWS", counting)
+        argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / name)]
+        assert cli.main([*argv, "report"]) == 0
+        reports[name] = {f: (tmp_path / name / f).read_bytes() for f in cli.REPORT_FILES}
+        if name == "compacted":
+            assert sorted(decoded) == sorted(t.id for t in extra)
+    assert len(decoded) == 3_004  # the whole journal's fold
+    assert reports["compacted"] == reports["journal"]
 
 
 def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch, capsys):
@@ -846,6 +923,19 @@ def test_ingest_past_the_index_interval_leaves_a_synced_index(tmp_path, checked_
     assert not unsynced
     index = tmp_path / "data" / "log" / "transactions" / "p000" / eventlog.INDEX_NAME
     assert struct.unpack_from("<Q", index.read_bytes()) == (count,)  # it covers every record
+
+
+def test_ingest_past_the_row_threshold_leaves_a_synced_compaction(tmp_path, checked_replaces):
+    count = storage.COMPACT_ROWS + 1
+    config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
+    dataset = tmp_path / "dataset.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=count)), str(dataset))
+    replaced, unsynced = checked_replaces
+    assert cli.main(["--config", config_path, "ingest", "--input", str(dataset)]) == 0
+    assert replaced.count(storage.COMPACTION_NAME) == 1
+    assert not unsynced
+    tables = cli.Workspace(PipelineConfig(data_dir=str(tmp_path / "data"))).tables
+    assert tables.count("transactions") == count
 
 
 def test_stream_on_empty_workspace_is_quiet(tmp_path, capsys):

@@ -490,6 +490,41 @@ def test_flipped_byte_under_the_index_is_reported_at_open(tmp_path):
         EventLog(root)
 
 
+def test_flipped_length_bit_under_the_index_is_reported_at_open(tmp_path):
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    for i in range(1_000):
+        log.publish("t", f"k{i}".encode(), f"payload-{i}".encode())
+    frame_start = sum(len(r.key) + len(r.payload) + 10 for r in log.poll("g", "t", 500))
+    log.close()
+    seg = root / "t" / "p000" / SEGMENT_NAME
+    raw = bytearray(seg.read_bytes())
+    raw[frame_start + 3] ^= 0x01  # record 500's payload length grows by 2**24
+    seg.write_bytes(raw)
+    with pytest.raises(CorruptLogError, match=f"{SEGMENT_NAME}: frame at byte {frame_start} "):
+        EventLog(root)
+    assert seg.read_bytes() == raw  # nothing was cut
+
+
+def test_torn_tail_past_the_index_is_still_cut(tmp_path):
+    root = tmp_path / "log"
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    for i in range(1_000):
+        log.publish("t", b"k", str(i).encode())
+    log.close()
+    seg = root / "t" / "p000" / SEGMENT_NAME
+    whole = seg.read_bytes()
+    seg.write_bytes(whole + b"\x40\x00\x00\x00\x99")  # header fragment, no body
+    reopened = EventLog(root)
+    try:
+        assert reopened.partition_length("t", 0) == 1_000
+    finally:
+        reopened.close()
+    assert seg.read_bytes() == whole
+
+
 def test_flush_writes_the_index_once_interval_records_lie_past_it(tmp_path, monkeypatch):
     monkeypatch.setattr(eventlog, "INDEX_INTERVAL", 10)
     root = tmp_path / "log"

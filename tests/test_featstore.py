@@ -20,6 +20,7 @@ from amlstream.featstore import (
     seasonality_series,
     split_indices,
     split_sizes,
+    transaction_columns,
 )
 from amlstream.txgen import GeneratorConfig, Transaction, generate
 
@@ -329,11 +330,31 @@ def test_seasonality_series_averages_and_missing_marker():
         make_tx(id=2, day=10, amount=300.0, fraud=True),
         make_tx(id=3, day=11, amount=50.0, fraud=False),
     ]
-    series = seasonality_series(txns)
+    columns = transaction_columns(txns)
+    series = seasonality_series(columns["timestamp"], columns["amount"], columns["is_laundering"])
     assert [d.day for d in series] == [10, 11]
     assert series[0].avg_amount_all == 200.0
     assert series[0].avg_amount_fraud == 300.0
     assert series[1].avg_amount_fraud is None  # no fraud that day
+
+
+def test_seasonality_series_adds_each_day_in_row_order():
+    # the report's bytes depend on the float sums adding rows in key order
+    txns = list(generate(GeneratorConfig(seed=3, count=5_000)))
+    columns = transaction_columns(txns)
+    series = seasonality_series(columns["timestamp"], columns["amount"], columns["is_laundering"])
+    sums = {}
+    for t in txns:
+        entry = sums.setdefault(t.day, [0.0, 0, 0.0, 0])
+        entry[0] += t.amount
+        entry[1] += 1
+        if t.is_laundering:
+            entry[2] += t.amount
+            entry[3] += 1
+    assert [(d.day, d.avg_amount_all, d.avg_amount_fraud) for d in series] == [
+        (day, total / n, fraud_total / fraud_n if fraud_n else None)
+        for day, (total, n, fraud_total, fraud_n) in sorted(sums.items())
+    ]
 
 
 def test_month_of_day_matches_calendar_oracle():
@@ -344,9 +365,12 @@ def test_month_of_day_matches_calendar_oracle():
     assert month_of_day(366) == 1  # wraps into the next simulated year
 
 
-class FakeAlert:
-    def __init__(self, transaction_id):
-        self.transaction_id = transaction_id
+def grid_of(alerted, txns):
+    """alerts_per_month of alerts on the ids ``alerted`` over ``txns``."""
+    columns = transaction_columns(txns)
+    return alerts_per_month(
+        np.array(alerted, dtype=np.int64), columns["id"], columns["timestamp"], columns["payment_type"]
+    )
 
 
 def test_alerts_per_month_accounting():
@@ -356,8 +380,8 @@ def test_alerts_per_month_accounting():
         make_tx(id=3, day=40, ptype="ACH"),
         make_tx(id=4, day=364, ptype="Cheque"),
     ]
-    alerts = [FakeAlert(1), FakeAlert(2), FakeAlert(2), FakeAlert(4)]
-    grid = alerts_per_month(alerts, txns)
+    alerts = [1, 2, 2, 4]
+    grid = grid_of(alerts, txns)
     assert int(grid.counts.sum()) == len(alerts)
     assert grid.counts.shape == (12, 2)
     ach, cheque = grid.payment_types.index("ACH"), grid.payment_types.index("Cheque")
@@ -367,10 +391,10 @@ def test_alerts_per_month_accounting():
 
 
 def test_alerts_per_month_zero_alerts():
-    grid = alerts_per_month([], [make_tx(id=1)])
+    grid = grid_of([], [make_tx(id=1)])
     assert np.all(grid.counts == 0)
 
 
 def test_alerts_per_month_unknown_transaction():
-    with pytest.raises(DataError):
-        alerts_per_month([FakeAlert(99)], [make_tx(id=1)])
+    with pytest.raises(DataError, match="unknown transaction id 99"):
+        grid_of([1, 99], [make_tx(id=1)])

@@ -11,6 +11,7 @@ import pytest
 from amlstream.cli import _prepare_training
 from amlstream.config import FOREST_SEED_OFFSET
 from amlstream.errors import ConfigError, DataError, SchemaMismatchError
+from amlstream.featstore import transaction_columns
 from amlstream.models import (
     EvalMetrics,
     TrainedModel,
@@ -155,7 +156,7 @@ def test_logistic_converges_on_singular_one_hot_design():
     # the one-hot blocks plus the intercept are collinear, so the Hessian
     # is singular; training must still stop by its tolerance
     transactions = list(generate(GeneratorConfig(seed=11, count=5_000)))
-    *_, Xtr, ytr = _prepare_training(transactions, seed=7)
+    *_, Xtr, ytr = _prepare_training(transaction_columns(transactions), seed=7)
     model = train_logistic(Xtr, ytr)
     tolerance = model.hyperparameters["tolerance"]
     g_w, g_b = logistic_gradient(Xtr, ytr.astype(np.float64), model.weights, model.bias)
@@ -442,7 +443,7 @@ PINNED_FOREST_SHA256 = "84dcaae4433bc895fb4a9a4ed90944dc7d8b93dbf510203b36a6d341
 
 def test_tree_and_forest_bytes_are_pinned():
     transactions = list(generate(GeneratorConfig(seed=7, count=3_000)))
-    schema, *_, Xtr, ytr = _prepare_training(transactions, seed=7)
+    schema, *_, Xtr, ytr = _prepare_training(transaction_columns(transactions), seed=7)
     tree = train_tree(Xtr, ytr, schema_hash=schema.schema_hash)
     forest = train_forest(Xtr, ytr, schema_hash=schema.schema_hash, seed=7 + FOREST_SEED_OFFSET)
     assert hashlib.sha256(model_to_json(tree).encode()).hexdigest() == PINNED_TREE_SHA256
@@ -452,7 +453,7 @@ def test_tree_and_forest_bytes_are_pinned():
 def test_training_allocates_under_a_quarter_of_the_matrix():
     # the oversampled default training set: about 24k rows, 2.7k distinct
     transactions = list(generate(GeneratorConfig(seed=1, count=20_000)))
-    *_, Xtr, ytr = _prepare_training(transactions, seed=1)
+    *_, Xtr, ytr = _prepare_training(transaction_columns(transactions), seed=1)
     del transactions
     for train in (train_logistic, train_tree, train_forest):
         tracemalloc.start()

@@ -2,17 +2,34 @@
 
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from amlstream import storage
 from amlstream.errors import AlreadyExistsError, ConfigError, DataError, NotFoundError
 from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
 from amlstream.models import EvalMetrics, train_logistic
-from amlstream.storage import BlobStore, TableStore
+from amlstream.storage import (
+    COMPACTION_NAME,
+    BlobStore,
+    Categories,
+    RowType,
+    TableStore,
+    to_columns,
+)
 from amlstream.streamproc import StreamProcessor, publish_transaction
-from amlstream.txgen import Transaction
+from amlstream.txgen import (
+    TRANSACTION_ROWS,
+    GeneratorConfig,
+    Transaction,
+    generate,
+    transaction_to_json,
+    transaction_values,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +254,233 @@ def test_journal_lines_are_json(tmp_path):
     journal = (tmp_path / "tables" / "alerts" / "journal.jsonl").read_text()
     assert journal == line + "\n"  # stored as given, not re-encoded
     assert json.loads(journal)["transaction_id"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the columnar compaction beside a journal
+# ---------------------------------------------------------------------------
+
+def tx_line(t):
+    return transaction_to_json(t)
+
+
+def transactions_store(root):
+    store = TableStore(root)
+    store.create_table("transactions", key="id", row_type=TRANSACTION_ROWS)
+    return store
+
+
+def journal_oracle(root):
+    """The table as columns, folded from its journal alone."""
+    store = transactions_store(root)
+    decode = TRANSACTION_ROWS.decode
+    return to_columns(TRANSACTION_ROWS, [decode(row) for row in store.query("transactions")])
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name, column in want.items():
+        if isinstance(column, Categories):
+            assert got[name].vocabulary == column.vocabulary, name
+            np.testing.assert_array_equal(got[name].codes, column.codes, err_msg=name)
+        else:
+            assert got[name].dtype == column.dtype, name
+            np.testing.assert_array_equal(got[name], column, err_msg=name)
+
+
+def random_upserts(store, rng, batches, ids):
+    """Upsert ``batches`` batches of transactions whose ids are drawn from
+    ``ids``, so later batches replace earlier rows across compactions."""
+    pool = list(generate(GeneratorConfig(seed=int(rng.integers(1_000)), count=batches * 40)))
+    for b in range(batches):
+        window = [
+            replace(t, id=int(rng.integers(1, ids)), amount=float(rng.integers(1, 10**6)) / 100)
+            for t in pool[b * 40 : b * 40 + int(rng.integers(1, 41))]
+        ]
+        store.upsert_rows("transactions", [tx_line(t) for t in window],
+                          [transaction_values(t) for t in window])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fold_over_compaction_and_tail_equals_the_journal_fold(tmp_path, monkeypatch, seed):
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 50)
+    rng = np.random.default_rng(seed)
+    root = tmp_path / "tables"
+    store = transactions_store(root)
+    journal = store.journal_path("transactions")
+    for session in range(4):
+        random_upserts(store, rng, batches=int(rng.integers(1, 8)), ids=300)
+        store.close()
+        if session % 2:  # a crash tore the last append
+            with open(journal, "ab") as fh:
+                fh.write(b'{"id": 7, "timestamp": ')
+        reader = transactions_store(root)
+        assert_same_columns(reader.columns("transactions"), journal_oracle(root))
+        assert reader.count("transactions") == len(journal_oracle(root)["id"])
+        store = transactions_store(root)
+    assert (root / "transactions" / COMPACTION_NAME).exists()
+
+
+def garble(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(raw)
+
+
+def rewrite_compaction(edit):
+    """Rewrite the compaction with ``edit`` applied to its JSON header and
+    its arrays, each checked for itself when the file is read."""
+    def corrupt(path):
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        header = json.loads(arrays.pop("header").tobytes())
+        edit(header, arrays)
+        text = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(text, dtype=np.uint8), **arrays)
+
+    return corrupt
+
+
+def swap_first_keys(header, arrays):
+    arrays["column.id"][[0, 1]] = arrays["column.id"][[1, 0]]
+
+
+def sorted_key_journal(path):
+    """Rewrite the journal as older versions wrote it, sorted-key rows,
+    with one amount changed as well."""
+    journal = path.parent / "journal.jsonl"
+    rows = [json.loads(line) for line in journal.read_text().splitlines()]
+    rows[0]["amount"] = 0.5
+    journal.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+
+def append_rows(path):
+    more = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=9, count=30))]
+    more += [replace(t, id=1, amount=2.5) for t in more[:1]]  # replaces a compacted row
+    with open(path.parent / "journal.jsonl", "a") as fh:
+        fh.write("".join(tx_line(t) + "\n" for t in more))
+
+
+# state name -> how to put the compaction (the file at the path given) in it
+COMPACTION_STATES = {
+    "valid": lambda path: None,
+    "no_file": lambda path: path.unlink(),
+    "cut_file": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "garbled_bytes": garble,
+    "wrong_format": rewrite_compaction(lambda header, arrays: header.update(format=99)),
+    "length_past_journal_end": rewrite_compaction(
+        lambda header, arrays: header.update(length=header["length"] + 1)
+    ),
+    "journal_rewritten_under_it": sorted_key_journal,
+    "rows_appended_past_it": append_rows,
+    "keys_not_increasing": rewrite_compaction(swap_first_keys),
+    "code_outside_vocabulary": rewrite_compaction(
+        lambda header, arrays: header["vocabularies"]["payment_type"].pop()
+    ),
+    "short_column": rewrite_compaction(
+        lambda header, arrays: arrays.update({"column.amount": arrays["column.amount"][1:]})
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def compacted(tmp_path_factory):
+    """A transactions table of 200 rows whose compaction covers all of them."""
+    root = tmp_path_factory.mktemp("compacted") / "tables"
+    store = transactions_store(root)
+    rows = list(generate(GeneratorConfig(seed=4, count=200)))
+    store.upsert_rows("transactions", [tx_line(t) for t in rows], [transaction_values(t) for t in rows])
+    store.close()
+    store = transactions_store(root)
+    old = storage.COMPACT_ROWS
+    storage.COMPACT_ROWS = 1
+    try:
+        store.upsert_rows("transactions", [], [])  # compacts the 200 older lines
+    finally:
+        storage.COMPACT_ROWS = old
+    store.close()
+    assert (root / "transactions" / COMPACTION_NAME).exists()
+    return root
+
+
+@pytest.mark.parametrize("state", sorted(COMPACTION_STATES))
+def test_every_compaction_state_reads_the_journal_fold(compacted, tmp_path, state):
+    root = tmp_path / "tables"
+    shutil.copytree(compacted, root)
+    COMPACTION_STATES[state](root / "transactions" / COMPACTION_NAME)
+    decoded = []
+
+    def counting_decode(row):
+        decoded.append(row["id"])
+        return TRANSACTION_ROWS.decode(row)
+
+    store = TableStore(root)
+    store.create_table("transactions", key="id", row_type=RowType(TRANSACTION_ROWS.columns, counting_decode))
+    want = journal_oracle(root)
+    assert_same_columns(store.columns("transactions"), want)
+    assert store.count("transactions") == len(want["id"])
+    # an adopted compaction leaves only the rows past it to decode
+    assert len(decoded) == {"valid": 0, "rows_appended_past_it": 31}.get(state, 200)
+
+
+def test_compaction_from_held_values_equals_one_from_decoded_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 100)
+    rows = list(generate(GeneratorConfig(seed=6, count=150)))
+    rows += [replace(t, id=3, amount=1.5) for t in rows[:2]]
+    lines = [tx_line(t) for t in rows]
+    held = transactions_store(tmp_path / "held")
+    held.upsert_rows("transactions", lines, [transaction_values(t) for t in rows])
+    decoded = transactions_store(tmp_path / "decoded")
+    decoded.upsert_rows("transactions", lines)  # no values: nothing to compact from
+    decoded.close()
+    assert not (tmp_path / "decoded" / "transactions" / COMPACTION_NAME).exists()
+    transactions_store(tmp_path / "decoded").upsert_rows("transactions", [], [])
+    a, b = (tmp_path / d / "transactions" / COMPACTION_NAME for d in ("held", "decoded"))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_row_that_does_not_decode_is_never_compacted(tmp_path, monkeypatch):
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 10)
+    store = transactions_store(tmp_path)
+    bad = json.loads(tx_line(next(generate(GeneratorConfig(seed=1, count=1)))))
+    store.upsert_rows("transactions", [json.dumps(dict(bad, id=999, amount="x"))])
+    store.close()
+    store = transactions_store(tmp_path)
+    rows = list(generate(GeneratorConfig(seed=2, count=20)))
+    assert store.upsert_rows(
+        "transactions", [tx_line(t) for t in rows], [transaction_values(t) for t in rows]
+    ) == 20
+    assert not (tmp_path / "transactions" / COMPACTION_NAME).exists()
+    with pytest.raises(DataError, match="journal.jsonl: unreadable"):
+        store.columns("transactions")  # the bad row still wins its key
+
+
+def test_a_tail_key_of_another_type_still_names_the_journal(compacted, tmp_path):
+    root = tmp_path / "tables"
+    shutil.copytree(compacted, root)
+    with open(root / "transactions" / "journal.jsonl", "a") as fh:
+        fh.write(json.dumps(dict(json.loads(tx_line(make_transaction())), id="5")) + "\n")
+    with pytest.raises(DataError, match="journal.jsonl: unreadable"):
+        transactions_store(root).columns("transactions")
+
+
+def make_transaction():
+    return Transaction(1, 0, 1.0, "GBP", "GBP", "UK", "UK", "ACH", False)
+
+
+def test_string_values_keep_trailing_nul_characters(tmp_path, monkeypatch):
+    # NumPy string arrays would read "ACH\0" back as "ACH"
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 2)
+    rows = [
+        replace(make_transaction(), id=1, payment_type="ACH"),
+        replace(make_transaction(), id=2, payment_type="ACH\x00"),
+        replace(make_transaction(), id=3, sender_bank_location="\x00"),
+    ]
+    store = transactions_store(tmp_path)
+    store.upsert_rows("transactions", [tx_line(t) for t in rows], [transaction_values(t) for t in rows])
+    assert (tmp_path / "transactions" / COMPACTION_NAME).exists()
+    columns = transactions_store(tmp_path).columns("transactions")
+    assert columns["payment_type"].vocabulary == ("ACH", "ACH\x00")
+    assert columns["sender_bank_location"].vocabulary == ("\x00", "UK")
+    assert_same_columns(columns, journal_oracle(tmp_path))

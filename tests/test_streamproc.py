@@ -313,6 +313,27 @@ def test_fractional_id_is_dead_lettered_alone(tmp_path):
     assert log.position("stream", "transactions", 0).committed_offset == 3
 
 
+def test_id_outside_int64_is_dead_lettered_alone(tmp_path):
+    log = fresh_log(tmp_path, partitions=1)
+    publish_transaction(log, "transactions", make_tx(1, payment_type="Cash Deposit"))
+    payload = transaction_to_json(make_tx(2, payment_type="Cash Deposit"))
+    log.publish("transactions", b"UK", payload.replace('"id":2,', f'"id":{2**70},').encode())
+    publish_transaction(log, "transactions", make_tx(3, payment_type="Cash Deposit"))
+
+    proc = make_processor(tmp_path, log, rule_config=RuleConfig(enable_velocity=False))
+    result = proc.drain_once()
+    proc.close()
+    assert result.record_count == 3
+    assert [(a.transaction_id, a.source) for a in result.alerts] == [
+        (1, RULE_HIGH_RISK), (3, RULE_HIGH_RISK),
+    ]
+    rows = [json.loads(line) for line in open(tmp_path / "dead.jsonl")]
+    assert [(r["offset"], r["error"]) for r in rows] == [
+        (1, f"malformed transaction record: id {2**70} is outside int64"),
+    ]
+    assert log.position("stream", "transactions", 0).committed_offset == 3
+
+
 def test_torn_alert_and_dead_letter_tails_are_cut_on_restart(tmp_path):
     log = fresh_log(tmp_path, partitions=1)
     rules = RuleConfig(enable_velocity=False)
