@@ -141,24 +141,22 @@ def _ensure_topic(ws: Workspace) -> None:
         pass
 
 
-def _publish_and_store(ws: Workspace, transactions, echo) -> dict[int, int]:
-    """Publish to the topic, then upsert the warehouse table; each
-    transaction is encoded once, its log payload being its table row, and
-    the table is handed its values to compact from."""
+def _publish_and_store(ws: Workspace, transactions, echo) -> None:
+    """Publish to the topic in one call, then upsert the warehouse table;
+    each transaction is encoded once, its log payload being its table
+    row, and the table is handed its values to compact from."""
     topic = ws.config.topic
     _ensure_topic(ws)
-    per_partition: dict[int, int] = {}
-    lines = []
-    for t in transactions:
-        line = transaction_to_json(t)
-        partition, _ = ws.log.publish(topic.name, transaction_key(t), line.encode("utf-8"))
-        per_partition[partition] = per_partition.get(partition, 0) + 1
-        lines.append(line)
+    lines = [transaction_to_json(t) for t in transactions]
+    ranges = ws.log.publish_many(
+        topic.name,
+        [transaction_key(t) for t in transactions],
+        (line.encode("utf-8") for line in lines),
+    )
     ws.tables.upsert_rows("transactions", lines, [transaction_values(t) for t in transactions])
     ws.log.flush()
-    counts = ", ".join(f"p{p}={n}" for p, n in sorted(per_partition.items()))
-    echo(f"published {sum(per_partition.values())} records to '{topic.name}' ({counts})")
-    return per_partition
+    counts = ", ".join(f"p{p}={stop - start}" for p, (start, stop) in sorted(ranges.items()))
+    echo(f"published {len(lines)} records to '{topic.name}' ({counts})")
 
 
 def _model_source(ws: Workspace):
@@ -421,11 +419,12 @@ def cmd_generate(args, config: PipelineConfig) -> int:
 def cmd_ingest(args, config: PipelineConfig) -> int:
     ws = Workspace(config)
     path = args.input or os.path.join(config.data_dir, "transactions.jsonl")
-    transactions = list(read_dataset(path))
-    if not transactions:
-        raise DataError(f"{path} contains no records")
+    # the archived blob is the bytes that were parsed and published
     with open(path, "rb") as handle:
         raw = handle.read()
+    transactions = list(read_dataset(path, raw))
+    if not transactions:
+        raise DataError(f"{path} contains no records")
     archive_date = calendar_date(transactions[0].day).isoformat()
     ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
     _publish_and_store(ws, transactions, print)

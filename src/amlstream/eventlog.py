@@ -10,8 +10,11 @@ frames:
 
 CRC32 covers key bytes followed by payload bytes. The file is the only
 copy of a record: memory keeps, per record, the byte offset where its
-frame ends and its ingest tick, and poll reads the frames it returns
-from the file between those offsets. Offsets are implied by frame
+frame ends and its ingest tick. A read takes a partition's range of
+records with one pread between those offsets and slices out their
+payloads, building no object per record: poll_columns hands a batch
+over as payloads, ticks and a (start, stop) per partition, and poll is
+its row view, one LogRecord per record. Offsets are implied by frame
 order. The file never rolls; older versions rolled to a second segment
 after 65,536 records, and a partition holding any other
 ``segment-*.log`` raises CorruptLogError naming it rather than skip its
@@ -20,11 +23,14 @@ topic, replaced on commit; a commit of a whole watermark, which is how
 the stream commits each batch, checks every partition's offset first
 and then replaces the file once.
 
-Durability policy: every publish is written to the OS before the call
-returns; fsync is batched every FSYNC_INTERVAL records, and flush()
-forces an fsync. The CLI's ingest, demo and ``stream --feed`` call
-flush() after each batch they publish, before a drain commits its
-offsets. topic.json and positions.json are written by storage's
+Durability policy: publish_many appends many records in one call, and
+publish is that call with one record. A call writes each partition's
+queued frames to the OS in one write once FSYNC_INTERVAL of its records
+are unsynced, and fsyncs them then; it writes the rest at its end, so
+every record is written to the OS before the call returns, and flush()
+forces an fsync. The CLI's ingest, demo and ``stream --feed`` publish
+each batch in one call and call flush() after it, before a drain commits
+its offsets. topic.json and positions.json are written by storage's
 replace_file, so each is fsynced before it is renamed into place. A
 simulated in-process crash therefore never loses an acknowledged
 publish; a crash of the machine can lose the unsynced tail.
@@ -42,27 +48,29 @@ only the frames from ``L`` on are scanned; with no index, or a stale
 or garbled one, every frame is, so a bad index costs one full scan and
 nothing else. The scan checks each frame's CRC: a mismatch on
 a fully framed record is real corruption and raises CorruptLogError
-naming its byte, and a torn final record from a crash mid-append is cut
-to the last whole frame. A frame that runs past the file's end before
-the ``L`` of an index whose own CRC holds is not a torn tail (the
-segment was fsynced before the index was written) but a damaged
-length field, and raises CorruptLogError naming its byte too. flush()
-rewrites the index, through replace_file after the segment's fsync, once
-INDEX_INTERVAL records lie past it, and close() whenever any does; the
-prefix CRC is kept running, so each rewrite reads only the segment bytes
-added since the last. A partition count that is not an int of at least
+naming its byte, and a torn tail from a crash mid-write, which may hold
+several frames of one write, is cut to the last whole frame. A frame
+that runs past the file's end before the ``L`` of an index whose own CRC
+holds is not a torn tail (the segment was fsynced before the index was
+written) but a damaged length field, and raises CorruptLogError naming
+its byte too. flush() rewrites the index, through replace_file after the
+segment's fsync, once INDEX_INTERVAL records lie past it, and close()
+whenever any does; the prefix CRC is kept running, so each rewrite reads
+only the segment bytes added since the last. A partition count that is not an int of at least
 1, or a committed offset that is not an int within the partition's
 records, raises DataError naming the file.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
-partition count. FNV-1a is fixed here precisely so replays hash
-identically on any platform or process.
+partition count, computed once per distinct key of a publish call.
+FNV-1a is fixed here precisely so replays hash identically on any
+platform or process.
 
-Simulated time: the log owns a monotonic tick counter. Each publish
-advances it by one and stamps the record's ingest_tick; idle time can
-be injected with advance_ticks(). On reload the counter restarts at the
-total record count and ingest ticks are reassigned in partition scan
-order, so tick arithmetic stays valid within any one process session.
+Simulated time: the log owns a monotonic tick counter. Each published
+record advances it by one, in the order of its call, and is stamped
+with it as its ingest_tick; idle time can be injected with
+advance_ticks(). On reload the counter restarts at the total record
+count and ingest ticks are reassigned in partition scan order, so tick
+arithmetic stays valid within any one process session.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
@@ -138,6 +147,24 @@ class LogRecord:
 
 
 @dataclass(frozen=True)
+class ColumnBatch:
+    """One poll's records as columns, partition by partition and each
+    partition in offset order."""
+
+    payloads: list  # bytes
+    ticks: array  # each payload's ingest tick
+    ranges: dict  # partition -> (start, stop) of the offsets read from it
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """The (partition, offset) of the i-th payload."""
+        for partition, (start, stop) in self.ranges.items():
+            if i < stop - start:
+                return partition, start + i
+            i -= stop - start
+        raise IndexError(i)
+
+
+@dataclass(frozen=True)
 class ConsumerPosition:
     group: str
     topic: str
@@ -156,7 +183,8 @@ class _Partition:
         self.ends = array("q")
         self.ticks = array("q")
         self._fh = None
-        self._unsynced = 0
+        self._pending: list[bytes] = []  # queued frames as header, key, payload pieces
+        self._unsynced = 0  # records written or queued since the last fsync
         self._indexed = 0  # records the index file covers
         self._prefix = (0, 0)  # (length, crc32) of the segment's checked prefix
 
@@ -258,38 +286,54 @@ class _Partition:
             self._fh = open(self.path, "a+b", buffering=0)
         return self._fh
 
-    def append(self, key: bytes, payload: bytes, tick: int) -> int:
-        crc = zlib.crc32(key + payload) & 0xFFFFFFFF
-        frame = _HEADER.pack(len(payload), crc, len(key)) + key + payload
-        self._handle().write(frame)
+    def append(self, key: bytes, payload: bytes, tick: int) -> None:
+        """Queue one record's frame. Queued frames reach the file in one
+        write by write_pending(), and also once FSYNC_INTERVAL records are
+        unsynced, when they are fsynced too."""
+        self._pending += (
+            _HEADER.pack(len(payload), zlib.crc32(payload, zlib.crc32(key)), len(key)),
+            key,
+            payload,
+        )
+        end = (self.ends[-1] if self.ends else 0) + _HEADER.size + len(key) + len(payload)
+        self.ends.append(end)
+        self.ticks.append(tick)
         self._unsynced += 1
         if self._unsynced >= FSYNC_INTERVAL:
             self.fsync()
-        self.ends.append((self.ends[-1] if self.ends else 0) + len(frame))
-        self.ticks.append(tick)
-        return len(self.ends) - 1
 
-    def read(self, topic: str, partition: int, start: int, stop: int) -> list[LogRecord]:
-        """Records start..stop-1, sliced at their indexed frame ends out
-        of one read of their bytes; the CRCs were checked at load."""
+    def write_pending(self) -> None:
+        """Write every queued frame to the OS in one write."""
+        data = b"".join(self._pending)
+        self._pending.clear()
+        written = self._handle().write(data)
+        while written < len(data):  # a short write: hand over the rest
+            written += self._fh.write(data[written:])
+
+    def read(self, start: int, stop: int, keys: list | None = None) -> tuple[list[bytes], array]:
+        """Payloads and ticks of records start..stop-1, the payloads
+        sliced at their indexed frame ends out of one read of their bytes;
+        the CRCs were checked at load. Each record's key is appended to
+        ``keys`` when it is given."""
         base = self.ends[start - 1] if start else 0
         size = self.ends[stop - 1] - base
         data = os.pread(self._handle().fileno(), size, base)
         if len(data) < size:
             raise CorruptLogError(f"{self.path}: ends before record {stop - 1}")
-        out = []
+        payloads = []
         pos = 0
-        offsets = range(start, stop)
-        for offset, end, tick in zip(offsets, self.ends[start:stop], self.ticks[start:stop]):
+        for end in self.ends[start:stop]:
             end -= base
-            key_start = pos + _HEADER.size
-            key_end = key_start + (data[pos + 8] | data[pos + 9] << 8)  # u16 LE key length
-            key, payload = data[key_start:key_end], data[key_end:end]
-            out.append(LogRecord(topic, partition, offset, key, payload, tick))
+            key_end = pos + _HEADER.size + (data[pos + 8] | data[pos + 9] << 8)  # u16 LE key length
+            if keys is not None:
+                keys.append(data[pos + _HEADER.size : key_end])
+            payloads.append(data[key_end:end])
             pos = end
-        return out
+        return payloads, self.ticks[start:stop]
 
     def fsync(self) -> None:
+        if self._pending:
+            self.write_pending()
         if self._fh is not None and self._unsynced:
             os.fsync(self._fh.fileno())
         self._unsynced = 0
@@ -419,29 +463,97 @@ class EventLog:
     # -- produce / consume ---------------------------------------------
 
     def publish(self, topic: str, key: bytes, payload: bytes) -> tuple[int, int]:
-        """Append one record; returns (partition, offset) once durable."""
-        if not isinstance(key, bytes) or not isinstance(payload, bytes):
-            raise ConfigError("key and payload must be bytes")
-        if len(key) > 0xFFFF:
-            raise ConfigError("record key longer than 65535 bytes")
-        parts = self._require_parts(topic)
-        partition = fnv1a_64(key) % len(parts)
-        self._ticks += 1
-        offset = parts[partition].append(key, payload, self._ticks)
+        """Append one record; returns its (partition, offset) once it is
+        written to the OS. It is fsynced with the FSYNC_INTERVAL-th
+        unsynced record of its partition, or by flush()."""
+        [(partition, (offset, _))] = self.publish_many(topic, (key,), (payload,)).items()
         return partition, offset
+
+    def publish_many(self, topic: str, keys, payloads) -> dict[int, tuple[int, int]]:
+        """Append records in order, the i-th under ``keys[i]`` with the
+        i-th of ``payloads``. Returns ``{partition: (start, stop)}`` for
+        each partition the call appended to, in the order it first did:
+        its records got offsets start..stop-1, in the order of the call.
+
+        Every key is checked before any tick moves, so a key that is not
+        bytes or is longer than 65,535 bytes publishes nothing. Each
+        distinct key is hashed once. ``payloads`` is read one at a time as
+        its record is framed, so a caller can encode them on the fly; a
+        payload that is not bytes, or a missing one, raises with the
+        records before it published. A partition's queued frames go to
+        the OS in one write once FSYNC_INTERVAL of its records are
+        unsynced, and are fsynced then; the rest are written, not synced,
+        at the end of the call. So, as for publish, every record is
+        written to the OS when this returns, and flush() makes it durable.
+        """
+        parts = self._require_parts(topic)
+        partition_of: dict[bytes, int] = {}
+        starts: dict[int, int] = {}  # partition -> its length before the call
+        for key in keys:
+            if not isinstance(key, bytes):
+                raise ConfigError("key and payload must be bytes")
+            if key not in partition_of:
+                if len(key) > 0xFFFF:
+                    raise ConfigError("record key longer than 65535 bytes")
+                partition = partition_of[key] = fnv1a_64(key) % len(parts)
+                if partition not in starts:
+                    starts[partition] = len(parts[partition].ends)
+        tick = first_tick = self._ticks
+        try:
+            for key, payload in zip(keys, payloads):
+                if not isinstance(payload, bytes):
+                    raise ConfigError("key and payload must be bytes")
+                tick += 1
+                parts[partition_of[key]].append(key, payload, tick)
+        finally:
+            self._ticks = tick
+            ranges = {}
+            for partition, start in starts.items():
+                part = parts[partition]
+                if part._pending:
+                    part.write_pending()
+                ranges[partition] = (start, len(part.ends))
+        if tick - first_tick != len(keys):
+            raise ConfigError(f"{len(keys)} keys but fewer payloads")
+        return ranges
 
     def poll(self, group: str, topic: str, max_records: int) -> list[LogRecord]:
         """Read from the group's committed positions, never advancing them.
 
         Partitions are visited in index order; within a partition records
         come back in offset order. Polling again without a commit returns
-        the same records.
+        the same records. The row view of poll_columns' read.
         """
+        out: list[LogRecord] = []
+        for p, part, start, stop in self._read_ranges(group, topic, max_records):
+            keys: list[bytes] = []
+            payloads, ticks = part.read(start, stop, keys)
+            offsets = range(start, stop)
+            out += map(LogRecord, repeat(topic), repeat(p), offsets, keys, payloads, ticks)
+        return out
+
+    def poll_columns(self, group: str, topic: str, max_records: int) -> ColumnBatch:
+        """The records poll would return, as columns: payloads and ingest
+        ticks in poll's order, and the offsets read from each partition."""
+        payloads: list[bytes] = []
+        ticks = array("q")
+        ranges = {}
+        for p, part, start, stop in self._read_ranges(group, topic, max_records):
+            part_payloads, part_ticks = part.read(start, stop)
+            payloads += part_payloads
+            ticks += part_ticks
+            ranges[p] = (start, stop)
+        return ColumnBatch(payloads, ticks, ranges)
+
+    def _read_ranges(self, group: str, topic: str, max_records: int) -> list:
+        """``(partition, its _Partition, start, stop)`` for each partition a
+        read of up to ``max_records`` from the group's positions takes
+        records from, in partition order."""
         if max_records < 1:
             raise ConfigError("max_records must be >= 1")
         parts = self._require_parts(topic)
         by_group = self._positions[topic].setdefault(group, {})
-        out: list[LogRecord] = []
+        ranges = []
         budget = max_records
         for p, part in enumerate(parts):
             if budget <= 0:
@@ -449,9 +561,9 @@ class EventLog:
             start = by_group.get(p, 0)
             stop = min(len(part.ends), start + budget)
             if start < stop:
-                out.extend(part.read(topic, p, start, stop))
+                ranges.append((p, part, start, stop))
             budget -= stop - start
-        return out
+        return ranges
 
     def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
         """Mark offsets 0..offset consumed; the next poll starts at offset+1."""

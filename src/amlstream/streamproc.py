@@ -1,21 +1,24 @@
 """Speed layer: micro-batch stream processing over the event log.
 
-Each drain polls one micro-batch per consumer group and works on it as
-columns: every payload is decoded on its own, by the txgen decoder that
-also reads JSON-lines datasets, into per-field column lists (a payload
-that is not a UTF-8 JSON object of a transaction is dead-lettered alone),
-the high-risk and corridor rules are evaluated over those columns, the
-velocity windows are stepped through the batch in record order, and the
-active model (when one is installed) scores the whole batch from one
-encoded matrix. The batch's alert lines are then appended and fsynced in
-one write, and only after that does one commit move the consumer
-positions of every partition the batch read. A crash between persistence
-and commit therefore replays the batch: at-least-once. Alert lines are
-rows of the alerts table, keyed by ``transaction_id:source``, so the
-table's fold counts a replayed alert once. The alert and dead-letter
-files are storage journals: each batch's lines are fsynced before the
-commit, and a line torn by a crash is cut when the file is next opened or
-read.
+Each drain reads one micro-batch per consumer group from the log as
+columns, with no object per record: the payloads, their ingest ticks and
+the offset range read from each partition, from which come the offsets
+it commits and the partition and offset of any dead letter. It works on
+the batch as columns too: every payload is decoded on its own, by the
+txgen decoder that also reads JSON-lines datasets, into per-field column
+lists (a payload that is not a UTF-8 JSON object of a transaction is
+dead-lettered alone), the high-risk and corridor rules are evaluated
+over those columns, the velocity windows are stepped through the batch
+in record order, and the active model (when one is installed) scores the
+whole batch from one encoded matrix. The batch's alert lines are then
+appended and fsynced in one write, and only after that does one commit
+move the consumer positions of every partition the batch read. A crash
+between persistence and commit therefore replays the batch:
+at-least-once. Alert lines are rows of the alerts table, keyed by
+``transaction_id:source``, so the table's fold counts a replayed alert
+once. The alert and dead-letter files are storage journals: each batch's
+lines are fsynced before the commit, and a line torn by a crash is cut
+when the file is next opened or read.
 
 RuleConfig is the ``rules`` config section itself. Rule evaluation is
 deterministic and ordered: each record's rule alerts come in the order
@@ -254,26 +257,26 @@ class StreamProcessor:
     # -- draining -----------------------------------------------------------
 
     def drain_once(self) -> BatchResult:
-        records = self.log.poll(self.group, self.topic, max_records=self.batch_max)
-        if not records:
+        batch = self.log.poll_columns(self.group, self.topic, max_records=self.batch_max)
+        if not batch.payloads:
             return BatchResult(record_count=0)
 
         emit_tick = self.log.ticks()
         self._refresh_model()
-        result = BatchResult(record_count=len(records))
-        # poll returns each partition's records in offset order
-        result.watermark = {r.partition: r.offset for r in records}
+        result = BatchResult(record_count=len(batch.payloads))
+        result.watermark = {p: stop - 1 for p, (_, stop) in batch.ranges.items()}
 
-        rows, ticks, dead_rows = [], [], []
-        for record in records:
+        rows, dead_rows, dead = [], [], set()
+        for i, payload in enumerate(batch.payloads):
             try:
-                rows.append(_parse_transaction(record.payload))
+                rows.append(_parse_transaction(payload))
             except DataError as exc:
-                dead_rows.append(
-                    {"partition": record.partition, "offset": record.offset, "error": str(exc)}
-                )
-            else:
-                ticks.append(record.ingest_tick)
+                partition, offset = batch.locate(i)
+                dead_rows.append({"partition": partition, "offset": offset, "error": str(exc)})
+                dead.add(i)
+        ticks = batch.ticks
+        if dead:
+            ticks = [tick for i, tick in enumerate(ticks) if i not in dead]
         columns = dict.fromkeys(TRANSACTION_FIELDS, ())
         columns.update(zip(TRANSACTION_FIELDS, zip(*rows)))
         ids = columns["id"]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -432,8 +433,10 @@ def write_jsonl(transactions: Iterable[Transaction], path) -> int:
     return n
 
 
-def read_jsonl(path) -> Iterator[Transaction]:
-    with open(path, "rb") as fh:
+def read_jsonl(path, raw: bytes | None = None) -> Iterator[Transaction]:
+    """The transactions of a JSON-lines file; ``raw``, when given, is
+    that file's bytes, already read."""
+    with open(path, "rb") if raw is None else io.BytesIO(raw) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -467,9 +470,12 @@ def write_csv(transactions: Iterable[Transaction], path) -> int:
     return n
 
 
-def read_csv(path) -> Iterator[Transaction]:
+def read_csv(path, raw: bytes | None = None) -> Iterator[Transaction]:
+    """The transactions of a CSV file with a header row; ``raw``, when
+    given, is that file's bytes, already read."""
+    binary = open(path, "rb") if raw is None else io.BytesIO(raw)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with io.TextIOWrapper(binary, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError(f"{path}: empty CSV, expected a header row")
@@ -486,8 +492,9 @@ def read_csv(path) -> Iterator[Transaction]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_dataset(path) -> Iterator[Transaction]:
-    """Dispatch on extension: .csv reads CSV, anything else JSON-lines."""
+def read_dataset(path, raw: bytes | None = None) -> Iterator[Transaction]:
+    """Dispatch on extension: .csv reads CSV, anything else JSON-lines.
+    ``raw``, when given, is the file's bytes, already read."""
     if str(path).endswith(".csv"):
-        return read_csv(path)
-    return read_jsonl(path)
+        return read_csv(path, raw)
+    return read_jsonl(path, raw)

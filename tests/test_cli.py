@@ -5,6 +5,7 @@ output are observable. Datasets are kept small; model settings are
 reduced through the config file so the suite stays fast.
 """
 
+import builtins
 import hashlib
 import itertools
 import json
@@ -320,6 +321,30 @@ def test_ingest_missing_input_exits_3(tmp_path):
         ["--data-dir", str(tmp_path / "d"), "ingest", "--input", str(tmp_path / "no.jsonl")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_ingest_reads_its_input_once(tmp_path, monkeypatch, capsys, suffix):
+    dataset = tmp_path / f"input{suffix}"
+    write = txgen.write_csv if suffix == ".csv" else write_jsonl
+    write(generate(GeneratorConfig(seed=3, count=200)), str(dataset))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(dataset):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    data = tmp_path / "data"
+    assert cli.main(["--data-dir", str(data), "ingest", "--input", str(dataset)]) == 0
+    monkeypatch.undo()
+    assert opened == ["rb"]
+    # the archived blob is the bytes that were parsed and published
+    [archived] = (data / "blobs").rglob(dataset.name)
+    assert archived.read_bytes() == dataset.read_bytes()
+    assert "published 200 records" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +883,16 @@ def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch,
                 unsynced.append((segment.name, dict(watermark)))
         real_commit(self, group, topic, watermark)
 
+    published = []  # records per publish call
+    real_publish_many = EventLog.publish_many
+
+    def counting_publish_many(self, topic, keys, payloads):
+        published.append(len(keys))
+        return real_publish_many(self, topic, keys, payloads)
+
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(EventLog, "commit_watermark", checking_commit)
+    monkeypatch.setattr(EventLog, "publish_many", counting_publish_many)
     argv = ["--config", config_path, "stream", "--feed", str(feed), "--rate", "100"]
     assert cli.main(argv) == 0
     batches = re.search(r"drained 300 records in (\d+) batches", capsys.readouterr().out)
@@ -867,6 +900,7 @@ def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch,
     assert commits
     assert len(commits) == int(batches.group(1))  # one commit per batch
     assert not unsynced
+    assert published == [100, 100, 100]  # one publish call per window
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 import shutil
 import struct
@@ -229,8 +230,22 @@ def test_torn_tail_is_truncated(tmp_path):
     again = EventLog(root)
     try:
         assert [r.payload for r in again.poll("g", "t", 100)][-1] == b"after"
+        # a crash cuts one call's multi-frame write inside its 30th frame
+        whole = seg.stat().st_size
+        again.publish_many("t", [b"k"] * 50, [f"batch-{i}".encode() for i in range(50)])
     finally:
-        again.close()
+        del again  # simulated crash: no close
+    frame_size = [len(_frame(b"k", f"batch-{i}".encode())) for i in range(50)]
+    kept = whole + sum(frame_size[:29])
+    with open(seg, "r+b") as fh:
+        fh.truncate(kept + 7)
+    cut = EventLog(root)
+    try:
+        assert cut.partition_length("t", 0) == 11 + 29
+        assert [r.payload for r in cut.poll("g", "t", 100)][-2:] == [b"batch-27", b"batch-28"]
+    finally:
+        cut.close()
+    assert seg.stat().st_size == kept
 
 
 def test_checksum_corruption_detected(tmp_path):
@@ -260,6 +275,8 @@ def test_file_cut_after_open_is_reported_at_poll(tmp_path):
     try:
         with pytest.raises(CorruptLogError, match="segment-00000000.log"):
             log.poll("g", "t", 100)
+        with pytest.raises(CorruptLogError, match="segment-00000000.log"):
+            log.poll_columns("g", "t", 100)
     finally:
         log.close()
 
@@ -333,6 +350,81 @@ def test_oversized_key_is_refused_before_a_tick(log):
     with pytest.raises(ConfigError, match="65535"):
         log.publish("t", b"k" * 0x10000, b"x")
     assert (log.ticks(), [log.partition_length("t", p) for p in range(3)]) == before
+    # a bad key anywhere in one call publishes none of its records
+    segments = sorted(log.root.glob("t/*/" + SEGMENT_NAME))
+    written = [seg.read_bytes() for seg in segments]
+    for bad, match in ((b"k" * 0x10000, "65535"), ("k", "bytes"), (bytearray(b"k"), "bytes")):
+        keys = [f"a{i}".encode() for i in range(300)]
+        keys[257] = bad
+        with pytest.raises(ConfigError, match=match):
+            log.publish_many("t", keys, [b"x"] * len(keys))
+        assert (log.ticks(), [log.partition_length("t", p) for p in range(3)]) == before
+        assert [seg.read_bytes() for seg in segments] == written
+
+
+def _frame(key, payload):
+    return struct.pack("<IIH", len(payload), zlib.crc32(key + payload), len(key)) + key + payload
+
+
+def test_one_publish_call_matches_single_publishes(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    keys = [f"k{rng.randrange(5)}".encode() for _ in range(1_500)]
+    payloads = [f"{i}:".encode() * (1 + i % 7) for i in range(len(keys))]
+    fsynced, writes = [], []  # file size at each fsync; bytes per segment write
+    real_fsync, real_open = os.fsync, open
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        fsynced.append(os.fstat(fd).st_size)
+
+    class CountingSegment:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return CountingSegment(fh) if mode == "a+b" else fh
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(eventlog, "open", counting_open, raising=False)
+
+    def run(root, publish):
+        fsynced.clear()
+        writes.clear()
+        log = EventLog(root)
+        log.create_topic("t", 3)
+        published = publish(log)
+        rows = [(r.partition, r.offset, r.key, r.payload, r.ingest_tick)
+                for r in log.poll("g", "t", 10_000)]
+        counts = [log.partition_length("t", p) for p in range(3)]
+        synced = list(fsynced)
+        log.close()
+        files = {path.relative_to(root): path.read_bytes()
+                 for path in sorted(root.rglob("*")) if path.is_file()}
+        return published, (rows, log.ticks(), synced, files), counts, list(writes)
+
+    placed, single, counts, single_writes = run(
+        tmp_path / "single", lambda log: [log.publish("t", k, p) for k, p in zip(keys, payloads)]
+    )
+    ranges, batched, _, batched_writes = run(
+        tmp_path / "batched", lambda log: log.publish_many("t", keys, iter(payloads))
+    )
+    assert max(counts) > eventlog.FSYNC_INTERVAL
+    assert batched == single
+    assert ranges == {p: (0, n) for p, n in enumerate(counts)}
+    where = {payload: (p, offset) for p, offset, _, payload, _ in single[0]}
+    assert placed == [where[payload] for payload in payloads]
+    assert len(single_writes) == len(keys)
+    # one write per FSYNC_INTERVAL frames of a partition, and one for its rest
+    assert len(batched_writes) == sum(-(-n // eventlog.FSYNC_INTERVAL) for n in counts)
+    assert sum(batched_writes) == sum(single_writes)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +514,12 @@ def read_back(root):
     log = EventLog(root)
     try:
         records = log.poll("reader", "t", 10_000)
+        batch = log.poll_columns("reader", "t", 10_000)
+        assert batch.payloads == [r.payload for r in records]
+        assert list(batch.ticks) == [r.ingest_tick for r in records]
+        assert [batch.locate(i) for i in range(len(records))] == [
+            (r.partition, r.offset) for r in records
+        ]
         return (
             log.ticks(),
             [(r.partition, r.offset, r.key, r.payload, r.ingest_tick) for r in records],

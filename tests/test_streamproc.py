@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from amlstream import eventlog
 from amlstream.errors import DataError
 from amlstream.eventlog import EventLog, fnv1a_64
 from amlstream.featstore import build_schema, encode_matrix
@@ -626,6 +627,30 @@ def test_replay_of_same_log_is_deterministic(tmp_path):
         proc.drain_all()
         runs.append(sorted((a.transaction_id, a.source) for a in read_alerts(str(base / "alerts.jsonl"))))
     assert runs[0] == runs[1]
+
+
+def test_drain_builds_no_log_record(tmp_path, monkeypatch):
+    log = fresh_log(tmp_path, partitions=3)
+    for i, t in enumerate(generate(GeneratorConfig(seed=21, count=500))):
+        publish_transaction(log, "transactions", t)
+        if i % 97 == 0:
+            log.publish("transactions", b"UK", b"{not json")
+
+    def drained(group):
+        proc = make_processor(tmp_path / group, log, group=group, batch_max=64)
+        alerts = [(a.transaction_id, a.source, a.score, a.tick)
+                  for r in proc.drain_all() for a in r.alerts]
+        proc.close()
+        return alerts, (tmp_path / group / "dead.jsonl").read_bytes()
+
+    expected = drained("first")
+
+    def no_log_record(*args):
+        raise AssertionError("the drain built a LogRecord")
+
+    monkeypatch.setattr(eventlog, "LogRecord", no_log_record)
+    assert drained("second") == expected
+    assert expected[0] and expected[1].count(b"\n") == 6
 
 
 def test_decode_payload_round_trip(tmp_path):

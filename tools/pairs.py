@@ -1,0 +1,123 @@
+"""Compare two checkouts on the benchmark in interleaved pairs.
+
+    python3 tools/pairs.py --parent ../base --change . --workload backfill --seed 3 --pairs 10
+
+For each pair and workload it runs, in each checkout,
+
+    python3 bench/run.py --workload W --seed S --trace 0
+
+alternating which side goes first, and reads the gated end-to-end metrics
+from the JSON line the run prints last. For each metric of BENCHMARK.json
+it then prints each side's median and quartiles, how many pairs the change
+won, whether its median gain exceeds the parent's interquartile range, and
+whether its median stays within the metric's bound of the parent's. A pair
+with a run that fails or is not correct is left out of the comparison and
+reported. The tool exits 1 if any pair was left out or any median is
+worse than its bound. ``--out`` keeps every run's metrics as JSON.
+
+Standard library only; it does not import the program.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_bench(checkout: Path, workload: str, seed: int) -> dict | None:
+    """The metrics of one run, as ``{name: value}``; None if the run failed
+    or was not correct."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        return None
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(workload: str, runs: list[tuple[dict | None, dict | None]], gated: list[dict]) -> bool:
+    """Print one line per gated metric; returns whether every pair ran
+    correctly and every change median stays within its bound."""
+    ok = True
+    whole = [(p, c) for p, c in runs if p is not None and c is not None]
+    failed = len(runs) - len(whole)
+    print(f"{workload}: {len(whole)} of {len(runs)} pairs ran correctly on both sides")
+    if not whole:
+        return False
+    print(f"  {'metric':12s} {'parent q1/median/q3':>32s} {'change q1/median/q3':>32s}"
+          f" {'change':>8s} {'won':>6s} {'>IQR':>5s} {'bound':>6s}")
+    for metric in gated:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p[name] for p, _ in whole]
+        change = [c[name] for _, c in whole]
+        pq = quartiles(parent)
+        cq = quartiles(change)
+        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        gain = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
+        beyond_iqr = gain > pq[2] - pq[0]
+        worse = -gain / pq[1] if pq[1] else 0.0
+        within = worse <= metric["bound"]
+        ok &= within
+        rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
+        print(f"  {name:12s} {pq[0]:10.4g} {pq[1]:10.4g} {pq[2]:10.4g}"
+              f" {cq[0]:10.4g} {cq[1]:10.4g} {cq[2]:10.4g}"
+              f" {rel:+8.1%} {won:3d}/{len(whole):<2d} {'yes' if beyond_iqr else 'no':>5s}"
+              f" {'ok' if within else 'WORSE':>6s}")
+    if failed:
+        print(f"  {failed} pair(s) failed or were not correct")
+    return ok and not failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", nargs="+", default=["backfill", "live", "history"])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="write every run's metrics here as JSON")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    gated = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs: dict[str, list] = {w: [] for w in args.workload}
+    for i in range(args.pairs):
+        for workload in args.workload:
+            sides = {}
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                sides[side] = run_bench(getattr(args, side), workload, args.seed)
+            runs[workload].append((sides["parent"], sides["change"]))
+            print(f"pair {i + 1}/{args.pairs} {workload}: {' then '.join(order)}", file=sys.stderr)
+    if args.out:
+        args.out.write_text(json.dumps(
+            {w: [{"parent": p, "change": c} for p, c in pairs] for w, pairs in runs.items()},
+            indent=1))
+    ok = True
+    for workload in args.workload:
+        ok &= summarize(workload, runs[workload], gated)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
