@@ -24,16 +24,17 @@ the stream commits each batch, checks every partition's offset first
 and then replaces the file once.
 
 Durability policy: publish_many appends many records in one call, and
-publish is that call with one record. A call writes each partition's
-queued frames to the OS in one write once FSYNC_INTERVAL of its records
-are unsynced, and fsyncs them then; it writes the rest at its end, so
-every record is written to the OS before the call returns, and flush()
-forces an fsync. The CLI's ingest, demo and ``stream --feed`` publish
-each batch in one call and call flush() after it, before a drain commits
-its offsets. topic.json and positions.json are written by storage's
-replace_file, so each is fsynced before it is renamed into place. A
-simulated in-process crash therefore never loses an acknowledged
-publish; a crash of the machine can lose the unsynced tail.
+publish appends one through the same key check and frame writer. A call
+writes each partition's queued frames to the OS in one write once
+FSYNC_INTERVAL of its records are unsynced, and fsyncs them then; it
+writes the rest at its end, so every record is written to the OS before
+the call returns, and flush() forces an fsync. The CLI's ingest, demo
+and ``stream --feed`` publish each batch in one call and call flush()
+after it, before a drain commits its offsets. topic.json and
+positions.json are written by storage's replace_file, so each is fsynced
+before it is renamed into place. A simulated in-process crash therefore
+never loses an acknowledged publish; a crash of the machine can lose the
+unsynced tail.
 
 Opening checks every byte poll can return, and finds most frames
 through a sidecar index, ``segment-00000000.index``:
@@ -116,6 +117,16 @@ def fnv1a_64(data: bytes) -> int:
         h ^= b
         h = (h * FNV_PRIME) & _U64_MASK
     return h
+
+
+def _partition_of(key: bytes, partition_count: int) -> int:
+    """The partition of a record key; a key that is not bytes or is longer
+    than 65,535 bytes raises ConfigError."""
+    if not isinstance(key, bytes):
+        raise ConfigError("key and payload must be bytes")
+    if len(key) > 0xFFFF:
+        raise ConfigError("record key longer than 65535 bytes")
+    return fnv1a_64(key) % partition_count
 
 
 def _crc32_range(fd: int, start: int, stop: int, crc: int) -> int | None:
@@ -465,9 +476,18 @@ class EventLog:
     def publish(self, topic: str, key: bytes, payload: bytes) -> tuple[int, int]:
         """Append one record; returns its (partition, offset) once it is
         written to the OS. It is fsynced with the FSYNC_INTERVAL-th
-        unsynced record of its partition, or by flush()."""
-        [(partition, (offset, _))] = self.publish_many(topic, (key,), (payload,)).items()
-        return partition, offset
+        unsynced record of its partition, or by flush(). The checks and
+        the frame writer are publish_many's, without its per-call maps."""
+        parts = self._require_parts(topic)
+        partition = _partition_of(key, len(parts))
+        if not isinstance(payload, bytes):
+            raise ConfigError("key and payload must be bytes")
+        part = parts[partition]
+        self._ticks += 1
+        part.append(key, payload, self._ticks)
+        if part._pending:
+            part.write_pending()
+        return partition, len(part.ends) - 1
 
     def publish_many(self, topic: str, keys, payloads) -> dict[int, tuple[int, int]]:
         """Append records in order, the i-th under ``keys[i]`` with the
@@ -490,12 +510,9 @@ class EventLog:
         partition_of: dict[bytes, int] = {}
         starts: dict[int, int] = {}  # partition -> its length before the call
         for key in keys:
-            if not isinstance(key, bytes):
-                raise ConfigError("key and payload must be bytes")
-            if key not in partition_of:
-                if len(key) > 0xFFFF:
-                    raise ConfigError("record key longer than 65535 bytes")
-                partition = partition_of[key] = fnv1a_64(key) % len(parts)
+            # a key that is not bytes may be unhashable: the helper refuses it first
+            if not isinstance(key, bytes) or key not in partition_of:
+                partition = partition_of[key] = _partition_of(key, len(parts))
                 if partition not in starts:
                     starts[partition] = len(parts[partition].ends)
         tick = first_tick = self._ticks

@@ -23,10 +23,17 @@ stream time-ordered. The intra-day second is random. ``timestamp`` is
 ``(day - 1) * 86400 + second`` so day and second round-trip losslessly.
 calendar_date maps a day index to its date in the simulated year, 2023.
 
+One encoder writes every serialized transaction, a log payload, a
+JSON-lines dataset line and a warehouse row alike: transaction_to_json
+fills one ``%`` template in TRANSACTION_FIELDS order and gives the bytes
+``json.dumps(asdict(t), separators=(",", ":"))`` would (compact, keys in
+field order, strings escaped to ASCII by json's own escaper).
+
 One decoder reads every serialized transaction (a log payload, a dataset
-line or CSV row, a warehouse row); a malformed record, an out-of-range
-number, an id or timestamp outside int64 or a non-finite amount raises
-DataError.
+line or CSV row, a warehouse row); a JSON line is parsed by storage's
+line decoder, which gives json.loads's values and errors. A malformed
+record, an out-of-range number, an id or timestamp outside int64 or a
+non-finite amount raises DataError.
 """
 
 from __future__ import annotations
@@ -34,16 +41,16 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .storage import RowType
+from .storage import RowType, _loads_line
 
 # ---------------------------------------------------------------------------
 # reference distribution (counts from the production ledger the defaults
@@ -148,9 +155,6 @@ class Transaction:
     @property
     def day(self) -> int:
         return self.timestamp // DAY_SECONDS + 1
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in TRANSACTION_FIELDS}
 
 
 TRANSACTION_FIELDS = tuple(f.name for f in fields(Transaction))
@@ -400,7 +404,7 @@ def _parse_transaction(record: bytes) -> tuple:
     to its coerced field values in TRANSACTION_FIELDS order. Anything that
     is not a UTF-8 JSON object of a transaction raises DataError."""
     try:
-        data = json.loads(record.decode("utf-8"))
+        data = _loads_line(record.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise DataError(f"payload is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -419,8 +423,30 @@ TRANSACTION_ROWS = RowType(
 )
 
 
+# One transaction as the bytes json.dumps(asdict(t), separators=(",", ":"))
+# gives: fields in TRANSACTION_FIELDS order, ints as %d, the finite amount as
+# float.__repr__, strings escaped to ASCII by json's own escaper.
+_TRANSACTION_LINE = (
+    '{"id":%d,"timestamp":%d,"amount":%s,"payment_currency":%s,"received_currency":%s,'
+    '"sender_bank_location":%s,"receiver_bank_location":%s,"payment_type":%s,'
+    '"is_laundering":%s}'
+)
+
+
 def transaction_to_json(t: Transaction) -> str:
-    return json.dumps(t.to_dict(), separators=(",", ":"))
+    """A transaction's JSON object on one line: its log payload, dataset
+    line and warehouse row."""
+    return _TRANSACTION_LINE % (
+        t.id,
+        t.timestamp,
+        float.__repr__(t.amount),
+        _json_string(t.payment_currency),
+        _json_string(t.received_currency),
+        _json_string(t.sender_bank_location),
+        _json_string(t.receiver_bank_location),
+        _json_string(t.payment_type),
+        "true" if t.is_laundering else "false",
+    )
 
 
 def write_jsonl(transactions: Iterable[Transaction], path) -> int:

@@ -374,6 +374,36 @@ def test_generate_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+# sha256 of ``generate --count 2000`` at seed 7, which ``ingest`` stores
+# unchanged as the transactions journal, and of the event-log segments
+# that ingest publishes it to, as json.dumps encoded every transaction
+GENERATED_SHA256 = "f7fffa9bd98be1704a8338b0e953b2b991a326c42582213f349d6369b915f108"
+SEGMENT_SHA256 = {
+    "p000": "b9446bb2a6d3203fb634399cf29cd94f7e5eb80f323a328eceb6bbee26c677ab",
+    "p001": "348ebffee21eb9fcefd789ae60191031a2b0f4c4db0a374b7f928da86db85d43",
+    "p002": "193566a1f3e8da83961303bbd2d5a6e99731cf8eed3fdc01ef5fb17cb5623a4b",
+    "p003": "25d09aa45784e7370a8e9457c6bde9db900d056c0a6f8ab66e75539290991722",
+}
+
+
+def test_generated_and_ingested_bytes_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    argv = ["--data-dir", str(data), "--seed", "7"]
+    assert cli.main([*argv, "generate", "--count", "2000"]) == 0
+    assert cli.main([*argv, "ingest"]) == 0
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert digest(data / "transactions.jsonl") == GENERATED_SHA256
+    assert digest(data / "tables" / "transactions" / "journal.jsonl") == GENERATED_SHA256
+    segments = {
+        path.parent.name: digest(path)
+        for path in (data / "log" / "transactions").glob("p*/segment-*.log")
+    }
+    assert segments == SEGMENT_SHA256
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline flow
 # ---------------------------------------------------------------------------
@@ -745,6 +775,35 @@ def test_corrupt_persisted_file_exits_4_naming_it(flow, tmp_path, capsys, case):
     if names_line:
         expected += f":{len(path.read_text().splitlines())}"
     assert expected in err, err
+
+
+# (journal, the bytes the last of whose occurrences a 0xFF byte is put
+# after, so inside a string value, and the command that reads the journal)
+NOT_UTF8_LINES = {
+    "transactions_train": (("tables", "transactions", "journal.jsonl"), b'"payment_type":"', ["train"]),
+    "transactions_report": (("tables", "transactions", "journal.jsonl"), b'"payment_type":"', ["report"]),
+    "registry_report": (("registry.jsonl",), b'"kind": "', ["report"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_LINES))
+def test_journal_line_that_is_not_utf8_exits_4_naming_it(flow, tmp_path, capsys, case):
+    parts, before, command = NOT_UTF8_LINES[case]
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    path = data.joinpath(*parts)
+    raw = path.read_bytes()
+    cut = raw.rindex(before) + len(before)
+    path.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    capsys.readouterr()
+    argv = ["--config", config_path, "--data-dir", str(data),
+            "--report-dir", str(tmp_path / "reports"), *command]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    line = raw[:cut].count(b"\n") + 1
+    assert f"{path.name}:{line}: bad journal line" in err, err
+    assert "UnicodeDecodeError" in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,17 @@ def test_bad_journal_line_mid_file_names_path_and_line(tmp_path):
         again.query("alerts")
 
 
+def test_journal_line_that_is_not_utf8_names_path_and_line(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_bytes(b'{"a": "x"}\n \xe2\x80\xa8 \n{"a": "\xffy"}\n')
+    # a line of Unicode whitespace is blank; a byte that is not UTF-8
+    # inside a string value makes its line bad, not a lone surrogate
+    with pytest.raises(DataError, match=r"journal\.jsonl:3: bad journal line: UnicodeDecodeError"):
+        storage.read_journal(journal, lambda row: row)
+    journal.write_bytes(b'{"a": "x"}\n \xe2\x80\xa8 \n{"a": "\xc3\xbf\\u00ff"}\n')
+    assert storage.read_journal(journal, lambda row: row) == [{"a": "x"}, {"a": "\xff\xff"}]
+
+
 def test_table_is_read_from_its_journal_not_from_memory(tmp_path):
     reader = make_store(tmp_path)
     writer = TableStore(tmp_path / "tables")

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -145,14 +146,14 @@ def test_generate_exact_count_and_increasing_ids():
 
 def test_generate_is_bit_identical_on_replay():
     cfg = small_config(seed=99, count=30_000)
-    first = [t.to_dict() for t in generate(cfg)]
-    second = [t.to_dict() for t in generate(cfg)]
+    first = [asdict(t) for t in generate(cfg)]
+    second = [asdict(t) for t in generate(cfg)]
     assert first == second
 
 
 def test_different_seeds_differ():
-    a = [t.to_dict() for t in generate(small_config(seed=1, count=2_000))]
-    b = [t.to_dict() for t in generate(small_config(seed=2, count=2_000))]
+    a = [asdict(t) for t in generate(small_config(seed=1, count=2_000))]
+    b = [asdict(t) for t in generate(small_config(seed=2, count=2_000))]
     assert a != b
 
 
@@ -212,7 +213,7 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "txns.jsonl"
     assert write_jsonl(original, path) == 500
     back = list(read_jsonl(path))
-    assert [t.to_dict() for t in back] == [t.to_dict() for t in original]
+    assert [asdict(t) for t in back] == [asdict(t) for t in original]
 
 
 def test_csv_round_trip(tmp_path):
@@ -221,12 +222,12 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "txns.csv"
     assert write_csv(original, path) == 500
     back = list(read_csv(path))
-    assert [t.to_dict() for t in back] == [t.to_dict() for t in original]
+    assert [asdict(t) for t in back] == [asdict(t) for t in original]
 
 
 def test_reader_accepts_misspelled_label_alias(tmp_path):
     t = next(iter(generate(small_config(count=1))))
-    record = t.to_dict()
+    record = asdict(t)
     record["is_laundersing"] = record.pop("is_laundering")
     parsed = transaction_from_dict(record)
     assert parsed.is_laundering == t.is_laundering
@@ -234,7 +235,7 @@ def test_reader_accepts_misspelled_label_alias(tmp_path):
     path = tmp_path / "legacy.jsonl"
     path.write_text(json.dumps(record) + "\n")
     back = list(read_jsonl(path))
-    assert back[0].to_dict() == t.to_dict()  # canonical spelling restored
+    assert asdict(back[0]) == asdict(t)  # canonical spelling restored
 
 
 def test_writer_emits_canonical_spelling(tmp_path):
@@ -247,8 +248,8 @@ def test_writer_emits_canonical_spelling(tmp_path):
 
 def test_reader_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = transaction_from_dict(next(iter(generate(small_config(count=1)))).to_dict())
-    path.write_text(json.dumps(good.to_dict()) + "\n{broken\n")
+    good = transaction_from_dict(asdict(next(iter(generate(small_config(count=1))))))
+    path.write_text(json.dumps(asdict(good)) + "\n{broken\n")
     with pytest.raises(DataError, match="line 2"):
         list(read_jsonl(path))
 

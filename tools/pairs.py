@@ -10,8 +10,8 @@ alternating which side goes first, and reads the gated end-to-end metrics
 from the JSON line the run prints last. For each metric of BENCHMARK.json
 it then prints each side's median and quartiles, how many pairs the change
 won, whether its median gain exceeds the parent's interquartile range, and
-whether its median stays within the metric's bound of the parent's. A pair
-with a run that fails or is not correct is left out of the comparison and
+a verdict: gain, held, unresolved or WORSE (see ``compare``). A pair with
+a run that fails or is not correct is left out of the comparison and
 reported. The tool exits 1 if any pair was left out or any median is
 worse than its bound. ``--out`` keeps every run's metrics as JSON.
 
@@ -25,6 +25,7 @@ import json
 import statistics
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -54,9 +55,49 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+@dataclass
+class Comparison:
+    """One metric over paired runs: each side's quartiles, the pairs the
+    change won, whether its median gain exceeds the parent's IQR, and the
+    verdict."""
+
+    parent: tuple[float, float, float]
+    change: tuple[float, float, float]
+    won: int
+    beyond_iqr: bool
+    verdict: str
+
+
+def compare(parent: list[float], change: list[float], lower: bool, bound: float) -> Comparison:
+    """The i-th of ``parent`` and of ``change`` are one pair. The verdict:
+
+    - ``gain``: the change wins at least 9 of 10 pairs (ties count for
+      neither side) and its median gain exceeds the parent's IQR;
+    - ``WORSE``: the change's median is worse than the parent's by more
+      than ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's IQR exceeds ``bound`` of its median,
+      and not every change run beats every parent run;
+    - ``held``: everything else.
+    """
+    pq, cq = quartiles(parent), quartiles(change)
+    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    gain = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
+    iqr = pq[2] - pq[0]
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
+    if 10 * won >= 9 * len(parent) and gain > iqr:
+        verdict = "gain"
+    elif pq[1] and -gain / pq[1] > bound:
+        verdict = "WORSE"
+    elif pq[1] and iqr / pq[1] > bound and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "held"
+    return Comparison(pq, cq, won, gain > iqr, verdict)
+
+
 def summarize(workload: str, runs: list[tuple[dict | None, dict | None]], gated: list[dict]) -> bool:
     """Print one line per gated metric; returns whether every pair ran
-    correctly and every change median stays within its bound."""
+    correctly and no metric's verdict is WORSE."""
     ok = True
     whole = [(p, c) for p, c in runs if p is not None and c is not None]
     failed = len(runs) - len(whole)
@@ -64,24 +105,18 @@ def summarize(workload: str, runs: list[tuple[dict | None, dict | None]], gated:
     if not whole:
         return False
     print(f"  {'metric':12s} {'parent q1/median/q3':>32s} {'change q1/median/q3':>32s}"
-          f" {'change':>8s} {'won':>6s} {'>IQR':>5s} {'bound':>6s}")
+          f" {'change':>8s} {'won':>6s} {'>IQR':>5s} {'verdict':>10s}")
     for metric in gated:
-        name, lower = metric["name"], metric["better"] == "lower"
-        parent = [p[name] for p, _ in whole]
-        change = [c[name] for _, c in whole]
-        pq = quartiles(parent)
-        cq = quartiles(change)
-        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        gain = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
-        beyond_iqr = gain > pq[2] - pq[0]
-        worse = -gain / pq[1] if pq[1] else 0.0
-        within = worse <= metric["bound"]
-        ok &= within
+        name = metric["name"]
+        result = compare([p[name] for p, _ in whole], [c[name] for _, c in whole],
+                         metric["better"] == "lower", metric["bound"])
+        ok &= result.verdict != "WORSE"
+        pq, cq = result.parent, result.change
         rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
         print(f"  {name:12s} {pq[0]:10.4g} {pq[1]:10.4g} {pq[2]:10.4g}"
               f" {cq[0]:10.4g} {cq[1]:10.4g} {cq[2]:10.4g}"
-              f" {rel:+8.1%} {won:3d}/{len(whole):<2d} {'yes' if beyond_iqr else 'no':>5s}"
-              f" {'ok' if within else 'WORSE':>6s}")
+              f" {rel:+8.1%} {result.won:3d}/{len(whole):<2d}"
+              f" {'yes' if result.beyond_iqr else 'no':>5s} {result.verdict:>10s}")
     if failed:
         print(f"  {failed} pair(s) failed or were not correct")
     return ok and not failed
