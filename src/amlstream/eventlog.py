@@ -37,29 +37,25 @@ never loses an acknowledged publish; a crash of the machine can lose the
 unsynced tail.
 
 Opening checks every byte poll can return, and finds most frames
-through a sidecar index, ``segment-00000000.index``:
+through a sidecar index, ``segment-00000000.index``, which covers the
+segment's first ``L`` bytes by storage's covered-prefix rule:
 
     [u64 LE n][u64 LE L][u32 LE CRC32 of segment bytes [0, L)]
     [u32 LE CRC32 of the ends][n x u64 LE frame end]
 
-The index is adopted only if the CRC of its ends matches, ``L`` is no
-more than the segment's size, the last end is ``L``, and one CRC32 over
-the segment's first ``L`` bytes, read 1 MiB at a time, matches. Then
-only the frames from ``L`` on are scanned; with no index, or a stale
-or garbled one, every frame is, so a bad index costs one full scan and
-nothing else. The scan checks each frame's CRC: a mismatch on
-a fully framed record is real corruption and raises CorruptLogError
-naming its byte, and a torn tail from a crash mid-write, which may hold
-several frames of one write, is cut to the last whole frame. A frame
-that runs past the file's end before the ``L`` of an index whose own CRC
-holds is not a torn tail (the segment was fsynced before the index was
-written) but a damaged length field, and raises CorruptLogError naming
-its byte too. flush() rewrites the index, through replace_file after the
-segment's fsync, once INDEX_INTERVAL records lie past it, and close()
-whenever any does; the prefix CRC is kept running, so each rewrite reads
-only the segment bytes added since the last. A partition count that is not an int of at least
-1, or a committed offset that is not an int within the partition's
-records, raises DataError naming the file.
+Its own checks are the CRC of its ends and a last end equal to ``L``.
+Only the frames past an adopted index are scanned, each against its
+CRC: a mismatch on a fully framed record is corruption and raises
+CorruptLogError naming its byte, and a torn tail from a crash mid-write,
+which may hold several frames of one write, is cut to the last whole
+frame. A frame that runs past the file's end inside the ``L`` of an
+index whose own checks hold is not a torn tail (the segment was fsynced
+before the index was written) but a damaged length, and raises
+CorruptLogError naming its byte too. flush() rewrites the index once
+INDEX_INTERVAL records lie past it, and close() whenever any does. A
+partition count that is not an int of at least 1, or a committed offset
+that is not an int within the partition's records, raises DataError
+naming the file.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
 partition count, computed once per distinct key of a publish call.
@@ -95,7 +91,7 @@ from .errors import (
     OffsetRangeError,
     reading,
 )
-from .storage import replace_file
+from .storage import Prefix, checked_prefix, replace_file
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -107,7 +103,6 @@ FSYNC_INTERVAL = 256
 INDEX_INTERVAL = 4096
 _HEADER = struct.Struct("<IIH")  # payload length, crc32, key length
 _INDEX_HEADER = struct.Struct("<QQII")  # records, covered bytes, their crc32, crc32 of the ends
-_CRC_CHUNK = 1 << 20
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -127,18 +122,6 @@ def _partition_of(key: bytes, partition_count: int) -> int:
     if len(key) > 0xFFFF:
         raise ConfigError("record key longer than 65535 bytes")
     return fnv1a_64(key) % partition_count
-
-
-def _crc32_range(fd: int, start: int, stop: int, crc: int) -> int | None:
-    """``crc`` extended over bytes [start, stop) of ``fd``, read 1 MiB at
-    a time; None if the file ends before ``stop``."""
-    while start < stop:
-        chunk = os.pread(fd, min(_CRC_CHUNK, stop - start), start)
-        if not chunk:
-            return None
-        crc = zlib.crc32(chunk, crc)
-        start += len(chunk)
-    return crc
 
 
 @dataclass(frozen=True)
@@ -197,7 +180,7 @@ class _Partition:
         self._pending: list[bytes] = []  # queued frames as header, key, payload pieces
         self._unsynced = 0  # records written or queued since the last fsync
         self._indexed = 0  # records the index file covers
-        self._prefix = (0, 0)  # (length, crc32) of the segment's checked prefix
+        self._prefix = Prefix()  # the segment's checked prefix
 
     def load(self, ticks_before: int) -> int:
         """Index every whole frame, through the index file where it holds
@@ -212,7 +195,7 @@ class _Partition:
             return 0
         with open(self.path, "rb") as fh:
             whole = self._load_index(fh.fileno())
-            start = self._prefix[0]
+            start = self._prefix.length
             fh.seek(start)
             data = fh.read()
         view = memoryview(data)
@@ -232,7 +215,7 @@ class _Partition:
                 raise CorruptLogError(f"{self.path}: checksum mismatch at byte {start + pos}")
             self.ends.append(start + end)
             pos = end
-        self._prefix = (start + pos, zlib.crc32(view[:pos], self._prefix[1]))
+        self._prefix = self._prefix.extend(view[:pos])
         if pos < len(data):
             # torn tail from a crash mid-append: drop the partial frame
             with open(self.path, "r+b") as fh:
@@ -262,23 +245,20 @@ class _Partition:
             ends.byteswap()
         if not ends or ends[-1] != length:
             return 0
-        # the CRC read stops short, and fails, if the segment ends before ``length``
-        if _crc32_range(fd, 0, length, 0) == prefix_crc:
+        prefix = checked_prefix(fd, length, prefix_crc)
+        if prefix is not None:
             self.ends = ends
             self._indexed = count
-            self._prefix = (length, prefix_crc)
+            self._prefix = prefix
         return length
 
     def _write_index(self) -> None:
         """Replace the index file with one covering every record, extending
-        the prefix CRC over the bytes appended since the last one."""
-        length, crc = self._prefix
-        stop = self.ends[-1]
-        if length < stop:
-            crc = _crc32_range(self._handle().fileno(), length, stop, crc)
-            if crc is None:
-                return  # the file was cut under us; the next open scans it all
-        self._prefix = (stop, crc)
+        the checked prefix over the bytes appended since the last one."""
+        prefix = self._prefix.read_to(self._handle().fileno(), self.ends[-1])
+        if prefix is None:
+            return  # the file was cut under us; the next open scans it all
+        self._prefix = prefix
         ends = self.ends
         if sys.byteorder == "big":
             ends = array("q", ends)
@@ -286,7 +266,7 @@ class _Partition:
         body = ends.tobytes()
         replace_file(
             self.index_path,
-            _INDEX_HEADER.pack(len(self.ends), stop, crc, zlib.crc32(body)) + body,
+            _INDEX_HEADER.pack(len(self.ends), prefix.length, prefix.crc, zlib.crc32(body)) + body,
         )
         self._indexed = len(self.ends)
 

@@ -1,10 +1,10 @@
 """File-backed blob and table stores, and the JSON-lines journal.
 
 Every whole-file write (a blob, a table's schema.json and compaction, the
-event log's topic.json and positions.json) goes through replace_file: a
-temp file is written, fsynced and renamed over the target, so a reader,
-or a restart after a crash, sees either the old bytes or the new bytes,
-never a mix.
+event log's topic.json, positions.json and index) goes through
+replace_file: a temp file is written, fsynced and renamed over the
+target, so a reader, or a restart after a crash, sees either the old
+bytes or the new bytes, never a mix.
 
 BlobStore: named byte objects under namespace/date/name directories.
 
@@ -20,24 +20,28 @@ last upsert of a key winning, so a replayed row counts once, and
 returns the whole table sorted by primary key, which keeps every
 downstream report deterministic.
 
+Both derived files, the event log's index beside a segment and a
+table's compaction beside its journal, follow one covered-prefix rule.
+Each covers its file's first ``L`` bytes and records their CRC32, a
+Prefix. A reader adopts it only if its own checks hold and
+checked_prefix finds those bytes, read 1 MiB at a time, with that CRC;
+then it reads only the bytes past ``L``, else the whole file. A writer
+replaces it once the bytes it covers are fsynced, extending its last
+Prefix over only the bytes past it.
+
 A table may keep one compaction beside its journal, ``columns.npz``: the
 fold of the journal's first ``L`` bytes as one column per field, one row
 per key, sorted by key, each value as the RowType decodes it. Integer,
 float and boolean columns are NumPy arrays; a string column is int32
 codes, its sorted vocabulary kept in the file's JSON header, since NumPy
-string arrays drop trailing NUL characters. The header also carries
-``L`` and a CRC32 of those bytes. count and columns adopt the compaction
-only if every check holds (format number, key and columns, ``L`` no
-more than the journal's size, the CRC, column lengths and types, codes
-within their vocabulary, keys strictly increasing); then they fold only
-the journal lines past ``L`` on top of it. A missing, stale or garbled
-compaction costs one full fold and nothing else. upsert_rows rewrites
-the compaction, after the journal bytes it covers are fsynced, once
-COMPACT_ROWS rows lie past it, from the decoded values its callers hand
-it for the rows they append; it decodes only the older lines past the
-compaction, and skips compacting if one of them does not decode. No read
-writes a compaction, and the stream's alert appends neither read nor
-write one.
+string arrays drop trailing NUL characters; the header also carries the
+Prefix. Its own checks: format number, key and columns, column lengths
+and types, codes within their vocabulary, keys strictly increasing.
+count and columns fold only the journal lines past it. upsert_rows
+rewrites it once COMPACT_ROWS rows lie past it, from the values its
+callers hand it for the rows they append, decoding only older lines past
+it, and skips compacting if one of them does not decode. No read writes
+a compaction; the stream's alert appends neither read nor write one.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's dead-letter file) follows one rule. JournalWriter is its only
@@ -142,46 +146,72 @@ def _loads_line(line: str):
     return value
 
 
-def _decode_lines(raw, path, number: int, decode) -> list:
-    """The journal lines of ``path`` in the binary stream ``raw``, the first
-    being line ``number``, each parsed and passed through ``decode``;
-    blank lines are skipped. A line that is not UTF-8 is a bad line."""
+def _chunks(fd: int, start: int, stop: int):
+    """Bytes [start, stop) of ``fd``, 1 MiB at a time, up to the file's end."""
+    while start < stop:
+        chunk = os.pread(fd, min(_READ_CHUNK, stop - start), start)
+        if not chunk:
+            return
+        yield chunk
+        start += len(chunk)
+
+
+def _lines_in(path, start: int, stop: int) -> int:
+    """How many lines of ``path`` end in its bytes [start, stop)."""
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") for chunk in _chunks(fh.fileno(), start, stop))
+
+
+@dataclass(frozen=True)
+class Prefix:
+    """A file's first ``length`` bytes, whose CRC32 is ``crc``."""
+
+    length: int = 0
+    crc: int = 0
+
+    def extend(self, data) -> "Prefix":
+        """This prefix extended over ``data``, the file's next bytes."""
+        return Prefix(self.length + len(data), zlib.crc32(data, self.crc))
+
+    def read_to(self, fd: int, stop: int) -> "Prefix | None":
+        """This prefix extended to ``stop`` by reading ``fd``; None if it ends first."""
+        prefix = self
+        for chunk in _chunks(fd, self.length, stop):
+            prefix = prefix.extend(chunk)
+        return prefix if prefix.length == stop else None
+
+
+def checked_prefix(fd: int, length: int, crc: int) -> Prefix | None:
+    """The first ``length`` bytes of ``fd`` if they have CRC32 ``crc``, else None."""
+    prefix = Prefix().read_to(fd, length)
+    return prefix if prefix is not None and prefix.crc == crc else None
+
+
+def _decode_lines(raw, path, start: int, decode) -> list:
+    """The journal lines of ``path`` from its byte ``start`` in the binary
+    stream ``raw``, each parsed and passed through ``decode``; blank lines
+    are skipped. The lines before a bad one are counted only to name it."""
     entries = []
-    for number, line in enumerate(raw, start=number):
+    for number, line in enumerate(raw, start=1):
         try:
             line = line.decode("utf-8").strip()
             if not line:
                 continue
             entries.append(decode(_loads_line(line)))
         except MALFORMED as exc:
+            number += _lines_in(path, 0, start)
             raise DataError(f"{path}:{number}: bad journal line: {exc!r}") from exc
     return entries
 
 
-def read_journal(path, decode, start: int = 0, number: int = 1) -> list:
+def read_journal(path, decode, start: int = 0) -> list:
     """The parsed lines of a JSON-lines journal from byte ``start``, which
-    begins line ``number``, oldest first, each passed through ``decode``.
-    A line that does not parse or decode raises DataError naming
-    ``path:line``."""
+    begins a line, oldest first, each passed through ``decode``. A line
+    that does not parse or decode raises DataError naming ``path:line``."""
     truncate_torn_tail(path)
     with open(path, "rb") as fh:
         fh.seek(start)
-        return _decode_lines(fh, path, number, decode)
-
-
-def _scan(path, length: int) -> tuple[int, int] | None:
-    """CRC32 and newline count of the first ``length`` bytes of ``path``,
-    read 1 MiB at a time; None if the file is shorter."""
-    crc = lines = 0
-    with open(path, "rb") as fh:
-        while length > 0:
-            chunk = fh.read(min(_READ_CHUNK, length))
-            if not chunk:
-                return None
-            crc = zlib.crc32(chunk, crc)
-            lines += chunk.count(b"\n")
-            length -= len(chunk)
-    return crc, lines
+        return _decode_lines(fh, path, start, decode)
 
 
 class JournalWriter:
@@ -319,13 +349,10 @@ def _overlay(row_type: RowType, key: str, base: dict | None, newer: dict) -> dic
 
 @dataclass(frozen=True)
 class _Compaction:
-    """An adopted compaction: the fold of the journal's first ``length``
-    bytes, which hold ``lines`` lines and have CRC32 ``crc``."""
+    """An adopted compaction: the fold of the journal's ``prefix``."""
 
     columns: dict
-    length: int
-    crc: int
-    lines: int
+    prefix: Prefix
 
 
 def _read_compaction(path: Path, row_type: RowType, key: str) -> tuple[dict, int, int]:
@@ -382,8 +409,8 @@ def _write_compaction(path: Path, row_type: RowType, key: str, compaction: _Comp
         "key": key,
         "columns": [list(column) for column in row_type.columns],
         "rows": len(arrays["column." + key]),
-        "length": compaction.length,
-        "crc32": compaction.crc,
+        "length": compaction.prefix.length,
+        "crc32": compaction.prefix.crc,
         "vocabularies": vocabularies,
     }
     buffer = io.BytesIO()
@@ -479,8 +506,9 @@ class TableStore:
         if held is None or held.end != start:  # a first append, or another writer's lines between
             held = self._held[name] = _Held(start, start, [])
             if values is not None and self._key_position(name) is not None:
-                held.base = self._adopt(name)
-                held.older = self._lines_between(name, held.base, start)
+                base = held.base = self._adopt(name)
+                past = base.prefix.length if base else 0
+                held.older = _lines_in(self.journal_path(name), past, start)
         journal.append("".join(line + "\n" for line in lines))
         held.end = journal.size()
         if held.values is None or values is None or self._key_position(name) is None:
@@ -499,11 +527,6 @@ class TableStore:
         key = self._tables.get(name)
         return next((i for i, column in enumerate(columns) if column == (key, "int")), None)
 
-    def _lines_between(self, name: str, base: _Compaction | None, stop: int) -> int:
-        start = base.length if base else 0
-        with open(self.journal_path(name), "rb") as fh:
-            return os.pread(fh.fileno(), stop - start, start).count(b"\n")
-
     def _compact(self, name: str, held: _Held) -> None:
         """Replace the table's compaction with one over the journal's first
         ``held.end`` bytes: the adopted one, the older lines past it, then
@@ -512,15 +535,15 @@ class TableStore:
         position = self._key_position(name)
         journal = self.journal_path(name)
         base = held.base
-        length, crc, lines = (base.length, base.crc, base.lines) if base else (0, 0, 0)
+        covered = base.prefix if base else Prefix()
         with open(journal, "rb") as fh:
-            data = os.pread(fh.fileno(), held.end - length, length)
+            data = os.pread(fh.fileno(), held.end - covered.length, covered.length)
         try:
-            if len(data) != held.end - length:
+            if len(data) != held.end - covered.length:
                 raise DataError(f"{journal} is shorter than its appended rows")
             older: dict = {}
             _decode_lines(
-                io.BytesIO(data[: held.start - length]), journal, lines + 1,
+                io.BytesIO(data[: held.start - covered.length]), journal, covered.length,
                 lambda row: older.__setitem__(row[key], row),
             )
             newer = {}
@@ -537,9 +560,7 @@ class TableStore:
         except MALFORMED:
             held.values = None  # a row that does not decode never enters a compaction
             return
-        compaction = _Compaction(
-            columns, held.end, zlib.crc32(data, crc), lines + data.count(b"\n")
-        )
+        compaction = _Compaction(columns, covered.extend(data))
         _write_compaction(self.root / name / COMPACTION_NAME, row_type, key, compaction)
         held.start, held.values, held.base, held.older = held.end, [], compaction, 0
 
@@ -552,15 +573,14 @@ class TableStore:
         try:
             path = self.root / name / COMPACTION_NAME
             columns, length, crc = _read_compaction(path, row_type, key)
-            scanned = _scan(self.journal_path(name), length)
+            with open(self.journal_path(name), "rb") as fh:
+                prefix = checked_prefix(fh.fileno(), length, crc)
         except Exception:
             # the compaction is a derived copy of the journal: whatever fails
             # in reading it (the zip and npy parsers raise many types on a
             # garbled file), the journal is folded instead
             return None
-        if scanned is None or scanned[0] != crc:
-            return None
-        return _Compaction(columns, length, crc, scanned[1])
+        return None if prefix is None else _Compaction(columns, prefix)
 
     def _fold(self, name: str, past: _Compaction | None = None) -> dict:
         """A table's rows by primary key, the last upsert of a key winning,
@@ -570,8 +590,8 @@ class TableStore:
         journal = self.journal_path(name)
         rows: dict = {}
         if journal.exists():
-            start, number = (past.length, past.lines + 1) if past else (0, 1)
-            read_journal(journal, lambda row: rows.__setitem__(row[key], row), start, number)
+            start = past.prefix.length if past else 0
+            read_journal(journal, lambda row: rows.__setitem__(row[key], row), start)
         return rows
 
     def query(self, name: str) -> list[dict]:

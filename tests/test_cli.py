@@ -919,6 +919,39 @@ def test_report_decodes_only_the_rows_past_the_compaction(flow, tmp_path, monkey
     assert reports["compacted"] == reports["journal"]
 
 
+def test_report_names_a_bad_line_past_the_compaction_by_its_journal_line(
+    flow, tmp_path, monkeypatch, capsys
+):
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    compact_transactions(data, monkeypatch)
+    journal = data / "tables" / "transactions" / "journal.jsonl"
+    extra = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=8, count=5))]
+    with open(journal, "a") as fh:
+        fh.write("".join(transaction_to_json(t) + "\n" for t in extra[:4]))
+    decoded = []
+
+    def counting_decode(row):
+        decoded.append(row["id"])
+        return txgen._transaction_values(row)
+
+    monkeypatch.setattr(
+        cli, "TRANSACTION_ROWS", storage.RowType(txgen.TRANSACTION_ROWS.columns, counting_decode)
+    )
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "r")]
+    assert cli.main([*argv, "report"]) == 0
+    assert sorted(decoded) == sorted(t.id for t in extra[:4])  # the compaction was adopted
+    line = journal.read_bytes().count(b"\n") + 1
+    with open(journal, "a") as fh:
+        fh.write('{"id": 7, "amount": \n' + transaction_to_json(extra[4]) + "\n")
+    capsys.readouterr()
+    assert cli.main([*argv, "report"]) == 4
+    err = capsys.readouterr().err
+    assert line > 3_000
+    assert f"{journal.name}:{line}: bad journal line" in err, err
+
+
 def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch, capsys):
     config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
     feed = tmp_path / "feed.jsonl"
@@ -1003,6 +1036,12 @@ def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, checked_rep
     assert not unsynced
 
 
+# sha256 of the sidecar files the two ingests below leave, from a seed-5
+# dataset of one more record or row than the interval that writes them
+INDEX_SHA256 = "9071ef584b81797c22e5244ac8ab15f81f6e1ebe05ea95de63b80187abba0fb9"
+COMPACTION_SHA256 = "1d19539b8fb6e69a6f0a1c0520078ba62206586ef87e722e373db012b8b9f8e6"
+
+
 def test_ingest_past_the_index_interval_leaves_a_synced_index(tmp_path, checked_replaces):
     count = eventlog.INDEX_INTERVAL + 1
     config_path = write_config(
@@ -1016,6 +1055,7 @@ def test_ingest_past_the_index_interval_leaves_a_synced_index(tmp_path, checked_
     assert not unsynced
     index = tmp_path / "data" / "log" / "transactions" / "p000" / eventlog.INDEX_NAME
     assert struct.unpack_from("<Q", index.read_bytes()) == (count,)  # it covers every record
+    assert hashlib.sha256(index.read_bytes()).hexdigest() == INDEX_SHA256
 
 
 def test_ingest_past_the_row_threshold_leaves_a_synced_compaction(tmp_path, checked_replaces):
@@ -1029,6 +1069,8 @@ def test_ingest_past_the_row_threshold_leaves_a_synced_compaction(tmp_path, chec
     assert not unsynced
     tables = cli.Workspace(PipelineConfig(data_dir=str(tmp_path / "data"))).tables
     assert tables.count("transactions") == count
+    compaction = tmp_path / "data" / "tables" / "transactions" / storage.COMPACTION_NAME
+    assert hashlib.sha256(compaction.read_bytes()).hexdigest() == COMPACTION_SHA256
 
 
 def test_stream_on_empty_workspace_is_quiet(tmp_path, capsys):

@@ -567,6 +567,38 @@ def test_valid_index_leaves_only_the_tail_to_parse(tmp_path, parsed_frames):
         reopened.close()
 
 
+def test_an_index_extended_over_its_rewrites_is_adopted(tmp_path, parsed_frames):
+    """Each rewrite extends the prefix CRC over only the frames past the
+    last one, and the next session extends the one it adopted; the CRC
+    the next open reads over 1 MiB chunks must still match it."""
+    root = tmp_path / "log"
+    index = root / "t" / "p000" / INDEX_NAME
+    payloads = [bytes([65 + i % 26]) * 200 for i in range(eventlog.INDEX_INTERVAL)]
+    keys = [b"k"] * len(payloads)
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    for rewrite in range(1, 4):
+        log.publish_many("t", keys, payloads)
+        log.flush()
+        assert struct.unpack_from("<Q", index.read_bytes()) == (rewrite * len(payloads),)
+    log.close()
+    log = EventLog(root)  # adopts the index, then extends it on close
+    assert parsed_frames == []
+    log.publish_many("t", keys[:100], payloads[:100])
+    log.close()
+    assert (root / "t" / "p000" / SEGMENT_NAME).stat().st_size > 2 << 20  # three read chunks
+
+    parsed_frames.clear()
+    reopened = EventLog(root)
+    try:
+        assert parsed_frames == []
+        assert reopened.partition_length("t", 0) == 3 * len(payloads) + 100
+        last = reopened.poll_columns("g", "t", 4 * len(payloads)).payloads[-101:]
+        assert last == payloads[-1:] + payloads[:100]
+    finally:
+        reopened.close()
+
+
 def test_flipped_byte_under_the_index_is_reported_at_open(tmp_path):
     root = tmp_path / "log"
     log = EventLog(root)

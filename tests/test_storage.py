@@ -435,6 +435,55 @@ def test_every_compaction_state_reads_the_journal_fold(compacted, tmp_path, stat
     assert len(decoded) == {"valid": 0, "rows_appended_past_it": 31}.get(state, 200)
 
 
+def counting_store(root, decoded):
+    """A transactions store whose RowType records the id of each row it decodes."""
+    def counting_decode(row):
+        decoded.append(row["id"])
+        return TRANSACTION_ROWS.decode(row)
+
+    store = TableStore(root)
+    store.create_table("transactions", key="id", row_type=RowType(TRANSACTION_ROWS.columns, counting_decode))
+    return store
+
+
+def test_a_compaction_extended_from_an_adopted_one_is_adopted(tmp_path):
+    """The second session's compaction extends the CRC of the first, which
+    it adopted, over only its own rows; the CRC a reader takes over the
+    journal in 1 MiB chunks must still match it."""
+    root = tmp_path / "tables"
+    rows = list(generate(GeneratorConfig(seed=3, count=2 * storage.COMPACT_ROWS)))
+    compaction = root / "transactions" / COMPACTION_NAME
+    for session in range(2):
+        store = transactions_store(root)
+        batch = rows[session * storage.COMPACT_ROWS : (session + 1) * storage.COMPACT_ROWS]
+        store.upsert_rows("transactions", [tx_line(t) for t in batch], [transaction_values(t) for t in batch])
+        store.close()
+        with np.load(compaction) as npz:
+            assert json.loads(npz["header"].tobytes())["rows"] == len(batch) * (session + 1)
+    assert store.journal_path("transactions").stat().st_size > 1 << 20
+
+    decoded = []
+    store = counting_store(root, decoded)
+    assert_same_columns(store.columns("transactions"), journal_oracle(root))
+    assert decoded == []
+
+
+def test_a_bad_line_past_a_compaction_is_named_by_its_line_in_the_journal(compacted, tmp_path):
+    root = tmp_path / "tables"
+    shutil.copytree(compacted, root)
+    more = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=9, count=6))]
+    journal = root / "transactions" / "journal.jsonl"
+    with open(journal, "a") as fh:
+        fh.write("".join(tx_line(t) + "\n" for t in more[:5]))
+    decoded = []
+    assert len(counting_store(root, decoded).columns("transactions")["id"]) == 205
+    assert sorted(decoded) == sorted(t.id for t in more[:5])  # the compaction was adopted
+    with open(journal, "a") as fh:
+        fh.write('{"id": 7, "amount": \n' + tx_line(more[5]) + "\n")
+    with pytest.raises(DataError, match=r"journal\.jsonl:206: bad journal line"):
+        transactions_store(root).columns("transactions")
+
+
 def test_compaction_from_held_values_equals_one_from_decoded_lines(tmp_path, monkeypatch):
     monkeypatch.setattr(storage, "COMPACT_ROWS", 100)
     rows = list(generate(GeneratorConfig(seed=6, count=150)))
