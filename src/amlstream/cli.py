@@ -52,7 +52,13 @@ from .models import (
     train_tree,
 )
 from .storage import BlobStore, Categories, TableStore
-from .streamproc import ALERT_ROWS, StreamProcessor, latency_summary, transaction_key
+from .streamproc import (
+    ALERT_ROWS,
+    StreamProcessor,
+    alert_columns,
+    latency_summary,
+    transaction_key,
+)
 from .txgen import (
     TRANSACTION_ROWS,
     calendar_date,
@@ -209,12 +215,23 @@ def _drain_summary(results, processor, echo) -> None:
         echo(f"  warning: {processor.schema_mismatch_count} batches fell back to rules only")
 
 
-def _drain(processor, echo=None, results=()) -> None:
+def _drain(processor, echo=None, results=()) -> list:
     """Drain the backlog after ``results``, the batches already drained,
-    and, given ``echo``, print the summary."""
+    and, given ``echo``, print the summary; returns every batch that held
+    records."""
     results = [r for r in [*results, *processor.drain_all()] if r.record_count]
     if echo is not None:
         _drain_summary(results, processor, echo)
+    return results
+
+
+def _hand_over_alerts(ws: Workspace, start: int, results) -> None:
+    """Hand the alerts table the lines that the batches of ``results``
+    appended to its journal from byte ``start``, with their values, so
+    that it compacts them if they are enough."""
+    alerts = [a for r in results for a in r.alerts]
+    end = start + sum(r.alert_bytes for r in results)
+    ws.tables.appended("alerts", start, end, len(alerts), lambda: alert_columns(alerts))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +445,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
     archive_date = calendar_date(transactions[0].day).isoformat()
     ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
     _publish_and_store(ws, transactions, print)
+    ws.log.close()  # indexes every partition, so the next open scans no frame
     print(f"archived raw file under {RAW_NAMESPACE}/{archive_date}/{os.path.basename(path)}")
     print(f"stored {len(transactions)} transactions in the warehouse")
     return 0
@@ -439,6 +457,7 @@ def cmd_stream(args, config: PipelineConfig) -> int:
     ws = Workspace(config)
     _ensure_topic(ws)
     processor = _make_processor(ws)
+    start = os.path.getsize(ws.alerts_path)
     results = []
     if args.feed:
         incoming = list(read_dataset(args.feed))
@@ -452,8 +471,10 @@ def cmd_stream(args, config: PipelineConfig) -> int:
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())
-    _drain(processor, print, results)
+    results = _drain(processor, print, results)
     processor.close()
+    _hand_over_alerts(ws, start, results)
+    ws.log.close()
     return 0
 
 
@@ -522,13 +543,14 @@ def _shifted_currency_weights(config: PipelineConfig) -> dict:
 
 
 def _monitor_window(
-    ws: Workspace, processor, profile, transactions, id_offset, window_id, label, echo
+    ws: Workspace, processor, drained, profile, transactions, id_offset, window_id, label, echo
 ):
     """Publish and store one window of traffic under ids moved by
-    ``id_offset``, drain it, and check it for drift against ``profile``."""
+    ``id_offset``, drain it onto ``drained``, and check it for drift
+    against ``profile``."""
     window = [replace(t, id=t.id + id_offset) for t in transactions]
     _publish_and_store(ws, window, echo)
-    _drain(processor)
+    drained += _drain(processor)
     report = check_drift(profile, window, ws.config.drift, window_id=window_id)
     feature, psi = report.worst_feature
     echo(f"{label}: decision={report.decision} worst psi={psi:.4f} ({feature})")
@@ -552,7 +574,8 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
     echo("== phase 3: drain the stream with the active model ==")
     processor = _make_processor(ws)
-    _drain(processor, echo)
+    start = os.path.getsize(ws.alerts_path)
+    drained = _drain(processor, echo)
 
     window_size = config.drift.window
 
@@ -560,7 +583,9 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     for w in range(CONTROL_WINDOWS):
         live = generate(config.generator_config(count=window_size, seed=config.seed + 50 + w))
         offset, label = CONTROL_ID_STRIDE * (w + 1), f"window {w + 1}"
-        report = _monitor_window(ws, processor, profile, live, offset, w + 1, label, echo)
+        report = _monitor_window(
+            ws, processor, drained, profile, live, offset, w + 1, label, echo
+        )
         outcome["control_decisions"].append(report.decision)
 
     if shift:
@@ -574,7 +599,8 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
         )
         window_id = CONTROL_WINDOWS + 1
         report = _monitor_window(
-            ws, processor, profile, shifted, SHIFT_ID_OFFSET, window_id, "shift window", echo
+            ws, processor, drained, profile, shifted, SHIFT_ID_OFFSET, window_id, "shift window",
+            echo,
         )
         feature, psi = report.worst_feature
 
@@ -607,6 +633,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
             )
 
     processor.close()
+    _hand_over_alerts(ws, start, drained)
     echo("== final phase: report bundle ==")
     outcome["report_files"] = _write_report(ws, echo)
     return outcome

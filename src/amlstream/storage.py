@@ -31,17 +31,24 @@ Prefix over only the bytes past it.
 
 A table may keep one compaction beside its journal, ``columns.npz``: the
 fold of the journal's first ``L`` bytes as one column per field, one row
-per key, sorted by key, each value as the RowType decodes it. Integer,
-float and boolean columns are NumPy arrays; a string column is int32
-codes, its sorted vocabulary kept in the file's JSON header, since NumPy
-string arrays drop trailing NUL characters; the header also carries the
-Prefix. Its own checks: format number, key and columns, column lengths
-and types, codes within their vocabulary, keys strictly increasing.
-count and columns fold only the journal lines past it. upsert_rows
-rewrites it once COMPACT_ROWS rows lie past it, from the values its
-callers hand it for the rows they append, decoding only older lines past
-it, and skips compacting if one of them does not decode. No read writes
-a compaction; the stream's alert appends neither read nor write one.
+per key, sorted by the columns the RowType makes the key of (a string
+column in the order of its values), each value as the RowType decodes
+it. Integer, float and boolean columns are NumPy arrays; a string column
+is int32 codes, its sorted vocabulary kept in the file's JSON header,
+since NumPy string arrays drop trailing NUL characters; the header also
+carries the Prefix. Its own checks: format number, key and columns,
+column lengths and types, codes within their vocabulary, key tuples
+strictly increasing. count and columns fold only the journal lines past
+it; a row past it whose stored key is not the one its values form makes
+columns fold the whole journal. upsert_rows rewrites it once
+COMPACT_ROWS rows lie past it, from the values its callers hand it for
+the rows they append, decoding only older lines past it, and skips
+compacting if one of them does not decode. appended takes over rows
+another writer appended, as the stream's alert lines are handed over
+once its drains are done, and rewrites it only when the rows past it are
+at least COMPACT_ROWS and at least the rows it covers, as its header
+alone tells; each rewrite thus at least doubles the rows covered. No
+read writes a compaction.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's dead-letter file) follows one rule. JournalWriter is its only
@@ -68,6 +75,7 @@ import re
 import zipfile
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -89,9 +97,10 @@ _READ_CHUNK = 1 << 20
 
 COMPACTION_NAME = "columns.npz"
 COMPACTION_FORMAT = 1
-COMPACT_ROWS = 4096  # journal rows past the compaction that make upsert_rows rewrite it
+COMPACT_ROWS = 4096  # journal rows past the compaction that let a writer rewrite it
 _DTYPES = {"int": np.dtype("<i8"), "float": np.dtype("<f8"), "bool": np.dtype("?")}
 _CODES = np.dtype("<i4")
+_KEY_KINDS = {"int": int, "str": str}  # the kinds a key column may have, and their values' type
 
 
 def truncate_torn_tail(path) -> None:
@@ -228,14 +237,16 @@ class JournalWriter:
     def write(self, rows) -> None:
         self.append("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
-    def append(self, lines: str) -> None:
+    def append(self, lines: str) -> int:
         """Append whole lines, each the JSON object of one row, already
-        formatted; flushed and fsynced before it returns."""
+        formatted; flushed and fsynced before it returns the bytes written."""
         if not lines:
-            return
-        self._handle.write(lines.encode("utf-8"))
+            return 0
+        data = lines.encode("utf-8")
+        self._handle.write(data)
         self._handle.flush()
         os.fsync(self._handle.fileno())
+        return len(data)
 
     def size(self) -> int:
         """The journal's length in bytes, other writers' appends included."""
@@ -307,44 +318,108 @@ class RowType:
     """How a table's rows read as columns: ``decode`` turns one stored row
     into a tuple of values in ``columns`` order, each ``(name, kind)`` with
     kind "int" (within int64), "float", "bool" or "str". A malformed row
-    raises one of MALFORMED."""
+    raises one of MALFORMED.
+
+    ``key`` names the int or str columns a row's stored key is made of, and
+    ``key_format`` the %-format that forms the stored key from their values;
+    with no format the stored key is the one key column's value, and with
+    no ``key`` the key column is the table's primary key itself."""
 
     columns: tuple[tuple[str, str], ...]
     decode: Callable[[dict], tuple]
+    key: tuple[str, ...] = ()
+    key_format: str | None = None
 
 
 def to_columns(row_type: RowType, rows) -> dict:
     """Decoded ``rows`` as one column per field of ``row_type``: an array,
     or Categories for a string column. An int out of the int64 range
     raises OverflowError."""
-    fields = list(zip(*rows)) if rows else [()] * len(row_type.columns)
+    return field_columns(row_type, list(zip(*rows)) if rows else [()] * len(row_type.columns))
+
+
+def field_columns(row_type: RowType, fields) -> dict:
+    """``fields``, each the values of one column of ``row_type`` in its
+    order, as to_columns gives them."""
     return {
         name: Categories.of(values) if kind == "str" else np.array(values, dtype=_DTYPES[kind])
         for (name, kind), values in zip(row_type.columns, fields)
     }
 
 
-def _overlay(row_type: RowType, key: str, base: dict | None, newer: dict) -> dict:
-    """``base``, columns sorted by their unique int ``key``, with ``newer``,
-    decoded rows by their int key, replacing or joining its rows; the
-    result sorted by key as well."""
-    top = to_columns(row_type, [newer[k] for k in sorted(newer)])
-    if base is None:
-        return top
-    kept = ~np.isin(base[key], top[key])
-    order = np.argsort(np.concatenate([base[key][kept], top[key]]), kind="stable")
+def _key_positions(row_type: RowType, key: str) -> tuple[int, ...] | None:
+    """Where the columns the stored key of a table keyed by ``key`` is made
+    of are among ``row_type``'s, if they are int or str columns that form
+    it: only then can the table compact."""
+    names = row_type.key or (key,)
+    kinds = dict(row_type.columns)
+    if any(kinds.get(name) not in _KEY_KINDS for name in names):
+        return None
+    if row_type.key_format is None and len(names) != 1:
+        return None
+    columns = [name for name, _ in row_type.columns]
+    return tuple(columns.index(name) for name in names)
+
+
+def _sort_key(column) -> np.ndarray:
+    """A key column as an array in the order of its values: a string
+    column's codes, its vocabulary being sorted."""
+    return column.codes if isinstance(column, Categories) else column
+
+
+def _below_next(keys) -> np.ndarray:
+    """Whether each row's key tuple is below the next row's."""
+    below = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)
+    for k in reversed(keys):
+        below = (k[:-1] < k[1:]) | ((k[:-1] == k[1:]) & below)
+    return below
+
+
+def _merge(row_type: RowType, positions, parts, one_per_key: bool = True) -> dict:
+    """``parts``, column sets in the order their rows were appended, as one
+    sorted by the key columns at ``positions``, string columns renumbered
+    into the union of their vocabularies less the values no row kept uses.
+    With ``one_per_key``, only the last row appended of each key tuple is
+    kept."""
     merged = {}
     for name, kind in row_type.columns:
-        old, new = base[name], top[name]
+        columns = [part[name] for part in parts]
         if kind != "str":
-            merged[name] = np.concatenate([old[kept], new])[order]
+            merged[name] = np.concatenate(columns)
             continue
-        vocabulary = sorted(set(old.vocabulary) | set(new.vocabulary))
+        vocabulary = sorted(set().union(*(c.vocabulary for c in columns)))
         index = {value: code for code, value in enumerate(vocabulary)}
-        renumber = [np.array([index[v] for v in c.vocabulary], dtype=_CODES) for c in (old, new)]
-        codes = np.concatenate([renumber[0][old.codes[kept]], renumber[1][new.codes]])[order]
-        merged[name] = _categories(codes, vocabulary)
-    return merged
+        codes = [np.array([index[v] for v in c.vocabulary], dtype=_CODES)[c.codes] for c in columns]
+        merged[name] = Categories(np.concatenate(codes), tuple(vocabulary))
+    keys = [_sort_key(merged[row_type.columns[p][0]]) for p in positions]
+    order = np.lexsort(keys[::-1])  # a stable sort: equal keys stay in append order
+    if one_per_key and len(order):  # sorted, a row below the next is its key's last
+        order = order[np.append(_below_next([k[order] for k in keys]), True)]
+    return {
+        name: _categories(c.codes[order], c.vocabulary) if isinstance(c, Categories) else c[order]
+        for name, c in merged.items()
+    }
+
+
+def _stored_keys(row_type: RowType, positions, columns) -> list:
+    """The stored key each row of ``columns`` forms from its key columns."""
+    parts = [
+        list(map(c.vocabulary.__getitem__, c.codes.tolist())) if isinstance(c, Categories)
+        else c.tolist()
+        for c in (columns[row_type.columns[p][0]] for p in positions)
+    ]
+    if row_type.key_format is None:
+        return parts[0]
+    return [row_type.key_format % values for values in zip(*parts)]
+
+
+def _forms_keys(row_type: RowType, positions, keys, rows) -> bool:
+    """Whether each of ``keys`` is the stored key its decoded row forms."""
+    if row_type.key_format is None:
+        (p,) = positions
+        return all(type(k) is type(row[p]) and k == row[p] for k, row in zip(keys, rows))
+    form, get = row_type.key_format, itemgetter(*positions)
+    return all(type(k) is str and k == form % get(row) for k, row in zip(keys, rows))
 
 
 @dataclass(frozen=True)
@@ -353,6 +428,18 @@ class _Compaction:
 
     columns: dict
     prefix: Prefix
+
+
+def _compaction_size(path: Path) -> tuple[int, int]:
+    """The rows and the covered length a compaction's header names, read
+    from the header alone; (0, 0) if it is missing or does not read."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(npz["header"].tobytes())
+        rows, length = header["rows"], header["length"]
+    except Exception:
+        return 0, 0  # adoption checks the rest, as it does for every compaction
+    return (rows, length) if type(rows) is int and type(length) is int else (0, 0)
 
 
 def _read_compaction(path: Path, row_type: RowType, key: str) -> tuple[dict, int, int]:
@@ -388,11 +475,11 @@ def _read_compaction(path: Path, row_type: RowType, key: str) -> tuple[dict, int
                 raise DataError(f"column {name} has a code outside its vocabulary")
             array = Categories(array, tuple(vocabulary))
         columns[name] = array
-    keys = columns[key]
-    if not isinstance(keys, np.ndarray) or keys.dtype != _DTYPES["int"]:
-        raise DataError("key column is not int")
-    if np.any(keys[1:] <= keys[:-1]):
-        raise DataError("keys are not strictly increasing")
+    positions = _key_positions(row_type, key)
+    if positions is None:
+        raise DataError("the key is not formed from int or str columns")
+    if not _below_next([_sort_key(columns[row_type.columns[p][0]]) for p in positions]).all():
+        raise DataError("key tuples are not strictly increasing")
     return columns, length, crc
 
 
@@ -408,7 +495,7 @@ def _write_compaction(path: Path, row_type: RowType, key: str, compaction: _Comp
         "format": COMPACTION_FORMAT,
         "key": key,
         "columns": [list(column) for column in row_type.columns],
-        "rows": len(arrays["column." + key]),
+        "rows": len(arrays["column." + row_type.columns[0][0]]),
         "length": compaction.prefix.length,
         "crc32": compaction.prefix.crc,
         "vocabularies": vocabularies,
@@ -421,9 +508,10 @@ def _write_compaction(path: Path, row_type: RowType, key: str, compaction: _Comp
 
 @dataclass
 class _Held:
-    """The rows this store appended to a journal in one run of bytes,
-    ``start`` to ``end``, past its compaction: their decoded values, or
-    None once a call came without them or they cannot be compacted."""
+    """The rows appended to a journal in one run of bytes, ``start`` to
+    ``end``, past its compaction, by this store or by a writer that handed
+    them over: their decoded values, or None once a call came without them
+    or they cannot be compacted."""
 
     start: int
     end: int
@@ -505,13 +593,13 @@ class TableStore:
         held = self._held.get(name)
         if held is None or held.end != start:  # a first append, or another writer's lines between
             held = self._held[name] = _Held(start, start, [])
-            if values is not None and self._key_position(name) is not None:
+            if values is not None and self._key_positions(name) is not None:
                 base = held.base = self._adopt(name)
                 past = base.prefix.length if base else 0
                 held.older = _lines_in(self.journal_path(name), past, start)
         journal.append("".join(line + "\n" for line in lines))
         held.end = journal.size()
-        if held.values is None or values is None or self._key_position(name) is None:
+        if held.values is None or values is None or self._key_positions(name) is None:
             held.values = None
             return len(lines)
         held.values.extend(values)
@@ -519,20 +607,37 @@ class TableStore:
             self._compact(name, held)
         return len(lines)
 
-    def _key_position(self, name: str) -> int | None:
-        """Where the key is among the table's RowType columns, if it has
-        one here and the key is an int column: only then can it compact."""
-        row_type = self._row_types.get(name)
-        columns = row_type.columns if row_type else ()
-        key = self._tables.get(name)
-        return next((i for i, column in enumerate(columns) if column == (key, "int")), None)
+    def appended(self, name: str, start: int, end: int, rows: int, columns) -> None:
+        """Take over the ``rows`` rows another writer appended to the
+        table's journal as its bytes ``start`` to ``end``; ``columns()``
+        returns their values as to_columns gives them, in the order they
+        were appended. The table is compacted if the rows past its
+        compaction are at least COMPACT_ROWS and at least the rows it
+        covers, which its header alone tells; only then is ``columns``
+        called. Nothing is done unless the journal ends at ``end``."""
+        journal = self.journal_path(name)
+        if self._key_positions(name) is None or journal.stat().st_size != end:
+            return
+        covered, length = _compaction_size(self.root / name / COMPACTION_NAME)
+        if length > start:
+            return
+        past = rows + _lines_in(journal, length, start)
+        if past < max(COMPACT_ROWS, covered):
+            return
+        self._compact(name, _Held(start, end, [], self._adopt(name)), columns())
 
-    def _compact(self, name: str, held: _Held) -> None:
+    def _key_positions(self, name: str) -> tuple[int, ...] | None:
+        """The key positions of the table's RowType, if it has one here."""
+        row_type = self._row_types.get(name)
+        return None if row_type is None else _key_positions(row_type, self._tables[name])
+
+    def _compact(self, name: str, held: _Held, top: dict | None = None) -> None:
         """Replace the table's compaction with one over the journal's first
         ``held.end`` bytes: the adopted one, the older lines past it, then
-        the held values; if any of them cannot be compacted, stop holding."""
+        the rows from ``held.start``, given as the columns ``top`` or else
+        held as values; if any of them cannot be compacted, stop holding."""
         key, row_type = self._tables[name], self._row_types[name]
-        position = self._key_position(name)
+        positions = self._key_positions(name)
         journal = self.journal_path(name)
         base = held.base
         covered = base.prefix if base else Prefix()
@@ -546,17 +651,18 @@ class TableStore:
                 io.BytesIO(data[: held.start - covered.length]), journal, covered.length,
                 lambda row: older.__setitem__(row[key], row),
             )
-            newer = {}
-            for raw_key, row in older.items():
-                decoded = row_type.decode(row)
-                if type(raw_key) is not int or decoded[position] != raw_key:
-                    raise DataError(f"row key {raw_key!r} is not its decoded int key")
-                newer[raw_key] = decoded
-            for decoded in held.values:
-                if type(decoded[position]) is not int:
-                    raise DataError(f"row key {decoded[position]!r} is not an int")
-                newer[decoded[position]] = decoded
-            columns = _overlay(row_type, key, base.columns if base else None, newer)
+            decoded = [row_type.decode(row) for row in older.values()]
+            if not _forms_keys(row_type, positions, older, decoded):
+                raise DataError("a row's stored key is not the one its values form")
+            if top is None:
+                fields = list(zip(*held.values)) if held.values else [()] * len(row_type.columns)
+                for p in positions:
+                    column, kind = row_type.columns[p]
+                    if not set(map(type, fields[p])) <= {_KEY_KINDS[kind]}:
+                        raise DataError(f"key column {column} holds a value that is not {kind}")
+                top = field_columns(row_type, fields)
+            parts = [to_columns(row_type, decoded), top]
+            columns = _merge(row_type, positions, [base.columns, *parts] if base else parts)
         except MALFORMED:
             held.values = None  # a row that does not decode never enters a compaction
             return
@@ -567,7 +673,7 @@ class TableStore:
     def _adopt(self, name: str) -> _Compaction | None:
         """The table's compaction, if it has a RowType here and every check
         of the compaction holds against the journal; otherwise None."""
-        if self._key_position(name) is None:
+        if self._key_positions(name) is None:
             return None
         key, row_type = self._tables[name], self._row_types[name]
         try:
@@ -608,25 +714,29 @@ class TableStore:
         rows = self._fold(name, base)
         if base is None:
             return len(rows)
-        return len(set(base.columns[self._tables[name]].tolist()).union(rows))
+        keys = _stored_keys(self._row_types[name], self._key_positions(name), base.columns)
+        return len(set(keys).union(rows))
 
     def columns(self, name: str) -> dict:
-        """Every row of a table as to_columns gives it, sorted by primary
-        key: the compaction with the journal's lines past it folded on
-        top, or, with no compaction or a tail key that is not an int, the
-        rows of query. A row that wins its key and does not decode raises
-        DataError naming the journal."""
+        """Every row of a table as to_columns gives it, sorted by the
+        columns its stored key is made of: the compaction with the journal's
+        lines past it folded on top, or, with no compaction or a row past
+        it whose stored key is not the one its values form, the rows of
+        query. A row that wins its key and does not decode raises DataError
+        naming the journal."""
         key, row_type = self._require(name), self._row_types[name]
         journal = self.journal_path(name)
+        positions = self._key_positions(name)
         base = self._adopt(name)
         if base is not None:
             tail = self._fold(name, base)
-            if all(type(k) is int for k in tail):
-                position = self._key_position(name)
-                with reading(journal):
-                    newer = {k: row_type.decode(row) for k, row in tail.items()}
-                    if all(newer[k][position] == k for k in newer):
-                        return _overlay(row_type, key, base.columns, newer)
+            with reading(journal):
+                newer = [row_type.decode(row) for row in tail.values()]
+                if _forms_keys(row_type, positions, tail, newer):
+                    return _merge(row_type, positions, [base.columns, to_columns(row_type, newer)])
         rows = self.query(name)
         with reading(journal):
-            return to_columns(row_type, [row_type.decode(row) for row in rows])
+            columns = to_columns(row_type, [row_type.decode(row) for row in rows])
+        if positions is None:
+            return columns
+        return _merge(row_type, positions, [columns], one_per_key=False)

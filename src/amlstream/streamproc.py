@@ -18,7 +18,11 @@ at-least-once. Alert lines are rows of the alerts table, keyed by
 ``transaction_id:source``, so the table's fold counts a replayed alert
 once. The alert and dead-letter files are storage journals: each batch's
 lines are fsynced before the commit, and a line torn by a crash is cut
-when the file is next opened or read.
+when the file is next opened or read. The processor writes its sinks by
+path and holds no alert past its batch: each BatchResult carries the
+batch's alerts and the bytes of their lines, and a command that keeps
+them hands them to the alerts table once its drains are done
+(TableStore.appended), which may compact them.
 
 RuleConfig is the ``rules`` config section itself. Rule evaluation is
 deterministic and ordered: each record's rule alerts come in the order
@@ -39,7 +43,7 @@ from .errors import ConfigError, DataError, SchemaMismatchError
 from .eventlog import EventLog
 from .featstore import FEATURE_FIELDS, EncodingSchema, encode_columns
 from .models import TrainedModel, predict_proba
-from .storage import JournalWriter, RowType, read_journal
+from .storage import JournalWriter, RowType, field_columns, read_journal
 from .txgen import TRANSACTION_FIELDS, Transaction, _parse_transaction, transaction_to_json
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
@@ -101,8 +105,25 @@ def alert_from_dict(raw: dict) -> Alert:
     return Alert(*_alert_values(raw))
 
 
-# The alerts table's rows: each Alert field with the kind of its value.
-ALERT_ROWS = RowType(tuple((f.name, f.type) for f in fields(Alert)), _alert_values)
+# The alerts table's rows: each Alert field with the kind of its value,
+# keyed by the transaction and the source, stored as _ALERT_LINE forms it.
+ALERT_ROWS = RowType(
+    tuple((f.name, f.type) for f in fields(Alert)),
+    _alert_values,
+    key=("transaction_id", "source"),
+    key_format="%d:%s",
+)
+
+
+def alert_columns(alerts) -> dict:
+    """``alerts`` as the alerts table's columns, in their order."""
+    values = (
+        [a.transaction_id for a in alerts],
+        [a.source for a in alerts],
+        [a.score for a in alerts],
+        [a.tick for a in alerts],
+    )
+    return field_columns(ALERT_ROWS, values)
 
 
 def transaction_key(transaction: Transaction) -> bytes:
@@ -130,6 +151,7 @@ class BatchResult:
     dead_letters: int = 0
     rules_only_fallback: bool = False
     watermark: dict = field(default_factory=dict)
+    alert_bytes: int = 0  # the bytes of the batch's alert lines
 
 
 def latency_summary(latencies) -> tuple[int, int, int]:
@@ -307,7 +329,7 @@ class StreamProcessor:
 
         # Durability before progress: alerts and dead letters hit disk
         # first, and only then does the consumer position move.
-        self._alert_writer.append(
+        result.alert_bytes = self._alert_writer.append(
             "".join(
                 _ALERT_LINE % (tx_id, source, score, source, emit_tick, tx_id)
                 for tx_id, source, score in hits

@@ -857,21 +857,44 @@ def compact_transactions(data, monkeypatch):
     assert (data / "tables" / "transactions" / storage.COMPACTION_NAME).exists()
 
 
+def alerts_oracle(tables):
+    """The alerts table as columns, folded from its journal alone and
+    ordered by the columns its key is made of."""
+    rows = [streamproc.ALERT_ROWS.decode(row) for row in tables.query("alerts")]
+    return storage.to_columns(streamproc.ALERT_ROWS, sorted(rows, key=lambda v: v[:2]))
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name, column in want.items():
+        if isinstance(column, storage.Categories):
+            assert got[name].vocabulary == column.vocabulary, name
+            assert got[name].codes.tolist() == column.codes.tolist(), name
+        else:
+            assert got[name].dtype == column.dtype, name
+            assert got[name].tolist() == column.tolist(), name
+
+
 def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
     root, config_path, _ = flow
     data = tmp_path / "data"
     shutil.copytree(root / "data", data)
     (data / "log" / "transactions" / "positions.json").unlink()  # so the stream drains again
     compact_transactions(data, monkeypatch)
-    compactions = []
+    compactions, written = [], []
     real_read_compaction = storage._read_compaction
+    real_write_compaction = storage._write_compaction
 
     def recording_read_compaction(path, row_type, key):
         compactions.append(path)
         return real_read_compaction(path, row_type, key)
 
+    def recording_write_compaction(path, row_type, key, compaction):
+        written.append(path)
+        real_write_compaction(path, row_type, key, compaction)
+
     monkeypatch.setattr(storage, "_read_compaction", recording_read_compaction)
-    monkeypatch.setattr(storage, "_write_compaction", lambda *args: compactions.append(args))
+    monkeypatch.setattr(storage, "_write_compaction", recording_write_compaction)
     read = []
     real_read_journal = storage.read_journal
 
@@ -884,7 +907,15 @@ def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
     assert cli.main(["--config", config_path, "--data-dir", str(data), "stream"]) == 0
     assert "registry.jsonl" in read  # the active model is still looked up
     assert not [path for path in read if path.startswith("tables")], read
-    assert compactions == []  # and no compaction is read or written
+    # no transactions compaction is read or written, and the alerts, drained
+    # twice and so past COMPACT_ROWS, are compacted to the journal's fold
+    assert not [path for path in compactions + written if path.parent.name == "transactions"]
+    assert [path.parent.name for path in written] == ["alerts"]
+    monkeypatch.undo()
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    columns, length, _ = storage._read_compaction(written[0], streamproc.ALERT_ROWS, "alert_id")
+    assert length == tables.journal_path("alerts").stat().st_size
+    assert_same_columns(columns, alerts_oracle(tables))
 
 
 def test_report_decodes_only_the_rows_past_the_compaction(flow, tmp_path, monkeypatch, capsys):
@@ -1031,7 +1062,8 @@ def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, checked_rep
     assert cli.main(argv) == 0
     batches = re.search(r"drained 300 records in (\d+) batches", capsys.readouterr().out)
     assert batches
-    assert sorted(set(replaced)) == ["positions.json", "schema.json", "topic.json"]
+    # closing the log at the end indexes the fed records
+    assert sorted(set(replaced)) == ["positions.json", "schema.json", eventlog.INDEX_NAME, "topic.json"]
     assert replaced.count("positions.json") == int(batches.group(1))  # one per batch
     assert not unsynced
 
@@ -1155,14 +1187,8 @@ def test_resume_writes_the_same_files_with_or_without_the_index(trained_for_resu
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("kill", sorted(KILLS))
-def test_killed_stream_resumes_to_the_unbroken_report(
-    trained_for_resume, unbroken_outputs, tmp_path, monkeypatch, kill
-):
-    root, config_path = trained_for_resume
-    data = tmp_path / "data"
-    shutil.copytree(root / "data", data)
-    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "reports")]
+def kill_stream(argv, kill):
+    """Run ``stream`` until it dies at the point ``kill`` names."""
     owner, name, dying_call = KILLS[kill]
     real = getattr(owner, name)
     calls = itertools.count(1)
@@ -1172,15 +1198,130 @@ def test_killed_stream_resumes_to_the_unbroken_report(
             raise Killed
         return real(*args)
 
-    monkeypatch.setattr(owner, name, dying)
-    with pytest.raises(Killed):
-        cli.main([*argv, "stream"])
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, name, dying)
+        with pytest.raises(Killed):
+            cli.main([*argv, "stream"])
+
+
+@pytest.mark.parametrize("kill", sorted(KILLS))
+def test_killed_stream_resumes_to_the_unbroken_report(
+    trained_for_resume, unbroken_outputs, tmp_path, kill
+):
+    root, config_path = trained_for_resume
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "reports")]
+    kill_stream(argv, kill)
     assert (data / "log" / "transactions" / "positions.json").exists()  # some batches committed
     resumed = run_cli_process([*argv, "stream"])
     assert resumed.returncode == 0, resumed.stderr
     assert cli.main([*argv, "report"]) == 0
     assert alert_outputs(data, tmp_path / "reports") == unbroken_outputs
+
+
+@pytest.fixture(scope="module")
+def compacted_for_resume(trained_for_resume, tmp_path_factory):
+    """trained_for_resume drained once with its alerts compacted, then 2,500
+    records of new ids ingested and left undrained."""
+    root, config_path = trained_for_resume
+    work = tmp_path_factory.mktemp("compacted_resume")
+    data = work / "data"
+    shutil.copytree(root / "data", data)
+    argv = ["--config", config_path, "--data-dir", str(data)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "COMPACT_ROWS", 1)  # this drain raises fewer alerts than that
+        assert cli.main([*argv, "stream"]) == 0
+    assert (data / "tables" / "alerts" / storage.COMPACTION_NAME).exists()
+    feed = work / "feed.jsonl"
+    fresh = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=5, count=2500))]
+    write_jsonl(fresh, str(feed))
+    assert cli.main([*argv, "ingest", "--input", str(feed)]) == 0
+    return data, config_path
+
+
+def outputs_past_compaction(data, reports):
+    """alert_outputs, with the alert rows a Workspace counts by adopting
+    the alerts compaction."""
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    return {**alert_outputs(data, reports), "compacted alert rows": tables.count("alerts")}
+
+
+@pytest.fixture(scope="module")
+def unbroken_past_compaction(compacted_for_resume, tmp_path_factory):
+    data, config_path = compacted_for_resume
+    work = tmp_path_factory.mktemp("unbroken_past_compaction")
+    shutil.copytree(data, work / "data")
+    argv = ["--config", config_path, "--data-dir", str(work / "data"), "--report-dir", str(work / "reports")]
+    assert cli.main([*argv, "stream"]) == 0
+    assert cli.main([*argv, "report"]) == 0
+    return outputs_past_compaction(work / "data", work / "reports")
+
+
+@pytest.mark.parametrize("kill", sorted(KILLS))
+def test_killed_stream_resumes_past_an_alerts_compaction(
+    compacted_for_resume, unbroken_past_compaction, tmp_path, kill
+):
+    source, config_path = compacted_for_resume
+    data = tmp_path / "data"
+    shutil.copytree(source, data)
+    compaction = data / "tables" / "alerts" / storage.COMPACTION_NAME
+    before = compaction.read_bytes()
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "reports")]
+    kill_stream(argv, kill)
+    assert compaction.read_bytes() == before  # what the killed stream wrote lies past it
+    resumed = run_cli_process([*argv, "stream"])
+    assert resumed.returncode == 0, resumed.stderr
+    assert compaction.read_bytes() == before  # fewer rows past it than it covers
+    assert cli.main([*argv, "report"]) == 0
+    assert outputs_past_compaction(data, tmp_path / "reports") == unbroken_past_compaction
+
+
+def test_alerts_columns_equal_the_journal_fold(trained_for_resume, tmp_path, monkeypatch):
+    """With and without a compaction, the alerts table's columns and count
+    equal its plain fold: over a replayed batch, a row past the compaction
+    that replaces a compacted key, and a drain of fewer rows than it covers,
+    which reads no compaction column and writes none."""
+    root, config_path = trained_for_resume
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    argv = ["--config", config_path, "--data-dir", str(data)]
+    journal = data / "tables" / "alerts" / "journal.jsonl"
+    compaction = data / "tables" / "alerts" / storage.COMPACTION_NAME
+
+    def assert_fold():
+        tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+        assert_same_columns(tables.columns("alerts"), alerts_oracle(tables))
+        assert tables.count("alerts") == len(tables.query("alerts"))
+
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 100)
+    kill_stream(argv, "between_alert_write_and_commit")  # the resumed stream replays a batch
+    assert not compaction.exists()
+    assert_fold()
+    assert cli.main([*argv, "stream"]) == 0  # compacts the killed stream's lines and its own
+    assert compaction.exists()
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    assert tables.count("alerts") < journal.read_bytes().count(b"\n")  # the replayed keys
+    assert_fold()
+
+    first = json.loads(journal.read_text().splitlines()[0])
+    with open(journal, "a") as fh:
+        fh.write(json.dumps(dict(first, score=0.125), sort_keys=True) + "\n")
+    assert_fold()
+
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl([replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=5, count=300))], str(feed))
+    assert cli.main([*argv, "ingest", "--input", str(feed)]) == 0
+    size, before = journal.stat().st_size, compaction.read_bytes()
+    touched = []
+    with monkeypatch.context() as patch:
+        patch.setattr(storage, "_read_compaction", lambda *args: touched.append(args))
+        patch.setattr(storage, "_write_compaction", lambda *args: touched.append(args))
+        assert cli.main([*argv, "stream"]) == 0
+    assert touched == []
+    assert journal.stat().st_size > size
+    assert compaction.read_bytes() == before
+    assert_fold()
 
 
 def stream_to_pinned_forest(tmp_path, **overrides):

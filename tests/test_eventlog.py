@@ -19,7 +19,7 @@ from amlstream.errors import (
     NotFoundError,
     OffsetRangeError,
 )
-from amlstream import eventlog
+from amlstream import cli, eventlog
 from amlstream.eventlog import INDEX_NAME, SEGMENT_NAME, EventLog, fnv1a_64
 
 
@@ -443,6 +443,35 @@ def parsed_frames(monkeypatch):
 
     monkeypatch.setattr(eventlog, "_HEADER", CountingHeader(eventlog._HEADER.format))
     return counted
+
+
+def assert_every_record_indexed(log_dir, parsed_frames):
+    """Each partition that holds records ends with an index covering all of
+    them, so opening the log parses no frame."""
+    parsed_frames.clear()
+    log = EventLog(log_dir)
+    assert parsed_frames == []
+    indexed = 0
+    for p, part in enumerate(sorted((log_dir / "transactions").glob("p[0-9]*"))):
+        length = log.partition_length("transactions", p)
+        if length:
+            count, covered = struct.unpack_from("<QQ", (part / INDEX_NAME).read_bytes())
+            assert (count, covered) == (length, (part / SEGMENT_NAME).stat().st_size)
+            indexed += 1
+    log.close()
+    assert indexed >= 2  # no partition holds INDEX_INTERVAL records
+
+
+@pytest.mark.parametrize("stream", [["stream"], ["stream", "--feed", "{feed}"]])
+def test_ingest_and_stream_leave_every_record_indexed(tmp_path, parsed_frames, stream):
+    data, feed = tmp_path / "data", tmp_path / "feed.jsonl"
+    argv = ["--data-dir", str(data), "--seed", "3"]
+    assert cli.main([*argv, "generate", "--count", "3000"]) == 0
+    assert cli.main([*argv, "generate", "--count", "500", "--out", str(feed)]) == 0
+    assert cli.main([*argv, "ingest"]) == 0
+    assert_every_record_indexed(data / "log", parsed_frames)
+    assert cli.main([*argv, *[arg.format(feed=feed) for arg in stream]]) == 0
+    assert_every_record_indexed(data / "log", parsed_frames)
 
 
 def rewrite_index(path, edit):

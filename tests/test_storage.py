@@ -21,7 +21,7 @@ from amlstream.storage import (
     TableStore,
     to_columns,
 )
-from amlstream.streamproc import StreamProcessor, publish_transaction
+from amlstream.streamproc import ALERT_ROWS, StreamProcessor, publish_transaction
 from amlstream.txgen import (
     TRANSACTION_ROWS,
     GeneratorConfig,
@@ -415,24 +415,133 @@ def compacted(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("state", sorted(COMPACTION_STATES))
-def test_every_compaction_state_reads_the_journal_fold(compacted, tmp_path, state):
+# table name -> its primary key and RowType
+TABLE_TYPES = {"transactions": ("id", TRANSACTION_ROWS), "alerts": ("alert_id", ALERT_ROWS)}
+
+
+def table_store(root, table, decode=None):
+    """A store declaring ``table``, its RowType decoding through ``decode`` if given."""
+    key, row_type = TABLE_TYPES[table]
+    store = TableStore(root)
+    store.create_table(table, key=key, row_type=replace(row_type, decode=decode or row_type.decode))
+    return store
+
+
+def fold_oracle(root, table):
+    """The table as columns, folded from its journal alone and ordered by
+    the columns its key is made of."""
+    _, row_type = TABLE_TYPES[table]
+    names = [name for name, _ in row_type.columns]
+    positions = [names.index(name) for name in row_type.key]
+    rows = [row_type.decode(row) for row in table_store(root, table).query(table)]
+    return to_columns(row_type, sorted(rows, key=lambda values: [values[p] for p in positions]))
+
+
+ALERT_SOURCES = ("rule:high_risk_type", "model:v2")  # not in vocabulary order
+
+
+def alert_line(tx_id, source, score=1.0, tick=0, alert_id=None):
+    """An alerts-table row as the stream writes it."""
+    row = {"alert_id": alert_id or f"{tx_id}:{source}", "score": score, "source": source,
+           "tick": tick, "transaction_id": tx_id}
+    return json.dumps(row, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def compacted_alerts(tmp_path_factory):
+    """An alerts table of 200 rows, two sources on each of 100 transactions
+    appended in descending id order, whose compaction covers all of them."""
+    root = tmp_path_factory.mktemp("compacted_alerts") / "tables"
+    store = table_store(root, "alerts")
+    store.upsert_rows("alerts", [alert_line(t, s, tick=t) for t in range(100, 0, -1) for s in ALERT_SOURCES])
+    store.close()
+    store = table_store(root, "alerts")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "COMPACT_ROWS", 1)
+        store.upsert_rows("alerts", [], [])  # compacts the 200 older lines
+    store.close()
+    assert (root / "alerts" / COMPACTION_NAME).exists()
+    return root
+
+
+def swap_alert_rows(column, i, j):
+    """Swap one column's values in two rows of an alerts compaction."""
+    def edit(header, arrays):
+        arrays["column." + column][[i, j]] = arrays["column." + column][[j, i]]
+    return rewrite_compaction(edit)
+
+
+def rescore_first_alert(path):
+    journal = path.parent / "journal.jsonl"
+    rows = [json.loads(line) for line in journal.read_text().splitlines()]
+    rows[0]["score"] = 0.5
+    journal.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+
+def append_alerts(*lines):
+    def append(path):
+        with open(path.parent / "journal.jsonl", "a") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    return append
+
+
+# state name -> how to put an alerts compaction (the file at the path given)
+# in it; the compaction's rows, in key order, start (1, "model:v2"),
+# (1, "rule:high_risk_type"), (2, "model:v2")
+ALERT_COMPACTION_STATES = {
+    **{state: COMPACTION_STATES[state] for state in (
+        "valid", "no_file", "cut_file", "garbled_bytes", "wrong_format", "length_past_journal_end"
+    )},
+    "journal_rewritten_under_it": rescore_first_alert,
+    "rows_appended_past_it": append_alerts(
+        *[alert_line(t, "rule:velocity", tick=t) for t in range(200, 230)],
+        alert_line(1, "model:v2", score=0.25),  # replaces a compacted row
+    ),
+    "keys_not_increasing": swap_alert_rows("transaction_id", 0, 2),
+    "key_pairs_not_increasing": swap_alert_rows("source", 0, 1),
+    "code_outside_vocabulary": rewrite_compaction(
+        lambda header, arrays: header["vocabularies"]["source"].pop()
+    ),
+    "short_column": rewrite_compaction(
+        lambda header, arrays: arrays.update({"column.score": arrays["column.score"][1:]})
+    ),
+    # replaces the row stored as 7:model:v2 with one whose values form 8:model:v2
+    "stored_key_not_its_values": append_alerts(alert_line(8, "model:v2", alert_id="7:model:v2")),
+}
+
+# (table, state) -> how many rows reading the table decodes; a compaction
+# that fails a check leaves all 200 rows to decode
+DECODED = {
+    ("transactions", "valid"): 0,
+    ("transactions", "rows_appended_past_it"): 31,
+    ("alerts", "valid"): 0,
+    ("alerts", "rows_appended_past_it"): 31,
+    ("alerts", "stored_key_not_its_values"): 1 + 200,  # the row past it, then the fold
+}
+
+
+@pytest.mark.parametrize(
+    "table, state",
+    [pytest.param("transactions", state, id=state) for state in sorted(COMPACTION_STATES)]
+    + [pytest.param("alerts", state, id=f"alerts-{state}") for state in sorted(ALERT_COMPACTION_STATES)],
+)
+def test_every_compaction_state_reads_the_journal_fold(compacted, compacted_alerts, tmp_path, table, state):
     root = tmp_path / "tables"
-    shutil.copytree(compacted, root)
-    COMPACTION_STATES[state](root / "transactions" / COMPACTION_NAME)
+    shutil.copytree({"transactions": compacted, "alerts": compacted_alerts}[table], root)
+    states = {"transactions": COMPACTION_STATES, "alerts": ALERT_COMPACTION_STATES}[table]
+    states[state](root / table / COMPACTION_NAME)
     decoded = []
 
     def counting_decode(row):
-        decoded.append(row["id"])
-        return TRANSACTION_ROWS.decode(row)
+        decoded.append(row)
+        return TABLE_TYPES[table][1].decode(row)
 
-    store = TableStore(root)
-    store.create_table("transactions", key="id", row_type=RowType(TRANSACTION_ROWS.columns, counting_decode))
-    want = journal_oracle(root)
-    assert_same_columns(store.columns("transactions"), want)
-    assert store.count("transactions") == len(want["id"])
+    store = table_store(root, table, counting_decode)
+    want = fold_oracle(root, table)
+    assert_same_columns(store.columns(table), want)
+    assert store.count(table) == len(table_store(root, table).query(table))
     # an adopted compaction leaves only the rows past it to decode
-    assert len(decoded) == {"valid": 0, "rows_appended_past_it": 31}.get(state, 200)
+    assert len(decoded) == DECODED.get((table, state), 200)
 
 
 def counting_store(root, decoded):
@@ -482,6 +591,47 @@ def test_a_bad_line_past_a_compaction_is_named_by_its_line_in_the_journal(compac
         fh.write('{"id": 7, "amount": \n' + tx_line(more[5]) + "\n")
     with pytest.raises(DataError, match=r"journal\.jsonl:206: bad journal line"):
         transactions_store(root).columns("transactions")
+
+
+def test_handed_over_rows_compact_once_they_double_the_rows_covered(tmp_path, monkeypatch):
+    """appended rewrites the compaction only when the rows past it are at
+    least COMPACT_ROWS and at least the rows it covers, builds their columns
+    only then, and does nothing unless the journal ends where they do."""
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 10)
+    root = tmp_path / "tables"
+    store = table_store(root, "alerts")
+    journal = store.journal_path("alerts")
+    journal.touch()
+    built = []
+
+    def hand_over(pairs, foreign=""):
+        """Append ``pairs`` as a stream does, then ``foreign`` lines of
+        another writer, and hand the pairs over."""
+        start = journal.stat().st_size
+        with open(journal, "a") as fh:
+            fh.write("".join(alert_line(t, s, tick=len(built)) + "\n" for t, s in pairs))
+        end = journal.stat().st_size
+        with open(journal, "a") as fh:
+            fh.write(foreign)
+        values = [(t, s, 1.0, len(built)) for t, s in pairs]
+
+        def columns():
+            built.append(len(values))
+            return to_columns(ALERT_ROWS, values)
+
+        store.appended("alerts", start, end, len(values), columns)
+        with np.load(root / "alerts" / COMPACTION_NAME) as npz:
+            return json.loads(npz["header"].tobytes())["rows"]
+
+    with pytest.raises(FileNotFoundError):
+        hand_over([(t, "rule:velocity") for t in range(9)])  # fewer than COMPACT_ROWS
+    assert hand_over([(t, "rule:velocity") for t in range(9, 12)]) == 12  # 9 older lines, 3 new
+    assert hand_over([(t, "model:v1") for t in range(11)]) == 12  # fewer than the 12 covered
+    assert hand_over([(t, "rule:velocity") for t in range(5)]) == 23  # 11 older, 5 replacing
+    foreign = alert_line(99, "rule:velocity") + "\n"
+    assert hand_over([(t, "model:v2") for t in range(30)], foreign) == 23
+    assert built == [3, 5]
+    assert_same_columns(table_store(root, "alerts").columns("alerts"), fold_oracle(root, "alerts"))
 
 
 def test_compaction_from_held_values_equals_one_from_decoded_lines(tmp_path, monkeypatch):
