@@ -636,6 +636,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     _hand_over_alerts(ws, start, drained)
     echo("== final phase: report bundle ==")
     outcome["report_files"] = _write_report(ws, echo)
+    ws.log.close()  # indexes every partition, so the next open scans no frame
     return outcome
 
 

@@ -10,20 +10,20 @@ table as columns (storage.TableStore.columns, or transaction_columns for
 a list held in memory), each string field as codes into its sorted
 vocabulary: the report datasets are np.bincount calls over those
 columns, and encode_matrix one-hot encodes codes by looking each
-vocabulary up once. The alerts-per-month grid dates each transaction
-by txgen's calendar_date, through a month table built once.
+vocabulary up once. The stream scores its batches of values from their
+category codes instead (encode_codes). The alerts-per-month grid dates
+each transaction by txgen's calendar_date, through a month table built
+once.
 
 Schema identity: schema_hash is the first 8 bytes (hex) of BLAKE2b over
 the canonical JSON of the ordered vocabularies. Models remember the
 hash of the schema they were trained against; scoring paths compare
 hashes before trusting a vector's layout.
 
-Unknown categories at encode time map to an all-zero block for that
-feature and are counted in the unseen count encode_columns and
-encode_matrix return instead of failing: the speed layer must keep
-scoring even when live traffic drifts away from the training vocabulary.
-The stream encodes its batches of values through encode_columns, and
-training and the report encode codes through encode_matrix.
+Unknown categories at encode time get code -1, which stands for an
+all-zero block for that feature, instead of failing: the speed layer
+must keep scoring even when live traffic drifts away from the training
+vocabulary. encode_matrix counts them in the unseen count it returns.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateClassError, SchemaMismatchError
+from .models import FieldCodes
 from .storage import Categories, to_columns
 from .txgen import (
     DAY_SECONDS,
@@ -82,16 +84,19 @@ class EncodingSchema:
     vocabularies: dict[str, tuple[str, ...]]
     total_width: int
     schema_hash: str
-    offsets: dict[str, int] = field(repr=False)
 
     @functools.cached_property
-    def _columns(self) -> tuple[dict[str, int], ...]:
+    def _codes(self) -> tuple[dict[str, int], ...]:
         """Per feature, in FEATURE_FIELDS order, each vocabulary value's
-        column in the encoded matrix; built once per schema object."""
+        code, its place in the vocabulary; built once per schema object."""
         return tuple(
-            {code: self.offsets[f] + i for i, code in enumerate(self.vocabularies[f])}
-            for f in FEATURE_FIELDS
+            {value: i for i, value in enumerate(self.vocabularies[f])} for f in FEATURE_FIELDS
         )
+
+    @functools.cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Each feature's vocabulary size, in FEATURE_FIELDS order."""
+        return tuple(len(self.vocabularies[f]) for f in FEATURE_FIELDS)
 
     def column_names(self) -> list[str]:
         names = []
@@ -132,19 +137,13 @@ def _schema_from_vocabularies(vocabs: dict[str, tuple[str, ...]]) -> EncodingSch
     for feature in FEATURE_FIELDS:
         if feature not in vocabs:
             raise DataError(f"schema is missing feature {feature!r}")
-    offsets = {}
-    width = 0
-    for feature in FEATURE_FIELDS:
-        offsets[feature] = width
-        width += len(vocabs[feature])
     digest = hashlib.blake2b(
         _canonical_vocab_json(vocabs).encode(), digest_size=8
     ).hexdigest()
     return EncodingSchema(
         vocabularies={f: tuple(vocabs[f]) for f in FEATURE_FIELDS},
-        total_width=width,
+        total_width=sum(len(vocabs[f]) for f in FEATURE_FIELDS),
         schema_hash=digest,
-        offsets=offsets,
     )
 
 
@@ -172,55 +171,37 @@ def schema_of_columns(columns) -> EncodingSchema:
     return _schema_from_vocabularies({f: columns[f].vocabulary for f in FEATURE_FIELDS})
 
 
-def _one_hot(n: int, features, schema: EncodingSchema) -> tuple[np.ndarray, int]:
-    """X with a 1.0 at each row's column of each feature, ``features`` being
-    per FEATURE_FIELDS entry the rows' encoded columns, -1 where unseen."""
-    X = np.zeros((n, schema.total_width), dtype=np.float64)
-    unseen = 0
-    rows = np.arange(n)
-    for codes in features:
-        hit = codes >= 0
-        unseen += n - int(np.count_nonzero(hit))
-        X[rows[hit], codes[hit]] = 1.0
-    return X, unseen
-
-
-def encode_columns(columns, schema: EncodingSchema) -> tuple[np.ndarray, int]:
-    """One-hot encode a batch held as columns, one sequence of values per
-    FEATURE_FIELDS entry in that order: returns (X, unseen_count).
-
-    Each in-vocabulary value sets one 1.0 in its feature block; an unseen
-    category leaves its block all-zero and adds one to unseen_count.
-    Never raises on data values.
-    """
+def encode_codes(columns, schema: EncodingSchema) -> FieldCodes:
+    """A batch held as columns, one sequence of values per FEATURE_FIELDS
+    entry in that order, as the codes of its values in the schema's
+    vocabularies, -1 for an unseen value. Never raises on data values."""
     n = len(columns[0])
-    return _one_hot(
-        n,
-        [
-            np.fromiter((lookup.get(v, -1) for v in column), dtype=np.int64, count=n)
-            for lookup, column in zip(schema._columns, columns)
-        ],
-        schema,
-    )
+    codes = np.empty((len(FEATURE_FIELDS), n), dtype=np.int64)
+    for row, lookup, column in zip(codes, schema._codes, columns):
+        row[:] = np.fromiter(map(lookup.get, column, repeat(-1, n)), np.int64, n)
+    return FieldCodes(codes, schema.sizes)
 
 
 def encode_matrix(transactions, schema: EncodingSchema) -> tuple[np.ndarray, np.ndarray, int]:
     """One-hot encode transactions, held as a list or as the columns the
-    transactions table reads as: returns (X, labels, unseen_count), X as
-    encode_columns gives it. Each feature's vocabulary is looked up once
-    and its codes gathered."""
+    transactions table reads as: returns (X, labels, unseen_count).
+
+    Each in-vocabulary value sets one 1.0 in its feature block; an unseen
+    category leaves its block all-zero and adds one to unseen_count. Each
+    feature's vocabulary is looked up once and its codes gathered.
+    """
     if isinstance(transactions, dict):
         features = [transactions[f] for f in FEATURE_FIELDS]
         labels = transactions["is_laundering"]
     else:
         features = [Categories.of([getattr(t, f) for t in transactions]) for f in FEATURE_FIELDS]
         labels = np.array([t.is_laundering for t in transactions], dtype=bool)
-    codes = [
-        np.array([lookup.get(v, -1) for v in column.vocabulary], dtype=np.int64)[column.codes]
-        for lookup, column in zip(schema._columns, features)
-    ]
-    X, unseen = _one_hot(len(labels), codes, schema)
-    return X, labels, unseen
+    codes = np.empty((len(FEATURE_FIELDS), len(labels)), dtype=np.int64)
+    for row, lookup, column in zip(codes, schema._codes, features):
+        vocabulary_codes = np.array([lookup.get(v, -1) for v in column.vocabulary], dtype=np.int64)
+        vocabulary_codes.take(column.codes, out=row)
+    unseen = int(np.count_nonzero(codes < 0))
+    return FieldCodes(codes, schema.sizes).one_hot(), labels, unseen
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +281,7 @@ def correlation_from_arrays(X: np.ndarray, labels: np.ndarray) -> CorrelationRes
     corr = cov / np.outer(scale, scale)
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
-    keep = np.setdiff1d(np.arange(M.shape[1]), constant)
+    keep = np.flatnonzero(var != 0.0)
     corr[keep, keep] = 1.0
     return CorrelationResult(matrix=corr, constant_columns=tuple(int(c) for c in constant))
 

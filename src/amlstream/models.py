@@ -34,17 +34,25 @@ default data) with the row grouping or the BLAS thread count.
 
 Prediction contract: predict_proba computes per-row values with
 row-local arithmetic (no batch-shape-dependent reductions), so scoring
-one record equals scoring it inside any batch, bit for bit.
+one record equals scoring it inside any batch, bit for bit. It scores
+either one-hot rows or a batch held as FieldCodes, the category code of
+each row in each one-hot field; both give the same score for the same
+row, bit for bit.
 
 Trees grow and serialize as linked TreeNodes. For prediction, a tree
 model is compiled once per model object into parallel node arrays
-(scikit-learn's tree_ layout, leaves pointing to themselves).
-predict_proba then steps the (trees, rows) node matrix from the roots,
+(scikit-learn's tree_ layout, leaves pointing to themselves). On one-hot
+rows, predict_proba steps the (trees, rows) node matrix from the roots,
 every tree at once, at most max_depth times (Hummingbird's tree
-traversal; Nakandala et al., OSDI 2020). The score is the mean of the
-leaf values summed in tree order, so it is the same for one row as in
-any batch. The compiled form is never serialized: model bytes are
-unchanged by it.
+traversal; Nakandala et al., OSDI 2020). On codes it scores with leaf
+bitmasks (QuickScorer: Lucchese et al., SIGIR 2015; RapidScorer: Ye et
+al., KDD 2018), compiled from the node arrays once per model object and
+field layout: each tree's leaves are numbered left to right, and each
+field value keeps the mask of the leaves it leaves reachable, so one
+gather per field and an AND leave each tree's leaf as the one bit set.
+Either way the score is the mean of the leaf values summed in tree
+order, so it is the same for one row as in any batch. The compiled
+forms are never serialized: model bytes are unchanged by them.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ _HYPER_MINIMUMS = {
 }
 
 SERIALIZATION_FORMAT = 1
-_PREDICT_BLOCK = 1024  # rows scored at once; bounds the (trees, rows) node matrix
+_PREDICT_BLOCK = 1024  # rows scored at once; bounds the (trees, rows) node matrix and leaf masks
 
 
 @dataclass(slots=True)
@@ -127,6 +135,18 @@ class TrainedModel:
     def _flat_trees(self) -> "_FlatTrees":
         """The trees compiled for prediction, once per model object."""
         return _flatten_trees(self.trees)
+
+    @functools.cached_property
+    def _masks_by_sizes(self) -> dict:
+        return {}
+
+    def _leaf_masks(self, sizes: tuple[int, ...]) -> "_LeafMasks":
+        """The trees compiled for scoring FieldCodes of these field sizes,
+        once per model object and field layout."""
+        masks = self._masks_by_sizes.get(sizes)
+        if masks is None:
+            masks = self._masks_by_sizes[sizes] = _compile_leaf_masks(self._flat_trees, sizes)
+        return masks
 
 
 @dataclass(frozen=True)
@@ -581,24 +601,184 @@ def _predict_flat(flat: _FlatTrees, X: np.ndarray) -> np.ndarray:
     return total / len(flat.roots)
 
 
+class FieldCodes(NamedTuple):
+    """A batch as the category codes of its one-hot fields.
+
+    ``codes[f, i]`` is row i's value of field f as an index into the
+    field's ``sizes[f]`` categories, or -1 for a value outside them. The
+    one-hot row it stands for holds the fields' blocks side by side, in
+    order: 1.0 at each known code's column, 0.0 everywhere else.
+    """
+
+    codes: np.ndarray  # (fields, rows), int
+    sizes: tuple[int, ...]
+
+    def one_hot(self) -> np.ndarray:
+        """The one-hot rows the codes stand for."""
+        n = self.codes.shape[1]
+        X = np.zeros((n, sum(self.sizes)), dtype=np.float64)
+        rows = np.arange(n)
+        start = 0
+        for codes, size in zip(self.codes, self.sizes):
+            hit = codes >= 0
+            columns = codes[hit]
+            columns += start
+            X[rows[hit], columns] = 1.0
+            start += size
+        return X
+
+
+class _LeafMasks(NamedTuple):
+    """The trees of one model compiled for scoring FieldCodes.
+
+    Each tree's leaves are numbered left to right, so every subtree's
+    leaves are a contiguous range of numbers. Field f's code k selects
+    table row ``start[f] + k``, so code -1, a value outside its
+    categories, selects the row before its first code's.
+    ``table[row, t]`` holds, as uint64 words, the bits of tree t's leaves
+    still reachable when the field takes that value; ANDed over the
+    fields, one bit is left, the row's leaf. Leaf j of tree t has its
+    value at ``values[first_leaf[t] + j]``.
+    """
+
+    table: np.ndarray  # (rows, trees, words), uint64
+    start: np.ndarray  # (fields, 1)
+    first_leaf: np.ndarray  # (trees,)
+    values: np.ndarray
+
+
+def _leaf_bits(lo: np.ndarray, hi: np.ndarray, words: int) -> np.ndarray:
+    """The leaf numbers of each range [lo, hi) as bits in ``words`` uint64
+    words."""
+    def below(k):  # the bits of the leaf numbers under k
+        k = np.clip(k[:, None] - 64 * np.arange(words), 0, 64).astype(np.uint64)
+        low = (np.uint64(1) << np.minimum(k, np.uint64(63))) - np.uint64(1)
+        return np.where(k == 64, np.uint64(0xFFFFFFFFFFFFFFFF), low)
+
+    return below(hi) & ~below(lo)
+
+
+def _compile_leaf_masks(flat: _FlatTrees, sizes: tuple[int, ...]) -> _LeafMasks:
+    """Compile node arrays over one-hot fields of ``sizes`` columns each
+    into leaf masks, every tree at once, level by level.
+
+    Each inner node tests one column, the category of one field, and
+    sends a row left when its value is under the threshold, as
+    _predict_flat does; the leaves of the side a value does not take are
+    cleared from that value's mask. A field's value is 1.0 in its own
+    category's column and 0.0 in the others, and 0.0 in every column when
+    it is outside the categories.
+    """
+    n_nodes, n_trees = flat.value.size, flat.roots.size
+    left, right = flat.children[0::2], flat.children[1::2]
+    inner = left != np.arange(n_nodes)
+    parents = []  # the inner nodes of each level, the roots' level first
+    level = flat.roots
+    while level.size:
+        level = level[inner[level]]
+        parents.append(level)
+        level = np.concatenate((left[level], right[level]))
+    leaves = np.ones(n_nodes, dtype=np.int64)  # the leaves under each node
+    for p in reversed(parents):
+        leaves[p] = leaves[left[p]] + leaves[right[p]]
+    first = np.zeros(n_nodes, dtype=np.int64)  # the number of its first leaf
+    for p in parents:
+        first[left[p]] = first[p]
+        first[right[p]] = first[p] + leaves[left[p]]
+
+    tree = np.repeat(np.arange(n_trees), np.diff(flat.roots, append=n_nodes))
+    tree_leaves = leaves[flat.roots]
+    words = (int(tree_leaves.max()) + 63) // 64
+    ends = np.cumsum(sizes)
+    start = ends - sizes + np.arange(1, len(sizes) + 1)  # each field's code 0's table row
+
+    p = np.flatnonzero(inner)
+    mid = first[p] + leaves[left[p]]
+    left_bits = _leaf_bits(first[p], mid, words)
+    right_bits = _leaf_bits(mid, first[p] + leaves[p], words)
+    column = flat.feature[p]
+    at = (column + np.searchsorted(ends, column, side="right") + 1, tree[p])
+    # per table row and tree, the leaves cleared by the nodes testing that
+    # row's column when it holds 0.0 and when it holds 1.0
+    cleared_at_0 = np.zeros((ends[-1] + len(sizes), n_trees, words), dtype=np.uint64)
+    cleared_at_1 = np.zeros_like(cleared_at_0)
+    threshold = flat.threshold[p, None]
+    np.bitwise_or.at(cleared_at_0, at, np.where(0.0 < threshold, right_bits, left_bits))
+    np.bitwise_or.at(cleared_at_1, at, np.where(1.0 < threshold, right_bits, left_bits))
+
+    # a value clears, per tree, what its own column clears at 1.0 and
+    # every other column of its field at 0.0
+    cleared = cleared_at_1
+    for first_row, size in zip(start, sizes):
+        block = slice(first_row - 1, first_row + size)
+        zeros = cleared_at_0[block]
+        before = np.bitwise_or.accumulate(zeros, axis=0)
+        after = np.bitwise_or.accumulate(zeros[::-1], axis=0)[::-1]
+        cleared[block][1:] |= before[:-1]
+        cleared[block][:-1] |= after[1:]
+    table = _leaf_bits(np.zeros(n_trees, dtype=np.int64), tree_leaves, words) & ~cleared
+
+    first_leaf = np.cumsum(tree_leaves) - tree_leaves
+    leaf = ~inner
+    values = np.empty(int(tree_leaves.sum()))
+    values[first_leaf[tree[leaf]] + first[leaf]] = flat.value[leaf]
+    return _LeafMasks(table, start[:, None], first_leaf, values)
+
+
+def _predict_masks(masks: _LeafMasks, codes: np.ndarray) -> np.ndarray:
+    """Gather each field's leaf masks, AND them, take each tree's one leaf
+    left, then average the leaf values tree by tree in tree order, as
+    _predict_flat does."""
+    rows = codes + masks.start
+    bits = masks.table.take(rows[0], axis=0)  # (rows, trees, words)
+    for field_rows in rows[1:]:
+        np.bitwise_and(bits, masks.table.take(field_rows, axis=0), out=bits)
+    bits = bits.astype(np.float64)  # a word with bit j set is now 2**j, exactly
+    # frexp splits 2**j into 0.5 * 2**(j + 1) and gives a zero word exponent
+    # 0; the mantissas overwrite the words, which are then let go
+    place = np.frexp(bits, out=(bits, np.empty(bits.shape, dtype=np.intc)))[1]
+    del bits
+    # the one nonzero word's bit follows the 64 bits of each word before it
+    word_base = 64 * np.arange(place.shape[2], dtype=np.intc)
+    np.add(place, word_base, out=place, where=place > 0)
+    leaf_values = masks.values.take(place.max(axis=2) + (masks.first_leaf - 1))
+    return np.cumsum(leaf_values, axis=1)[:, -1] / masks.first_leaf.size
+
+
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
-    if X.shape[1] != model.width:
+    """The score of each row of ``X``: one-hot rows, as a matrix or one
+    row, or a batch as FieldCodes."""
+    codes = X if isinstance(X, FieldCodes) else None
+    if codes is not None:
+        n, width = codes.codes.shape[1], sum(codes.sizes)
+    else:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        n, width = X.shape
+    if width != model.width:
         raise SchemaMismatchError(
-            f"feature width {X.shape[1]} does not match model width {model.width}"
+            f"feature width {width} does not match model width {model.width}"
         )
     if model.kind == "logistic_regression":
+        if codes is not None:
+            X = codes.one_hot()
         # row-local sum keeps single-row and batched scoring bit-identical
         z = (X * model.weights).sum(axis=1) + model.bias
         return sigmoid(z)
     if model.kind in _TREE_KINDS:
-        flat = model._flat_trees
-        blocks = [
-            _predict_flat(flat, X[start:start + _PREDICT_BLOCK])
-            for start in range(0, X.shape[0], _PREDICT_BLOCK)
-        ]
+        if codes is not None:
+            masks = model._leaf_masks(codes.sizes)
+            blocks = [
+                _predict_masks(masks, codes.codes[:, start:start + _PREDICT_BLOCK])
+                for start in range(0, n, _PREDICT_BLOCK)
+            ]
+        else:
+            flat = model._flat_trees
+            blocks = [
+                _predict_flat(flat, X[start:start + _PREDICT_BLOCK])
+                for start in range(0, n, _PREDICT_BLOCK)
+            ]
         return np.concatenate(blocks) if blocks else np.empty(0)
     raise ConfigError(f"unknown model kind {model.kind!r}")
 

@@ -10,7 +10,8 @@ lists (a payload that is not a UTF-8 JSON object of a transaction is
 dead-lettered alone), the high-risk and corridor rules are evaluated
 over those columns, the velocity windows are stepped through the batch
 in record order, and the active model (when one is installed) scores the
-whole batch from one encoded matrix. The batch's alert lines are then
+whole batch from the category codes of its feature columns, with no
+one-hot matrix for a tree model. The batch's alert lines are then
 appended and fsynced in one write, and only after that does one commit
 move the consumer positions of every partition the batch read. A crash
 between persistence and commit therefore replays the batch:
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SchemaMismatchError
 from .eventlog import EventLog
-from .featstore import FEATURE_FIELDS, EncodingSchema, encode_columns
+from .featstore import FEATURE_FIELDS, EncodingSchema, encode_codes
 from .models import TrainedModel, predict_proba
 from .storage import JournalWriter, RowType, field_columns, read_journal
 from .txgen import TRANSACTION_FIELDS, Transaction, _parse_transaction, transaction_to_json
@@ -226,8 +227,7 @@ class StreamProcessor:
                 f"model was trained for schema {self._model.schema_hash}, "
                 f"encoder provides {self._schema.schema_hash}"
             )
-        X, _ = encode_columns(features, self._schema)
-        return predict_proba(self._model, X)
+        return predict_proba(self._model, encode_codes(features, self._schema))
 
     def _velocity_flags(self, senders, ticks) -> list[bool]:
         """Step each sender's window through the batch in record order:

@@ -474,6 +474,13 @@ def test_ingest_and_stream_leave_every_record_indexed(tmp_path, parsed_frames, s
     assert_every_record_indexed(data / "log", parsed_frames)
 
 
+def test_demo_leaves_every_record_indexed(tmp_path, parsed_frames):
+    data = tmp_path / "data"
+    argv = ["--data-dir", str(data), "--report-dir", str(tmp_path / "reports"), "--seed", "3"]
+    assert cli.main([*argv, "demo", "--no-shift"]) == 0
+    assert_every_record_indexed(data / "log", parsed_frames)
+
+
 def rewrite_index(path, edit):
     """Rewrite an index file with ``edit`` applied to its header fields
     and frame ends, its ends CRC recomputed so only the edit is wrong."""

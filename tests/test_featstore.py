@@ -1,11 +1,16 @@
 """Feature store tests: schema/encode, split, oversample, analytics."""
 
 import datetime
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amlstream
 from amlstream.errors import DataError, DegenerateClassError, SchemaMismatchError
 from amlstream.featstore import (
     FEATURE_FIELDS,
@@ -13,6 +18,7 @@ from amlstream.featstore import (
     alerts_per_month,
     build_schema,
     correlation_from_arrays,
+    encode_codes,
     encode_matrix,
     month_of_day,
     oversample_indices,
@@ -129,7 +135,7 @@ def test_encode_unseen_category_zero_block_and_counter(sample_schema):
     X, _, unseen = encode_matrix([make_tx(pay_cur="ZZZ")], sample_schema)
     assert unseen == 1
     assert X[0].sum() == 4.0
-    start = sample_schema.offsets["payment_currency"]
+    start = 0  # payment_currency's block comes first
     width = len(sample_schema.vocabularies["payment_currency"])
     assert not X[0, start : start + width].any()
 
@@ -152,6 +158,22 @@ def test_encode_matrix_matches_single_encode(sample_transactions, sample_schema)
     for t, row, label in zip(subset, X, y):
         assert np.array_equal(row, one_hot_oracle(t, column))
         assert label == t.is_laundering
+
+
+def test_encode_codes_stand_for_the_encoded_matrix(sample_transactions, sample_schema):
+    subset = sample_transactions[:300] + [
+        make_tx(id=10**9, recv_cur="???"),
+        make_tx(id=10**9 + 1, s_loc="Atlantis", ptype="Barter"),
+    ]
+    codes = encode_codes([[getattr(t, f) for t in subset] for f in FEATURE_FIELDS], sample_schema)
+    X, _, unseen = encode_matrix(subset, sample_schema)
+    assert codes.sizes == tuple(len(sample_schema.vocabularies[f]) for f in FEATURE_FIELDS)
+    assert codes.codes.shape == (5, len(subset))
+    assert np.count_nonzero(codes.codes < 0) == unseen == 3
+    assert codes.codes[1, -2] == codes.codes[2, -1] == codes.codes[4, -1] == -1
+    assert np.array_equal(codes.one_hot(), X)
+    empty = encode_codes([[] for _ in FEATURE_FIELDS], sample_schema)
+    assert empty.codes.shape == (5, 0) and empty.one_hot().shape == (0, sample_schema.total_width)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +309,21 @@ def test_correlation_flags_constant_columns():
     assert 2 in result.constant_columns
     assert np.all(result.matrix[2, :] == 0.0)
     assert np.all(result.matrix[:, 2] == 0.0)
+
+
+def test_correlation_leaves_numpy_ma_unimported():
+    # numpy.ma costs tens of ms to import, and nothing the CLI runs needs it
+    code = (
+        "import sys, numpy as np, amlstream.cli\n"
+        "from amlstream.featstore import correlation_from_arrays\n"
+        "correlation_from_arrays(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([True, False]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(amlstream.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
 
 
 def test_correlation_requires_two_rows(sample_schema):

@@ -14,6 +14,7 @@ from amlstream.errors import ConfigError, DataError, SchemaMismatchError
 from amlstream.featstore import transaction_columns
 from amlstream.models import (
     EvalMetrics,
+    FieldCodes,
     TrainedModel,
     TreeNode,
     evaluate,
@@ -657,6 +658,120 @@ def test_evaluate_f1_zero_convention():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# scoring from category codes
+# ---------------------------------------------------------------------------
+
+FIELD_SIZES = (12, 12, 15, 15, 7)  # the default schema's five vocabularies
+
+
+def code_fixture(n, seed, sizes=FIELD_SIZES):
+    """FieldCodes of ``n`` rows with a label that leans on two fields."""
+    rng = rng_for(seed)
+    codes = np.stack([rng.integers(0, k, size=n) for k in sizes])
+    y = rng.random(n) < 0.2 + 0.3 * (codes[0] < 3) + 0.3 * (codes[4] == 1)
+    return FieldCodes(codes, sizes), y
+
+
+def with_unseen(codes: FieldCodes, seed) -> FieldCodes:
+    """``codes`` with about a fifth of each field's values unseen (-1),
+    and one row per field unseen in that field alone."""
+    out = codes.codes.copy()
+    out[rng_for(seed).random(out.shape) < 0.2] = -1
+    for f in range(out.shape[0]):
+        out[:, f] = codes.codes[:, f]
+        out[f, f] = -1
+    return FieldCodes(out, codes.sizes)
+
+
+def assert_codes_score_as_one_hot(model, codes: FieldCodes):
+    """The code scorer equals one-hot scoring bit for bit, for the batch
+    and for each row alone."""
+    want = predict_proba(model, codes.one_hot())
+    assert np.array_equal(predict_proba(model, codes), want)
+    for i in range(min(codes.codes.shape[1], 40)):
+        one = FieldCodes(codes.codes[:, i:i + 1], codes.sizes)
+        assert predict_proba(model, one).tolist() == [want[i]]
+
+
+def count_leaves(node):
+    return 1 if node.is_leaf else count_leaves(node.left) + count_leaves(node.right)
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_code_scores_equal_one_hot_scores(kind):
+    codes, y = code_fixture(600, seed=90)
+    X = codes.one_hot()
+    if kind == "decision_tree":
+        model = train_tree(X, y, {"min_leaf": 2})
+    else:
+        model = train_forest(X, y, {"n_trees": 50, "min_leaf": 2}, seed=3)
+    probe, _ = code_fixture(300, seed=91)
+    assert_codes_score_as_one_hot(model, probe)
+    assert_codes_score_as_one_hot(model, with_unseen(probe, seed=92))
+    everything_unseen = FieldCodes(np.full((5, 3), -1), FIELD_SIZES)
+    assert_codes_score_as_one_hot(model, everything_unseen)
+    no_rows = FieldCodes(np.zeros((5, 0), dtype=np.int64), FIELD_SIZES)
+    assert predict_proba(model, no_rows).shape == (0,)
+
+
+def test_code_scores_of_a_root_only_tree():
+    width = sum(FIELD_SIZES)
+    codes, _ = code_fixture(20, seed=93)
+    for model in (
+        hand_model("decision_tree", leaf(0.375), width=width),
+        hand_model("random_forest", leaf(0.25), split(3, 0.5, leaf(0.5), leaf(1.0)), leaf(0.0),
+                   width=width),
+    ):
+        assert_codes_score_as_one_hot(model, with_unseen(codes, seed=94))
+
+
+def test_code_scores_of_a_tree_with_masks_of_several_words():
+    codes, y = code_fixture(4000, seed=95)
+    model = train_tree(codes.one_hot(), y, {"min_leaf": 1})
+    assert count_leaves(model.trees[0]) > 128  # three or more 64-leaf words
+    probe, _ = code_fixture(500, seed=96)
+    assert_codes_score_as_one_hot(model, with_unseen(probe, seed=97))
+    assert_codes_score_as_one_hot(model, codes)
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_code_scores_of_a_loaded_blob_with_edited_thresholds(kind):
+    codes, y = code_fixture(600, seed=98)
+    X = codes.one_hot()
+    if kind == "decision_tree":
+        trained = train_tree(X, y, {"min_leaf": 2})
+    else:
+        trained = train_forest(X, y, {"n_trees": 10, "min_leaf": 2}, seed=4)
+    blob = json.loads(model_to_json(trained))
+    edits = iter(np.resize([0.0, 1.0, 0.25, 1.5, -0.5], 100_000).tolist())
+    params = blob["parameters"]
+    stack = list(params["trees"]) if kind == "random_forest" else [params["root"]]
+    while stack:
+        node = stack.pop()
+        if "threshold" in node:
+            node["threshold"] = next(edits)
+            stack += [node["left"], node["right"]]
+    model = model_from_json(json.dumps(blob))
+    probe, _ = code_fixture(300, seed=99)
+    probe = with_unseen(probe, seed=100)
+    assert_codes_score_as_one_hot(model, probe)
+    assert not np.array_equal(predict_proba(model, probe), predict_proba(trained, probe))
+
+
+def test_code_scores_of_logistic_regression_equal_one_hot_scores():
+    codes, y = code_fixture(400, seed=101)
+    model = train_logistic(codes.one_hot(), y)
+    assert_codes_score_as_one_hot(model, with_unseen(codes, seed=102))
+
+
+def test_code_width_mismatch():
+    codes, y = code_fixture(50, seed=103)
+    model = train_tree(codes.one_hot(), y)
+    with pytest.raises(SchemaMismatchError):
+        predict_proba(model, FieldCodes(codes.codes, (12, 12, 15, 15, 8)))
+
 
 def test_serialization_round_trip_all_kinds():
     X, y = separable_fixture(seed=83)

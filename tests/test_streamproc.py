@@ -1,5 +1,6 @@
 """Stream processor tests: rules, scoring, durability, delivery semantics."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,11 +9,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from amlstream import eventlog
+from amlstream import eventlog, models
 from amlstream.errors import DataError
 from amlstream.eventlog import EventLog, fnv1a_64
 from amlstream.featstore import build_schema, encode_matrix
-from amlstream.models import train_forest, train_logistic, train_tree
+from amlstream.models import FieldCodes, predict_proba, train_forest, train_logistic, train_tree
 from amlstream.streamproc import (
     RULE_CORRIDOR,
     RULE_HIGH_RISK,
@@ -545,6 +546,40 @@ def test_forest_alerts_do_not_depend_on_batch_size(tmp_path):
         lines[batch_max] = (tmp_path / str(batch_max) / "alerts.jsonl").read_text().splitlines()
     assert len(lines[1]) == 200
     assert lines[1] == lines[1000]
+
+
+def test_tree_model_scores_batches_from_codes_alone(tmp_path, monkeypatch):
+    # neither one-hot rows nor a walk of the node arrays: leaf masks only,
+    # with the scores of one-hot scoring, unseen categories included
+    pool = list(generate(GeneratorConfig(seed=16, count=400)))
+    schema = build_schema(pool)
+    X, _, _ = encode_matrix(pool[:300], schema)
+    y = np.array([t.is_laundering or (i % 3 == 0) for i, t in enumerate(pool[:300])])
+    model = train_forest(X, y, {"n_trees": 20, "min_leaf": 2}, schema_hash=schema.schema_hash, seed=6)
+    feed = pool[300:] + [
+        dataclasses.replace(pool[0], id=10**6, payment_type="Barter"),
+        dataclasses.replace(pool[1], id=10**6 + 1, sender_bank_location="Atlantis",
+                            payment_currency="Shells"),
+    ]
+    want = predict_proba(model, encode_matrix(feed, schema)[0])
+    log = fresh_log(tmp_path, partitions=2)
+    for t in feed:
+        publish_transaction(log, "transactions", t)
+    proc = make_processor(
+        tmp_path,
+        log,
+        alert_threshold=0.0,  # every record alerts with its score
+        model_source=lambda: (1, schema, model),
+        rule_config=RuleConfig(enable_high_risk=False, enable_corridor=False, enable_velocity=False),
+    )
+
+    def refuse(*args):
+        raise AssertionError("the drain scored one-hot rows")
+
+    monkeypatch.setattr(FieldCodes, "one_hot", refuse)
+    monkeypatch.setattr(models, "_predict_flat", refuse)
+    alerts = [a for r in proc.drain_all() for a in r.alerts]
+    assert {a.transaction_id: a.score for a in alerts} == dict(zip([t.id for t in feed], want.tolist()))
 
 
 def test_schema_mismatch_falls_back_to_rules(tmp_path):
