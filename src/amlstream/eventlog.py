@@ -18,10 +18,26 @@ its row view, one LogRecord per record. Offsets are implied by frame
 order. The file never rolls; older versions rolled to a second segment
 after 65,536 records, and a partition holding any other
 ``segment-*.log`` raises CorruptLogError naming it rather than skip its
-records. Consumer positions live in a sidecar ``positions.json`` per
-topic, replaced on commit; a commit of a whole watermark, which is how
-the stream commits each batch, checks every partition's offset first
-and then replaces the file once.
+records.
+
+Consumer positions live in a journal per topic, ``positions.jsonl``,
+which storage's JournalWriter appends to and fsyncs. A commit (a commit
+of a whole watermark is how the stream commits each batch) checks every
+partition's offset first and then appends one sorted-key line holding
+the group's whole map of next offsets:
+
+    {"group": "stream", "next": {"0": 51, "1": 17}}
+
+Opening folds the file, the last line of each group winning; a line
+torn by a crash mid-append is cut, so the commit before it holds. The
+file is replaced by one line per group, sorted by group, when the
+topic's first commit creates it, when a commit finds
+POSITIONS_STALE_LINES superseded lines in it, and on close() when it
+holds any. So a file that holds no whole line was never written by this
+code, and raises DataError naming it. An older version's
+``positions.json``, one JSON object of group to partition to next
+offset, is read once when a topic has no ``positions.jsonl``, with the
+same checks, written as ``positions.jsonl`` and removed.
 
 Durability policy: publish_many appends many records in one call, and
 publish appends one through the same key check and frame writer. A call
@@ -30,11 +46,12 @@ FSYNC_INTERVAL of its records are unsynced, and fsyncs them then; it
 writes the rest at its end, so every record is written to the OS before
 the call returns, and flush() forces an fsync. The CLI's ingest, demo
 and ``stream --feed`` publish each batch in one call and call flush()
-after it, before a drain commits its offsets. topic.json and
-positions.json are written by storage's replace_file, so each is fsynced
+after it, before a drain commits its offsets. A commit line is fsynced
+before the commit returns. topic.json, and positions.jsonl whenever it
+is rewritten, are written by storage's replace_file, so each is fsynced
 before it is renamed into place. A simulated in-process crash therefore
-never loses an acknowledged publish; a crash of the machine can lose the
-unsynced tail.
+never loses an acknowledged publish or commit; a crash of the machine
+can lose the unsynced tail of a partition.
 
 Opening checks every byte poll can return, and finds most frames
 through a sidecar index, ``segment-00000000.index``, which covers the
@@ -54,8 +71,9 @@ before the index was written) but a damaged length, and raises
 CorruptLogError naming its byte too. flush() rewrites the index once
 INDEX_INTERVAL records lie past it, and close() whenever any does. A
 partition count that is not an int of at least 1, or a committed offset
-that is not an int within the partition's records, raises DataError
-naming the file.
+that names no partition or is not an int within its partition's
+records, raises DataError naming the file; a positions line that is not
+a commit's object raises DataError naming ``path:line``.
 
 Partitioning uses FNV-1a (64-bit) on the key, reduced modulo the
 partition count, computed once per distinct key of a publish call.
@@ -91,7 +109,7 @@ from .errors import (
     OffsetRangeError,
     reading,
 )
-from .storage import Prefix, checked_prefix, replace_file
+from .storage import JournalWriter, Prefix, checked_prefix, read_journal, replace_file
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -101,6 +119,9 @@ SEGMENT_NAME = "segment-00000000.log"
 INDEX_NAME = "segment-00000000.index"
 FSYNC_INTERVAL = 256
 INDEX_INTERVAL = 4096
+POSITIONS_NAME = "positions.jsonl"
+LEGACY_POSITIONS_NAME = "positions.json"
+POSITIONS_STALE_LINES = 1024  # superseded commit lines that make the next commit rewrite the file
 _HEADER = struct.Struct("<IIH")  # payload length, crc32, key length
 _INDEX_HEADER = struct.Struct("<QQII")  # records, covered bytes, their crc32, crc32 of the ends
 
@@ -343,6 +364,99 @@ class _Partition:
             self._fh = None
 
 
+def _commit_line(group: str, by_part: dict[int, int]) -> str:
+    """One positions line: the group's whole map of next offsets."""
+    next_offsets = {str(p): offset for p, offset in by_part.items()}
+    return json.dumps({"group": group, "next": next_offsets}, sort_keys=True) + "\n"
+
+
+def _read_commit(row) -> tuple[str, dict[int, int]]:
+    """A positions line's group and its map of partition to next offset;
+    the offsets are checked against the log once the file is folded."""
+    if type(row) is not dict or row.keys() != {"group", "next"}:
+        raise DataError("a commit line is an object of a group and its next offsets")
+    group, next_offsets = row["group"], row["next"]
+    if type(group) is not str or type(next_offsets) is not dict:
+        raise DataError("a commit line's group is a string and its next offsets an object")
+    return group, {int(p): offset for p, offset in next_offsets.items()}
+
+
+class _Positions:
+    """One topic's consumer positions, group -> partition -> next offset,
+    and the journal that keeps them."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.groups: dict[str, dict[int, int]] = {}
+        self._lines = 0  # lines in the file
+        self._writer: JournalWriter | None = None
+
+    def load(self, parts: list[_Partition]) -> None:
+        """Fold the journal, or read an older version's positions.json
+        and replace it, then check every offset against ``parts``."""
+        legacy = self.path.with_name(LEGACY_POSITIONS_NAME)
+        if self.path.exists():
+            lines = read_journal(self.path, _read_commit)
+            if not lines:
+                raise DataError(f"{self.path}: holds no commit")
+            self.groups = dict(lines)
+            self._lines = len(lines)
+            source = self.path
+        elif legacy.exists():
+            with reading(legacy):
+                raw = json.loads(legacy.read_text())
+                self.groups = {
+                    group: {int(k): v for k, v in by_part.items()} for group, by_part in raw.items()
+                }
+            source = legacy
+        else:
+            return
+        with reading(source):
+            for group, by_part in self.groups.items():
+                for p, offset in by_part.items():
+                    if not 0 <= p < len(parts):
+                        raise DataError(f"group {group!r} names no partition {p}")
+                    length = len(parts[p].ends)
+                    if type(offset) is not int or not 0 <= offset <= length:
+                        raise DataError(
+                            f"group {group!r} offset {offset!r} on partition {p} "
+                            f"lies outside [0, {length}]"
+                        )
+        if source is legacy and self.groups:
+            self.rewrite()
+        # positions.jsonl, once it exists, holds every commit
+        legacy.unlink(missing_ok=True)
+
+    def commit(self, group: str) -> None:
+        """Make ``group``'s positions, already moved in memory, durable:
+        one fsynced line, or a rewrite of the file."""
+        if not self._lines or self._lines - len(self.groups) >= POSITIONS_STALE_LINES:
+            self.rewrite()
+            return
+        if self._writer is None:
+            self._writer = JournalWriter(self.path)
+        self._writer.append(_commit_line(group, self.groups[group]))
+        self._lines += 1
+
+    def rewrite(self) -> None:
+        """Replace the file with one line per group, sorted by group."""
+        lines = "".join(_commit_line(g, by_part) for g, by_part in sorted(self.groups.items()))
+        replace_file(self.path, lines.encode("utf-8"))
+        self._lines = len(self.groups)
+        self._close_writer()
+
+    def _close_writer(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+    def close(self) -> None:
+        """Rewrite a file that holds superseded lines, and close it."""
+        if self._lines > len(self.groups):
+            self.rewrite()
+        self._close_writer()
+
+
 class EventLog:
     """Topic registry plus partitioned storage under one root directory."""
 
@@ -350,7 +464,7 @@ class EventLog:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._partitions: dict[str, list[_Partition]] = {}
-        self._positions: dict[str, dict[str, dict[int, int]]] = {}  # topic -> group -> part -> next
+        self._positions: dict[str, _Positions] = {}
         self._ticks = 0
         self._load_existing()
 
@@ -366,25 +480,7 @@ class EventLog:
                 if type(count) is not int or count < 1:
                     raise DataError(f"partition_count {count!r} is not an int >= 1")
             parts = self._add_topic(name, count, meta_path.parent)
-            pos_path = meta_path.parent / "positions.json"
-            if pos_path.exists():
-                with reading(pos_path):
-                    raw = json.loads(pos_path.read_text())
-                    positions = {
-                        group: {int(k): v for k, v in by_part.items()}
-                        for group, by_part in raw.items()
-                    }
-                    for group, by_part in positions.items():
-                        for p, offset in by_part.items():
-                            if not 0 <= p < len(parts):
-                                raise DataError(f"group {group!r} names no partition {p}")
-                            length = len(parts[p].ends)
-                            if type(offset) is not int or not 0 <= offset <= length:
-                                raise DataError(
-                                    f"group {group!r} offset {offset!r} on partition {p} "
-                                    f"lies outside [0, {length}]"
-                                )
-                    self._positions[name] = positions
+            self._positions[name].load(parts)
 
     def _add_topic(self, name: str, partition_count: int, tdir: Path) -> list[_Partition]:
         """Load or create the ``partition_count`` partitions of topic
@@ -395,7 +491,7 @@ class EventLog:
             self._ticks += part.load(self._ticks)
             parts.append(part)
         self._partitions[name] = parts
-        self._positions[name] = {}
+        self._positions[name] = _Positions(tdir / POSITIONS_NAME)
         return parts
 
     def ticks(self) -> int:
@@ -412,6 +508,8 @@ class EventLog:
         for parts in self._partitions.values():
             for part in parts:
                 part.close()
+        for positions in self._positions.values():
+            positions.close()
 
     # -- topics --------------------------------------------------------
 
@@ -549,7 +647,7 @@ class EventLog:
         if max_records < 1:
             raise ConfigError("max_records must be >= 1")
         parts = self._require_parts(topic)
-        by_group = self._positions[topic].setdefault(group, {})
+        by_group = self._positions[topic].groups.get(group, {})
         ranges = []
         budget = max_records
         for p, part in enumerate(parts):
@@ -568,7 +666,7 @@ class EventLog:
 
     def commit_watermark(self, group: str, topic: str, watermark: dict[int, int]) -> None:
         """Commit ``{partition: last consumed offset}`` for several
-        partitions with one positions replace. Every entry is checked
+        partitions with one fsynced positions line. Every entry is checked
         before any position moves, so a bad one commits nothing."""
         parts = self._require_parts(topic)
         for partition, offset in watermark.items():
@@ -579,24 +677,17 @@ class EventLog:
                     f"commit offset {offset} beyond end of {topic}/p{partition} "
                     f"(length {length})"
                 )
-        by_group = self._positions[topic].setdefault(group, {})
+        positions = self._positions[topic]
+        by_group = positions.groups.setdefault(group, {})
         for partition, offset in watermark.items():
             by_group[partition] = offset + 1
-        self._persist_positions(topic)
+        positions.commit(group)
 
     def position(self, group: str, topic: str, partition: int) -> ConsumerPosition:
         self._require_parts(topic)
         self._check_partition(topic, partition)
-        next_offset = self._positions[topic].get(group, {}).get(partition, 0)
+        next_offset = self._positions[topic].groups.get(group, {}).get(partition, 0)
         return ConsumerPosition(group, topic, partition, next_offset)
-
-    def _persist_positions(self, topic: str) -> None:
-        data = {
-            group: {str(p): off for p, off in sorted(by_part.items())}
-            for group, by_part in sorted(self._positions[topic].items())
-        }
-        path = self.root / topic / "positions.json"
-        replace_file(path, json.dumps(data, sort_keys=True).encode("utf-8"))
 
     def flush(self) -> None:
         """fsync pending appends of every topic, rewriting each index that

@@ -1,10 +1,10 @@
 """File-backed blob and table stores, and the JSON-lines journal.
 
 Every whole-file write (a blob, a table's schema.json and compaction, the
-event log's topic.json, positions.json and index) goes through
-replace_file: a temp file is written, fsynced and renamed over the
-target, so a reader, or a restart after a crash, sees either the old
-bytes or the new bytes, never a mix.
+event log's topic.json and index, and each rewrite of its positions.jsonl
+to one line per group) goes through replace_file: a temp file is
+written, fsynced and renamed over the target, so a reader, or a restart
+after a crash, sees either the old bytes or the new bytes, never a mix.
 
 BlobStore: named byte objects under namespace/date/name directories.
 
@@ -51,7 +51,8 @@ alone tells; each rewrite thus at least doubles the rows covered. No
 read writes a compaction.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
-stream's dead-letter file) follows one rule. JournalWriter is its only
+stream's dead-letter file, the event log's consumer positions) follows
+one rule. JournalWriter is its only
 append side: each call appends one JSON object per line (write encodes
 rows as sorted-key JSON, append takes lines already formatted) and is
 flushed and fsynced before it returns. A final line without its newline

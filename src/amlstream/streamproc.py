@@ -12,10 +12,10 @@ over those columns, the velocity windows are stepped through the batch
 in record order, and the active model (when one is installed) scores the
 whole batch from the category codes of its feature columns, with no
 one-hot matrix for a tree model. The batch's alert lines are then
-appended and fsynced in one write, and only after that does one commit
-move the consumer positions of every partition the batch read. A crash
-between persistence and commit therefore replays the batch:
-at-least-once. Alert lines are rows of the alerts table, keyed by
+appended and fsynced in one write, and only after that does one commit,
+one fsynced line appended to the topic's positions journal, move the
+consumer positions of every partition the batch read. A crash between
+persistence and commit therefore replays the batch: at-least-once. Alert lines are rows of the alerts table, keyed by
 ``transaction_id:source``, so the table's fold counts a replayed alert
 once. The alert and dead-letter files are storage journals: each batch's
 lines are fsynced before the commit, and a line torn by a crash is cut

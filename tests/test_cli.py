@@ -580,6 +580,25 @@ def edit_json(edit):
     return corrupt
 
 
+def edit_commit(edit):
+    """Edit the next offsets of the stream group's last positions line."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        last = max(i for i, line in enumerate(lines) if json.loads(line)["group"] == "stream")
+        commit = json.loads(lines[last])
+        edit(commit["next"])
+        lines[last] = json.dumps(commit)
+        path.write_text("".join(line + "\n" for line in lines))
+
+    return corrupt
+
+
+def garble_second_line(path):
+    """Put a line that is not JSON between the file's first line and a copy of it."""
+    first = path.read_text().splitlines()[0]
+    path.write_text(f'{first}\n{{"group": "stream", "next": \n{first}\n')
+
+
 def active_model_blob(data):
     active = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs"))).active()
     return data / "blobs" / "models" / "2023-01-01" / active.blob_name
@@ -598,13 +617,20 @@ TABLE_ROW = {
     "is_laundering": False,
 }
 
-# (file to corrupt, how, the command that reads it, whether the error names a line)
+# (file to corrupt, how, the command that reads it, the line the error
+# names: True for the file's last line, a number for another, or False)
 CORRUPT_FILES = {
     "empty_positions": (
-        lambda data: data / "log" / "transactions" / "positions.json",
+        lambda data: data / "log" / "transactions" / "positions.jsonl",
         lambda path: path.write_text(""),
         ["stream"],
         False,
+    ),
+    "positions_line_garbled": (
+        lambda data: data / "log" / "transactions" / "positions.jsonl",
+        garble_second_line,
+        ["stream"],
+        2,
     ),
     "cut_topic": (lambda data: data / "log" / "transactions" / "topic.json", cut_in_half, ["stream"], False),
     "partition_count_text": (
@@ -620,20 +646,20 @@ CORRUPT_FILES = {
         False,
     ),
     "offset_text": (
-        lambda data: data / "log" / "transactions" / "positions.json",
-        edit_json(lambda positions: positions["stream"].update({"0": "5"})),
+        lambda data: data / "log" / "transactions" / "positions.jsonl",
+        edit_commit(lambda offsets: offsets.update({"0": "5"})),
         ["stream"],
         False,
     ),
     "offset_past_end": (
-        lambda data: data / "log" / "transactions" / "positions.json",
-        edit_json(lambda positions: positions["stream"].update({"0": positions["stream"]["0"] + 64})),
+        lambda data: data / "log" / "transactions" / "positions.jsonl",
+        edit_commit(lambda offsets: offsets.update({"0": offsets["0"] + 64})),
         ["stream"],
         False,
     ),
     "offset_negative": (
-        lambda data: data / "log" / "transactions" / "positions.json",
-        edit_json(lambda positions: positions["stream"].update({"0": -4})),
+        lambda data: data / "log" / "transactions" / "positions.jsonl",
+        edit_commit(lambda offsets: offsets.update({"0": -4})),
         ["stream"],
         False,
     ),
@@ -772,8 +798,10 @@ def test_corrupt_persisted_file_exits_4_naming_it(flow, tmp_path, capsys, case):
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     expected = path.name
-    if names_line:
+    if names_line is True:
         expected += f":{len(path.read_text().splitlines())}"
+    elif names_line:
+        expected += f":{names_line}"
     assert expected in err, err
 
 
@@ -879,7 +907,7 @@ def test_stream_reads_no_warehouse_table(flow, tmp_path, monkeypatch):
     root, config_path, _ = flow
     data = tmp_path / "data"
     shutil.copytree(root / "data", data)
-    (data / "log" / "transactions" / "positions.json").unlink()  # so the stream drains again
+    (data / "log" / "transactions" / eventlog.POSITIONS_NAME).unlink()  # so the stream drains again
     compact_transactions(data, monkeypatch)
     compactions, written = [], []
     real_read_compaction = storage._read_compaction
@@ -1062,9 +1090,13 @@ def test_whole_file_writes_are_fsynced_before_each_replace(tmp_path, checked_rep
     assert cli.main(argv) == 0
     batches = re.search(r"drained 300 records in (\d+) batches", capsys.readouterr().out)
     assert batches
+    assert int(batches.group(1)) > 2
     # closing the log at the end indexes the fed records
-    assert sorted(set(replaced)) == ["positions.json", "schema.json", eventlog.INDEX_NAME, "topic.json"]
-    assert replaced.count("positions.json") == int(batches.group(1))  # one per batch
+    assert sorted(set(replaced)) == ["positions.jsonl", "schema.json", eventlog.INDEX_NAME, "topic.json"]
+    # a batch appends its commit: positions.jsonl is written whole by the
+    # topic's first commit and rewritten by the close, never per batch
+    assert replaced.count("positions.jsonl") == 2
+    assert replaced[-1] == "positions.jsonl"
     assert not unsynced
 
 
@@ -1182,7 +1214,7 @@ def test_resume_writes_the_same_files_with_or_without_the_index(trained_for_resu
         capsys.readouterr()
         assert cli.main(["--config", config_path, "--data-dir", str(data), "stream"]) == 0
         assert "drained 200 records" in capsys.readouterr().out
-        files = ["tables/alerts/journal.jsonl", "dead_letter.jsonl", "log/transactions/positions.json"]
+        files = ["tables/alerts/journal.jsonl", "dead_letter.jsonl", "log/transactions/positions.jsonl"]
         written.append({name: (data / name).read_bytes() for name in files})
     assert written[0] == written[1]
 
@@ -1213,7 +1245,39 @@ def test_killed_stream_resumes_to_the_unbroken_report(
     shutil.copytree(root / "data", data)
     argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "reports")]
     kill_stream(argv, kill)
-    assert (data / "log" / "transactions" / "positions.json").exists()  # some batches committed
+    assert (data / "log" / "transactions" / eventlog.POSITIONS_NAME).exists()  # some batches committed
+    resumed = run_cli_process([*argv, "stream"])
+    assert resumed.returncode == 0, resumed.stderr
+    assert cli.main([*argv, "report"]) == 0
+    assert alert_outputs(data, tmp_path / "reports") == unbroken_outputs
+
+
+def test_stream_killed_mid_commit_line_resumes_to_the_unbroken_report(
+    trained_for_resume, unbroken_outputs, tmp_path
+):
+    root, config_path = trained_for_resume
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "reports")]
+    positions = data / "log" / "transactions" / eventlog.POSITIONS_NAME
+    real_append = storage.JournalWriter.append
+    appends = itertools.count(1)
+
+    def dying_append(self, lines):
+        # the topic's first commit writes the file whole; the third line
+        # appended after it gets half way to the file
+        if self._handle.name == str(positions) and next(appends) == 3:
+            self._handle.write(lines.encode("utf-8")[: len(lines) // 2])
+            self._handle.flush()
+            raise Killed
+        return real_append(self, lines)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage.JournalWriter, "append", dying_append)
+        with pytest.raises(Killed):
+            cli.main([*argv, "stream"])
+    torn = positions.read_bytes()
+    assert torn.count(b"\n") == 3 and not torn.endswith(b"\n")
     resumed = run_cli_process([*argv, "stream"])
     assert resumed.returncode == 0, resumed.stderr
     assert cli.main([*argv, "report"]) == 0

@@ -16,6 +16,7 @@ from amlstream.errors import (
     AlreadyExistsError,
     ConfigError,
     CorruptLogError,
+    DataError,
     NotFoundError,
     OffsetRangeError,
 )
@@ -121,7 +122,7 @@ def test_watermark_commit_is_all_or_nothing(tmp_path, log):
         log.publish("t", f"k{i}".encode(), str(i).encode())
     lengths = [log.partition_length("t", p) for p in range(4)]
     log.commit_watermark("g", "t", {0: 0, 1: 0, 2: 0, 3: 0})
-    positions = tmp_path / "log" / "t" / "positions.json"
+    positions = tmp_path / "log" / "t" / eventlog.POSITIONS_NAME
     before = positions.read_bytes()
     watermark = {0: lengths[0] - 1, 1: lengths[1] - 1, 2: lengths[2], 3: lengths[3] - 1}
     with pytest.raises(OffsetRangeError):
@@ -336,11 +337,144 @@ def test_positions_file_is_valid_json(tmp_path):
     log = EventLog(tmp_path / "log")
     log.create_topic("t", 2)
     log.publish("t", b"a", b"1")
-    partition, offset = log.publish("t", b"b", b"2")
+    log.publish("t", b"b", b"2")
+    partition, offset = log.publish("t", b"b", b"3")
     log.commit("g", "t", partition, offset)
-    data = json.loads((tmp_path / "log" / "t" / "positions.json").read_text())
-    assert data["g"][str(partition)] == offset + 1
+    log.commit("h", "t", partition, offset - 1)
+    log.commit("g", "t", partition, offset - 1)
+    raw = (tmp_path / "log" / "t" / eventlog.POSITIONS_NAME).read_text()
+    assert raw.endswith("\n")
+    lines = [json.loads(line) for line in raw.splitlines()]
+    assert lines == [
+        {"group": "g", "next": {str(partition): offset + 1}},
+        {"group": "h", "next": {str(partition): offset}},
+        {"group": "g", "next": {str(partition): offset}},
+    ]
     log.close()
+
+
+def positions_after_reload(root, topic="t", partitions=3, groups=("a", "b", "c")):
+    reloaded = EventLog(root)
+    try:
+        return {
+            group: [reloaded.position(group, topic, p).committed_offset for p in range(partitions)]
+            for group in groups
+        }
+    finally:
+        reloaded.close()
+
+
+def published_log(root, partitions=3, records=60):
+    log = EventLog(root)
+    log.create_topic("t", partitions)
+    for i in range(records):
+        log.publish("t", f"k{i}".encode(), str(i).encode())
+    return log
+
+
+def test_positions_fold_last_line_per_group_over_sessions(tmp_path):
+    root = tmp_path / "log"
+    log = published_log(root)
+    lengths = [log.partition_length("t", p) for p in range(3)]
+    log.commit_watermark("a", "t", {0: 3, 1: 4})
+    log.commit_watermark("b", "t", {2: 1})
+    log.commit_watermark("a", "t", {0: 5})
+    # no close: the next session folds the lines as they stand
+    second = EventLog(root)
+    assert [second.position("a", "t", p).committed_offset for p in range(3)] == [6, 5, 0]
+    second.commit_watermark("b", "t", {0: lengths[0] - 1})
+    second.commit_watermark("c", "t", {1: 0})
+    second.commit_watermark("a", "t", {2: 7})
+    path = root / "t" / eventlog.POSITIONS_NAME
+    assert len(path.read_text().splitlines()) == 6
+    assert positions_after_reload(root) == {
+        "a": [6, 5, 8], "b": [lengths[0], 0, 2], "c": [0, 1, 0],
+    }
+
+
+def test_torn_commit_line_is_cut_and_the_commit_before_it_holds(tmp_path):
+    root = tmp_path / "log"
+    log = published_log(root)
+    log.commit_watermark("a", "t", {0: 3, 1: 4})
+    log.commit_watermark("a", "t", {0: 9, 2: 2})
+    path = root / "t" / eventlog.POSITIONS_NAME
+    whole = path.read_bytes()
+    last = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+    for cut in (last + 1, len(whole) - 1):  # a torn line, and one missing only its newline
+        path.write_bytes(whole[:cut])
+        assert positions_after_reload(root) == {"a": [4, 5, 0], "b": [0, 0, 0], "c": [0, 0, 0]}
+        assert path.read_bytes() == whole[:last]
+        # the next commit starts on a clean line
+        log = EventLog(root)
+        log.commit_watermark("b", "t", {1: 0})
+        assert positions_after_reload(root)["b"] == [0, 1, 0]
+        path.write_bytes(whole)
+
+
+def test_positions_are_rewritten_at_the_bound_and_on_close(tmp_path, monkeypatch):
+    monkeypatch.setattr(eventlog, "POSITIONS_STALE_LINES", 4)
+    root = tmp_path / "log"
+    log = published_log(root)
+    path = root / "t" / eventlog.POSITIONS_NAME
+    counts = []
+    for offset in range(9):
+        log.commit_watermark("a" if offset % 3 else "b", "t", {offset % 3: offset})
+        counts.append(len(path.read_text().splitlines()))
+    # the first commit writes the file; a commit that finds 4 superseded
+    # lines rewrites it to one line per group
+    assert counts == [1, 2, 3, 4, 5, 6, 2, 3, 4]
+    expected = {
+        group: [log.position(group, "t", p).committed_offset for p in range(3)] for group in "ab"
+    }
+    log.close()
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["group"] for line in lines] == ["a", "b"]
+    assert positions_after_reload(root, groups="ab") == expected
+    # closing a file that holds one line per group does not rewrite it
+    before = path.stat().st_ino
+    EventLog(root).close()
+    assert path.stat().st_ino == before
+
+
+# an older version's positions.json: group -> partition -> next offset
+LEGACY_POSITIONS = b'{"a": {"0": 3, "2": 1}, "b": {"1": 2}}'
+
+
+def test_legacy_positions_json_is_read_once_and_replaced(tmp_path):
+    root = tmp_path / "log"
+    published_log(root).close()
+    legacy = root / "t" / eventlog.LEGACY_POSITIONS_NAME
+    legacy.write_bytes(LEGACY_POSITIONS)
+    assert positions_after_reload(root) == {"a": [3, 0, 1], "b": [0, 2, 0], "c": [0, 0, 0]}
+    assert not legacy.exists()
+    assert (root / "t" / eventlog.POSITIONS_NAME).read_bytes() == (
+        b'{"group": "a", "next": {"0": 3, "2": 1}}\n{"group": "b", "next": {"1": 2}}\n'
+    )
+    # once positions.jsonl exists, a positions.json beside it is not read
+    legacy.write_bytes(b'{"a": {"0": 9}}')
+    assert positions_after_reload(root)["a"] == [3, 0, 1]
+    assert not legacy.exists()
+
+
+@pytest.mark.parametrize("content", [b"", b'{"a": {"0": 999}}', b'{"a": {"7": 0}}', b'{"a": {"0": "3"}}'])
+def test_unreadable_legacy_positions_json_is_refused_and_kept(tmp_path, content):
+    root = tmp_path / "log"
+    published_log(root).close()
+    legacy = root / "t" / eventlog.LEGACY_POSITIONS_NAME
+    legacy.write_bytes(content)
+    with pytest.raises(DataError, match="positions.json: unreadable"):
+        EventLog(root)
+    assert legacy.read_bytes() == content
+    assert not (root / "t" / eventlog.POSITIONS_NAME).exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"\n", b'{"group": "a", "next": {"0": 1}}'])
+def test_positions_file_without_a_whole_line_is_refused(tmp_path, content):
+    root = tmp_path / "log"
+    published_log(root).close()
+    (root / "t" / eventlog.POSITIONS_NAME).write_bytes(content)
+    with pytest.raises(DataError, match="positions.jsonl: holds no commit"):
+        EventLog(root)
 
 
 def test_oversized_key_is_refused_before_a_tick(log):

@@ -1,6 +1,9 @@
 """tools/pairs.py's verdicts on synthetic runs; no benchmark is run."""
 
+import hashlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +79,53 @@ def test_summarize_fails_when_a_pair_did_not_run():
     broken = runs(TEN, TEN) + [(None, {"work_s": 1.0, "stream_rps": 100.0})]
     assert pairs.summarize("backfill", broken, GATED) is False
     assert pairs.summarize("backfill", [(None, None)], GATED) is False
+
+
+RECORDED = [
+    {"name": "work_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "stream_rps", "unit": "records/s", "better": "higher", "bound": 0.25},
+]
+IDENTITY = {"git_commit": "a" * 40, "dirty": False, "src_sha256": "b" * 64}
+
+
+def test_record_keeps_each_metrics_quartiles_over_the_correct_runs(tmp_path):
+    path = tmp_path / "BENCH_aaaaaaa.json"
+    live = [{"work_s": w, "stream_rps": 100.0 * w} for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    pairs.record(path, IDENTITY, 1, {"live": [*live, None], "history": [None]}, RECORDED)
+    saved = json.loads(path.read_text())
+    assert {k: saved[k] for k in IDENTITY} == IDENTITY
+    assert saved["results"]["live-s1"] == {
+        "workload": "live", "seed": 1, "runs": 5,
+        "metrics": {
+            "work_s": {"median": 3.0, "q1": 2.0, "q3": 4.0, "unit": "s", "better": "lower"},
+            "stream_rps": {
+                "median": 300.0, "q1": 200.0, "q3": 400.0, "unit": "records/s", "better": "higher",
+            },
+        },
+    }
+    assert saved["results"]["history-s1"] == {"workload": "history", "seed": 1, "runs": 0, "metrics": {}}
+
+    # another seed of the same source joins the file; another source replaces it
+    pairs.record(path, IDENTITY, 7, {"live": live[:1]}, RECORDED)
+    assert sorted(json.loads(path.read_text())["results"]) == ["history-s1", "live-s1", "live-s7"]
+    pairs.record(path, dict(IDENTITY, src_sha256="c" * 64), 7, {"live": live[:1]}, RECORDED)
+    assert sorted(json.loads(path.read_text())["results"]) == ["live-s7"]
+
+
+def test_checkout_identity_names_the_commit_and_the_source(tmp_path):
+    src = tmp_path / "src" / "amlstream"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("A = 1\n")
+    (src / "b.py").write_text("B = 2\n")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run([*git, *args], check=True)
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip()
+    digest = hashlib.sha256(b"a.pyA = 1\nb.pyB = 2\n").hexdigest()
+    identity = pairs.checkout_identity(tmp_path)
+    assert identity == {"git_commit": commit, "dirty": False, "src_sha256": digest}
+    assert pairs.record_name(identity) == f"BENCH_{commit[:7]}.json"
+    (src / "b.py").write_text("B = 3\n")
+    identity = pairs.checkout_identity(tmp_path)
+    assert identity["dirty"] and identity["src_sha256"] != digest
+    assert pairs.record_name(identity) == f"BENCH_{commit[:7]}-dirty.json"

@@ -780,19 +780,44 @@ def test_empty_label_and_boolean_numbers_are_dead_lettered_alone(tmp_path):
     ]
 
 
-def test_one_positions_replace_per_batch(tmp_path, monkeypatch):
+def test_a_batch_commits_with_one_fsynced_append_after_its_alerts(tmp_path, monkeypatch):
     log = fresh_log(tmp_path, partitions=4)
-    for t in generate(GeneratorConfig(seed=5, count=200)):
+    records = list(generate(GeneratorConfig(seed=5, count=400)))
+    for t in records[:200]:
         publish_transaction(log, "transactions", t)
     proc = make_processor(tmp_path, log, batch_max=1000)
-    replaced = []
-    real_replace = os.replace
+    proc.drain_once()  # the topic's first commit writes positions.jsonl whole
+    for t in records[200:]:
+        publish_transaction(log, "transactions", t)
+    log.flush()
+    positions = tmp_path / "log" / "transactions" / eventlog.POSITIONS_NAME
+    alerts = tmp_path / "alerts.jsonl"
+    before = positions.read_bytes()
+    names = {path.stat().st_ino: path.name for path in (positions, alerts)}
+    replaced, fsynced = [], []
+    real_replace, real_fsync = os.replace, os.fsync
 
     def recording_replace(src, dst):
         replaced.append(os.path.basename(dst))
         real_replace(src, dst)
 
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        fsynced.append((names.get(st.st_ino), st.st_size))
+        real_fsync(fd)
+
     monkeypatch.setattr(os, "replace", recording_replace)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
     result = proc.drain_once()
+    proc.close()
     assert sorted(result.watermark) == [0, 1, 2, 3]
-    assert replaced == ["positions.json"]
+    assert result.alerts
+    assert replaced == []
+    after = positions.read_bytes()
+    assert after.startswith(before)
+    assert json.loads(after[len(before):]) == {
+        "group": "stream",
+        "next": {str(p): offset + 1 for p, offset in result.watermark.items()},
+    }
+    # the alert lines are fsynced first, then the appended commit line
+    assert fsynced == [("alerts.jsonl", alerts.stat().st_size), ("positions.jsonl", len(after))]

@@ -15,12 +15,22 @@ a run that fails or is not correct is left out of the comparison and
 reported. The tool exits 1 if any pair was left out or any median is
 worse than its bound. ``--out`` keeps every run's metrics as JSON.
 
+``--record DIR`` writes, for each side, ``DIR/BENCH_<short commit>.json``
+from the runs already made, ``-dirty`` added to the name when the
+checkout's ``src/`` differs from its commit. The file holds, per
+workload and seed, how many runs were correct and each gated metric's
+median and quartiles over them, with the git commit and the sha256 of
+``src/amlstream/*.py`` that bench/run.py records as ``src_sha256``. A
+file already there for the same ``src_sha256`` keeps its other workloads
+and seeds.
+
 Standard library only; it does not import the program.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -95,6 +105,55 @@ def compare(parent: list[float], change: list[float], lower: bool, bound: float)
     return Comparison(pq, cq, won, gain > iqr, verdict)
 
 
+def source_digest(checkout: Path) -> str:
+    """The digest bench/run.py records as ``src_sha256``."""
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src" / "amlstream").glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def git(checkout: Path, *args: str) -> str:
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def record(path: Path, identity: dict, seed: int, runs: dict[str, list], gated: list[dict]) -> None:
+    """Write ``identity`` and, for each workload of ``runs``, its count of
+    correct runs and each gated metric's quartiles over them into the
+    record at ``path``, keeping the file's other entries when its
+    ``src_sha256`` is the same."""
+    results = {}
+    if path.exists():
+        old = json.loads(path.read_text())
+        if old["src_sha256"] == identity["src_sha256"]:
+            results = old["results"]
+    for workload, metrics in runs.items():
+        correct = [m for m in metrics if m is not None]
+        entry = {"workload": workload, "seed": seed, "runs": len(correct), "metrics": {}}
+        for metric in gated if correct else ():
+            q1, median, q3 = quartiles([m[metric["name"]] for m in correct])
+            entry["metrics"][metric["name"]] = {
+                "median": median, "q1": q1, "q3": q3,
+                "unit": metric["unit"], "better": metric["better"],
+            }
+        results[f"{workload}-s{seed}"] = entry
+    path.write_text(json.dumps(dict(identity, results=dict(sorted(results.items()))), indent=1) + "\n")
+
+
+def checkout_identity(checkout: Path) -> dict:
+    return {
+        "git_commit": git(checkout, "rev-parse", "HEAD") or "unknown",
+        "dirty": bool(git(checkout, "status", "--porcelain", "--", "src")),
+        "src_sha256": source_digest(checkout),
+    }
+
+
+def record_name(identity: dict) -> str:
+    return f"BENCH_{identity['git_commit'][:7]}{'-dirty' if identity['dirty'] else ''}.json"
+
+
 def summarize(workload: str, runs: list[tuple[dict | None, dict | None]], gated: list[dict]) -> bool:
     """Print one line per gated metric; returns whether every pair ran
     correctly and no metric's verdict is WORSE."""
@@ -130,6 +189,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, help="write every run's metrics here as JSON")
+    parser.add_argument("--record", type=Path, metavar="DIR",
+                        help="write each side's BENCH_<short commit>.json here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -148,6 +209,14 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(
             {w: [{"parent": p, "change": c} for p, c in pairs] for w, pairs in runs.items()},
             indent=1))
+    if args.record:
+        args.record.mkdir(parents=True, exist_ok=True)
+        for index, side in enumerate(("parent", "change")):
+            identity = checkout_identity(getattr(args, side))
+            path = args.record / record_name(identity)
+            side_runs = {w: [pair[index] for pair in pairs] for w, pairs in runs.items()}
+            record(path, identity, args.seed, side_runs, gated)
+            print(f"recorded {side} in {path}", file=sys.stderr)
     ok = True
     for workload in args.workload:
         ok &= summarize(workload, runs[workload], gated)
