@@ -65,7 +65,6 @@ from .txgen import (
     generate,
     read_dataset,
     transaction_to_json,
-    transaction_values,
     write_csv,
     write_jsonl,
 )
@@ -147,10 +146,20 @@ def _ensure_topic(ws: Workspace) -> None:
         pass
 
 
-def _publish_and_store(ws: Workspace, transactions, echo) -> None:
-    """Publish to the topic in one call, then upsert the warehouse table;
+def _store(ws: Workspace, lines: list[str]) -> tuple[int, int]:
+    """Append transaction ``lines`` to the warehouse table; returns the
+    journal's length before the append and the bytes written."""
+    journal = ws.tables.journal_path("transactions")
+    start = journal.stat().st_size if journal.exists() else 0
+    ws.tables.upsert_rows("transactions", lines)
+    return start, sum(map(len, lines)) + len(lines)  # ASCII lines, each with its newline
+
+
+def _publish_and_store(ws: Workspace, transactions, echo) -> tuple[int, int]:
+    """Publish to the topic in one call, then append the warehouse table;
     each transaction is encoded once, its log payload being its table
-    row, and the table is handed its values to compact from."""
+    row. Returns, as _store does, where the rows were appended, for the
+    caller to hand them over."""
     topic = ws.config.topic
     _ensure_topic(ws)
     lines = [transaction_to_json(t) for t in transactions]
@@ -159,10 +168,11 @@ def _publish_and_store(ws: Workspace, transactions, echo) -> None:
         [transaction_key(t) for t in transactions],
         (line.encode("utf-8") for line in lines),
     )
-    ws.tables.upsert_rows("transactions", lines, [transaction_values(t) for t in transactions])
+    appended = _store(ws, lines)
     ws.log.flush()
     counts = ", ".join(f"p{p}={stop - start}" for p, (start, stop) in sorted(ranges.items()))
     echo(f"published {len(lines)} records to '{topic.name}' ({counts})")
+    return appended
 
 
 def _model_source(ws: Workspace):
@@ -232,6 +242,22 @@ def _hand_over_alerts(ws: Workspace, start: int, results) -> None:
     alerts = [a for r in results for a in r.alerts]
     end = start + sum(r.alert_bytes for r in results)
     ws.tables.appended("alerts", start, end, len(alerts), lambda: alert_columns(alerts))
+
+
+def _hand_over_transactions(ws: Workspace, appends, transactions, columns=None) -> None:
+    """Hand the transactions table the ``transactions`` that the appends
+    ``appends``, each a (start, bytes written) pair, wrote to its journal
+    one after another, with their values (``columns``, if already built),
+    so that it compacts them if they are enough. The run ends at the first
+    start plus every byte written, so that another writer's lines between
+    two appends, or a torn tail cut at the first, leave the journal ending
+    elsewhere and the table declines the run."""
+    start = appends[0][0]
+    end = start + sum(written for _, written in appends)
+    ws.tables.appended(
+        "transactions", start, end, len(transactions),
+        lambda: transaction_columns(transactions) if columns is None else columns,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +470,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
         raise DataError(f"{path} contains no records")
     archive_date = calendar_date(transactions[0].day).isoformat()
     ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
-    _publish_and_store(ws, transactions, print)
+    _hand_over_transactions(ws, [_publish_and_store(ws, transactions, print)], transactions)
     ws.log.close()  # indexes every partition, so the next open scans no frame
     print(f"archived raw file under {RAW_NAMESPACE}/{archive_date}/{os.path.basename(path)}")
     print(f"stored {len(transactions)} transactions in the warehouse")
@@ -458,22 +484,25 @@ def cmd_stream(args, config: PipelineConfig) -> int:
     _ensure_topic(ws)
     processor = _make_processor(ws)
     start = os.path.getsize(ws.alerts_path)
-    results = []
+    results, incoming = [], []
     if args.feed:
         incoming = list(read_dataset(args.feed))
         rate = args.rate
         cadence = config.stream.cadence
-        for start in range(0, len(incoming), rate):
-            window = incoming[start : start + rate]
+        appends = []
+        for first in range(0, len(incoming), rate):
+            window = incoming[first : first + rate]
             # report joins alerts to the warehouse table, so fed records land
             # in it too; both are synced before the drain commits them
-            _publish_and_store(ws, window, lambda line: None)
+            appends.append(_publish_and_store(ws, window, lambda line: None))
             if len(window) < cadence:
                 ws.log.advance_ticks(cadence - len(window))  # idle remainder
             results.append(processor.drain_once())
     results = _drain(processor, print, results)
     processor.close()
     _hand_over_alerts(ws, start, results)
+    if incoming:  # the whole feed at once: each hand-over reads the lines past the compaction
+        _hand_over_transactions(ws, appends, incoming)
     ws.log.close()
     return 0
 
@@ -482,13 +511,10 @@ def cmd_train(args, config: PipelineConfig) -> int:
     ws = Workspace(config)
     if args.dataset:
         transactions = list(read_dataset(args.dataset))
-        # keep the warehouse consistent with what the models saw
-        ws.tables.upsert_rows(
-            "transactions",
-            [transaction_to_json(t) for t in transactions],
-            [transaction_values(t) for t in transactions],
-        )
         columns = transaction_columns(transactions)
+        # keep the warehouse consistent with what the models saw
+        appended = _store(ws, [transaction_to_json(t) for t in transactions])
+        _hand_over_transactions(ws, [appended], transactions, columns)
     else:
         columns = ws.tables.columns("transactions")
         if not len(columns["id"]):
@@ -549,7 +575,7 @@ def _monitor_window(
     ``id_offset``, drain it onto ``drained``, and check it for drift
     against ``profile``."""
     window = [replace(t, id=t.id + id_offset) for t in transactions]
-    _publish_and_store(ws, window, echo)
+    _hand_over_transactions(ws, [_publish_and_store(ws, window, echo)], window)
     drained += _drain(processor)
     report = check_drift(profile, window, ws.config.drift, window_id=window_id)
     feature, psi = report.worst_feature
@@ -566,10 +592,12 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
     echo("== phase 1: generate and ingest baseline traffic ==")
     base = list(generate(config.generator_config()))
-    _publish_and_store(ws, base, echo)
+    appended = _publish_and_store(ws, base, echo)
+    columns = transaction_columns(base)
+    _hand_over_transactions(ws, [appended], base, columns)
 
     echo("== phase 2: train and activate models ==")
-    _train_models(ws, transaction_columns(base), ws.log.ticks(), echo)
+    _train_models(ws, columns, ws.log.ticks(), echo)
     profile = ws.registry.active().reference_profile
 
     echo("== phase 3: drain the stream with the active model ==")

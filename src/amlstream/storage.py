@@ -40,15 +40,13 @@ carries the Prefix. Its own checks: format number, key and columns,
 column lengths and types, codes within their vocabulary, key tuples
 strictly increasing. count and columns fold only the journal lines past
 it; a row past it whose stored key is not the one its values form makes
-columns fold the whole journal. upsert_rows rewrites it once
-COMPACT_ROWS rows lie past it, from the values its callers hand it for
-the rows they append, decoding only older lines past it, and skips
-compacting if one of them does not decode. appended takes over rows
-another writer appended, as the stream's alert lines are handed over
-once its drains are done, and rewrites it only when the rows past it are
-at least COMPACT_ROWS and at least the rows it covers, as its header
-alone tells; each rewrite thus at least doubles the rows covered. No
-read writes a compaction.
+columns fold the whole journal. upsert_rows only appends. Every writer
+then hands the rows it appended, with their values, to appended, the
+one way into a compaction. It rewrites the compaction only when the rows
+past it are at least COMPACT_ROWS and at least the rows it covers, as
+its header alone tells, so each rewrite at least doubles the rows
+covered; it then decodes the older lines past it, and one that does not
+decode stops the rewrite. No read writes a compaction.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's dead-letter file, the event log's consumer positions) follows
@@ -101,7 +99,7 @@ COMPACTION_FORMAT = 1
 COMPACT_ROWS = 4096  # journal rows past the compaction that let a writer rewrite it
 _DTYPES = {"int": np.dtype("<i8"), "float": np.dtype("<f8"), "bool": np.dtype("?")}
 _CODES = np.dtype("<i4")
-_KEY_KINDS = {"int": int, "str": str}  # the kinds a key column may have, and their values' type
+_KEY_KINDS = ("int", "str")  # the kinds a key column may have
 
 
 def truncate_torn_tail(path) -> None:
@@ -248,10 +246,6 @@ class JournalWriter:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         return len(data)
-
-    def size(self) -> int:
-        """The journal's length in bytes, other writers' appends included."""
-        return os.fstat(self._handle.fileno()).st_size
 
     def close(self) -> None:
         self._handle.close()
@@ -507,20 +501,6 @@ def _write_compaction(path: Path, row_type: RowType, key: str, compaction: _Comp
     replace_file(path, buffer.getvalue())
 
 
-@dataclass
-class _Held:
-    """The rows appended to a journal in one run of bytes, ``start`` to
-    ``end``, past its compaction, by this store or by a writer that handed
-    them over: their decoded values, or None once a call came without them
-    or they cannot be compacted."""
-
-    start: int
-    end: int
-    values: list | None
-    base: _Compaction | None = None  # the compaction adopted when the run began
-    older: int = 0  # journal lines between that compaction and ``start``
-
-
 class TableStore:
     def __init__(self, root):
         self.root = Path(root)
@@ -528,7 +508,6 @@ class TableStore:
         self._tables: dict[str, str] = {}  # table name -> primary key
         self._row_types: dict[str, RowType] = {}
         self._journals: dict[str, JournalWriter] = {}
-        self._held: dict[str, _Held] = {}
         self._load_existing()
 
     # -- persistence -----------------------------------------------------
@@ -548,7 +527,6 @@ class TableStore:
         for journal in self._journals.values():
             journal.close()
         self._journals.clear()
-        self._held.clear()
 
     # -- tables ----------------------------------------------------------
 
@@ -580,42 +558,25 @@ class TableStore:
         self._require(name)
         return self.root / name / "journal.jsonl"
 
-    def upsert_rows(self, name: str, lines: list[str], values=None) -> int:
+    def upsert_rows(self, name: str, lines: list[str]) -> int:
         """Insert or replace by primary key: append ``lines``, each one
-        row's JSON object without its newline, as they are. ``values``, if
-        given, holds each line's values as the table's RowType decodes
-        them; they are kept to compact the table once COMPACT_ROWS rows lie
-        past its compaction."""
+        row's JSON object without its newline, as they are; returns how
+        many. The writer hands them over to appended to compact them."""
         journal = self._journals.get(name)
         if journal is None:
             journal = JournalWriter(self.journal_path(name))
             self._journals[name] = journal
-        start = journal.size()
-        held = self._held.get(name)
-        if held is None or held.end != start:  # a first append, or another writer's lines between
-            held = self._held[name] = _Held(start, start, [])
-            if values is not None and self._key_positions(name) is not None:
-                base = held.base = self._adopt(name)
-                past = base.prefix.length if base else 0
-                held.older = _lines_in(self.journal_path(name), past, start)
         journal.append("".join(line + "\n" for line in lines))
-        held.end = journal.size()
-        if held.values is None or values is None or self._key_positions(name) is None:
-            held.values = None
-            return len(lines)
-        held.values.extend(values)
-        if held.older + len(held.values) >= COMPACT_ROWS:
-            self._compact(name, held)
         return len(lines)
 
     def appended(self, name: str, start: int, end: int, rows: int, columns) -> None:
-        """Take over the ``rows`` rows another writer appended to the
-        table's journal as its bytes ``start`` to ``end``; ``columns()``
-        returns their values as to_columns gives them, in the order they
-        were appended. The table is compacted if the rows past its
-        compaction are at least COMPACT_ROWS and at least the rows it
-        covers, which its header alone tells; only then is ``columns``
-        called. Nothing is done unless the journal ends at ``end``."""
+        """Take over the ``rows`` rows a writer appended to the table's
+        journal as its bytes ``start`` to ``end``; ``columns()`` returns
+        their values as to_columns gives them, in the order they were
+        appended. The table is compacted if the rows past its compaction
+        are at least COMPACT_ROWS and at least the rows it covers, which
+        its header alone tells; only then is ``columns`` called. Nothing is
+        done unless the journal ends at ``end``."""
         journal = self.journal_path(name)
         if self._key_positions(name) is None or journal.stat().st_size != end:
             return
@@ -625,51 +586,41 @@ class TableStore:
         past = rows + _lines_in(journal, length, start)
         if past < max(COMPACT_ROWS, covered):
             return
-        self._compact(name, _Held(start, end, [], self._adopt(name)), columns())
+        self._compact(name, start, end, self._adopt(name), columns())
 
     def _key_positions(self, name: str) -> tuple[int, ...] | None:
         """The key positions of the table's RowType, if it has one here."""
         row_type = self._row_types.get(name)
         return None if row_type is None else _key_positions(row_type, self._tables[name])
 
-    def _compact(self, name: str, held: _Held, top: dict | None = None) -> None:
+    def _compact(self, name: str, start: int, end: int, base, top: dict) -> None:
         """Replace the table's compaction with one over the journal's first
-        ``held.end`` bytes: the adopted one, the older lines past it, then
-        the rows from ``held.start``, given as the columns ``top`` or else
-        held as values; if any of them cannot be compacted, stop holding."""
+        ``end`` bytes: ``base``, the adopted one, the older lines past it,
+        then the rows from ``start``, given as the columns ``top``; nothing
+        is written if an older line cannot be compacted."""
         key, row_type = self._tables[name], self._row_types[name]
         positions = self._key_positions(name)
         journal = self.journal_path(name)
-        base = held.base
         covered = base.prefix if base else Prefix()
         with open(journal, "rb") as fh:
-            data = os.pread(fh.fileno(), held.end - covered.length, covered.length)
+            data = os.pread(fh.fileno(), end - covered.length, covered.length)
         try:
-            if len(data) != held.end - covered.length:
+            if len(data) != end - covered.length:
                 raise DataError(f"{journal} is shorter than its appended rows")
             older: dict = {}
             _decode_lines(
-                io.BytesIO(data[: held.start - covered.length]), journal, covered.length,
+                io.BytesIO(data[: start - covered.length]), journal, covered.length,
                 lambda row: older.__setitem__(row[key], row),
             )
             decoded = [row_type.decode(row) for row in older.values()]
             if not _forms_keys(row_type, positions, older, decoded):
                 raise DataError("a row's stored key is not the one its values form")
-            if top is None:
-                fields = list(zip(*held.values)) if held.values else [()] * len(row_type.columns)
-                for p in positions:
-                    column, kind = row_type.columns[p]
-                    if not set(map(type, fields[p])) <= {_KEY_KINDS[kind]}:
-                        raise DataError(f"key column {column} holds a value that is not {kind}")
-                top = field_columns(row_type, fields)
             parts = [to_columns(row_type, decoded), top]
             columns = _merge(row_type, positions, [base.columns, *parts] if base else parts)
         except MALFORMED:
-            held.values = None  # a row that does not decode never enters a compaction
-            return
+            return  # a row that does not decode never enters a compaction
         compaction = _Compaction(columns, covered.extend(data))
         _write_compaction(self.root / name / COMPACTION_NAME, row_type, key, compaction)
-        held.start, held.values, held.base, held.older = held.end, [], compaction, 0
 
     def _adopt(self, name: str) -> _Compaction | None:
         """The table's compaction, if it has a RowType here and every check

@@ -875,12 +875,105 @@ def test_report_after_feeding_new_ids(tmp_path, capsys):
     assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == tables.count("alerts")
 
 
+def test_stream_feed_hands_its_rows_over_once_after_its_last_window(tmp_path, capsys):
+    """A feed of more than COMPACT_ROWS rows but fewer than the transactions
+    compaction covers leaves that compaction as it was, and report reads
+    what a fold of the whole journal reads; a feed that brings the rows past
+    it to the rows it covers leaves one compaction over the whole journal."""
+    covered = storage.COMPACT_ROWS + 2_000
+    data = tmp_path / "data"
+    config_path = write_config(tmp_path / "config.json", data_dir=str(data))
+    argv = ["--config", config_path]
+    for command in (["generate", "--count", str(covered)], ["ingest"], ["train"]):
+        assert cli.main([*argv, *command]) == 0, command
+    compaction = data / "tables" / "transactions" / storage.COMPACTION_NAME
+    before = compaction.read_bytes()
+
+    def feed(name, count, offset):
+        path = tmp_path / name
+        write_jsonl([replace(t, id=t.id + offset) for t in generate(GeneratorConfig(seed=5, count=count))], str(path))
+        assert cli.main([*argv, "stream", "--feed", str(path), "--rate", "1000"]) == 0
+
+    feed("first.jsonl", storage.COMPACT_ROWS + 1, 100_000)
+    assert compaction.read_bytes() == before
+    # the alerts this first drain raised, more than COMPACT_ROWS, are handed over too
+    alerts = data / "tables" / "alerts"
+    _, length, _ = storage._read_compaction(alerts / storage.COMPACTION_NAME, streamproc.ALERT_ROWS, "alert_id")
+    assert length == (alerts / "journal.jsonl").stat().st_size
+    shutil.copytree(data, tmp_path / "folded")
+    (tmp_path / "folded" / "tables" / "transactions" / storage.COMPACTION_NAME).unlink()
+    reports = {}
+    for name, root in (("compacted", data), ("folded", tmp_path / "folded")):
+        report_argv = [*argv, "--data-dir", str(root), "--report-dir", str(tmp_path / f"{name}-reports")]
+        assert cli.main([*report_argv, "report"]) == 0
+        reports[name] = {f: (tmp_path / f"{name}-reports" / f).read_bytes() for f in cli.REPORT_FILES}
+    assert reports["compacted"] == reports["folded"]
+
+    feed("second.jsonl", covered - storage.COMPACT_ROWS - 1, 200_000)
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    columns, length, _ = storage._read_compaction(compaction, txgen.TRANSACTION_ROWS, "id")
+    assert length == tables.journal_path("transactions").stat().st_size
+    assert len(columns["id"]) == tables.count("transactions") == 2 * covered
+
+
+def test_stream_feed_hands_nothing_over_past_another_writers_line(tmp_path, monkeypatch):
+    """A line another writer appends to the transactions journal between
+    two of the feed's windows leaves the journal ending past the bytes the
+    feed wrote, so the feed writes no compaction that would cover that line
+    undecoded; the same feed with no such line is compacted, that line
+    included."""
+    data = tmp_path / "data"
+    config_path = write_config(tmp_path / "config.json", data_dir=str(data))
+    argv = ["--config", config_path]
+    for command in (["generate"], ["ingest"], ["train"]):
+        assert cli.main([*argv, *command]) == 0, command
+    compaction = data / "tables" / "transactions" / storage.COMPACTION_NAME
+    assert not compaction.exists()
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 1)
+    foreign = replace(next(generate(GeneratorConfig(seed=9, count=1))), id=900_000)
+    publish, windows = cli._publish_and_store, []
+
+    def publish_then_append_foreign(ws, window, echo):
+        span = publish(ws, window, echo)
+        if not windows:
+            with open(ws.tables.journal_path("transactions"), "a", encoding="utf-8") as fh:
+                fh.write(transaction_to_json(foreign) + "\n")
+        windows.append(span)
+        return span
+
+    def feed(name, offset):
+        path = tmp_path / name
+        write_jsonl([replace(t, id=t.id + offset) for t in generate(GeneratorConfig(seed=5, count=300))], str(path))
+        assert cli.main([*argv, "stream", "--feed", str(path), "--rate", "100"]) == 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_publish_and_store", publish_then_append_foreign)
+        feed("first.jsonl", 100_000)
+    assert len(windows) == 3 and not compaction.exists()
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    assert tables.count("transactions") == 3_301
+    assert foreign.id in tables.columns("transactions")["id"]
+    tables.close()
+
+    feed("second.jsonl", 200_000)
+    tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    columns, length, _ = storage._read_compaction(compaction, txgen.TRANSACTION_ROWS, "id")
+    assert length == tables.journal_path("transactions").stat().st_size
+    assert len(columns["id"]) == tables.count("transactions") == 3_601
+    assert foreign.id in columns["id"]
+    tables.close()
+
+
 def compact_transactions(data, monkeypatch):
     """Write a compaction over every row of a data dir's transactions."""
     tables = cli.Workspace(PipelineConfig(data_dir=str(data))).tables
+    end = tables.journal_path("transactions").stat().st_size
     with monkeypatch.context() as patch:
         patch.setattr(storage, "COMPACT_ROWS", 1)
-        tables.upsert_rows("transactions", [], [])
+        # an empty run handed over at the journal's end: the older lines are compacted
+        tables.appended(
+            "transactions", end, end, 0, lambda: storage.to_columns(txgen.TRANSACTION_ROWS, [])
+        )
     tables.close()
     assert (data / "tables" / "transactions" / storage.COMPACTION_NAME).exists()
 

@@ -275,6 +275,35 @@ def tx_line(t):
     return transaction_to_json(t)
 
 
+def hand_over(store, table, lines, values):
+    """Upsert ``lines`` as a command does, then hand them over to the
+    table with ``values``, each line's values as its RowType decodes
+    them; returns what upsert_rows returned."""
+    journal = store.journal_path(table)
+    start = journal.stat().st_size if journal.exists() else 0
+    written = store.upsert_rows(table, lines)
+    end = start + sum(len(line.encode("utf-8")) + 1 for line in lines)
+    row_type = TABLE_TYPES[table][1]
+    store.appended(table, start, end, len(values), lambda: to_columns(row_type, values))
+    return written
+
+
+def hand_over_transactions(store, transactions):
+    return hand_over(
+        store, "transactions", [tx_line(t) for t in transactions],
+        [transaction_values(t) for t in transactions],
+    )
+
+
+def compact_older_lines(store, table):
+    """Hand the table an empty run at the journal's end with COMPACT_ROWS
+    at 1, so that it compacts the lines past its compaction."""
+    end = store.journal_path(table).stat().st_size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "COMPACT_ROWS", 1)
+        store.appended(table, end, end, 0, lambda: to_columns(TABLE_TYPES[table][1], []))
+
+
 def transactions_store(root):
     store = TableStore(root)
     store.create_table("transactions", key="id", row_type=TRANSACTION_ROWS)
@@ -308,8 +337,7 @@ def random_upserts(store, rng, batches, ids):
             replace(t, id=int(rng.integers(1, ids)), amount=float(rng.integers(1, 10**6)) / 100)
             for t in pool[b * 40 : b * 40 + int(rng.integers(1, 41))]
         ]
-        store.upsert_rows("transactions", [tx_line(t) for t in window],
-                          [transaction_values(t) for t in window])
+        hand_over_transactions(store, window)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -401,15 +429,10 @@ def compacted(tmp_path_factory):
     root = tmp_path_factory.mktemp("compacted") / "tables"
     store = transactions_store(root)
     rows = list(generate(GeneratorConfig(seed=4, count=200)))
-    store.upsert_rows("transactions", [tx_line(t) for t in rows], [transaction_values(t) for t in rows])
+    store.upsert_rows("transactions", [tx_line(t) for t in rows])
     store.close()
     store = transactions_store(root)
-    old = storage.COMPACT_ROWS
-    storage.COMPACT_ROWS = 1
-    try:
-        store.upsert_rows("transactions", [], [])  # compacts the 200 older lines
-    finally:
-        storage.COMPACT_ROWS = old
+    compact_older_lines(store, "transactions")  # compacts the 200 older lines
     store.close()
     assert (root / "transactions" / COMPACTION_NAME).exists()
     return root
@@ -456,9 +479,7 @@ def compacted_alerts(tmp_path_factory):
     store.upsert_rows("alerts", [alert_line(t, s, tick=t) for t in range(100, 0, -1) for s in ALERT_SOURCES])
     store.close()
     store = table_store(root, "alerts")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(storage, "COMPACT_ROWS", 1)
-        store.upsert_rows("alerts", [], [])  # compacts the 200 older lines
+    compact_older_lines(store, "alerts")  # compacts the 200 older lines
     store.close()
     assert (root / "alerts" / COMPACTION_NAME).exists()
     return root
@@ -565,7 +586,7 @@ def test_a_compaction_extended_from_an_adopted_one_is_adopted(tmp_path):
     for session in range(2):
         store = transactions_store(root)
         batch = rows[session * storage.COMPACT_ROWS : (session + 1) * storage.COMPACT_ROWS]
-        store.upsert_rows("transactions", [tx_line(t) for t in batch], [transaction_values(t) for t in batch])
+        hand_over_transactions(store, batch)
         store.close()
         with np.load(compaction) as npz:
             assert json.loads(npz["header"].tobytes())["rows"] == len(batch) * (session + 1)
@@ -593,34 +614,55 @@ def test_a_bad_line_past_a_compaction_is_named_by_its_line_in_the_journal(compac
         transactions_store(root).columns("transactions")
 
 
-def test_handed_over_rows_compact_once_they_double_the_rows_covered(tmp_path, monkeypatch):
+# a source -> what its alerts' transaction ids stand for as transaction ids
+SOURCE_IDS = {"rule:velocity": 0, "model:v1": 100, "model:v2": 200}
+
+
+def alerts_run(store, journal, pairs, tick):
+    """A stream's alert lines for ``pairs``, appended to the journal
+    itself; their values."""
+    with open(journal, "a") as fh:
+        fh.write("".join(alert_line(t, s, tick=tick) + "\n" for t, s in pairs))
+    return [(t, s, 1.0, tick) for t, s in pairs]
+
+
+def transactions_run(store, journal, pairs, tick):
+    """Transactions standing for ``pairs``, upserted; their values."""
+    rows = [replace(make_transaction(), id=t + SOURCE_IDS[s], timestamp=tick) for t, s in pairs]
+    store.upsert_rows("transactions", [tx_line(t) for t in rows])
+    return [transaction_values(t) for t in rows]
+
+
+@pytest.mark.parametrize(
+    "table, append",
+    [pytest.param(t, run, id=t) for t, run in (("alerts", alerts_run), ("transactions", transactions_run))],
+)
+def test_handed_over_rows_compact_once_they_double_the_rows_covered(tmp_path, monkeypatch, table, append):
     """appended rewrites the compaction only when the rows past it are at
     least COMPACT_ROWS and at least the rows it covers, builds their columns
     only then, and does nothing unless the journal ends where they do."""
     monkeypatch.setattr(storage, "COMPACT_ROWS", 10)
     root = tmp_path / "tables"
-    store = table_store(root, "alerts")
-    journal = store.journal_path("alerts")
+    store = table_store(root, table)
+    journal = store.journal_path(table)
     journal.touch()
     built = []
 
     def hand_over(pairs, foreign=""):
-        """Append ``pairs`` as a stream does, then ``foreign`` lines of
-        another writer, and hand the pairs over."""
+        """Append rows for ``pairs`` as a writer does, then ``foreign``
+        lines of another writer, and hand the rows over."""
         start = journal.stat().st_size
-        with open(journal, "a") as fh:
-            fh.write("".join(alert_line(t, s, tick=len(built)) + "\n" for t, s in pairs))
+        values = append(store, journal, pairs, len(built))
         end = journal.stat().st_size
         with open(journal, "a") as fh:
             fh.write(foreign)
-        values = [(t, s, 1.0, len(built)) for t, s in pairs]
 
         def columns():
             built.append(len(values))
-            return to_columns(ALERT_ROWS, values)
+            return to_columns(TABLE_TYPES[table][1], values)
 
-        store.appended("alerts", start, end, len(values), columns)
-        with np.load(root / "alerts" / COMPACTION_NAME) as npz:
+        store.appended(table, start, end, len(values), columns)
+        with np.load(root / table / COMPACTION_NAME) as npz:
             return json.loads(npz["header"].tobytes())["rows"]
 
     with pytest.raises(FileNotFoundError):
@@ -628,25 +670,24 @@ def test_handed_over_rows_compact_once_they_double_the_rows_covered(tmp_path, mo
     assert hand_over([(t, "rule:velocity") for t in range(9, 12)]) == 12  # 9 older lines, 3 new
     assert hand_over([(t, "model:v1") for t in range(11)]) == 12  # fewer than the 12 covered
     assert hand_over([(t, "rule:velocity") for t in range(5)]) == 23  # 11 older, 5 replacing
-    foreign = alert_line(99, "rule:velocity") + "\n"
-    assert hand_over([(t, "model:v2") for t in range(30)], foreign) == 23
+    foreign = {"alerts": alert_line(99, "rule:velocity"), "transactions": tx_line(make_transaction())}
+    assert hand_over([(t, "model:v2") for t in range(30)], foreign[table] + "\n") == 23
     assert built == [3, 5]
-    assert_same_columns(table_store(root, "alerts").columns("alerts"), fold_oracle(root, "alerts"))
+    assert_same_columns(table_store(root, table).columns(table), fold_oracle(root, table))
 
 
-def test_compaction_from_held_values_equals_one_from_decoded_lines(tmp_path, monkeypatch):
+def test_compaction_from_handed_columns_equals_one_from_decoded_lines(tmp_path, monkeypatch):
     monkeypatch.setattr(storage, "COMPACT_ROWS", 100)
     rows = list(generate(GeneratorConfig(seed=6, count=150)))
     rows += [replace(t, id=3, amount=1.5) for t in rows[:2]]
-    lines = [tx_line(t) for t in rows]
-    held = transactions_store(tmp_path / "held")
-    held.upsert_rows("transactions", lines, [transaction_values(t) for t in rows])
+    handed = transactions_store(tmp_path / "handed")
+    hand_over_transactions(handed, rows)
     decoded = transactions_store(tmp_path / "decoded")
-    decoded.upsert_rows("transactions", lines)  # no values: nothing to compact from
+    decoded.upsert_rows("transactions", [tx_line(t) for t in rows])  # only appends
     decoded.close()
     assert not (tmp_path / "decoded" / "transactions" / COMPACTION_NAME).exists()
-    transactions_store(tmp_path / "decoded").upsert_rows("transactions", [], [])
-    a, b = (tmp_path / d / "transactions" / COMPACTION_NAME for d in ("held", "decoded"))
+    compact_older_lines(transactions_store(tmp_path / "decoded"), "transactions")
+    a, b = (tmp_path / d / "transactions" / COMPACTION_NAME for d in ("handed", "decoded"))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -658,9 +699,7 @@ def test_a_row_that_does_not_decode_is_never_compacted(tmp_path, monkeypatch):
     store.close()
     store = transactions_store(tmp_path)
     rows = list(generate(GeneratorConfig(seed=2, count=20)))
-    assert store.upsert_rows(
-        "transactions", [tx_line(t) for t in rows], [transaction_values(t) for t in rows]
-    ) == 20
+    assert hand_over_transactions(store, rows) == 20
     assert not (tmp_path / "transactions" / COMPACTION_NAME).exists()
     with pytest.raises(DataError, match="journal.jsonl: unreadable"):
         store.columns("transactions")  # the bad row still wins its key
@@ -688,7 +727,7 @@ def test_string_values_keep_trailing_nul_characters(tmp_path, monkeypatch):
         replace(make_transaction(), id=3, sender_bank_location="\x00"),
     ]
     store = transactions_store(tmp_path)
-    store.upsert_rows("transactions", [tx_line(t) for t in rows], [transaction_values(t) for t in rows])
+    hand_over_transactions(store, rows)
     assert (tmp_path / "transactions" / COMPACTION_NAME).exists()
     columns = transactions_store(tmp_path).columns("transactions")
     assert columns["payment_type"].vocabulary == ("ACH", "ACH\x00")

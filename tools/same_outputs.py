@@ -9,7 +9,14 @@ OPENBLAS_NUM_THREADS=1) through one flow at a fixed seed:
     generate --count N, ingest, train, stream, report
     generate --count 600 --out feed.jsonl at the next seed, stream --feed
     feed.jsonl, report into a second report dir
+    generate --count 600 --out scores-feed.jsonl at the seed after, stream
+    --feed scores-feed.jsonl under --config scores.json
     demo, on a data dir of its own
+
+scores.json, which the tool writes, turns every rule off and sets
+stream.alert_threshold to 0.0, so that the served model's score of every
+record of that feed reaches the alerts journal; without it the rules
+flag nearly every record and the model's scores reach no file.
 
 It then names every file whose sha256 differs or that only one side
 has, and every console line that differs once each temp dir's path is
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +43,10 @@ import tempfile
 from pathlib import Path
 
 FEED_COUNT = 600
+SCORES_CONFIG = {  # every rule off, every score an alert
+    "rules": {"enable_high_risk": False, "enable_corridor": False, "enable_velocity": False},
+    "stream": {"alert_threshold": 0.0},
+}
 
 
 def flow(seed: int, count: int) -> list[list[str]]:
@@ -54,13 +66,18 @@ def flow(seed: int, count: int) -> list[list[str]]:
          "--out", "{root}/feed.jsonl"],
         [*base, "stream", "--feed", "{root}/feed.jsonl"],
         [*at("data", "feed-reports"), "report"],
+        [*at("data", "reports", seed + 2), "generate", "--count", str(FEED_COUNT),
+         "--out", "{root}/scores-feed.jsonl"],
+        ["--config", "{root}/scores.json", *base, "stream", "--feed", "{root}/scores-feed.jsonl"],
         [*at("demo", "demo-reports"), "demo"],
     ]
 
 
 def run_flow(checkout: Path, root: Path, commands: list[list[str]]) -> list[str]:
-    """Run ``commands`` with the CLI of ``checkout`` in ``root``; returns
-    their console lines, ``root`` replaced by ``<root>``."""
+    """Write scores.json into ``root``, then run ``commands`` with the CLI
+    of ``checkout`` there; returns their console lines, ``root`` replaced
+    by ``<root>``."""
+    (root / "scores.json").write_text(json.dumps(SCORES_CONFIG, sort_keys=True))
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     lines = []
     for command in commands:
