@@ -16,9 +16,9 @@ Determinism:
 
 A decision tree is a forest of one (Breiman, Machine Learning 45, 2001),
 grown without a bootstrap from every column: both kinds grow through one
-grower and hold their trees in ``TrainedModel.trees``. Only their blobs
-differ, as format 1 always has: a decision tree keeps its tree under
-"root", a forest its list under "trees".
+grower and hold their trees in ``TrainedModel.trees``, one Trees object of
+node arrays. Only their blobs differ, as format 1 always has: a decision
+tree keeps its tree under "root", a forest its list under "trees".
 
 Every fit runs on the distinct (row, label) pairs of its training matrix,
 each with its count: one-hot rows repeat heavily, and Gini impurity and
@@ -39,20 +39,19 @@ either one-hot rows or a batch held as FieldCodes, the category code of
 each row in each one-hot field; both give the same score for the same
 row, bit for bit.
 
-Trees grow and serialize as linked TreeNodes. For prediction, a tree
-model is compiled once per model object into parallel node arrays
-(scikit-learn's tree_ layout, leaves pointing to themselves). On one-hot
-rows, predict_proba steps the (trees, rows) node matrix from the roots,
-every tree at once, at most max_depth times (Hummingbird's tree
-traversal; Nakandala et al., OSDI 2020). On codes it scores with leaf
-bitmasks (QuickScorer: Lucchese et al., SIGIR 2015; RapidScorer: Ye et
-al., KDD 2018), compiled from the node arrays once per model object and
-field layout: each tree's leaves are numbered left to right, and each
-field value keeps the mask of the leaves it leaves reachable, so one
-gather per field and an AND leave each tree's leaf as the one bit set.
-Either way the score is the mean of the leaf values summed in tree
-order, so it is the same for one row as in any batch. The compiled
-forms are never serialized: model bytes are unchanged by them.
+Trees have one form: parallel node arrays in pre-order (scikit-learn's
+tree_ layout, leaves pointing to themselves), which growth and loading
+append to and which both scorers read. On one-hot rows, predict_proba
+steps the (trees, rows) node matrix from the roots, every tree at once,
+at most max_depth times (Hummingbird's tree traversal; Nakandala et al.,
+OSDI 2020). On codes it scores with leaf bitmasks (QuickScorer: Lucchese
+et al., SIGIR 2015; RapidScorer: Ye et al., KDD 2018), compiled once per
+model object and field layout: a subtree's leaves are consecutive in
+pre-order, and each field value keeps the mask of the leaves it leaves
+reachable, so one gather per field and an AND leave each tree's leaf as
+the one bit set. Either way the score is the mean of the leaf values
+summed in tree order, so it is the same for one row as in any batch.
+The masks are never serialized: model bytes are unchanged by them.
 """
 
 from __future__ import annotations
@@ -104,20 +103,6 @@ SERIALIZATION_FORMAT = 1
 _PREDICT_BLOCK = 1024  # rows scored at once; bounds the (trees, rows) node matrix and leaf masks
 
 
-@dataclass(slots=True)
-class TreeNode:
-    prob: float
-    count: int
-    column: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.column is None
-
-
 @dataclass
 class TrainedModel:
     kind: str
@@ -127,14 +112,9 @@ class TrainedModel:
     hyperparameters: dict
     weights: Optional[np.ndarray] = None  # logistic
     bias: float = 0.0
-    trees: Optional[list[TreeNode]] = None  # tree (a list of one) or forest
+    trees: Optional[Trees] = None  # a tree (one) or a forest
     loss_history: list[float] = field(default_factory=list, repr=False)
     n_iters: int = 0
-
-    @functools.cached_property
-    def _flat_trees(self) -> "_FlatTrees":
-        """The trees compiled for prediction, once per model object."""
-        return _flatten_trees(self.trees)
 
     @functools.cached_property
     def _masks_by_sizes(self) -> dict:
@@ -145,7 +125,7 @@ class TrainedModel:
         once per model object and field layout."""
         masks = self._masks_by_sizes.get(sizes)
         if masks is None:
-            masks = self._masks_by_sizes[sizes] = _compile_leaf_masks(self._flat_trees, sizes)
+            masks = self._masks_by_sizes[sizes] = _compile_leaf_masks(self.trees, sizes)
         return masks
 
 
@@ -349,6 +329,83 @@ def train_logistic(
 # decision trees and random forests
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Trees:
+    """The trees of one model as parallel node arrays, trees in order, each
+    in pre-order: a node, its left subtree, then its right subtree.
+
+    Node i sends a row left when ``row[feature[i]] < threshold[i]``, to
+    ``children[2 * i]``, node i + 1, and right otherwise, to
+    ``children[2 * i + 1]``. ``value[i]`` is its positive fraction and
+    ``count[i]`` its rows. A leaf's children are the leaf itself, so a step
+    keeps a row on its leaf; ``depth``, the deepest leaf's depth, is how
+    many steps take every row to its leaf. ``trees[t]`` is tree t's root.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    def __len__(self) -> int:
+        return self.roots.size
+
+    def __getitem__(self, t: int) -> Node:
+        return Node(self, int(self.roots[t]))
+
+
+class Node:
+    """A read-only view of node ``i`` of ``trees``; on a leaf, ``column``,
+    ``threshold``, ``left`` and ``right`` are None."""
+
+    def __init__(self, trees: Trees, i: int):
+        self._trees, self._i = trees, i
+
+    is_leaf = property(lambda self: bool(self._trees.children[2 * self._i] == self._i))
+    prob = property(lambda self: float(self._trees.value[self._i]))
+    count = property(lambda self: int(self._trees.count[self._i]))
+    column = property(lambda self: None if self.is_leaf else int(self._trees.feature[self._i]))
+    threshold = property(lambda self: None if self.is_leaf else float(self._trees.threshold[self._i]))
+    left = property(lambda self: None if self.is_leaf else Node(self._trees, self._i + 1))
+    right = property(lambda self: None if self.is_leaf else Node(
+        self._trees, int(self._trees.children[2 * self._i + 1])))
+
+
+class _Nodes:
+    """Trees' node lists, appended to in pre-order as trees grow or load."""
+
+    def __init__(self):
+        self.feature, self.threshold, self.children, self.value, self.count = [], [], [], [], []
+        self.roots, self.depth = [], 0
+
+    def add(self, prob: float, count: int, depth: int) -> int:
+        """Append a leaf at ``depth``, a root at depth 0; return its number."""
+        i = len(self.value)
+        if depth == 0:
+            self.roots.append(i)
+        self.depth = max(self.depth, depth)
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.children += (i, i)
+        self.value.append(prob)
+        self.count.append(count)
+        return i
+
+    def split(self, i: int, column: int, threshold: float) -> None:
+        """Make node i, whose left subtree was just appended, an inner node
+        whose right child is the next node appended."""
+        self.feature[i], self.threshold[i] = column, threshold
+        self.children[2 * i:2 * i + 2] = (i + 1, len(self.value))
+
+    def trees(self) -> Trees:
+        lists = (self.feature, self.threshold, self.children, self.value, self.count, self.roots)
+        dtypes = (np.intp, np.float64, np.intp, np.float64, np.int64, np.intp)
+        return Trees(*map(np.array, lists, dtypes), self.depth)
+
+
 def _weighted_gini(n_left, pos_left, n_right, pos_right):
     """Impurity of a split; works on scalars or aligned arrays."""
     pl = pos_left / n_left
@@ -422,14 +479,15 @@ def _best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols):
     return int(cols[best]), float(thresholds[best])
 
 
-def _grow_tree(Xu, rows, counts, depth, max_depth, min_leaf, rng, features_per_split, binary_cols):
-    """Grow the subtree over the distinct rows ``rows`` of ``Xu``, row
-    ``rows[i]`` counted ``counts[0, i]`` times, ``counts[1, i]`` of them
-    positive. Nodes draw their columns in pre-order, left before right."""
+def _grow_tree(nodes, Xu, rows, counts, depth, max_depth, min_leaf, rng, features_per_split,
+               binary_cols):
+    """Append the subtree over the distinct rows ``rows`` of ``Xu`` to
+    ``nodes``, row ``rows[i]`` counted ``counts[0, i]`` times, ``counts[1, i]``
+    of them positive. Nodes draw their columns in pre-order, as appended."""
     n, pos = (float(total) for total in counts.sum(axis=1))
-    node = TreeNode(prob=pos / n, count=int(n))
+    i = nodes.add(pos / n, int(n), depth)
     if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
-        return node
+        return
     width = Xu.shape[1]
     if features_per_split is not None:
         cols = np.sort(rng.choice(width, size=features_per_split, replace=False))
@@ -437,13 +495,13 @@ def _grow_tree(Xu, rows, counts, depth, max_depth, min_leaf, rng, features_per_s
         cols = np.arange(width)
     split = _best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols)
     if split is None:
-        return node
-    node.column, node.threshold = split
-    left = Xu[rows, node.column] < node.threshold
+        return
+    column, threshold = split
+    left = Xu[rows, column] < threshold
     below = (depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols)
-    node.left = _grow_tree(Xu, rows[left], counts[:, left], *below)
-    node.right = _grow_tree(Xu, rows[~left], counts[:, ~left], *below)
-    return node
+    _grow_tree(nodes, Xu, rows[left], counts[:, left], *below)
+    nodes.split(i, column, threshold)
+    _grow_tree(nodes, Xu, rows[~left], counts[:, ~left], *below)
 
 
 def _binary_columns(X: np.ndarray) -> np.ndarray:
@@ -455,7 +513,7 @@ def _binary_columns(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_trees(data: _Distinct, hyper, n_trees, bootstrap, features_per_split, seed):
+def _grow_trees(data: _Distinct, hyper, n_trees, bootstrap, features_per_split, seed) -> Trees:
     """Grow ``n_trees`` trees. Tree t draws from its own generator,
     PCG64(seed + t): its bootstrap sample when ``bootstrap`` is set, and the
     columns each split scores when ``features_per_split`` is below the width.
@@ -468,7 +526,7 @@ def _grow_trees(data: _Distinct, hyper, n_trees, bootstrap, features_per_split, 
     max_depth, min_leaf = int(hyper["max_depth"]), int(hyper["min_leaf"])
     sampled = features_per_split if features_per_split < data.X.shape[1] else None
     binary_cols = _binary_columns(data.X)
-    trees = []
+    nodes = _Nodes()
     for t in range(n_trees):
         rng = np.random.Generator(np.random.PCG64(seed + t))  # per-tree stream
         if bootstrap:  # n row draws, counted per pair
@@ -477,11 +535,9 @@ def _grow_trees(data: _Distinct, hyper, n_trees, bootstrap, features_per_split, 
             counts = data.counts
         rows = np.flatnonzero(counts)
         w = counts[rows].astype(np.float64)
-        trees.append(_grow_tree(
-            data.X, rows, np.stack((w, w * data.y[rows])), 0, max_depth, min_leaf, rng,
-            sampled, binary_cols,
-        ))
-    return trees
+        _grow_tree(nodes, data.X, rows, np.stack((w, w * data.y[rows])), 0, max_depth, min_leaf,
+                   rng, sampled, binary_cols)
+    return nodes.trees()
 
 
 def train_tree(
@@ -530,57 +586,7 @@ def train_forest(
 # prediction and evaluation
 # ---------------------------------------------------------------------------
 
-class _FlatTrees(NamedTuple):
-    """The trees of one model as parallel node arrays, trees in order.
-
-    Node i sends a row left when ``row[feature[i]] < threshold[i]``, to
-    ``children[2 * i]``, and right otherwise, to ``children[2 * i + 1]``.
-    ``value[i]`` is the node's positive fraction. A leaf's two children are
-    the leaf itself, so stepping a row that sits on a leaf keeps it there.
-    ``roots`` holds each tree's root and ``depth`` the deepest leaf's depth
-    over all trees, which is how many steps take every row to its leaf.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-    depth: int
-
-
-def _flatten_trees(trees: list[TreeNode]) -> _FlatTrees:
-    feature, threshold, children, value, roots = [], [], [], [], []
-    depth = 0
-    for tree in trees:
-        first = len(value)
-        roots.append(first)
-        # breadth-first: a node's number is its place in the queue, so its
-        # children are numbered as they are queued
-        queue = [(tree, 0)]
-        for position, (node, node_depth) in enumerate(queue):
-            depth = max(depth, node_depth)
-            value.append(node.prob)
-            if node.is_leaf:
-                feature.append(0)
-                threshold.append(0.0)
-                children += [first + position, first + position]
-            else:
-                feature.append(node.column)
-                threshold.append(node.threshold)
-                children += [first + len(queue), first + len(queue) + 1]
-                queue += [(node.left, node_depth + 1), (node.right, node_depth + 1)]
-    return _FlatTrees(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold, dtype=np.float64),
-        children=np.array(children, dtype=np.intp),
-        value=np.array(value, dtype=np.float64),
-        roots=np.array(roots, dtype=np.intp),
-        depth=depth,
-    )
-
-
-def _predict_flat(flat: _FlatTrees, X: np.ndarray) -> np.ndarray:
+def _predict_flat(trees: Trees, X: np.ndarray) -> np.ndarray:
     """Step the (trees, rows) node matrix from the roots to the leaves, then
     average the leaf values tree by tree in tree order.
 
@@ -590,15 +596,15 @@ def _predict_flat(flat: _FlatTrees, X: np.ndarray) -> np.ndarray:
     n, width = X.shape
     cells = X.ravel()
     row_start = np.arange(n) * width
-    nodes = np.repeat(flat.roots[:, None], n, axis=1)
-    for _ in range(flat.depth):
-        go_right = ~(cells.take(row_start + flat.feature.take(nodes)) < flat.threshold.take(nodes))
-        nodes = flat.children.take(2 * nodes + go_right)
-    leaf_values = flat.value.take(nodes)
+    nodes = np.repeat(trees.roots[:, None], n, axis=1)
+    for _ in range(trees.depth):
+        go_right = ~(cells.take(row_start + trees.feature.take(nodes)) < trees.threshold.take(nodes))
+        nodes = trees.children.take(2 * nodes + go_right)
+    leaf_values = trees.value.take(nodes)
     total = leaf_values[0].copy()
     for tree_values in leaf_values[1:]:
         total += tree_values
-    return total / len(flat.roots)
+    return total / len(trees.roots)
 
 
 class FieldCodes(NamedTuple):
@@ -631,10 +637,9 @@ class FieldCodes(NamedTuple):
 class _LeafMasks(NamedTuple):
     """The trees of one model compiled for scoring FieldCodes.
 
-    Each tree's leaves are numbered left to right, so every subtree's
-    leaves are a contiguous range of numbers. Field f's code k selects
-    table row ``start[f] + k``, so code -1, a value outside its
-    categories, selects the row before its first code's.
+    Each tree's leaves are numbered left to right, in pre-order. Field f's
+    code k selects table row ``start[f] + k``, so code -1, a value outside
+    its categories, selects the row before its first code's.
     ``table[row, t]`` holds, as uint64 words, the bits of tree t's leaves
     still reachable when the field takes that value; ANDed over the
     fields, one bit is left, the row's leaf. Leaf j of tree t has its
@@ -658,9 +663,8 @@ def _leaf_bits(lo: np.ndarray, hi: np.ndarray, words: int) -> np.ndarray:
     return below(hi) & ~below(lo)
 
 
-def _compile_leaf_masks(flat: _FlatTrees, sizes: tuple[int, ...]) -> _LeafMasks:
-    """Compile node arrays over one-hot fields of ``sizes`` columns each
-    into leaf masks, every tree at once, level by level.
+def _compile_leaf_masks(trees: Trees, sizes: tuple[int, ...]) -> _LeafMasks:
+    """Compile trees over one-hot fields of ``sizes`` columns into leaf masks.
 
     Each inner node tests one column, the category of one field, and
     sends a row left when its value is under the threshold, as
@@ -669,40 +673,35 @@ def _compile_leaf_masks(flat: _FlatTrees, sizes: tuple[int, ...]) -> _LeafMasks:
     category's column and 0.0 in the others, and 0.0 in every column when
     it is outside the categories.
     """
-    n_nodes, n_trees = flat.value.size, flat.roots.size
-    left, right = flat.children[0::2], flat.children[1::2]
-    inner = left != np.arange(n_nodes)
-    parents = []  # the inner nodes of each level, the roots' level first
-    level = flat.roots
-    while level.size:
-        level = level[inner[level]]
-        parents.append(level)
-        level = np.concatenate((left[level], right[level]))
-    leaves = np.ones(n_nodes, dtype=np.int64)  # the leaves under each node
-    for p in reversed(parents):
-        leaves[p] = leaves[left[p]] + leaves[right[p]]
-    first = np.zeros(n_nodes, dtype=np.int64)  # the number of its first leaf
-    for p in parents:
-        first[left[p]] = first[p]
-        first[right[p]] = first[p] + leaves[left[p]]
-
-    tree = np.repeat(np.arange(n_trees), np.diff(flat.roots, append=n_nodes))
-    tree_leaves = leaves[flat.roots]
+    n_nodes, n_trees = trees.value.size, trees.roots.size
+    right = trees.children[1::2]
+    leaf = trees.children[0::2] == np.arange(n_nodes)
+    # in pre-order a subtree's leaves are consecutive: a node's run from the
+    # count of leaves before it to its rightmost leaf, reached by going right
+    leaves_before = np.cumsum(leaf) - leaf
+    rightmost = np.arange(n_nodes)
+    for _ in range(trees.depth):
+        rightmost = right.take(rightmost)
+    tree = np.repeat(np.arange(n_trees), np.diff(trees.roots, append=n_nodes))
+    first_leaf = leaves_before[trees.roots]
+    lo = leaves_before - first_leaf[tree]  # each node's leaves, numbered in its tree: [lo, hi)
+    hi = leaves_before[rightmost] + 1 - first_leaf[tree]
+    tree_leaves = hi[trees.roots]
     words = (int(tree_leaves.max()) + 63) // 64
     ends = np.cumsum(sizes)
     start = ends - sizes + np.arange(1, len(sizes) + 1)  # each field's code 0's table row
 
-    p = np.flatnonzero(inner)
-    mid = first[p] + leaves[left[p]]
-    left_bits = _leaf_bits(first[p], mid, words)
-    right_bits = _leaf_bits(mid, first[p] + leaves[p], words)
-    column = flat.feature[p]
+    p = np.flatnonzero(~leaf)
+    mid = lo[right[p]]
+    left_bits = _leaf_bits(lo[p], mid, words)
+    right_bits = _leaf_bits(mid, hi[p], words)
+    column = trees.feature[p]
     at = (column + np.searchsorted(ends, column, side="right") + 1, tree[p])
     # per table row and tree, the leaves cleared by the nodes testing that
     # row's column when it holds 0.0 and when it holds 1.0
     cleared_at_0 = np.zeros((ends[-1] + len(sizes), n_trees, words), dtype=np.uint64)
     cleared_at_1 = np.zeros_like(cleared_at_0)
-    threshold = flat.threshold[p, None]
+    threshold = trees.threshold[p, None]
     np.bitwise_or.at(cleared_at_0, at, np.where(0.0 < threshold, right_bits, left_bits))
     np.bitwise_or.at(cleared_at_1, at, np.where(1.0 < threshold, right_bits, left_bits))
 
@@ -717,12 +716,7 @@ def _compile_leaf_masks(flat: _FlatTrees, sizes: tuple[int, ...]) -> _LeafMasks:
         cleared[block][1:] |= before[:-1]
         cleared[block][:-1] |= after[1:]
     table = _leaf_bits(np.zeros(n_trees, dtype=np.int64), tree_leaves, words) & ~cleared
-
-    first_leaf = np.cumsum(tree_leaves) - tree_leaves
-    leaf = ~inner
-    values = np.empty(int(tree_leaves.sum()))
-    values[first_leaf[tree[leaf]] + first[leaf]] = flat.value[leaf]
-    return _LeafMasks(table, start[:, None], first_leaf, values)
+    return _LeafMasks(table, start[:, None], first_leaf, trees.value[leaf])
 
 
 def _predict_masks(masks: _LeafMasks, codes: np.ndarray) -> np.ndarray:
@@ -774,9 +768,8 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
                 for start in range(0, n, _PREDICT_BLOCK)
             ]
         else:
-            flat = model._flat_trees
             blocks = [
-                _predict_flat(flat, X[start:start + _PREDICT_BLOCK])
+                _predict_flat(model.trees, X[start:start + _PREDICT_BLOCK])
                 for start in range(0, n, _PREDICT_BLOCK)
             ]
         return np.concatenate(blocks) if blocks else np.empty(0)
@@ -806,27 +799,40 @@ def evaluate(probabilities, truth, threshold: float = 0.5) -> EvalMetrics:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"prob": node.prob, "count": node.count}
-    return {
-        "prob": node.prob,
-        "count": node.count,
-        "column": node.column,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _tree_dicts(trees: Trees) -> list[dict]:
+    """Each tree as format 1's nested nodes."""
+    feature, threshold, children, value, count = map(
+        np.ndarray.tolist, (trees.feature, trees.threshold, trees.children, trees.value, trees.count))
+
+    def node(i: int) -> dict:
+        if children[2 * i] == i:
+            return {"prob": value[i], "count": count[i]}
+        return {"prob": value[i], "count": count[i], "column": feature[i], "threshold": threshold[i],
+                "left": node(i + 1), "right": node(children[2 * i + 1])}
+
+    return [node(root) for root in trees.roots.tolist()]
 
 
-def _node_from_dict(data: dict) -> TreeNode:
-    node = TreeNode(prob=data["prob"], count=data["count"])
+def _finite(value, name: str):
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise DataError(f"tree node {name} {value!r} is not a finite number")
+    return value
+
+
+def _load_node(nodes: _Nodes, data: dict, depth: int, width: int) -> None:
+    """Append format 1's nested node ``data`` and its subtree to ``nodes``
+    in pre-order, as _grow_tree does, refusing a node it could not grow."""
+    if type(data["count"]) is not int:
+        raise DataError(f"tree node count {data['count']!r} is not an integer")
+    i = nodes.add(_finite(data["prob"], "prob"), data["count"], depth)
     if "column" in data:
-        node.column = data["column"]
-        node.threshold = data["threshold"]
-        node.left = _node_from_dict(data["left"])
-        node.right = _node_from_dict(data["right"])
-    return node
+        column = data["column"]
+        if type(column) is not int or not 0 <= column < width:
+            raise DataError(f"tree node column {column!r} is not in [0, {width})")
+        threshold = _finite(data["threshold"], "threshold")
+        _load_node(nodes, data["left"], depth + 1, width)
+        nodes.split(i, column, threshold)
+        _load_node(nodes, data["right"], depth + 1, width)
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -844,7 +850,7 @@ def model_to_json(model: TrainedModel) -> str:
             "bias": float(model.bias),
         }
     elif model.kind in _TREE_KINDS:
-        trees = [_node_to_dict(t) for t in model.trees]
+        trees = _tree_dicts(model.trees)
         # format 1 keeps a decision tree's one tree under "root"
         key, value = ("root", trees[0]) if model.kind == "decision_tree" else ("trees", trees)
         payload["parameters"] = {key: value}
@@ -870,8 +876,12 @@ def model_from_json(text: str) -> TrainedModel:
         model.weights = np.array(params["weights"], dtype=np.float64)
         model.bias = float(params["bias"])
     elif kind in _TREE_KINDS:
-        trees = [params["root"]] if kind == "decision_tree" else params["trees"]
-        model.trees = [_node_from_dict(t) for t in trees]
+        nodes = _Nodes()
+        for tree in [params["root"]] if kind == "decision_tree" else params["trees"]:
+            _load_node(nodes, tree, 0, model.width)
+        if not nodes.roots:
+            raise DataError("a random_forest blob holds no tree")
+        model.trees = nodes.trees()
     else:
         raise DataError(f"unknown model kind {kind!r}")
     return model

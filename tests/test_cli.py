@@ -604,6 +604,14 @@ def active_model_blob(data):
     return data / "blobs" / "models" / "2023-01-01" / active.blob_name
 
 
+def served_forest_blob(data):
+    """Activate the flow's forest, as stream_to_pinned_forest does; its blob."""
+    registry = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs")))
+    forest = next(r for r in registry.records() if r.kind == "random_forest")
+    registry.activate(forest.version, tick=0)
+    return active_model_blob(data)
+
+
 # a well-formed transactions-table row
 TABLE_ROW = {
     "id": 1,
@@ -770,6 +778,12 @@ CORRUPT_FILES = {
         lambda data: next((data / "blobs" / "schemas").glob("*/*.json")), cut_in_half, ["report"], False,
     ),
     "cut_model_blob": (active_model_blob, cut_in_half, ["stream", "--feed", "{feed}"], False),
+    "tree_column_out_of_range": (
+        served_forest_blob,
+        edit_json(lambda blob: blob["parameters"]["trees"][0].update(column=999)),
+        ["stream", "--feed", "{feed}"],
+        False,
+    ),
     # older versions rolled a partition to a second segment after 65,536 records
     "leftover_segment": (
         lambda data: data / "log" / "transactions" / "p000" / "segment-00000001.log",

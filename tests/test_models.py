@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -15,8 +17,6 @@ from amlstream.featstore import transaction_columns
 from amlstream.models import (
     EvalMetrics,
     FieldCodes,
-    TrainedModel,
-    TreeNode,
     evaluate,
     logistic_gradient,
     logistic_loss,
@@ -59,6 +59,40 @@ def oracle_forest(trees, X):
             total += oracle_leaf(tree, row)
         out.append(total / len(trees))
     return np.array(out)
+
+
+@dataclass
+class RefNode:
+    """A tree node built by hand or by the reference grower below."""
+
+    prob: float
+    count: int
+    column: Optional[int] = None
+    threshold: Optional[float] = None
+    left: Optional["RefNode"] = None
+    right: Optional["RefNode"] = None
+
+    @property
+    def is_leaf(self):
+        return self.column is None
+
+
+def node_dict(node):
+    """``node`` and its subtree as serialization format 1 writes them."""
+    if node.is_leaf:
+        return {"prob": node.prob, "count": node.count}
+    return {"prob": node.prob, "count": node.count, "column": node.column,
+            "threshold": node.threshold, "left": node_dict(node.left), "right": node_dict(node.right)}
+
+
+def tree_model(kind, trees, width, hyperparameters=None, schema_hash="", train_seed=0):
+    """A model of RefNode trees, written out as a format-1 blob and loaded."""
+    dicts = [node_dict(tree) for tree in trees]
+    return model_from_json(json.dumps({
+        "format": 1, "kind": kind, "width": width, "schema_hash": schema_hash,
+        "train_seed": train_seed, "hyperparameters": hyperparameters or {},
+        "parameters": {"root": dicts[0]} if kind == "decision_tree" else {"trees": dicts},
+    }))
 
 
 def separable_fixture(n=200, seed=1):
@@ -360,7 +394,7 @@ def reference_tree(X, y, idx, depth, max_depth, min_leaf, rng, features_per_spli
     n = idx.size
     y_node = y[idx]
     pos = float(y_node.sum())
-    node = TreeNode(prob=pos / n, count=int(n))
+    node = RefNode(prob=pos / n, count=int(n))
     if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
         return node
     width = X.shape[1]
@@ -398,9 +432,8 @@ def reference_model_json(model, X, y):
         trees.append(reference_tree(
             X, y, idx, 0, hyper["max_depth"], hyper["min_leaf"], rng, k, binary_cols
         ))
-    return model_to_json(TrainedModel(
-        kind=model.kind, width=width, schema_hash=model.schema_hash,
-        train_seed=model.train_seed, hyperparameters=hyper, trees=trees,
+    return model_to_json(tree_model(
+        model.kind, trees, width, hyper, schema_hash=model.schema_hash, train_seed=model.train_seed
     ))
 
 
@@ -533,18 +566,16 @@ def test_predict_single_equals_batch_on_large_forest():
 
 
 def hand_model(kind, *trees, width=2):
-    return TrainedModel(
-        kind=kind, width=width, schema_hash="", train_seed=0, hyperparameters={}, trees=list(trees)
-    )
+    return tree_model(kind, trees, width)
 
 
 def split(column, threshold, left, right):
-    return TreeNode(prob=(left.prob + right.prob) / 2, count=2, column=column,
-                    threshold=threshold, left=left, right=right)
+    return RefNode(prob=(left.prob + right.prob) / 2, count=2, column=column,
+                   threshold=threshold, left=left, right=right)
 
 
 def leaf(prob):
-    return TreeNode(prob=prob, count=1)
+    return RefNode(prob=prob, count=1)
 
 
 def test_tree_value_equal_to_threshold_goes_right():
@@ -825,6 +856,63 @@ def test_format_1_decision_tree_loads_predicts_and_rewrites_unchanged():
     y[0] = 1.0
     trained = train_tree(X, y, {"max_depth": 2, "min_leaf": 2}, schema_hash="abc123")
     assert model_to_json(trained) == FORMAT_1_TREE
+
+
+def test_grown_and_loaded_trees_hold_the_same_arrays():
+    X, y = one_hot_fixture(seed=88)
+    for model in (
+        train_tree(X, y, {"min_leaf": 2}),
+        train_forest(X, y, {"n_trees": 8, "min_leaf": 2}, seed=5),
+    ):
+        text = model_to_json(model)
+        back = model_from_json(text)
+        for name in ("feature", "threshold", "children", "value", "count", "roots"):
+            grown, loaded = getattr(model.trees, name), getattr(back.trees, name)
+            assert grown.dtype == loaded.dtype and np.array_equal(grown, loaded), (model.kind, name)
+        assert back.trees.depth == model.trees.depth
+        # walking the node views gives back the blob's nested nodes
+        params = json.loads(text)["parameters"]
+        blob_trees = [params["root"]] if model.kind == "decision_tree" else params["trees"]
+        assert len(model.trees) == len(blob_trees)
+        assert [node_dict(root) for root in model.trees] == blob_trees
+        assert [node_dict(root) for root in back.trees] == blob_trees
+
+
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("root", {"column": 12}),  # the model is 12 columns wide
+        ("root", {"column": 999}),
+        ("root", {"column": -1}),
+        ("root", {"column": 1.5}),
+        ("root", {"column": True}),
+        ("root", {"column": "0"}),
+        ("left", {"threshold": "x"}),
+        ("root", {"threshold": float("nan")}),
+        ("root", {"threshold": None}),
+        ("left", {"prob": float("inf")}),
+        ("root", {"prob": "0.5"}),
+        ("left", {"count": 2.5}),
+        ("root", {"count": False}),
+    ],
+)
+def test_tree_blob_with_a_bad_node_is_refused(where, edit):
+    X, y = one_hot_fixture(seed=87)
+    blob = json.loads(model_to_json(train_tree(X, y)))
+    root = blob["parameters"]["root"]
+    node = root if where == "root" else root["left"]
+    assert "column" in node  # an inner node: every field is read
+    node.update(edit)
+    with pytest.raises(DataError, match=f"tree node {next(iter(edit))}"):
+        model_from_json(json.dumps(blob))
+
+
+def test_forest_blob_without_trees_is_refused():
+    X, y = separable_fixture(seed=89)
+    blob = json.loads(model_to_json(train_forest(X, y, {"n_trees": 2}, seed=1)))
+    blob["parameters"]["trees"] = []
+    with pytest.raises(DataError, match="no tree"):
+        model_from_json(json.dumps(blob))
 
 
 def test_serialization_rejects_unknown_format():
