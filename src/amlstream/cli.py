@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import FOREST_SEED_OFFSET, OVERSAMPLE_SEED_OFFSET, SPLIT_SEED_OFFSET, PipelineConfig
 from .errors import AlreadyExistsError, ConfigError, DataError, PipelineError, reading
 from .eventlog import EventLog
@@ -45,11 +47,13 @@ from .lifecycle import (
 )
 from .models import (
     MODEL_KINDS,
+    FieldCodes,
     evaluate,
     predict_proba,
     train_forest,
     train_logistic,
     train_tree,
+    training_set,
 )
 from .storage import BlobStore, Categories, TableStore
 from .streamproc import (
@@ -265,42 +269,47 @@ def _hand_over_transactions(ws: Workspace, appends, transactions, columns=None) 
 # ---------------------------------------------------------------------------
 
 def _prepare_training(columns, seed: int):
-    """Schema, encoded splits, and the balanced training matrix of the
-    transactions held as ``columns``; the split and rebalancing seeds
-    derive from ``seed`` as documented in config."""
+    """Schema, codes and labels of the transactions held as ``columns``,
+    the indices of their splits, and the training split's indices
+    rebalanced by oversampling; the split and rebalancing seeds derive
+    from ``seed`` as documented in config."""
     schema = schema_of_columns(columns)
-    X, y, _ = encode_matrix(columns, schema)
+    # the schema's vocabularies are the columns' own, so are their codes
+    codes = FieldCodes(np.stack([columns[f].codes for f in FEATURE_FIELDS]), schema.sizes)
+    y = columns["is_laundering"]
     idx_train, idx_val, idx_test = split_indices(len(y), seed + SPLIT_SEED_OFFSET)
-    over = oversample_indices(y[idx_train], seed + OVERSAMPLE_SEED_OFFSET)
-    Xtr, ytr = X[idx_train][over], y[idx_train][over]
-    return schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr
+    over = idx_train[oversample_indices(y[idx_train], seed + OVERSAMPLE_SEED_OFFSET)]
+    return schema, codes, y, idx_train, idx_val, idx_test, over
 
 
 def _fit_kinds(ws: Workspace, columns, kinds, seed: int):
     """Save the schema of the transactions held as ``columns``, then fit
-    each of ``kinds`` (the forest from ``seed + FOREST_SEED_OFFSET``) and
-    score it on the validation and test splits: (training profile,
-    [(model, validation, test), ...])."""
+    each of ``kinds`` (the forest from ``seed + FOREST_SEED_OFFSET``) on one
+    collapse of the training split and score it on the validation and test
+    splits' codes: (training profile, [(model, validation, test), ...])."""
     config = ws.config
-    schema, X, y, idx_train, idx_val, idx_test, Xtr, ytr = _prepare_training(columns, seed)
+    schema, codes, y, idx_train, idx_val, idx_test, over = _prepare_training(columns, seed)
     _save_schema(ws, schema)
     profile = category_profile(
         [Categories(columns[f].codes[idx_train], columns[f].vocabulary) for f in FEATURE_FIELDS]
     )
+    data = training_set(FieldCodes(codes.codes[:, over], codes.sizes), y[over])
     threshold = config.stream.alert_threshold
     fitted = []
     for kind in kinds:
         overrides = config.models.overrides_for(kind)
         if kind == "logistic_regression":
-            model = train_logistic(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
+            model = train_logistic(data, hyperparameters=overrides, schema_hash=schema.schema_hash)
         elif kind == "decision_tree":
-            model = train_tree(Xtr, ytr, overrides, schema_hash=schema.schema_hash)
+            model = train_tree(data, hyperparameters=overrides, schema_hash=schema.schema_hash)
         else:
-            model = train_forest(
-                Xtr, ytr, overrides, schema_hash=schema.schema_hash, seed=seed + FOREST_SEED_OFFSET
-            )
-        validation = evaluate(predict_proba(model, X[idx_val]), y[idx_val], threshold)
-        test = evaluate(predict_proba(model, X[idx_test]), y[idx_test], threshold)
+            model = train_forest(data, hyperparameters=overrides, schema_hash=schema.schema_hash,
+                                 seed=seed + FOREST_SEED_OFFSET)
+        validation, test = (
+            evaluate(predict_proba(model, FieldCodes(codes.codes[:, idx], codes.sizes)), y[idx],
+                     threshold)
+            for idx in (idx_val, idx_test)
+        )
         fitted.append((model, validation, test))
     return profile, fitted
 

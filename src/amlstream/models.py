@@ -1,7 +1,10 @@
 """From-scratch classifiers: logistic regression, decision tree, random forest.
 
-All three train on dense one-hot matrices (float64). No ML library calls;
-NumPy supplies array math only.
+All three train on a TrainingSet, the distinct (row, label) pairs of
+their training rows, made from a float64 matrix or from rows held as
+FieldCodes (training_set); each train_* takes either a TrainingSet or a
+matrix and its labels. No ML library calls; NumPy supplies array math
+only.
 
 Logistic regression is fitted by Newton/IRLS (Hastie, Tibshirani &
 Friedman, The Elements of Statistical Learning, 4.4.1) with step
@@ -20,15 +23,30 @@ grower and hold their trees in ``TrainedModel.trees``, one Trees object of
 node arrays. Only their blobs differ, as format 1 always has: a decision
 tree keeps its tree under "root", a forest its list under "trees".
 
-Every fit runs on the distinct (row, label) pairs of its training matrix,
-each with its count: one-hot rows repeat heavily, and Gini impurity and
-log-loss depend only on weighted counts. A tree's sample, bootstrap or
-whole, becomes each pair's count in it (a bootstrap sample is a vector of
-row multiplicities), and a node scores all its sampled 0/1 columns with
-one product of counts, as split search over aggregated statistics does in
-XGBoost (Chen & Guestrin, KDD 2016). Split sums add integer-valued counts,
-so they are exact in any order or BLAS split: trees come out node for node
-as if grown row by row. The logistic fit sums the same terms in another
+Every fit runs on the distinct (row, label) pairs, each with its count:
+one-hot rows repeat heavily, and Gini impurity and log-loss depend only
+on weighted counts. Rows held as codes collapse by one np.unique over
+each row's codes in mixed radix and its label, a matrix by a lexsort of
+its columns; either way the pairs come in the lexsort's order, so one
+collapse serves all three kinds. A tree's sample, bootstrap or whole,
+becomes each pair's count in it (a bootstrap sample is a vector of row
+multiplicities).
+
+Split search counts codes, not columns. A field is a one-hot block, or a
+run of a matrix's 0/1 columns in which no row holds two 1.0s, and each
+of its columns is 1.0 exactly where the field holds that column's code.
+A node's histogram (its counts and positive counts per code of every
+field) scores all its sampled 0/1 columns at once, as histogram split
+search does in LightGBM (Ke et al., NeurIPS 2017) and XGBoost's hist
+method (Chen & Guestrin, KDD 2016); every code has a bin of its own, so
+the histograms are exact. A left child's histogram is its parent's less
+its sibling's when the sibling holds fewer pairs. Other columns sort the
+node's values. The trees grow in lockstep: each tree keeps its own stack
+of nodes in pre-order, so it draws its columns in the order it would
+alone, and each step counts, searches and splits the top node of every
+tree at once. Split sums add integer-valued counts, so they are exact in
+any order or BLAS split: trees come out node for node as if grown row by
+row, one tree at a time. The logistic fit sums the same terms in another
 order, so its weights can move in the last digits (about 1e-8 on the
 default data) with the row grouping or the BLAS thread count.
 
@@ -40,8 +58,8 @@ each row in each one-hot field; both give the same score for the same
 row, bit for bit.
 
 Trees have one form: parallel node arrays in pre-order (scikit-learn's
-tree_ layout, leaves pointing to themselves), which growth and loading
-append to and which both scorers read. On one-hot rows, predict_proba
+tree_ layout, leaves pointing to themselves), which growth builds,
+loading appends to and both scorers read. On one-hot rows, predict_proba
 steps the (trees, rows) node matrix from the roots, every tree at once,
 at most max_depth times (Hummingbird's tree traversal; Nakandala et al.,
 OSDI 2020). On codes it scores with leaf bitmasks (QuickScorer: Lucchese
@@ -71,7 +89,8 @@ LOGISTIC_DEFAULTS = {
     "max_iters": 100,  # Newton steps
     "l2": 0.0,
 }
-_ROW_BLOCK = 512  # distinct rows scaled or gathered at once: Hessian terms, split counts
+_ROW_BLOCK = 512  # distinct rows scaled at once for the Hessian
+_ENTRY_BLOCK = 1 << 13  # pair entries (times fields, when counted) a split search step holds at once
 _MAX_HALVINGS = 30  # a step cut 2**30 times that still raises the loss means the floor
 TREE_DEFAULTS = {"max_depth": 12, "min_leaf": 5}
 FOREST_DEFAULTS = {
@@ -160,6 +179,33 @@ def _merge_hyper(defaults: dict, overrides: dict | None) -> dict:
     return merged
 
 
+class FieldCodes(NamedTuple):
+    """A batch as the category codes of its one-hot fields.
+
+    ``codes[f, i]`` is row i's value of field f as an index into the
+    field's ``sizes[f]`` categories, or -1 for a value outside them. The
+    one-hot row it stands for holds the fields' blocks side by side, in
+    order: 1.0 at each known code's column, 0.0 everywhere else.
+    """
+
+    codes: np.ndarray  # (fields, rows), int
+    sizes: tuple[int, ...]
+
+    def one_hot(self) -> np.ndarray:
+        """The one-hot rows the codes stand for."""
+        n = self.codes.shape[1]
+        X = np.zeros((n, sum(self.sizes)), dtype=np.float64)
+        rows = np.arange(n)
+        start = 0
+        for codes, size in zip(self.codes, self.sizes):
+            hit = codes >= 0
+            columns = codes[hit]
+            columns += start
+            X[rows[hit], columns] = 1.0
+            start += size
+        return X
+
+
 def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the equal (row, label) pairs of a training set.
 
@@ -183,19 +229,43 @@ def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order[starts], inverse
 
 
-class _Distinct(NamedTuple):
-    """A training set as its distinct (row, label) pairs: row ``X[i]`` with
-    label ``y[i]`` occurs ``counts[i]`` times (float64), and input row j is
-    pair ``inverse[j]``."""
+class TrainingSet(NamedTuple):
+    """A training set as its distinct (row, label) pairs, each with its
+    count, and the category codes tree split search counts by.
+
+    Pair i is row ``X[first[i]]`` with label ``y[i]``; it occurs
+    ``counts[i]`` times (float64), and training row j is pair
+    ``inverse[j]``. A field is a run of adjacent 0/1 columns of which no
+    pair holds two 1.0s, as a one-hot block is; ``field[c]`` is column c's
+    field, or -1 for a column that is not 0/1, which split search sorts
+    instead. ``ones[f, i]`` is the column of field f that is 1.0 in pair
+    i, or -1 when none is: the pair's category code in the field, as a
+    column number.
+    """
 
     X: np.ndarray
+    first: np.ndarray
     y: np.ndarray
     counts: np.ndarray
     inverse: np.ndarray
+    ones: np.ndarray  # (fields, pairs)
+    field: np.ndarray  # (columns,)
 
 
-def _distinct_training_set(X, y) -> _Distinct:
-    X = np.asarray(X, dtype=np.float64)
+def training_set(X, y) -> TrainingSet:
+    """The training set of rows ``X`` labelled ``y``: a matrix, or a batch
+    held as FieldCodes with 0/1 labels.
+
+    Pairs come in the order _distinct_rows gives the one-hot rows. A
+    matrix is grouped by _distinct_rows itself and kept, not copied, and
+    its fields are found (_fields). Codes are grouped by one np.unique over
+    each row's codes in mixed radix and its label; only the distinct
+    pairs' one-hot rows are then sorted, into _distinct_rows' order, and
+    kept.
+    """
+    if isinstance(X, FieldCodes):
+        return _codes_training_set(X, y)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("training set must be a non-empty 2-D matrix")
@@ -207,8 +277,74 @@ def _distinct_training_set(X, y) -> _Distinct:
     # every value of X is in Xu, so the distinct rows are all to check
     if not np.all(np.isfinite(Xu)):
         raise DataError("training matrix contains non-finite values")
-    counts = np.bincount(inverse, minlength=first.size).astype(np.float64)
-    return _Distinct(Xu, y[first], counts, inverse)
+    ones, field = _fields(Xu)
+    del Xu
+    return TrainingSet(
+        X, first, y[first], np.bincount(inverse, minlength=first.size).astype(np.float64), inverse,
+        ones, field,
+    )
+
+
+def _fields(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of the rows ``X`` as TrainingSet holds them: (the column
+    of each field that is 1.0 in each row, or -1; each column's field, or
+    -1). Each field is as long a run as the rows allow."""
+    is_one = X == 1.0
+    binary = np.flatnonzero(np.all(is_one | (X == 0.0), axis=0))
+    field = np.full(X.shape[1], -1)
+    taken = np.zeros(X.shape[0], dtype=bool)  # the rows holding a 1.0 in the last field
+    fields = 0
+    for c in binary:
+        if c > 0 and field[c - 1] >= 0 and not np.any(taken & is_one[:, c]):
+            field[c] = field[c - 1]
+        else:
+            field[c], fields = fields, fields + 1
+            taken[:] = False
+        taken |= is_one[:, c]
+    ones = np.full((fields, X.shape[0]), -1, dtype=np.intp)
+    for c in binary:
+        ones[field[c], is_one[:, c]] = c
+    return ones, field
+
+
+def _codes_training_set(X: FieldCodes, y) -> TrainingSet:
+    codes, sizes = np.asarray(X.codes), np.asarray(X.sizes)
+    y = np.asarray(y)
+    if codes.ndim != 2 or codes.shape[1] == 0:
+        raise DataError("training set must hold at least one row")
+    if y.shape[0] != codes.shape[1]:
+        raise DataError("labels must align with the feature codes")
+    if math.prod(int(size) + 1 for size in sizes) >= 2**62:
+        return training_set(X.one_hot(), y)
+    key = np.zeros(codes.shape[1], dtype=np.int64)
+    for field_codes, size in zip(codes, sizes):
+        key *= int(size) + 1
+        key += field_codes
+        key += 1  # code -1 is a value of its own
+    key *= 2
+    key += y.astype(bool)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    Xu = FieldCodes(codes[:, first], X.sizes).one_hot()
+    yu = y[first].astype(np.float64)
+    order = np.lexsort([yu, *Xu.T])  # the groups in _distinct_rows' order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    inverse = rank[inverse]
+    codes = codes[:, first[order]]
+    column = np.cumsum(sizes) - sizes  # each field's first column
+    return TrainingSet(
+        Xu[order], np.arange(order.size), yu[order],
+        np.bincount(inverse, minlength=order.size).astype(np.float64), inverse,
+        np.where(codes >= 0, codes + column[:, None], -1), np.repeat(np.arange(sizes.size), sizes),
+    )
+
+
+def _as_training_set(X, y) -> TrainingSet:
+    if not isinstance(X, TrainingSet):
+        return training_set(X, y)
+    if y is not None:
+        raise TypeError("a TrainingSet carries its own labels")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +404,7 @@ def _logistic_hessian(X, counts, w, b, l2) -> np.ndarray:
 
 
 def train_logistic(
-    X, y, hyperparameters: dict | None = None, schema_hash: str = ""
+    X, y=None, hyperparameters: dict | None = None, schema_hash: str = ""
 ) -> TrainedModel:
     """Newton/IRLS from zero init, with step halving.
 
@@ -282,7 +418,8 @@ def train_logistic(
     distinct (row, label) pairs, each weighted by its count.
     """
     hyper = _merge_hyper(LOGISTIC_DEFAULTS, hyperparameters)
-    X, y, counts, _ = _distinct_training_set(X, y)
+    data = _as_training_set(X, y)
+    X, y, counts = data.X[data.first], data.y, data.counts
     tol = float(hyper["tolerance"])
     l2 = float(hyper["l2"])
     max_iters = int(hyper["max_iters"])
@@ -375,7 +512,7 @@ class Node:
 
 
 class _Nodes:
-    """Trees' node lists, appended to in pre-order as trees grow or load."""
+    """Trees' node lists, appended to in pre-order as a blob loads."""
 
     def __init__(self):
         self.feature, self.threshold, self.children, self.value, self.count = [], [], [], [], []
@@ -416,9 +553,9 @@ def _weighted_gini(n_left, pos_left, n_right, pos_right):
 
 
 def _best_split_on_column(x, counts, min_leaf):
-    """Best (cost, threshold) on one real-valued column, or None if no
-    valid split. Row i of ``x`` counts ``counts[0, i]`` times,
-    ``counts[1, i]`` of them positive.
+    """Best (cost, threshold, rows left, positive rows left) on one
+    real-valued column, or None if no valid split. Row i of ``x`` counts
+    ``counts[0, i]`` times, ``counts[1, i]`` of them positive.
 
     Thresholds are midpoints of adjacent distinct sorted values; a split
     is valid when both sides count at least min_leaf rows.
@@ -442,106 +579,268 @@ def _best_split_on_column(x, counts, min_leaf):
     costs = _weighted_gini(n_left, pos_left, n_right, pos_right)
     best = int(np.argmin(costs))  # first minimum -> lowest threshold
     thr = (xs[boundaries[best]] + xs[boundaries[best] + 1]) / 2.0
-    return float(costs[best]), float(thr)
+    return float(costs[best]), float(thr), n_left[best], pos_left[best]
 
 
-def _best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols):
-    """(column, threshold) of a node's lowest-cost valid split over the
-    sorted ``cols``, or None; ties keep the lowest column, then the lowest
-    threshold.
+def _ranges(start: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [start, start + size) end to end, and each entry's range."""
+    which = np.repeat(np.arange(size.size), size)
+    ends = np.cumsum(size)
+    return np.arange(ends[-1]) + (start - ends + size)[which], which
 
-    Binary 0/1 columns split at 0.5 and are scored together: one product
-    counts the node's ones and its positive ones. Every sum here adds
-    integer-valued counts, so it is exact in any order.
+
+def _blocks(size: np.ndarray):
+    """Slices of consecutive ranges of ``size`` entries holding at most
+    _ENTRY_BLOCK entries together, or one larger range alone."""
+    ends = np.cumsum(size)
+    lo = 0
+    while lo < size.size:
+        hi = max(int(np.searchsorted(ends, ends[lo] - size[lo] + _ENTRY_BLOCK, side="right")), lo + 1)
+        yield slice(lo, hi)
+        lo = hi
+
+
+class _Grove(NamedTuple):
+    """Trees growing on one training set. Each tree's pairs lie end to end
+    in ``rows``, each counted ``weights`` times in its tree, and a node
+    holds a range of them. A split reorders its node's range to hold the
+    left child's pairs, then the right child's.
+
+    Pair i falls in histogram bin ``bins[f, i]`` of field f. Bin f counts
+    the pairs that are 1.0 in none of field f's columns, and bin
+    ``column_bin[c]``, the number of fields plus c, the pairs whose column
+    c is 1.0. ``column_bin[c]`` is -1 for a column that is not 0/1.
     """
-    costs = np.full(cols.size, np.inf)
-    thresholds = np.full(cols.size, 0.5)
-    binary = binary_cols[cols]
-    if binary.any():
-        ones_cols = cols[binary]
-        right = np.zeros((2, ones_cols.size))  # ones go right of the 0.5 threshold
-        for start in range(0, rows.size, _ROW_BLOCK):
-            part = slice(start, start + _ROW_BLOCK)
-            right += counts[:, part] @ Xu[rows[part, None], ones_cols]
-        n_right, pos_right = right
-        n_left = n - n_right
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        costs[np.flatnonzero(binary)[valid]] = _weighted_gini(
-            n_left[valid], pos - pos_right[valid], n_right[valid], pos_right[valid]
-        )
-    for i in np.flatnonzero(~binary):
-        found = _best_split_on_column(Xu[rows, cols[i]], counts, min_leaf)
+
+    data: TrainingSet
+    rows: np.ndarray
+    weights: np.ndarray
+    bins: np.ndarray  # (fields, pairs)
+    column_bin: np.ndarray  # (columns,)
+    n_bins: int
+
+
+def _bin_counts(grove: _Grove, rows, w, which, ranges: int) -> np.ndarray:
+    """The (count, positive count) of each (range, bin), flattened, of pairs
+    ``rows`` counted ``w`` times, pair i in range ``which[i]``: one
+    bincount over the counts and one over the positive counts, for every
+    field at once. They add integer-valued counts, so they are exact in
+    any order."""
+    fields, length = grove.bins.shape[0], ranges * grove.n_bins
+    key = grove.bins[:, rows]
+    key += which * grove.n_bins
+    key = key.ravel()
+    w = w.astype(np.float64)
+    counts = np.empty((2, length))
+    counts[0] = np.bincount(key, np.tile(w, fields), minlength=length)
+    w *= grove.data.y[rows]
+    counts[1] = np.bincount(key, np.tile(w, fields), minlength=length)
+    return counts
+
+
+def _histograms(grove: _Grove, start, size) -> np.ndarray:
+    """Each range's (count, positive count) per bin, summed over its
+    pairs: (2, ranges, n_bins)."""
+    n_bins = grove.n_bins
+    hist = np.zeros((2, start.size * n_bins))
+    for part in _blocks(size * grove.bins.shape[0]):
+        at, which = _ranges(start[part], size[part])
+        hist[:, part.start * n_bins:part.stop * n_bins] += _bin_counts(
+            grove, grove.rows[at].astype(np.intp), grove.weights[at], which, part.stop - part.start)
+    return hist.reshape(2, start.size, n_bins)
+
+
+def _best_splits(grove: _Grove, hist, n, pos, cols, start, size, min_leaf):
+    """For each node, counting ``n`` rows, ``pos`` of them positive, in the
+    pairs ``rows[start:start + size]`` whose histogram is ``hist[:, j]``:
+    the (column, threshold) of its lowest-cost valid split over its sorted
+    columns ``cols[j]``, whether one exists, and the rows and positive rows
+    it sends left. Ties keep the lowest column, then the lowest threshold.
+
+    A 0/1 column splits at 0.5 and sends right the rows of its bin. Other
+    columns sort their node's values (_best_split_on_column).
+    """
+    m = cols.shape[0]
+    bins = grove.column_bin[cols]
+    binary = bins >= 0
+    node = np.repeat(np.arange(m), cols.shape[1]).reshape(cols.shape)
+    n_right, pos_right = hist[:, node[binary], bins[binary]]
+    n_left = n[node[binary]] - n_right
+    pos_left = pos[node[binary]] - pos_right
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+    costs = np.full(cols.shape, np.inf)
+    thresholds = np.full(cols.shape, 0.5)
+    lefts = np.zeros((2, *cols.shape))
+    at = tuple(index[valid] for index in np.nonzero(binary))
+    costs[at] = _weighted_gini(n_left[valid], pos_left[valid], n_right[valid], pos_right[valid])
+    lefts[(slice(None), *at)] = n_left[valid], pos_left[valid]
+    for j, i in zip(*np.nonzero(~binary)):
+        rows = grove.rows[start[j]:start[j] + size[j]]
+        w = grove.weights[start[j]:start[j] + size[j]].astype(np.float64)
+        x = grove.data.X[grove.data.first[rows], cols[j, i]]
+        found = _best_split_on_column(x, np.stack((w, w * grove.data.y[rows])), min_leaf)
         if found is not None:
-            costs[i], thresholds[i] = found
-    if not np.any(costs < np.inf):
-        return None
-    best = int(np.argmin(costs))  # first minimum -> lowest column
-    return int(cols[best]), float(thresholds[best])
+            costs[j, i], thresholds[j, i], lefts[0, j, i], lefts[1, j, i] = found
+    best = np.argmin(costs, axis=1)  # first minimum -> lowest column
+    nodes = np.arange(m)
+    return (cols[nodes, best], thresholds[nodes, best], costs[nodes, best] < np.inf,
+            *lefts[:, nodes, best])
 
 
-def _grow_tree(nodes, Xu, rows, counts, depth, max_depth, min_leaf, rng, features_per_split,
-               binary_cols):
-    """Append the subtree over the distinct rows ``rows`` of ``Xu`` to
-    ``nodes``, row ``rows[i]`` counted ``counts[0, i]`` times, ``counts[1, i]``
-    of them positive. Nodes draw their columns in pre-order, as appended."""
-    n, pos = (float(total) for total in counts.sum(axis=1))
-    i = nodes.add(pos / n, int(n), depth)
-    if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
-        return
-    width = Xu.shape[1]
-    if features_per_split is not None:
-        cols = np.sort(rng.choice(width, size=features_per_split, replace=False))
-    else:
-        cols = np.arange(width)
-    split = _best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols)
-    if split is None:
-        return
-    column, threshold = split
-    left = Xu[rows, column] < threshold
-    below = (depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols)
-    _grow_tree(nodes, Xu, rows[left], counts[:, left], *below)
-    nodes.split(i, column, threshold)
-    _grow_tree(nodes, Xu, rows[~left], counts[:, ~left], *below)
+def _split(grove: _Grove, start, size, column, threshold) -> np.ndarray:
+    """Reorder each node's range to hold the pairs that go left, then those
+    that go right, and return how many go left. A pair on the wrong side of
+    that boundary trades places with one on the other wrong side."""
+    data = grove.data
+    cells, width = data.X.reshape(-1), data.X.shape[1]
+    left_size = np.zeros(start.size, dtype=np.intp)
+    for part in _blocks(size):
+        at, which = _ranges(start[part], size[part])
+        rows = grove.rows[at]
+        go_left = cells[data.first[rows] * width + column[part][which]] < threshold[part][which]
+        lefts = np.diff(np.cumsum(go_left)[np.cumsum(size[part]) - 1], prepend=0)
+        left_size[part] = lefts
+        in_left = at < (start[part] + lefts)[which]
+        # in each node, the k-th pair going right from the left side and the
+        # k-th going left from the right side trade places
+        a, b = np.flatnonzero(in_left & ~go_left), np.flatnonzero(go_left & ~in_left)
+        grove.rows[at[a]], grove.rows[at[b]] = rows[b], rows[a]
+        w_a, w_b = grove.weights[at[a]], grove.weights[at[b]]
+        grove.weights[at[a]], grove.weights[at[b]] = w_b, w_a
+    return left_size
 
 
-def _binary_columns(X: np.ndarray) -> np.ndarray:
-    # one-hot data hits the count-based fast path; anything else sorts
-    out = np.zeros(X.shape[1], dtype=bool)
-    for c in range(X.shape[1]):
-        col = X[:, c]
-        out[c] = bool(np.all((col == 0.0) | (col == 1.0)))
-    return out
-
-
-def _grow_trees(data: _Distinct, hyper, n_trees, bootstrap, features_per_split, seed) -> Trees:
+def _grow_trees(data: TrainingSet, hyper, n_trees, bootstrap, features_per_split, seed) -> Trees:
     """Grow ``n_trees`` trees. Tree t draws from its own generator,
     PCG64(seed + t): its bootstrap sample when ``bootstrap`` is set, and the
-    columns each split scores when ``features_per_split`` is below the width.
+    columns each split scores, in pre-order, when ``features_per_split`` is
+    below the width.
 
     Trees grow on the distinct (row, label) pairs of the training set. A
     tree's sample becomes each pair's count in it, and a node holds the
-    pairs it counts at least once.
+    pairs it counts at least once. The trees grow in lockstep: each keeps
+    a stack of the nodes it has yet to grow, in pre-order, and each step
+    grows the top node of every tree's stack at once, with one histogram
+    pass (_histograms), one split search (_best_splits) and one reordering
+    of their pairs (_split). A left child is grown the step after its
+    parent; when its sibling holds fewer pairs, its histogram is its
+    parent's less its sibling's, as in LightGBM (Ke et al., NeurIPS 2017).
     """
-    n, distinct = data.inverse.size, data.y.size
+    n_rows, distinct = data.inverse.size, data.y.size
+    width = data.X.shape[1]
     max_depth, min_leaf = int(hyper["max_depth"]), int(hyper["min_leaf"])
-    sampled = features_per_split if features_per_split < data.X.shape[1] else None
-    binary_cols = _binary_columns(data.X)
-    nodes = _Nodes()
-    for t in range(n_trees):
-        rng = np.random.Generator(np.random.PCG64(seed + t))  # per-tree stream
-        if bootstrap:  # n row draws, counted per pair
-            counts = np.bincount(data.inverse[rng.integers(0, n, size=n)], minlength=distinct)
+    rngs = [np.random.Generator(np.random.PCG64(seed + t)) for t in range(n_trees)]
+    fields = data.ones.shape[0]
+    grove = _Grove(data, np.empty(n_trees * distinct, dtype=np.int32),
+                   np.empty(n_trees * distinct, dtype=np.int32),
+                   np.where(data.ones >= 0, data.ones + fields, np.arange(fields)[:, None]),
+                   np.where(data.field >= 0, np.arange(width) + fields, -1), width + fields)
+
+    # each tree's stack of nodes to grow: its range of pairs, depth, rows,
+    # positive rows, and for a right child its parent's node id, else -1
+    slots = min(max_depth, distinct) + 2
+    stack_start = np.zeros((n_trees, slots), dtype=np.intp)
+    stack_size = np.zeros_like(stack_start)
+    stack_depth = np.zeros_like(stack_start)
+    stack_parent = np.full_like(stack_start, -1)
+    stack_n = np.zeros((n_trees, slots))
+    stack_pos = np.zeros_like(stack_n)
+    # each tree's last node searched for a split; first, its root
+    last_hist = np.zeros((2, n_trees, grove.n_bins))
+    end = 0
+    for t, rng in enumerate(rngs):  # each tree's root: the pairs its sample counts
+        if bootstrap:  # n_rows row draws, counted per pair
+            counts = np.bincount(
+                data.inverse[rng.integers(0, n_rows, size=n_rows)], minlength=distinct)
         else:
-            counts = data.counts
-        rows = np.flatnonzero(counts)
-        w = counts[rows].astype(np.float64)
-        _grow_tree(nodes, data.X, rows, np.stack((w, w * data.y[rows])), 0, max_depth, min_leaf,
-                   rng, sampled, binary_cols)
-    return nodes.trees()
+            counts = data.counts.astype(np.int64)
+        held = np.flatnonzero(counts)
+        w = counts[held]
+        stack_start[t, 0], stack_size[t, 0] = end, held.size
+        stack_n[t, 0], stack_pos[t, 0] = w.sum(), w @ data.y[held]
+        last_hist[:, t] = _bin_counts(grove, held, w, 0, 1)
+        grove.rows[end:end + held.size], grove.weights[end:end + held.size] = held, w
+        end += held.size
+    top = np.ones(n_trees, dtype=np.intp)
+    grown = np.zeros(n_trees, dtype=np.intp)  # each tree's nodes so far: the next's pre-order number
+
+    # per step, the nodes grown, by node id in the order grown
+    steps, splits, node_ids = [], [], 0
+    while True:
+        trees = np.flatnonzero(top)
+        if not trees.size:
+            break
+        top[trees] -= 1
+        at = (trees, top[trees])
+        start, size, depth, n, pos, parent = (
+            stack[at] for stack in (stack_start, stack_size, stack_depth, stack_n, stack_pos,
+                                    stack_parent))
+        steps.append((trees, grown[trees], depth, n, pos, parent))
+        grown[trees] += 1
+        ids = node_ids + np.arange(trees.size)
+        node_ids += trees.size
+        g = np.flatnonzero((pos != 0.0) & (pos != n) & (depth < max_depth) & (n >= 2 * min_leaf))
+        if not g.size:
+            continue
+        t = trees[g]
+        if features_per_split < width:
+            cols = np.sort([rngs[i].choice(width, size=features_per_split, replace=False)
+                            for i in t], axis=1)
+        else:
+            cols = np.broadcast_to(np.arange(width), (g.size, width))
+        # a histogram is counted over the node's pairs, or is the last
+        # node's less its sibling's: a left child's parent was its tree's
+        # last node, and its sibling sits under it on the stack. A root's
+        # was counted with its sample, so it is that less nothing.
+        sibling = (t, np.maximum(top[t] - 1, 0))
+        sibling_size = np.where(depth[g] > 0, stack_size[sibling], 0)
+        derive = (parent[g] < 0) & (sibling_size < size[g])
+        hist = _histograms(grove, np.where(derive, stack_start[sibling], start[g]),
+                           np.where(derive, sibling_size, size[g]))
+        hist[:, derive] = last_hist[:, t[derive]] - hist[:, derive]
+        last_hist[:, t] = hist
+        column, threshold, found, left_n, left_pos = _best_splits(
+            grove, hist, n[g], pos[g], cols, start[g], size[g], min_leaf)
+        s = g[found]
+        if not s.size:
+            continue
+        column, threshold, left_n, left_pos = (a[found] for a in (column, threshold, left_n, left_pos))
+        splits.append((ids[s], column, threshold))
+        left_size = _split(grove, start[s], size[s], column, threshold)
+        t = trees[s]
+        right, left = (t, top[t]), (t, top[t] + 1)  # the left child is grown next
+        stack_start[right], stack_start[left] = start[s] + left_size, start[s]
+        stack_size[right], stack_size[left] = size[s] - left_size, left_size
+        stack_depth[right] = stack_depth[left] = depth[s] + 1
+        stack_n[right], stack_n[left] = n[s] - left_n, left_n
+        stack_pos[right], stack_pos[left] = pos[s] - left_pos, left_pos
+        stack_parent[right], stack_parent[left] = ids[s], -1
+        top[t] += 2
+
+    tree, number, depth, n, pos, parent = map(np.concatenate, zip(*steps))
+    per_tree = np.bincount(tree, minlength=n_trees)
+    roots = np.cumsum(per_tree) - per_tree
+    node = roots[tree] + number  # each node id's place in pre-order
+    total = node.size
+    feature = np.zeros(total, dtype=np.intp)
+    thresholds = np.zeros(total)
+    children = np.repeat(np.arange(total), 2)
+    value = np.empty(total)
+    value[node] = pos / n
+    count = np.empty(total, dtype=np.int64)
+    count[node] = n
+    if splits:
+        ids, column, threshold = map(np.concatenate, zip(*splits))
+        inner = node[ids]
+        feature[inner], thresholds[inner] = column, threshold
+        children[2 * inner] = inner + 1
+        right = np.flatnonzero(parent >= 0)
+        children[2 * node[parent[right]] + 1] = node[right]
+    return Trees(feature, thresholds, children, value, count, roots.astype(np.intp), int(depth.max()))
 
 
 def train_tree(
-    X, y, hyperparameters: dict | None = None, schema_hash: str = ""
+    X, y=None, hyperparameters: dict | None = None, schema_hash: str = ""
 ) -> TrainedModel:
     """CART-style tree minimizing weighted Gini impurity: a forest of one
     tree, grown on every row and scoring every column at each split.
@@ -550,7 +849,7 @@ def train_tree(
     gain: parity patterns need the gain to appear a level deeper.
     """
     hyper = _merge_hyper(TREE_DEFAULTS, hyperparameters)
-    data = _distinct_training_set(X, y)
+    data = _as_training_set(X, y)
     width = data.X.shape[1]
     return TrainedModel(
         kind="decision_tree",
@@ -563,10 +862,10 @@ def train_tree(
 
 
 def train_forest(
-    X, y, hyperparameters: dict | None = None, schema_hash: str = "", seed: int = 0
+    X, y=None, hyperparameters: dict | None = None, schema_hash: str = "", seed: int = 0
 ) -> TrainedModel:
     hyper = _merge_hyper(FOREST_DEFAULTS, hyperparameters)
-    data = _distinct_training_set(X, y)
+    data = _as_training_set(X, y)
     width = data.X.shape[1]
     k = hyper["features_per_split"]
     features_per_split = min(int(k) if k is not None else math.ceil(math.sqrt(width)), width)
@@ -605,33 +904,6 @@ def _predict_flat(trees: Trees, X: np.ndarray) -> np.ndarray:
     for tree_values in leaf_values[1:]:
         total += tree_values
     return total / len(trees.roots)
-
-
-class FieldCodes(NamedTuple):
-    """A batch as the category codes of its one-hot fields.
-
-    ``codes[f, i]`` is row i's value of field f as an index into the
-    field's ``sizes[f]`` categories, or -1 for a value outside them. The
-    one-hot row it stands for holds the fields' blocks side by side, in
-    order: 1.0 at each known code's column, 0.0 everywhere else.
-    """
-
-    codes: np.ndarray  # (fields, rows), int
-    sizes: tuple[int, ...]
-
-    def one_hot(self) -> np.ndarray:
-        """The one-hot rows the codes stand for."""
-        n = self.codes.shape[1]
-        X = np.zeros((n, sum(self.sizes)), dtype=np.float64)
-        rows = np.arange(n)
-        start = 0
-        for codes, size in zip(self.codes, self.sizes):
-            hit = codes >= 0
-            columns = codes[hit]
-            columns += start
-            X[rows[hit], columns] = 1.0
-            start += size
-        return X
 
 
 class _LeafMasks(NamedTuple):
@@ -815,21 +1087,22 @@ def _tree_dicts(trees: Trees) -> list[dict]:
 
 def _finite(value, name: str):
     if type(value) not in (int, float) or not math.isfinite(value):
-        raise DataError(f"tree node {name} {value!r} is not a finite number")
+        raise DataError(f"{name} {value!r} is not a finite number")
     return value
 
 
 def _load_node(nodes: _Nodes, data: dict, depth: int, width: int) -> None:
     """Append format 1's nested node ``data`` and its subtree to ``nodes``
-    in pre-order, as _grow_tree does, refusing a node it could not grow."""
+    in pre-order, as growth numbers them, refusing a node it could not
+    grow."""
     if type(data["count"]) is not int:
         raise DataError(f"tree node count {data['count']!r} is not an integer")
-    i = nodes.add(_finite(data["prob"], "prob"), data["count"], depth)
+    i = nodes.add(_finite(data["prob"], "tree node prob"), data["count"], depth)
     if "column" in data:
         column = data["column"]
         if type(column) is not int or not 0 <= column < width:
             raise DataError(f"tree node column {column!r} is not in [0, {width})")
-        threshold = _finite(data["threshold"], "threshold")
+        threshold = _finite(data["threshold"], "tree node threshold")
         _load_node(nodes, data["left"], depth + 1, width)
         nodes.split(i, column, threshold)
         _load_node(nodes, data["right"], depth + 1, width)
@@ -873,8 +1146,11 @@ def model_from_json(text: str) -> TrainedModel:
     )
     params = data["parameters"]
     if kind == "logistic_regression":
-        model.weights = np.array(params["weights"], dtype=np.float64)
-        model.bias = float(params["bias"])
+        weights = params["weights"]
+        if type(weights) is not list or len(weights) != model.width:
+            raise DataError(f"logistic weights are not a list of {model.width!r} numbers")
+        model.weights = np.array([_finite(w, "logistic weight") for w in weights], dtype=np.float64)
+        model.bias = float(_finite(params["bias"], "logistic bias"))
     elif kind in _TREE_KINDS:
         nodes = _Nodes()
         for tree in [params["root"]] if kind == "decision_tree" else params["trees"]:

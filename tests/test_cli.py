@@ -604,12 +604,15 @@ def active_model_blob(data):
     return data / "blobs" / "models" / "2023-01-01" / active.blob_name
 
 
-def served_forest_blob(data):
-    """Activate the flow's forest, as stream_to_pinned_forest does; its blob."""
-    registry = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs")))
-    forest = next(r for r in registry.records() if r.kind == "random_forest")
-    registry.activate(forest.version, tick=0)
-    return active_model_blob(data)
+def served_blob(kind):
+    """A function of a data dir that activates the flow's model of
+    ``kind``, as stream_to_pinned_forest does, and gives its blob."""
+    def serve(data):
+        registry = ModelRegistry(str(data / "registry.jsonl"), BlobStore(str(data / "blobs")))
+        registry.activate(next(r for r in registry.records() if r.kind == kind).version, tick=0)
+        return active_model_blob(data)
+
+    return serve
 
 
 # a well-formed transactions-table row
@@ -779,8 +782,14 @@ CORRUPT_FILES = {
     ),
     "cut_model_blob": (active_model_blob, cut_in_half, ["stream", "--feed", "{feed}"], False),
     "tree_column_out_of_range": (
-        served_forest_blob,
+        served_blob("random_forest"),
         edit_json(lambda blob: blob["parameters"]["trees"][0].update(column=999)),
+        ["stream", "--feed", "{feed}"],
+        False,
+    ),
+    "logistic_weights_cut": (
+        served_blob("logistic_regression"),
+        edit_json(lambda blob: blob["parameters"].update(weights=blob["parameters"]["weights"][:3])),
         ["stream", "--feed", "{feed}"],
         False,
     ),

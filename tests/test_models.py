@@ -10,13 +10,21 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from amlstream.cli import _prepare_training
-from amlstream.config import FOREST_SEED_OFFSET
+from amlstream.cli import Workspace, _fit_kinds, _prepare_training
+from amlstream.config import FOREST_SEED_OFFSET, PipelineConfig
 from amlstream.errors import ConfigError, DataError, SchemaMismatchError
 from amlstream.featstore import transaction_columns
 from amlstream.models import (
+    FOREST_DEFAULTS,
+    MODEL_KINDS,
+    TREE_DEFAULTS,
     EvalMetrics,
     FieldCodes,
+    _best_split_on_column,
+    _distinct_rows,
+    _grow_trees,
+    _Nodes,
+    _weighted_gini,
     evaluate,
     logistic_gradient,
     logistic_loss,
@@ -26,6 +34,7 @@ from amlstream.models import (
     train_forest,
     train_logistic,
     train_tree,
+    training_set,
 )
 from amlstream.txgen import GeneratorConfig, generate
 
@@ -93,6 +102,13 @@ def tree_model(kind, trees, width, hyperparameters=None, schema_hash="", train_s
         "train_seed": train_seed, "hyperparameters": hyperparameters or {},
         "parameters": {"root": dicts[0]} if kind == "decision_tree" else {"trees": dicts},
     }))
+
+
+def training_matrix(transactions, seed):
+    """The schema, and the balanced training rows and labels that ``train``
+    fits on, as a one-hot matrix."""
+    schema, codes, y, *_, over = _prepare_training(transaction_columns(transactions), seed)
+    return schema, FieldCodes(codes.codes[:, over], codes.sizes).one_hot(), y[over]
 
 
 def separable_fixture(n=200, seed=1):
@@ -191,7 +207,7 @@ def test_logistic_converges_on_singular_one_hot_design():
     # the one-hot blocks plus the intercept are collinear, so the Hessian
     # is singular; training must still stop by its tolerance
     transactions = list(generate(GeneratorConfig(seed=11, count=5_000)))
-    *_, Xtr, ytr = _prepare_training(transaction_columns(transactions), seed=7)
+    _, Xtr, ytr = training_matrix(transactions, seed=7)
     model = train_logistic(Xtr, ytr)
     tolerance = model.hyperparameters["tolerance"]
     g_w, g_b = logistic_gradient(Xtr, ytr.astype(np.float64), model.weights, model.bias)
@@ -469,6 +485,165 @@ def test_trees_on_distinct_rows_equal_the_row_wise_reference():
             assert model_to_json(forest) == reference_model_json(forest, X, y), (seed, hyper)
 
 
+# The recursive grower that grew one tree at a time, each node by its own
+# split search, before the trees grew in lockstep from histograms; the
+# lockstep grower must give the same node arrays.
+
+def recursive_best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols):
+    costs = np.full(cols.size, np.inf)
+    thresholds = np.full(cols.size, 0.5)
+    binary = binary_cols[cols]
+    if binary.any():
+        ones_cols = cols[binary]
+        right = np.zeros((2, ones_cols.size))  # ones go right of the 0.5 threshold
+        for start in range(0, rows.size, 512):
+            part = slice(start, start + 512)
+            right += counts[:, part] @ Xu[rows[part, None], ones_cols]
+        n_right, pos_right = right
+        n_left = n - n_right
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        costs[np.flatnonzero(binary)[valid]] = _weighted_gini(
+            n_left[valid], pos - pos_right[valid], n_right[valid], pos_right[valid]
+        )
+    for i in np.flatnonzero(~binary):
+        found = _best_split_on_column(Xu[rows, cols[i]], counts, min_leaf)
+        if found is not None:
+            costs[i], thresholds[i] = found[:2]
+    if not np.any(costs < np.inf):
+        return None
+    best = int(np.argmin(costs))  # first minimum -> lowest column
+    return int(cols[best]), float(thresholds[best])
+
+
+def recursive_grow_tree(nodes, Xu, rows, counts, depth, max_depth, min_leaf, rng,
+                        features_per_split, binary_cols):
+    n, pos = (float(total) for total in counts.sum(axis=1))
+    i = nodes.add(pos / n, int(n), depth)
+    if pos == 0.0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
+        return
+    width = Xu.shape[1]
+    if features_per_split is not None:
+        cols = np.sort(rng.choice(width, size=features_per_split, replace=False))
+    else:
+        cols = np.arange(width)
+    split = recursive_best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols)
+    if split is None:
+        return
+    column, threshold = split
+    left = Xu[rows, column] < threshold
+    below = (depth + 1, max_depth, min_leaf, rng, features_per_split, binary_cols)
+    recursive_grow_tree(nodes, Xu, rows[left], counts[:, left], *below)
+    nodes.split(i, column, threshold)
+    recursive_grow_tree(nodes, Xu, rows[~left], counts[:, ~left], *below)
+
+
+def recursive_trees(data, hyper, n_trees, bootstrap, features_per_split, seed):
+    Xu = data.X[data.first]
+    n, distinct = data.inverse.size, data.y.size
+    sampled = features_per_split if features_per_split < Xu.shape[1] else None
+    binary_cols = np.all((Xu == 0.0) | (Xu == 1.0), axis=0)
+    nodes = _Nodes()
+    for t in range(n_trees):
+        rng = np.random.Generator(np.random.PCG64(seed + t))
+        if bootstrap:
+            counts = np.bincount(data.inverse[rng.integers(0, n, size=n)], minlength=distinct)
+        else:
+            counts = data.counts
+        rows = np.flatnonzero(counts)
+        w = counts[rows].astype(np.float64)
+        recursive_grow_tree(nodes, Xu, rows, np.stack((w, w * data.y[rows])), 0,
+                            hyper["max_depth"], hyper["min_leaf"], rng, sampled, binary_cols)
+    return nodes.trees()
+
+
+def assert_same_trees(grown, expected, context):
+    for name in ("feature", "threshold", "children", "value", "count", "roots"):
+        a, b = getattr(grown, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (context, name)
+    assert grown.depth == expected.depth, context
+
+
+# 1 + 2**-52 and the next float after it: their midpoint rounds to the
+# larger, so a split between them has a threshold equal to a value
+LOW, HIGH = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+
+
+def mixed_rows_fixture(seed):
+    """repeated_rows_fixture with, in front, a column of LOW and HIGH that
+    leans on the label, so that trees split on it."""
+    X, y = repeated_rows_fixture(seed)
+    high = rng_for(seed).random(y.size) < np.where(y, 0.8, 0.2)
+    return np.column_stack([np.where(high, HIGH, LOW), X]), y
+
+
+def test_lockstep_growth_equals_the_recursive_reference():
+    split_at_a_value = False
+    for seed in range(6):
+        X, y = mixed_rows_fixture(2000 + seed)
+        data = training_set(X, y)
+        width = X.shape[1]
+        for max_depth, min_leaf in ((12, 1), (2, 1), (12, 3), (4, 5)):
+            hyper = {"max_depth": max_depth, "min_leaf": min_leaf}
+            for n_trees, bootstrap, k in (
+                (1, False, width), (5, True, 3), (3, False, 2), (4, True, width), (2, True, width - 1),
+            ):
+                grown = _grow_trees(data, hyper, n_trees, bootstrap, k, seed)
+                expected = recursive_trees(data, hyper, n_trees, bootstrap, k, seed)
+                assert_same_trees(grown, expected, (seed, hyper, n_trees, bootstrap, k))
+                inner = grown.children[0::2] != np.arange(grown.value.size)
+                split_at_a_value |= bool(np.any(grown.threshold[inner & (grown.feature == 0)] == HIGH))
+    assert split_at_a_value
+
+
+def test_lockstep_growth_on_codes_equals_the_recursive_reference_on_the_matrix():
+    transactions = list(generate(GeneratorConfig(seed=7, count=3_000)))
+    schema, codes, y, *_, over = _prepare_training(transaction_columns(transactions), seed=7)
+    data = training_set(FieldCodes(codes.codes[:, over], codes.sizes), y[over])
+    matrix = training_set(FieldCodes(codes.codes[:, over], codes.sizes).one_hot(), y[over])
+    for hyper, n_trees, bootstrap, k in (
+        (TREE_DEFAULTS, 1, False, schema.total_width),
+        (FOREST_DEFAULTS, 10, True, 8),
+    ):
+        expected = recursive_trees(matrix, hyper, n_trees, bootstrap, k, seed=3)
+        assert_same_trees(_grow_trees(data, hyper, n_trees, bootstrap, k, seed=3), expected, k)
+        assert_same_trees(_grow_trees(matrix, hyper, n_trees, bootstrap, k, seed=3), expected, k)
+
+
+@pytest.mark.parametrize("count, seed", [(3_000, 7), (20_000, 1)])
+def test_code_collapse_groups_as_distinct_rows_of_the_matrix(count, seed):
+    transactions = list(generate(GeneratorConfig(seed=seed, count=count)))
+    _, codes, y, *_, over = _prepare_training(transaction_columns(transactions), seed)
+    Xtr = FieldCodes(codes.codes[:, over], codes.sizes).one_hot()
+    first, inverse = _distinct_rows(Xtr, y[over].astype(np.float64))
+    data = training_set(FieldCodes(codes.codes[:, over], codes.sizes), y[over])
+    assert np.array_equal(data.inverse, inverse)
+    # each group's first row, as _distinct_rows picks it
+    assert np.array_equal(np.unique(data.inverse, return_index=True)[1], first)
+    assert np.array_equal(data.X[data.first], Xtr[first])
+    assert np.array_equal(data.y, y[over][first])
+    assert np.array_equal(data.counts, np.bincount(inverse))
+
+
+def test_fit_kinds_models_equal_train_on_the_matrix(tmp_path):
+    columns = transaction_columns(list(generate(GeneratorConfig(seed=7, count=3_000))))
+    ws = Workspace(PipelineConfig(data_dir=str(tmp_path)))
+    _, fitted = _fit_kinds(ws, columns, MODEL_KINDS, seed=7)
+    schema, codes, y, _, idx_val, idx_test, over = _prepare_training(columns, seed=7)
+    X = codes.one_hot()
+    Xtr, ytr = X[over], y[over]
+    expected = [
+        train_logistic(Xtr, ytr, schema_hash=schema.schema_hash),
+        train_tree(Xtr, ytr, schema_hash=schema.schema_hash),
+        train_forest(Xtr, ytr, schema_hash=schema.schema_hash, seed=7 + FOREST_SEED_OFFSET),
+    ]
+    threshold = ws.config.stream.alert_threshold
+    for (model, validation, test), want in zip(fitted, expected):
+        assert model_to_json(model) == model_to_json(want), model.kind
+        # scored from codes as the one-hot stepper scores the rows
+        assert validation == evaluate(predict_proba(want, X[idx_val]), y[idx_val], threshold)
+        assert test == evaluate(predict_proba(want, X[idx_test]), y[idx_test], threshold)
+
+
 # sha256 of model_to_json for the tree and the forest fitted on 3,000
 # generated rows at seed 7, as the row-wise grower wrote them
 PINNED_TREE_SHA256 = "fae41420a74b6fde5e34e1e9f798fcd92b6a81c30bd609096d7dbaa299d22e01"
@@ -477,7 +652,7 @@ PINNED_FOREST_SHA256 = "84dcaae4433bc895fb4a9a4ed90944dc7d8b93dbf510203b36a6d341
 
 def test_tree_and_forest_bytes_are_pinned():
     transactions = list(generate(GeneratorConfig(seed=7, count=3_000)))
-    schema, *_, Xtr, ytr = _prepare_training(transaction_columns(transactions), seed=7)
+    schema, Xtr, ytr = training_matrix(transactions, seed=7)
     tree = train_tree(Xtr, ytr, schema_hash=schema.schema_hash)
     forest = train_forest(Xtr, ytr, schema_hash=schema.schema_hash, seed=7 + FOREST_SEED_OFFSET)
     assert hashlib.sha256(model_to_json(tree).encode()).hexdigest() == PINNED_TREE_SHA256
@@ -487,7 +662,7 @@ def test_tree_and_forest_bytes_are_pinned():
 def test_training_allocates_under_a_quarter_of_the_matrix():
     # the oversampled default training set: about 24k rows, 2.7k distinct
     transactions = list(generate(GeneratorConfig(seed=1, count=20_000)))
-    *_, Xtr, ytr = _prepare_training(transaction_columns(transactions), seed=1)
+    _, Xtr, ytr = training_matrix(transactions, seed=1)
     del transactions
     for train in (train_logistic, train_tree, train_forest):
         tracemalloc.start()
@@ -904,6 +1079,27 @@ def test_tree_blob_with_a_bad_node_is_refused(where, edit):
     assert "column" in node  # an inner node: every field is read
     node.update(edit)
     with pytest.raises(DataError, match=f"tree node {next(iter(edit))}"):
+        model_from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"weights": [0.5, 0.5, 0.5]}, "not a list of 12 numbers"),  # the model is 12 columns wide
+        ({"weights": [0.5] * 13}, "not a list of 12 numbers"),
+        ({"weights": {"0": 0.5}}, "not a list of 12 numbers"),
+        ({"weights": [0.5] * 11 + [float("nan")]}, "logistic weight nan"),
+        ({"weights": [0.5] * 11 + ["0.5"]}, "logistic weight '0.5'"),
+        ({"weights": [0.5] * 11 + [True]}, "logistic weight True"),
+        ({"bias": float("inf")}, "logistic bias inf"),
+        ({"bias": None}, "logistic bias None"),
+    ],
+)
+def test_logistic_blob_with_bad_parameters_is_refused(edit, message):
+    X, y = one_hot_fixture(seed=86)
+    blob = json.loads(model_to_json(train_logistic(X, y)))
+    blob["parameters"].update(edit)
+    with pytest.raises(DataError, match=message):
         model_from_json(json.dumps(blob))
 
 

@@ -112,6 +112,21 @@ def test_record_keeps_each_metrics_quartiles_over_the_correct_runs(tmp_path):
     assert sorted(json.loads(path.read_text())["results"]) == ["live-s7"]
 
 
+def test_record_keeps_each_runs_median_probe_time(tmp_path):
+    out = tmp_path / "checkout" / ".bench_work" / "out"
+    out.mkdir(parents=True)
+    (out / "live-s3-trace0.json").write_text(json.dumps({"probes": [[0.1, 0.02], [0.5, 0.04], [0.9, 0.03]]}))
+    assert pairs.probe_median(tmp_path / "checkout", "live", 3) == 0.03
+    assert pairs.probe_median(tmp_path / "checkout", "live", 4) is None  # no file
+
+    path = tmp_path / "BENCH_aaaaaaa.json"
+    live = [{"work_s": 1.0, "stream_rps": 1.0, pairs.SPEED_PROBE: s} for s in (0.03, 0.05)]
+    pairs.record(path, IDENTITY, 3, {"live": [live[0], None, live[1]]}, RECORDED)
+    entry = json.loads(path.read_text())["results"]["live-s3"]
+    assert entry["runs"] == 2 and entry[pairs.SPEED_PROBE] == [0.03, 0.05]
+    assert pairs.SPEED_PROBE not in entry["metrics"]
+
+
 def test_checkout_identity_names_the_commit_and_the_source(tmp_path):
     src = tmp_path / "src" / "amlstream"
     src.mkdir(parents=True)

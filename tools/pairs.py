@@ -18,11 +18,14 @@ worse than its bound. ``--out`` keeps every run's metrics as JSON.
 ``--record DIR`` writes, for each side, ``DIR/BENCH_<short commit>.json``
 from the runs already made, ``-dirty`` added to the name when the
 checkout's ``src/`` differs from its commit. The file holds, per
-workload and seed, how many runs were correct and each gated metric's
-median and quartiles over them, with the git commit and the sha256 of
-``src/amlstream/*.py`` that bench/run.py records as ``src_sha256``. A
-file already there for the same ``src_sha256`` keeps its other workloads
-and seeds.
+workload and seed, how many runs were correct, each gated metric's
+median and quartiles over them, and each correct run's median
+``speed_probe`` time (``speed_probe_s``, read from the ``probes`` that
+bench/run.py writes to ``.bench_work/out/``), with the git commit and
+the sha256 of ``src/amlstream/*.py`` that bench/run.py records as
+``src_sha256``. The probe times tell how fast the host ran, so files
+from different sessions can be set side by side. A file already there
+for the same ``src_sha256`` keeps its other workloads and seeds.
 
 Standard library only; it does not import the program.
 """
@@ -38,9 +41,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+SPEED_PROBE = "speed_probe_s"  # a run's median speed_probe time: the host's speed during it
+
 
 def run_bench(checkout: Path, workload: str, seed: int) -> dict | None:
-    """The metrics of one run, as ``{name: value}``; None if the run failed
+    """The metrics of one run, as ``{name: value}``, with its median probe
+    time under SPEED_PROBE when it wrote its probes; None if the run failed
     or was not correct."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
@@ -55,7 +61,22 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict | None:
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         return None
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    speed = probe_median(checkout, workload, seed)
+    if speed is not None:
+        metrics[SPEED_PROBE] = speed
+    return metrics
+
+
+def probe_median(checkout: Path, workload: str, seed: int) -> float | None:
+    """The median of the speed_probe times that the last untraced run of
+    ``workload`` at ``seed`` in ``checkout`` wrote, or None without any."""
+    path = checkout / ".bench_work" / "out" / f"{workload}-s{seed}-trace0.json"
+    try:
+        probes = json.loads(path.read_text())["probes"]
+    except (OSError, ValueError, KeyError):
+        return None
+    return statistics.median(seconds for _, seconds in probes) if probes else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -121,9 +142,9 @@ def git(checkout: Path, *args: str) -> str:
 
 def record(path: Path, identity: dict, seed: int, runs: dict[str, list], gated: list[dict]) -> None:
     """Write ``identity`` and, for each workload of ``runs``, its count of
-    correct runs and each gated metric's quartiles over them into the
-    record at ``path``, keeping the file's other entries when its
-    ``src_sha256`` is the same."""
+    correct runs, each gated metric's quartiles over them and the probe
+    times they carry into the record at ``path``, keeping the file's other
+    entries when its ``src_sha256`` is the same."""
     results = {}
     if path.exists():
         old = json.loads(path.read_text())
@@ -138,6 +159,9 @@ def record(path: Path, identity: dict, seed: int, runs: dict[str, list], gated: 
                 "median": median, "q1": q1, "q3": q3,
                 "unit": metric["unit"], "better": metric["better"],
             }
+        speeds = [m[SPEED_PROBE] for m in correct if SPEED_PROBE in m]
+        if speeds:
+            entry[SPEED_PROBE] = speeds
         results[f"{workload}-s{seed}"] = entry
     path.write_text(json.dumps(dict(identity, results=dict(sorted(results.items()))), indent=1) + "\n")
 
