@@ -29,8 +29,8 @@ from .featstore import (
     FEATURE_FIELDS,
     EncodingSchema,
     alerts_per_month,
+    category_codes,
     correlation_from_arrays,
-    encode_matrix,
     oversample_indices,
     payment_type_counts,
     schema_of_columns,
@@ -152,9 +152,9 @@ def _ensure_topic(ws: Workspace) -> None:
 
 def _store(ws: Workspace, lines: list[str]) -> tuple[int, int]:
     """Append transaction ``lines`` to the warehouse table; returns the
-    journal's length before the append and the bytes written."""
-    journal = ws.tables.journal_path("transactions")
-    start = journal.stat().st_size if journal.exists() else 0
+    journal's length before the append, taken once the table's writer has
+    cut any torn tail, and the bytes written."""
+    start = ws.tables.journal_end("transactions")
     ws.tables.upsert_rows("transactions", lines)
     return start, sum(map(len, lines)) + len(lines)  # ASCII lines, each with its newline
 
@@ -350,6 +350,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _write_report(ws: Workspace, echo) -> list[str]:
     config = ws.config
+    # alerts first: a stream appends each record to the transactions table
+    # before its alerts, so every alert read has its transaction
+    alerted = ws.tables.columns("alerts")["transaction_id"]
     transactions = ws.tables.columns("transactions")
     ids, types = transactions["id"], transactions["payment_type"]
     fraud = transactions["is_laundering"]
@@ -373,7 +376,6 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         [(r.payment_type, r.count, r.fraud_count, f"{r.fraud_percent:.2f}") for r in type_rows],
     )
 
-    alerted = ws.tables.columns("alerts")["transaction_id"]
     grid = alerts_per_month(alerted, ids, transactions["timestamp"], types)
     alerts_by_type = dict(zip(grid.payment_types, grid.counts.sum(axis=0).tolist()))
     _write_csv(
@@ -429,10 +431,8 @@ def _write_report(ws: Workspace, echo) -> list[str]:
         f: Categories(transactions[f].codes[:CORR_MAX_ROWS], transactions[f].vocabulary)
         for f in FEATURE_FIELDS
     }
-    sample["is_laundering"] = fraud[:CORR_MAX_ROWS]
     schema = _load_schema(ws, active.schema_hash)
-    X, y, _ = encode_matrix(sample, schema)
-    corr = correlation_from_arrays(X, y)
+    corr = correlation_from_arrays(category_codes(sample, schema), fraud[:CORR_MAX_ROWS])
     names = (*schema.column_names(), "is_laundering")
     _write_csv(
         out("correlation_matrix.csv"),

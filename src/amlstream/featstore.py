@@ -182,26 +182,36 @@ def encode_codes(columns, schema: EncodingSchema) -> FieldCodes:
     return FieldCodes(codes, schema.sizes)
 
 
+def category_codes(columns, schema: EncodingSchema) -> FieldCodes:
+    """The FEATURE_FIELDS columns of ``columns``, each Categories, as the
+    codes of their values in the schema's vocabularies, -1 for an unseen
+    value: each column's vocabulary is looked up once and its codes
+    gathered."""
+    n = len(columns[FEATURE_FIELDS[0]].codes)
+    codes = np.empty((len(FEATURE_FIELDS), n), dtype=np.int64)
+    for row, lookup, field in zip(codes, schema._codes, FEATURE_FIELDS):
+        column = columns[field]
+        vocabulary_codes = np.array([lookup.get(v, -1) for v in column.vocabulary], dtype=np.int64)
+        vocabulary_codes.take(column.codes, out=row)
+    return FieldCodes(codes, schema.sizes)
+
+
 def encode_matrix(transactions, schema: EncodingSchema) -> tuple[np.ndarray, np.ndarray, int]:
     """One-hot encode transactions, held as a list or as the columns the
     transactions table reads as: returns (X, labels, unseen_count).
 
     Each in-vocabulary value sets one 1.0 in its feature block; an unseen
-    category leaves its block all-zero and adds one to unseen_count. Each
-    feature's vocabulary is looked up once and its codes gathered.
+    category leaves its block all-zero and adds one to unseen_count. The
+    codes are category_codes'.
     """
     if isinstance(transactions, dict):
-        features = [transactions[f] for f in FEATURE_FIELDS]
-        labels = transactions["is_laundering"]
+        columns, labels = transactions, transactions["is_laundering"]
     else:
-        features = [Categories.of([getattr(t, f) for t in transactions]) for f in FEATURE_FIELDS]
+        columns = {f: Categories.of([getattr(t, f) for t in transactions]) for f in FEATURE_FIELDS}
         labels = np.array([t.is_laundering for t in transactions], dtype=bool)
-    codes = np.empty((len(FEATURE_FIELDS), len(labels)), dtype=np.int64)
-    for row, lookup, column in zip(codes, schema._codes, features):
-        vocabulary_codes = np.array([lookup.get(v, -1) for v in column.vocabulary], dtype=np.int64)
-        vocabulary_codes.take(column.codes, out=row)
-    unseen = int(np.count_nonzero(codes < 0))
-    return FieldCodes(codes, schema.sizes).one_hot(), labels, unseen
+    codes = category_codes(columns, schema)
+    unseen = int(np.count_nonzero(codes.codes < 0))
+    return codes.one_hot(), labels, unseen
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +271,27 @@ class CorrelationResult:
     constant_columns: tuple[int, ...]
 
 
-def correlation_from_arrays(X: np.ndarray, labels: np.ndarray) -> CorrelationResult:
-    """Pearson correlation over encoded columns plus the label column.
+def correlation_from_arrays(X, labels: np.ndarray) -> CorrelationResult:
+    """Pearson correlation over encoded columns plus the label column; X
+    is a matrix, or FieldCodes standing for its one-hot rows.
 
     Zero-variance columns contribute 0 everywhere (flagged), including
     their own diagonal entry; all other diagonal entries are exactly 1.
     """
-    if X.ndim != 2 or X.shape[0] != np.asarray(labels).shape[0]:
+    codes = X if isinstance(X, FieldCodes) else None
+    if codes is None and X.ndim != 2:
         raise DataError("feature matrix and labels must align")
-    if X.shape[0] < 2:
+    n = X.shape[0] if codes is None else codes.codes.shape[1]
+    if n != np.asarray(labels).shape[0]:
+        raise DataError("feature matrix and labels must align")
+    if n < 2:
         raise DataError("correlation requires at least 2 rows")
-    M = np.column_stack([X.astype(np.float64), np.asarray(labels, dtype=np.float64)])
-    centered = M - M.mean(axis=0)
-    cov = centered.T @ centered
+    if codes is not None:
+        cov = _scaled_covariance(codes, labels)
+    else:
+        M = np.column_stack([X.astype(np.float64), np.asarray(labels, dtype=np.float64)])
+        centered = M - M.mean(axis=0)
+        cov = centered.T @ centered
     var = np.diag(cov).copy()
     constant = np.flatnonzero(var == 0.0)
     scale = np.sqrt(var)
@@ -284,6 +302,31 @@ def correlation_from_arrays(X: np.ndarray, labels: np.ndarray) -> CorrelationRes
     keep = np.flatnonzero(var != 0.0)
     corr[keep, keep] = 1.0
     return CorrelationResult(matrix=corr, constant_columns=tuple(int(c) for c in constant))
+
+
+def _scaled_covariance(codes: FieldCodes, labels) -> np.ndarray:
+    """n² times the covariance of the one-hot columns ``codes`` stands for
+    and the label column, as floats: ``n·G − s·sᵀ``, where G counts the rows
+    each pair of columns shares and s each column's rows, one np.bincount
+    per pair of fields, the label a field of one category. It is formed in
+    int64, exact while n² stays below 2⁵³, and converted once."""
+    sizes = (*codes.sizes, 1)
+    # each field's codes shifted by one, so an unseen value (and a row whose
+    # label is False) falls in a bin of its own, dropped below
+    shifted = [*(c.astype(np.int64) + 1 for c in codes.codes), np.asarray(labels, dtype=np.int64)]
+    starts = np.cumsum((0, *sizes))
+    gram = np.zeros((starts[-1], starts[-1]), dtype=np.int64)
+    for f, (a, size_a) in enumerate(zip(shifted, sizes)):
+        block = slice(starts[f], starts[f + 1])
+        gram[block, block] = np.diag(np.bincount(a, minlength=size_a + 1)[1:])
+        for g in range(f + 1, len(sizes)):
+            size_b = sizes[g] + 1
+            pairs = np.bincount(a * size_b + shifted[g], minlength=(size_a + 1) * size_b)
+            gram[block, starts[g]:starts[g + 1]] = pairs.reshape(size_a + 1, size_b)[1:, 1:]
+    gram = np.triu(gram) + np.triu(gram, 1).T
+    sums = np.diag(gram).copy()
+    n = len(shifted[-1])
+    return (n * gram - np.outer(sums, sums)).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -29,24 +29,44 @@ then it reads only the bytes past ``L``, else the whole file. A writer
 replaces it once the bytes it covers are fsynced, extending its last
 Prefix over only the bytes past it.
 
-A table may keep one compaction beside its journal, ``columns.npz``: the
-fold of the journal's first ``L`` bytes as one column per field, one row
+A table's compaction is a chain of files beside its journal, each the
+fold of a span of the journal's bytes as one column per field, one row
 per key, sorted by the columns the RowType makes the key of (a string
 column in the order of its values), each value as the RowType decodes
-it. Integer, float and boolean columns are NumPy arrays; a string column
-is int32 codes, its sorted vocabulary kept in the file's JSON header,
-since NumPy string arrays drop trailing NUL characters; the header also
-carries the Prefix. Its own checks: format number, key and columns,
+it. The base, ``columns.npz``, folds bytes 0 to ``L``; each run, named
+``columns.<start>.npz`` by the byte it starts at, folds the bytes from
+where the member before it ends to its own ``L``, and its header
+records that start. Integer, float and boolean columns are NumPy
+arrays; a string column is int32 codes, its sorted vocabulary kept in
+the file's JSON header, since NumPy string arrays drop trailing NUL
+characters; the header also carries the Prefix of the journal's first
+``L`` bytes. Its own checks: format number, key and columns, start,
 column lengths and types, codes within their vocabulary, key tuples
-strictly increasing. count and columns fold only the journal lines past
-it; a row past it whose stored key is not the one its values form makes
-columns fold the whole journal. upsert_rows only appends. Every writer
-then hands the rows it appended, with their values, to appended, the
-one way into a compaction. It rewrites the compaction only when the rows
-past it are at least COMPACT_ROWS and at least the rows it covers, as
-its header alone tells, so each rewrite at least doubles the rows
-covered; it then decodes the older lines past it, and one that does not
-decode stops the rewrite. No read writes a compaction.
+strictly increasing. A reader adopts the chain from byte 0, member by
+member while each passes its own checks and one pass over the journal
+finds each member's Prefix at its end, then merges the members (the
+last row of a key winning); count and columns fold only the journal
+lines past the chain, and a row past it whose stored key is not the
+one its values form makes columns fold the whole journal. No read
+writes a file.
+
+upsert_rows only appends. Every writer then hands the rows it appended,
+with their values, to appended, the one way into a compaction; the
+chain's headers alone tell it where the chain ends and how many rows
+each member holds. When the rows past the chain (the handed-over rows
+and any older lines before them) are at least COMPACT_ROWS, they become
+a run, merged into the run before it while that run holds fewer than
+twice its rows, so that each run holds at least twice the rows of the
+next and a table keeps a logarithmic number of files (the logarithmic
+method of Bentley and Saxe, as size-tiered LSM-trees use it). When
+those rows and the runs' are at least COMPACT_ROWS and at least the
+base's, the adopted chain instead folds into a new base, so each base
+rewrite at least doubles the rows it covers. A run extends the chain's
+last Prefix over its own bytes, reading nothing before them; a base
+rewrite adopts the chain first. Older lines are decoded, and one that
+does not decode stops the write. The writer then removes every run no
+chain reaches, such as one a crash left between a merge and its
+removal.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's dead-letter file, the event log's consumer positions) follows
@@ -396,6 +416,10 @@ def _merge(row_type: RowType, positions, parts, one_per_key: bool = True) -> dic
     }
 
 
+def _row_count(columns: dict) -> int:
+    return len(_sort_key(next(iter(columns.values()))))
+
+
 def _stored_keys(row_type: RowType, positions, columns) -> list:
     """The stored key each row of ``columns`` forms from its key columns."""
     parts = [
@@ -419,27 +443,58 @@ def _forms_keys(row_type: RowType, positions, keys, rows) -> bool:
 
 @dataclass(frozen=True)
 class _Compaction:
-    """An adopted compaction: the fold of the journal's ``prefix``."""
+    """A compaction's rows: the fold of the journal's bytes from ``start``
+    to ``prefix.length``, where ``prefix`` ends."""
 
     columns: dict
     prefix: Prefix
+    start: int = 0
 
 
-def _compaction_size(path: Path) -> tuple[int, int]:
-    """The rows and the covered length a compaction's header names, read
-    from the header alone; (0, 0) if it is missing or does not read."""
+def _run_name(start: int) -> str:
+    """The file name of the compaction that starts at journal byte ``start``."""
+    return COMPACTION_NAME if start == 0 else f"columns.{start}.npz"
+
+
+_RUN_RE = re.compile(r"^columns\.(\d+)\.npz$")
+
+
+@dataclass(frozen=True)
+class _Member:
+    """A member of a table's chain as its header names it."""
+
+    start: int
+    rows: int
+    prefix: Prefix
+
+
+def _spans(named: int, start: int, length: int) -> bool:
+    """Whether a compaction whose header names ``named`` as its start and
+    ``length`` as its end is the chain member at ``start``: it starts
+    there and ends past it, the base alone being allowed to be empty."""
+    return named == start and (length > start or length == start == 0)
+
+
+def _header_member(path: Path, start: int) -> _Member | None:
+    """The chain member the compaction file at ``path`` is, read from its
+    header alone, if it names ``start`` and ends past it (the base may be
+    empty); None if it is missing or does not read."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             header = json.loads(npz["header"].tobytes())
-        rows, length = header["rows"], header["length"]
+        values = header["rows"], header["length"], header["crc32"], header.get("start", 0)
     except Exception:
-        return 0, 0  # adoption checks the rest, as it does for every compaction
-    return (rows, length) if type(rows) is int and type(length) is int else (0, 0)
+        return None  # adoption checks the rest, as it does for every compaction
+    if not all(type(v) is int and v >= 0 for v in values):
+        return None
+    rows, length, crc, named = values
+    return _Member(start, rows, Prefix(length, crc)) if _spans(named, start, length) else None
 
 
-def _read_compaction(path: Path, row_type: RowType, key: str) -> tuple[dict, int, int]:
+def _read_compaction(path: Path, row_type: RowType, key: str, start: int = 0) -> tuple[dict, int, int]:
     """A compaction file's columns, covered length and CRC; raises if the
-    file is missing or fails a check of its own."""
+    file is missing or fails a check of its own, ``start`` being the byte
+    it must start at."""
     raw = path.read_bytes()
     # every member's CRC is checked before numpy parses a byte of it
     with zipfile.ZipFile(io.BytesIO(raw)) as archive:
@@ -455,6 +510,8 @@ def _read_compaction(path: Path, row_type: RowType, key: str) -> tuple[dict, int
     rows, length, crc = header["rows"], header["length"], header["crc32"]
     if not all(type(v) is int and v >= 0 for v in (rows, length, crc)):
         raise DataError("bad header")
+    if not _spans(header.get("start", 0), start, length):
+        raise DataError("another start")
     columns = {}
     for name, kind in row_type.columns:
         array = arrays[name]
@@ -478,6 +535,19 @@ def _read_compaction(path: Path, row_type: RowType, key: str) -> tuple[dict, int
     return columns, length, crc
 
 
+def _read_member(path: Path, start: int, row_type: RowType, key: str) -> _Compaction | None:
+    """The compaction file at ``path`` as the chain member at ``start``;
+    None if it is missing or fails a check of its own."""
+    try:
+        columns, length, crc = _read_compaction(path, row_type, key, start)
+    except Exception:
+        # a member is a derived copy of the journal: whatever fails in
+        # reading it (the zip and npy parsers raise many types on a garbled
+        # file), the journal past the members before it is folded instead
+        return None
+    return _Compaction(columns, Prefix(length, crc), start)
+
+
 def _write_compaction(path: Path, row_type: RowType, key: str, compaction: _Compaction) -> None:
     arrays, vocabularies = {}, {}
     for name, kind in row_type.columns:
@@ -495,6 +565,8 @@ def _write_compaction(path: Path, row_type: RowType, key: str, compaction: _Comp
         "crc32": compaction.prefix.crc,
         "vocabularies": vocabularies,
     }
+    if compaction.start:
+        header["start"] = compaction.start
     buffer = io.BytesIO()
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     np.savez(buffer, header=np.frombuffer(text, dtype=np.uint8), **arrays)
@@ -558,50 +630,91 @@ class TableStore:
         self._require(name)
         return self.root / name / "journal.jsonl"
 
-    def upsert_rows(self, name: str, lines: list[str]) -> int:
-        """Insert or replace by primary key: append ``lines``, each one
-        row's JSON object without its newline, as they are; returns how
-        many. The writer hands them over to appended to compact them."""
+    def _writer(self, name: str) -> JournalWriter:
+        """This store's append side of the table's journal, opened (and so
+        its torn tail cut) on first use."""
         journal = self._journals.get(name)
         if journal is None:
             journal = JournalWriter(self.journal_path(name))
             self._journals[name] = journal
-        journal.append("".join(line + "\n" for line in lines))
+        return journal
+
+    def journal_end(self, name: str) -> int:
+        """The byte the next upsert_rows of the table appends at: its
+        journal's length once this store's writer has opened it."""
+        self._writer(name)
+        return self.journal_path(name).stat().st_size
+
+    def upsert_rows(self, name: str, lines: list[str]) -> int:
+        """Insert or replace by primary key: append ``lines``, each one
+        row's JSON object without its newline, as they are; returns how
+        many. The writer hands them over to appended to compact them."""
+        self._writer(name).append("".join(line + "\n" for line in lines))
         return len(lines)
 
     def appended(self, name: str, start: int, end: int, rows: int, columns) -> None:
         """Take over the ``rows`` rows a writer appended to the table's
         journal as its bytes ``start`` to ``end``; ``columns()`` returns
         their values as to_columns gives them, in the order they were
-        appended. The table is compacted if the rows past its compaction
-        are at least COMPACT_ROWS and at least the rows it covers, which
-        its header alone tells; only then is ``columns`` called. Nothing is
-        done unless the journal ends at ``end``."""
+        appended. Nothing is done unless the journal ends at ``end``.
+
+        The rows past the table's chain are these and the older lines
+        before them; the chain's headers alone tell where it ends and how
+        many rows each member holds. When those rows and the runs' are at
+        least COMPACT_ROWS and at least the base's, the chain folds into a
+        new base. Otherwise, when those rows are at least COMPACT_ROWS, they
+        become a run, merged into the run before it while that run holds
+        fewer than twice its rows. Only then is ``columns`` called."""
         journal = self.journal_path(name)
         if self._key_positions(name) is None or journal.stat().st_size != end:
             return
-        covered, length = _compaction_size(self.root / name / COMPACTION_NAME)
-        if length > start:
+        chain = self._chain(name)
+        covered = chain[-1].prefix if chain else Prefix()
+        if covered.length > start:
             return
-        past = rows + _lines_in(journal, length, start)
-        if past < max(COMPACT_ROWS, covered):
-            return
-        self._compact(name, start, end, self._adopt(name), columns())
+        past = rows + _lines_in(journal, covered.length, start)
+        base_rows = chain[0].rows if chain else 0
+        if past + sum(member.rows for member in chain[1:]) >= max(COMPACT_ROWS, base_rows):
+            adopted = self._adopt(name)
+            covered = adopted[-1].prefix if adopted else Prefix()
+            base = self._compact(name, start, end, covered, adopted, columns())
+            if base is not None:
+                self._write(name, base, kept=())
+        elif past >= COMPACT_ROWS:
+            run = self._compact(name, start, end, covered, [], columns())
+            runs = chain[1:]
+            while run is not None and runs and runs[-1].rows < 2 * _row_count(run.columns):
+                run = self._merged_into(name, runs.pop(), run)
+            if run is not None:
+                self._write(name, run, kept=runs)
 
     def _key_positions(self, name: str) -> tuple[int, ...] | None:
         """The key positions of the table's RowType, if it has one here."""
         row_type = self._row_types.get(name)
         return None if row_type is None else _key_positions(row_type, self._tables[name])
 
-    def _compact(self, name: str, start: int, end: int, base, top: dict) -> None:
-        """Replace the table's compaction with one over the journal's first
-        ``end`` bytes: ``base``, the adopted one, the older lines past it,
-        then the rows from ``start``, given as the columns ``top``; nothing
-        is written if an older line cannot be compacted."""
+    def _chain(self, name: str, member=_header_member) -> list:
+        """The table's chain: the base, then each run that starts where the
+        member before it ends, each as ``member(path, start)`` reads it, as
+        far as it reads one. By default each is read from its header alone."""
+        chain, start = [], 0
+        while (found := member(self.root / name / _run_name(start), start)) is not None:
+            chain.append(found)
+            if found.prefix.length == start:  # an empty base
+                break
+            start = found.prefix.length
+        return chain
+
+    def _compact(self, name: str, start: int, end: int, covered: Prefix, members, top: dict):
+        """The compaction up to the journal's byte ``end`` of ``members``,
+        the chain's members up to ``covered`` that it takes in, then the
+        older lines past ``covered``, then the rows from ``start``, given as
+        the columns ``top``. It starts where the first member does, or with
+        none at ``covered``'s end; None if an older line cannot be
+        compacted."""
         key, row_type = self._tables[name], self._row_types[name]
         positions = self._key_positions(name)
         journal = self.journal_path(name)
-        covered = base.prefix if base else Prefix()
         with open(journal, "rb") as fh:
             data = os.pread(fh.fileno(), end - covered.length, covered.length)
         try:
@@ -615,40 +728,65 @@ class TableStore:
             decoded = [row_type.decode(row) for row in older.values()]
             if not _forms_keys(row_type, positions, older, decoded):
                 raise DataError("a row's stored key is not the one its values form")
-            parts = [to_columns(row_type, decoded), top]
-            columns = _merge(row_type, positions, [base.columns, *parts] if base else parts)
+            parts = [*(member.columns for member in members), to_columns(row_type, decoded), top]
+            columns = _merge(row_type, positions, parts)
         except MALFORMED:
-            return  # a row that does not decode never enters a compaction
-        compaction = _Compaction(columns, covered.extend(data))
-        _write_compaction(self.root / name / COMPACTION_NAME, row_type, key, compaction)
+            return None  # a row that does not decode never enters a compaction
+        return _Compaction(columns, covered.extend(data), members[0].start if members else covered.length)
 
-    def _adopt(self, name: str) -> _Compaction | None:
-        """The table's compaction, if it has a RowType here and every check
-        of the compaction holds against the journal; otherwise None."""
-        if self._key_positions(name) is None:
-            return None
+    def _merged_into(self, name: str, member: _Member, run: _Compaction) -> _Compaction | None:
+        """``run`` merged into the run ``member`` before it, as one run from
+        ``member``'s start; None if that run's file fails a check of its own
+        or is not the member its header named, which leaves the next fold
+        into the base to read the journal past it."""
         key, row_type = self._tables[name], self._row_types[name]
-        try:
-            path = self.root / name / COMPACTION_NAME
-            columns, length, crc = _read_compaction(path, row_type, key)
-            with open(self.journal_path(name), "rb") as fh:
-                prefix = checked_prefix(fh.fileno(), length, crc)
-        except Exception:
-            # the compaction is a derived copy of the journal: whatever fails
-            # in reading it (the zip and npy parsers raise many types on a
-            # garbled file), the journal is folded instead
+        older = _read_member(self.root / name / _run_name(member.start), member.start, row_type, key)
+        if older is None or older.prefix != member.prefix:
             return None
-        return None if prefix is None else _Compaction(columns, prefix)
+        merged = _merge(row_type, self._key_positions(name), [older.columns, run.columns])
+        return _Compaction(merged, run.prefix, member.start)
 
-    def _fold(self, name: str, past: _Compaction | None = None) -> dict:
+    def _write(self, name: str, compaction: _Compaction, kept) -> None:
+        """Write ``compaction`` as the chain's last member after the runs
+        ``kept``, then remove every other run, which no chain reaches."""
+        key, row_type = self._tables[name], self._row_types[name]
+        directory = self.root / name
+        _write_compaction(directory / _run_name(compaction.start), row_type, key, compaction)
+        keep = {member.start for member in kept} | {compaction.start}
+        for path in directory.iterdir():
+            match = _RUN_RE.match(path.name)
+            if match and int(match.group(1)) not in keep:
+                path.unlink(missing_ok=True)
+
+    def _adopt(self, name: str) -> list[_Compaction]:
+        """The table's chain as a reader adopts it, if the table has a
+        RowType here: from byte 0, each member while it passes its own
+        checks and the journal's bytes up to its end, read in one pass,
+        have the CRC it records; empty if none does."""
+        if self._key_positions(name) is None:
+            return []
+        key, row_type = self._tables[name], self._row_types[name]
+        members = self._chain(name, lambda path, start: _read_member(path, start, row_type, key))
+        adopted, prefix = [], Prefix()
+        try:
+            with open(self.journal_path(name), "rb") as fh:
+                for member in members:
+                    prefix = prefix.read_to(fh.fileno(), member.prefix.length)
+                    if prefix != member.prefix:
+                        break
+                    adopted.append(member)
+        except OSError:
+            return []
+        return adopted
+
+    def _fold(self, name: str, start: int = 0) -> dict:
         """A table's rows by primary key, the last upsert of a key winning,
-        from the journal's start or from the end of the compaction ``past``.
-        Folding as each line is read makes a keyless row name ``path:line``."""
+        from the journal's byte ``start``. Folding as each line is read
+        makes a keyless row name ``path:line``."""
         key = self._require(name)
         journal = self.journal_path(name)
         rows: dict = {}
         if journal.exists():
-            start = past.prefix.length if past else 0
             read_journal(journal, lambda row: rows.__setitem__(row[key], row), start)
         return rows
 
@@ -662,30 +800,32 @@ class TableStore:
 
     def count(self, name: str) -> int:
         """How many keys the table holds, folded as columns folds them."""
-        base = self._adopt(name)
-        rows = self._fold(name, base)
-        if base is None:
-            return len(rows)
-        keys = _stored_keys(self._row_types[name], self._key_positions(name), base.columns)
-        return len(set(keys).union(rows))
+        chain = self._adopt(name)
+        rows = self._fold(name, chain[-1].prefix.length if chain else 0)
+        keys = set(rows)
+        for member in chain:
+            keys.update(_stored_keys(self._row_types[name], self._key_positions(name), member.columns))
+        return len(keys)
 
     def columns(self, name: str) -> dict:
         """Every row of a table as to_columns gives it, sorted by the
-        columns its stored key is made of: the compaction with the journal's
-        lines past it folded on top, or, with no compaction or a row past
-        it whose stored key is not the one its values form, the rows of
-        query. A row that wins its key and does not decode raises DataError
-        naming the journal."""
+        columns its stored key is made of: the adopted chain's members
+        merged, the last row of a key winning, with the journal's lines past
+        the chain on top, or, with no chain or a row past it whose stored
+        key is not the one its values form, the rows of query. A row that
+        wins its key and does not decode raises DataError naming the
+        journal."""
         key, row_type = self._require(name), self._row_types[name]
         journal = self.journal_path(name)
         positions = self._key_positions(name)
-        base = self._adopt(name)
-        if base is not None:
-            tail = self._fold(name, base)
+        chain = self._adopt(name)
+        if chain:
+            tail = self._fold(name, chain[-1].prefix.length)
             with reading(journal):
                 newer = [row_type.decode(row) for row in tail.values()]
                 if _forms_keys(row_type, positions, tail, newer):
-                    return _merge(row_type, positions, [base.columns, to_columns(row_type, newer)])
+                    parts = [*(member.columns for member in chain), to_columns(row_type, newer)]
+                    return _merge(row_type, positions, parts)
         rows = self.query(name)
         with reading(journal):
             columns = to_columns(row_type, [row_type.decode(row) for row in rows])

@@ -42,12 +42,14 @@ def test_traced_backfill_probes_read_the_program(tmp_path):
     for name in (
         "models.logistic_iters",
         "models.predict_rows",
-        "featstore.encode_rows",
         "storage.upsert_rows",
         "storage.replayed_rows",
         "streamproc.batches",
     ):
         assert metrics[name]["value"] > 0, name
+    # `report` computes its correlation from category codes, so no command
+    # one-hot encodes a row through featstore.encode_matrix
+    assert metrics["featstore.encode_rows"]["value"] == 0
     # only `ingest` writes through TableStore.upsert_rows: the stream
     # appends its alerts to the alerts table's journal itself
     assert metrics["storage.upsert_rows"]["value"] == 3000

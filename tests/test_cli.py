@@ -1127,6 +1127,99 @@ def test_report_names_a_bad_line_past_the_compaction_by_its_journal_line(
     assert f"{journal.name}:{line}: bad journal line" in err, err
 
 
+def test_report_decodes_no_handed_over_line(flow, tmp_path, monkeypatch, capsys):
+    """The rows an ingest and a stream hand over, fewer than either table's
+    base holds, become runs, so report decodes no journal line of either
+    table and writes what a fold of the whole journals writes."""
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 100)
+    compact_transactions(data, monkeypatch)
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl([replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=8, count=400))], str(feed))
+    argv = ["--config", config_path, "--data-dir", str(data)]
+    assert cli.main([*argv, "stream"]) == 0  # hands the alerts already drained over
+    assert cli.main([*argv, "ingest", "--input", str(feed)]) == 0
+    assert cli.main([*argv, "stream"]) == 0
+    for table in ("transactions", "alerts"):
+        names = sorted(path.name for path in (data / "tables" / table).glob("columns*.npz"))
+        assert len(names) == 2 and storage.COMPACTION_NAME in names, (table, names)
+    decoded = []
+
+    def counting(row_type):
+        def decode(row):
+            decoded.append(row)
+            return row_type.decode(row)
+        return storage.RowType(row_type.columns, decode, row_type.key, row_type.key_format)
+
+    reports = {}
+    for name in ("runs", "journal"):
+        if name == "journal":
+            for path in (data / "tables").glob("*/columns*.npz"):
+                path.unlink()
+        decoded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "TRANSACTION_ROWS", counting(txgen.TRANSACTION_ROWS))
+            patch.setattr(cli, "ALERT_ROWS", counting(streamproc.ALERT_ROWS))
+            report_argv = [*argv, "--report-dir", str(tmp_path / name)]
+            assert cli.main([*report_argv, "report"]) == 0
+        reports[name] = {f: (tmp_path / name / f).read_bytes() for f in cli.REPORT_FILES}
+        if name == "runs":
+            assert decoded == []
+    assert len(decoded) > 3_400  # the whole journals' fold
+    assert reports["runs"] == reports["journal"]
+
+
+def test_report_reads_alerts_before_transactions(flow, tmp_path, monkeypatch, capsys):
+    """A fed record and its alert landing between report's two table reads
+    leave an alert set whose every transaction the report read."""
+    root, config_path, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    fed = replace(next(generate(GeneratorConfig(seed=9, count=1))), id=900_000)
+    alert = json.dumps({"alert_id": f"{fed.id}:rule:velocity", "score": 1.0,
+                        "source": "rule:velocity", "tick": 0, "transaction_id": fed.id}, sort_keys=True)
+    real_columns, reads = TableStore.columns, []
+
+    def columns_then_feed(self, name):
+        columns = real_columns(self, name)
+        if not reads:  # as a stream --feed beside the report appends them
+            with open(self.journal_path("transactions"), "a", encoding="utf-8") as fh:
+                fh.write(transaction_to_json(fed) + "\n")
+            with open(self.journal_path("alerts"), "a", encoding="utf-8") as fh:
+                fh.write(alert + "\n")
+        reads.append(name)
+        return columns
+
+    monkeypatch.setattr(TableStore, "columns", columns_then_feed)
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(tmp_path / "r")]
+    assert cli.main([*argv, "report"]) == 0, capsys.readouterr().err
+    assert reads == ["alerts", "transactions"]
+
+
+def test_ingest_after_a_torn_tail_hands_its_rows_over(tmp_path, monkeypatch):
+    """The transactions journal's torn tail is cut when ingest's writer
+    opens it, before ingest notes where its rows start, so the rows are
+    handed over and compacted with the lines before them."""
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 100)
+    data = tmp_path / "data"
+    config_path = write_config(tmp_path / "config.json", data_dir=str(data))
+    argv = ["--config", config_path]
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_jsonl(generate(GeneratorConfig(seed=5, count=60)), str(first))
+    write_jsonl([replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=6, count=100))], str(second))
+    assert cli.main([*argv, "ingest", "--input", str(first)]) == 0  # fewer than COMPACT_ROWS
+    journal = data / "tables" / "transactions" / "journal.jsonl"
+    with open(journal, "ab") as fh:
+        fh.write(b'{"id": 7, "timestamp": ')  # a crash tore the next append
+    assert cli.main([*argv, "ingest", "--input", str(second)]) == 0
+    compaction = data / "tables" / "transactions" / storage.COMPACTION_NAME
+    columns, length, _ = storage._read_compaction(compaction, txgen.TRANSACTION_ROWS, "id")
+    assert length == journal.stat().st_size
+    assert len(columns["id"]) == 160
+
+
 def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch, capsys):
     config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
     feed = tmp_path / "feed.jsonl"

@@ -17,6 +17,7 @@ from amlstream.featstore import (
     EncodingSchema,
     alerts_per_month,
     build_schema,
+    category_codes,
     correlation_from_arrays,
     encode_codes,
     encode_matrix,
@@ -28,6 +29,7 @@ from amlstream.featstore import (
     split_sizes,
     transaction_columns,
 )
+from amlstream.models import FieldCodes
 from amlstream.txgen import GeneratorConfig, Transaction, generate
 
 
@@ -309,6 +311,47 @@ def test_correlation_flags_constant_columns():
     assert 2 in result.constant_columns
     assert np.all(result.matrix[2, :] == 0.0)
     assert np.all(result.matrix[:, 2] == 0.0)
+
+
+def random_codes(rng, n, sizes, unseen=0.0):
+    """FieldCodes of ``n`` rows over fields of ``sizes`` categories, a
+    share ``unseen`` of them -1."""
+    codes = np.stack([rng.integers(0, size, n) for size in sizes])
+    codes[rng.random(codes.shape) < unseen] = -1
+    return FieldCodes(codes, tuple(sizes))
+
+
+@pytest.mark.parametrize("labels", ["mixed", "all_false"])
+def test_correlation_from_codes_matches_two_pass_oracle(labels):
+    rng = np.random.Generator(np.random.PCG64(15))
+    codes = random_codes(rng, 60, (3, 4, 2, 5), unseen=0.2)
+    codes.codes[2] = 1  # one field holds one category: a constant column, the other never set
+    y = rng.random(60) > 0.5 if labels == "mixed" else np.zeros(60, dtype=bool)
+    result = correlation_from_arrays(codes, y)
+    oracle = two_pass_correlation_oracle(np.column_stack([codes.one_hot(), y.astype(np.float64)]))
+    assert np.max(np.abs(result.matrix - oracle)) < 1e-10
+    constant = (7, 8) if labels == "mixed" else (7, 8, 14)
+    assert result.constant_columns == constant
+    assert result.matrix.shape == (15, 15)
+
+
+def test_correlation_from_codes_matches_the_one_hot_matrix(sample_transactions, sample_schema):
+    transactions = transaction_columns(sample_transactions[:3000])
+    codes = category_codes(transactions, sample_schema)
+    fraud = transactions["is_laundering"]
+    X, y, _ = encode_matrix(transactions, sample_schema)
+    dense, from_codes = correlation_from_arrays(X, y), correlation_from_arrays(codes, fraud)
+    assert np.array_equal(codes.one_hot(), X)
+    assert np.max(np.abs(from_codes.matrix - dense.matrix)) < 1e-12
+    assert from_codes.constant_columns == dense.constant_columns
+
+
+def test_correlation_from_codes_checks_its_rows():
+    codes = FieldCodes(np.zeros((2, 1), dtype=np.int64), (2, 2))
+    with pytest.raises(DataError, match="at least 2 rows"):
+        correlation_from_arrays(codes, np.array([True]))
+    with pytest.raises(DataError, match="must align"):
+        correlation_from_arrays(codes, np.array([True, False]))
 
 
 def test_correlation_leaves_numpy_ma_unimported():

@@ -127,6 +127,36 @@ def test_record_keeps_each_runs_median_probe_time(tmp_path):
     assert pairs.SPEED_PROBE not in entry["metrics"]
 
 
+def test_record_keeps_one_traced_runs_layers_per_side_and_workload(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run_bench(checkout, workload, seed, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        if trace:
+            return None if workload == "live" else {"featstore.encode_rows": len(checkout.name)}
+        return {"work_s": 1.0, "stream_rps": 100.0, "setup_s": 1.0, "peak_rss_mb": 50.0}
+
+    parent, change = tmp_path / "parent", tmp_path / "changed"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": RECORDED}))
+    monkeypatch.setattr(pairs, "run_bench", fake_run_bench)
+    monkeypatch.setattr(pairs, "checkout_identity", lambda checkout: dict(IDENTITY, git_commit=checkout.name))
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "history", "live",
+            "--seed", "3", "--pairs", "2", "--record", str(tmp_path / "out")]
+    assert pairs.main(argv) == 0
+    traced = [call for call in calls if call[3]]
+    assert sorted(traced) == sorted(
+        (side, workload, 3, 1) for side in ("parent", "changed") for workload in ("history", "live")
+    )
+    assert len(calls) == 2 * 2 * 2 + len(traced)
+    for name, rows in (("parent", 6), ("changed", 7)):
+        results = json.loads((tmp_path / "out" / f"BENCH_{name[:7]}.json").read_text())["results"]
+        assert results["history-s3"]["layers"] == {"featstore.encode_rows": rows}
+        assert results["history-s3"]["runs"] == 2
+        assert "layers" not in results["live-s3"]  # its traced run failed
+
+
 def test_checkout_identity_names_the_commit_and_the_source(tmp_path):
     src = tmp_path / "src" / "amlstream"
     src.mkdir(parents=True)

@@ -279,8 +279,7 @@ def hand_over(store, table, lines, values):
     """Upsert ``lines`` as a command does, then hand them over to the
     table with ``values``, each line's values as its RowType decodes
     them; returns what upsert_rows returned."""
-    journal = store.journal_path(table)
-    start = journal.stat().st_size if journal.exists() else 0
+    start = store.journal_end(table)  # once a torn tail is cut
     written = store.upsert_rows(table, lines)
     end = start + sum(len(line.encode("utf-8")) + 1 for line in lines)
     row_type = TABLE_TYPES[table][1]
@@ -530,39 +529,169 @@ ALERT_COMPACTION_STATES = {
     "stored_key_not_its_values": append_alerts(alert_line(8, "model:v2", alert_id="7:model:v2")),
 }
 
+def compaction_files(directory):
+    """Each compaction file in a table's directory, by name, as the rows,
+    start and covered length its header names."""
+    files = {}
+    for path in sorted(directory.glob("columns*.npz")):
+        with np.load(path) as npz:
+            header = json.loads(npz["header"].tobytes())
+        files[path.name] = (header["rows"], header.get("start", 0), header["length"])
+    return files
+
+
+@pytest.fixture(scope="module")
+def compacted_run(compacted, tmp_path_factory):
+    """compacted, with one run beside its compaction over 60 more rows, 10
+    of them replacing rows of the compaction."""
+    root = tmp_path_factory.mktemp("compacted_run") / "tables"
+    shutil.copytree(compacted, root)
+    store = transactions_store(root)
+    rows = [replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=10, count=50))]
+    rows += [replace(t, amount=t.amount + 1) for t in generate(GeneratorConfig(seed=4, count=10))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "COMPACT_ROWS", 50)
+        hand_over_transactions(store, rows)
+    store.close()
+    assert sorted(rows for rows, _, _ in compaction_files(root / "transactions").values()) == [60, 200]
+    return root
+
+
+def the_run(directory):
+    (path,) = directory.glob("columns.*.npz")
+    return path
+
+
+def orphaned_by_a_merge(path):
+    """A crash between a merge and the removal of the run merged: that run
+    is left beside the one it merged into, starting inside it."""
+    with np.load(path) as npz:
+        start = json.loads(npz["header"].tobytes())["start"]
+    inside = (path.parent / "journal.jsonl").read_bytes().index(b"\n", start) + 1
+    orphan = path.with_name(storage._run_name(inside))
+    shutil.copy(path, orphan)
+    rewrite_compaction(lambda header, arrays: header.update(start=inside))(orphan)
+
+
+def orphaned_by_a_fold(path):
+    """A crash between a fold of the chain into the base and the removal of
+    the run it folded, after 150 more rows."""
+    run = path.read_bytes()
+    store = transactions_store(path.parent.parent)
+    rows = [replace(t, id=t.id + 20_000) for t in generate(GeneratorConfig(seed=11, count=150))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "COMPACT_ROWS", 50)
+        hand_over_transactions(store, rows)
+    store.close()
+    assert not path.exists()
+    path.write_bytes(run)
+
+
+# state name -> how to put the run of compacted_run (the file at the path
+# given) in it
+RUN_STATES = {
+    **COMPACTION_STATES,
+    "stale_crc": rewrite_compaction(lambda header, arrays: header.update(crc32=header["crc32"] ^ 1)),
+    "start_not_the_chain_end": rewrite_compaction(
+        lambda header, arrays: header.update(start=header["start"] + 1)
+    ),
+    "orphaned_by_a_merge": orphaned_by_a_merge,
+    "orphaned_by_a_fold": orphaned_by_a_fold,
+    "compaction_before_it_garbled": lambda path: garble(path.with_name(COMPACTION_NAME)),
+}
+
 # (table, state) -> how many rows reading the table decodes; a compaction
-# that fails a check leaves all 200 rows to decode
+# that fails a check leaves all 200 rows to decode, and a run that fails
+# one its 60
 DECODED = {
     ("transactions", "valid"): 0,
     ("transactions", "rows_appended_past_it"): 31,
     ("alerts", "valid"): 0,
     ("alerts", "rows_appended_past_it"): 31,
     ("alerts", "stored_key_not_its_values"): 1 + 200,  # the row past it, then the fold
+    ("run", "valid"): 0,
+    ("run", "rows_appended_past_it"): 31,
+    ("run", "orphaned_by_a_merge"): 0,
+    ("run", "orphaned_by_a_fold"): 0,
+    ("run", "journal_rewritten_under_it"): 250,  # every key: the compaction before it is stale too
+    ("run", "compaction_before_it_garbled"): 250,
 }
+DECODED_ALL = {"transactions": 200, "alerts": 200, "run": 60}
 
 
 @pytest.mark.parametrize(
     "table, state",
     [pytest.param("transactions", state, id=state) for state in sorted(COMPACTION_STATES)]
-    + [pytest.param("alerts", state, id=f"alerts-{state}") for state in sorted(ALERT_COMPACTION_STATES)],
+    + [pytest.param("alerts", state, id=f"alerts-{state}") for state in sorted(ALERT_COMPACTION_STATES)]
+    + [pytest.param("run", state, id=f"run-{state}") for state in sorted(RUN_STATES)],
 )
-def test_every_compaction_state_reads_the_journal_fold(compacted, compacted_alerts, tmp_path, table, state):
+def test_every_compaction_state_reads_the_journal_fold(
+    compacted, compacted_alerts, compacted_run, tmp_path, table, state
+):
     root = tmp_path / "tables"
-    shutil.copytree({"transactions": compacted, "alerts": compacted_alerts}[table], root)
-    states = {"transactions": COMPACTION_STATES, "alerts": ALERT_COMPACTION_STATES}[table]
-    states[state](root / table / COMPACTION_NAME)
+    shutil.copytree({"transactions": compacted, "alerts": compacted_alerts, "run": compacted_run}[table], root)
+    states = {"transactions": COMPACTION_STATES, "alerts": ALERT_COMPACTION_STATES, "run": RUN_STATES}[table]
+    name = "alerts" if table == "alerts" else "transactions"
+    states[state](the_run(root / name) if table == "run" else root / name / COMPACTION_NAME)
     decoded = []
 
     def counting_decode(row):
         decoded.append(row)
-        return TABLE_TYPES[table][1].decode(row)
+        return TABLE_TYPES[name][1].decode(row)
 
-    store = table_store(root, table, counting_decode)
-    want = fold_oracle(root, table)
-    assert_same_columns(store.columns(table), want)
-    assert store.count(table) == len(table_store(root, table).query(table))
+    store = table_store(root, name, counting_decode)
+    want = fold_oracle(root, name)
+    assert_same_columns(store.columns(name), want)
+    assert store.count(name) == len(table_store(root, name).query(name))
     # an adopted compaction leaves only the rows past it to decode
-    assert len(decoded) == DECODED.get((table, state), 200)
+    assert len(decoded) == DECODED.get((table, state), DECODED_ALL[table])
+
+
+def test_the_next_writer_removes_the_runs_no_chain_reaches(compacted_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 50)
+    root = tmp_path / "tables"
+    shutil.copytree(compacted_run, root)
+    directory = root / "transactions"
+    run = the_run(directory)
+    orphaned_by_a_merge(run)
+    assert len(compaction_files(directory)) == 3
+    rows = [replace(t, id=t.id + 30_000) for t in generate(GeneratorConfig(seed=12, count=50))]
+    hand_over_transactions(transactions_store(root), rows)  # merges into the run: 60 < 2 * 50
+    end = (directory / "journal.jsonl").stat().st_size
+    assert compaction_files(directory) == {
+        COMPACTION_NAME: (200, 0, compaction_files(directory)[COMPACTION_NAME][2]),
+        run.name: (110, int(run.name.split(".")[1]), end),
+    }
+    assert_same_columns(transactions_store(root).columns("transactions"), journal_oracle(root))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_runs_stay_logarithmic_and_read_as_the_journal_fold(tmp_path, monkeypatch, seed):
+    """Hand-overs of 20 to 79 rows, a fifth of them replacing older rows,
+    each in a session of its own: after each, the table holds at most
+    log2(rows / COMPACT_ROWS) + 2 compaction files, and reads as its
+    journal's fold without decoding a line."""
+    monkeypatch.setattr(storage, "COMPACT_ROWS", 20)
+    rng = np.random.default_rng(seed)
+    root = tmp_path / "tables"
+    pool = iter(generate(GeneratorConfig(seed=seed, count=3000)))
+    ids, most = [], 0
+    for _ in range(40):
+        size = int(rng.integers(20, 80))
+        batch = [next(pool) for _ in range(size)]
+        replaced = rng.choice(ids, size=min(len(ids), size // 5), replace=False) if ids else []
+        batch[: len(replaced)] = [replace(t, id=int(i)) for t, i in zip(batch, replaced)]
+        ids += [t.id for t in batch[len(replaced):]]
+        store = transactions_store(root)
+        hand_over_transactions(store, batch)
+        store.close()
+        files = len(compaction_files(root / "transactions"))
+        assert files <= np.log2(len(ids) / storage.COMPACT_ROWS) + 2
+        most = max(most, files)
+        decoded = []
+        assert_same_columns(counting_store(root, decoded).columns("transactions"), journal_oracle(root))
+        assert decoded == []
+    assert most > 2  # runs were kept beside the base
 
 
 def counting_store(root, decoded):
@@ -638,22 +767,27 @@ def transactions_run(store, journal, pairs, tick):
     [pytest.param(t, run, id=t) for t, run in (("alerts", alerts_run), ("transactions", transactions_run))],
 )
 def test_handed_over_rows_compact_once_they_double_the_rows_covered(tmp_path, monkeypatch, table, append):
-    """appended rewrites the compaction only when the rows past it are at
-    least COMPACT_ROWS and at least the rows it covers, builds their columns
-    only then, and does nothing unless the journal ends where they do."""
+    """appended writes a run of the rows past the chain once they are at
+    least COMPACT_ROWS, merging it into the run before it while that run
+    holds fewer than twice its rows, and folds the chain into the base once
+    the runs and those rows are at least the base's rows; it builds their
+    columns only when it writes, and does nothing unless the journal ends
+    where they do."""
     monkeypatch.setattr(storage, "COMPACT_ROWS", 10)
     root = tmp_path / "tables"
     store = table_store(root, table)
     journal = store.journal_path(table)
     journal.touch()
-    built = []
+    built, ends = [], []
 
     def hand_over(pairs, foreign=""):
         """Append rows for ``pairs`` as a writer does, then ``foreign``
-        lines of another writer, and hand the rows over."""
+        lines of another writer, and hand the rows over; the compaction
+        files after it."""
         start = journal.stat().st_size
         values = append(store, journal, pairs, len(built))
         end = journal.stat().st_size
+        ends.append(end)
         with open(journal, "a") as fh:
             fh.write(foreign)
 
@@ -662,17 +796,28 @@ def test_handed_over_rows_compact_once_they_double_the_rows_covered(tmp_path, mo
             return to_columns(TABLE_TYPES[table][1], values)
 
         store.appended(table, start, end, len(values), columns)
-        with np.load(root / table / COMPACTION_NAME) as npz:
-            return json.loads(npz["header"].tobytes())["rows"]
+        return compaction_files(root / table)
 
-    with pytest.raises(FileNotFoundError):
-        hand_over([(t, "rule:velocity") for t in range(9)])  # fewer than COMPACT_ROWS
-    assert hand_over([(t, "rule:velocity") for t in range(9, 12)]) == 12  # 9 older lines, 3 new
-    assert hand_over([(t, "model:v1") for t in range(11)]) == 12  # fewer than the 12 covered
-    assert hand_over([(t, "rule:velocity") for t in range(5)]) == 23  # 11 older, 5 replacing
+    assert hand_over([(t, "rule:velocity") for t in range(9)]) == {}  # fewer than COMPACT_ROWS
+    files = hand_over([(t, "rule:velocity") for t in range(9, 40)])  # 9 older lines, 31 new
+    base = {COMPACTION_NAME: (40, 0, ends[1])}
+    assert files == base
+    assert hand_over([(t, "model:v1") for t in range(4)]) == base  # fewer than COMPACT_ROWS
+    run = storage._run_name(ends[1])
+    files = hand_over([(t, "model:v1") for t in range(4, 12)])  # 4 older lines, 8 new
+    assert files == {**base, run: (12, ends[1], ends[3])}
+    # 12 rows hold fewer than twice these 10, so they merge into one run
+    files = hand_over([(t, "model:v1") for t in range(12, 22)])
+    assert files == {**base, run: (22, ends[1], ends[4])}
+    # 22 rows hold twice these 10: a run of its own
+    files = hand_over([(t, "model:v2") for t in range(10)])
+    assert files == {**base, run: (22, ends[1], ends[4]), storage._run_name(ends[4]): (10, ends[4], ends[5])}
+    # 8 replacing rows and the runs' 32 are the base's 40: one base, no run
+    whole = hand_over([(t, "rule:velocity") for t in range(8)])
+    assert whole == {COMPACTION_NAME: (72, 0, ends[6])}
     foreign = {"alerts": alert_line(99, "rule:velocity"), "transactions": tx_line(make_transaction())}
-    assert hand_over([(t, "model:v2") for t in range(30)], foreign[table] + "\n") == 23
-    assert built == [3, 5]
+    assert hand_over([(t, "model:v2") for t in range(10, 40)], foreign[table] + "\n") == whole
+    assert built == [31, 8, 10, 10, 8]
     assert_same_columns(table_store(root, table).columns(table), fold_oracle(root, table))
 
 

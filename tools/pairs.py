@@ -24,8 +24,12 @@ median and quartiles over them, and each correct run's median
 bench/run.py writes to ``.bench_work/out/``), with the git commit and
 the sha256 of ``src/amlstream/*.py`` that bench/run.py records as
 ``src_sha256``. The probe times tell how fast the host ran, so files
-from different sessions can be set side by side. A file already there
-for the same ``src_sha256`` keeps its other workloads and seeds.
+from different sessions can be set side by side. With ``--record``,
+each side also runs each workload once more with ``--trace 1``, after
+the pairs, and the file keeps that run's per-layer metrics under
+``layers`` (none if it failed or was not correct), so it shows where a
+change moved the time. A file already there for the same ``src_sha256``
+keeps its other workloads and seeds.
 
 Standard library only; it does not import the program.
 """
@@ -44,12 +48,14 @@ from pathlib import Path
 SPEED_PROBE = "speed_probe_s"  # a run's median speed_probe time: the host's speed during it
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict | None:
-    """The metrics of one run, as ``{name: value}``, with its median probe
-    time under SPEED_PROBE when it wrote its probes; None if the run failed
-    or was not correct."""
+def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict | None:
+    """The metrics of one run, as ``{name: value}``: the end-to-end ones,
+    with its median probe time under SPEED_PROBE when it wrote its probes,
+    or with ``trace`` 1 the per-layer ones; None if the run failed or was
+    not correct."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(trace)],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -62,6 +68,8 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict | None:
     if not result["correct"] or result["failed"]:
         return None
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    if trace:
+        return metrics
     speed = probe_median(checkout, workload, seed)
     if speed is not None:
         metrics[SPEED_PROBE] = speed
@@ -140,10 +148,12 @@ def git(checkout: Path, *args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
-def record(path: Path, identity: dict, seed: int, runs: dict[str, list], gated: list[dict]) -> None:
+def record(path: Path, identity: dict, seed: int, runs: dict[str, list], gated: list[dict],
+           layers: dict[str, dict | None] | None = None) -> None:
     """Write ``identity`` and, for each workload of ``runs``, its count of
-    correct runs, each gated metric's quartiles over them and the probe
-    times they carry into the record at ``path``, keeping the file's other
+    correct runs, each gated metric's quartiles over them, the probe times
+    they carry and the per-layer metrics of its traced run in ``layers``, if
+    one is given, into the record at ``path``, keeping the file's other
     entries when its ``src_sha256`` is the same."""
     results = {}
     if path.exists():
@@ -162,6 +172,8 @@ def record(path: Path, identity: dict, seed: int, runs: dict[str, list], gated: 
         speeds = [m[SPEED_PROBE] for m in correct if SPEED_PROBE in m]
         if speeds:
             entry[SPEED_PROBE] = speeds
+        if (layers or {}).get(workload) is not None:
+            entry["layers"] = layers[workload]
         results[f"{workload}-s{seed}"] = entry
     path.write_text(json.dumps(dict(identity, results=dict(sorted(results.items()))), indent=1) + "\n")
 
@@ -236,10 +248,12 @@ def main(argv=None) -> int:
     if args.record:
         args.record.mkdir(parents=True, exist_ok=True)
         for index, side in enumerate(("parent", "change")):
-            identity = checkout_identity(getattr(args, side))
+            checkout = getattr(args, side)
+            identity = checkout_identity(checkout)
             path = args.record / record_name(identity)
             side_runs = {w: [pair[index] for pair in pairs] for w, pairs in runs.items()}
-            record(path, identity, args.seed, side_runs, gated)
+            layers = {w: run_bench(checkout, w, args.seed, trace=1) for w in args.workload}
+            record(path, identity, args.seed, side_runs, gated, layers)
             print(f"recorded {side} in {path}", file=sys.stderr)
     ok = True
     for workload in args.workload:
