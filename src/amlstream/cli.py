@@ -18,6 +18,7 @@ import csv
 import functools
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -214,10 +215,7 @@ def _make_processor(ws: Workspace) -> StreamProcessor:
 def _drain_summary(results, processor, echo) -> None:
     records = sum(r.record_count for r in results)
     echo(f"drained {records} records in {len(results)} batches")
-    by_source: dict[str, int] = {}
-    for r in results:
-        for a in r.alerts:
-            by_source[a.source] = by_source.get(a.source, 0) + 1
+    by_source = Counter(source for r in results for source in r.alert_columns[1])
     for source in sorted(by_source):
         echo(f"  alerts {source}: {by_source[source]}")
     echo(f"  alerts total: {processor.alerts_emitted}, dead letters: {processor.dead_letter_count}")
@@ -243,9 +241,9 @@ def _hand_over_alerts(ws: Workspace, start: int, results) -> None:
     """Hand the alerts table the lines that the batches of ``results``
     appended to its journal from byte ``start``, with their values, so
     that it compacts them if they are enough."""
-    alerts = [a for r in results for a in r.alerts]
     end = start + sum(r.alert_bytes for r in results)
-    ws.tables.appended("alerts", start, end, len(alerts), lambda: alert_columns(alerts))
+    count = sum(len(r.alert_columns[0]) for r in results)
+    ws.tables.appended("alerts", start, end, count, lambda: alert_columns(results))
 
 
 def _hand_over_transactions(ws: Workspace, appends, transactions, columns=None) -> None:

@@ -4,26 +4,30 @@ Each drain reads one micro-batch per consumer group from the log as
 columns, with no object per record: the payloads, their ingest ticks and
 the offset range read from each partition, from which come the offsets
 it commits and the partition and offset of any dead letter. It works on
-the batch as columns too: every payload is decoded on its own, by the
-txgen decoder that also reads JSON-lines datasets, into per-field column
-lists (a payload that is not a UTF-8 JSON object of a transaction is
-dead-lettered alone), the high-risk and corridor rules are evaluated
-over those columns, the velocity windows are stepped through the batch
-in record order, and the active model (when one is installed) scores the
-whole batch from the category codes of its feature columns, with no
-one-hot matrix for a tree model. The batch's alert lines are then
-appended and fsynced in one write, and only after that does one commit,
-one fsynced line appended to the topic's positions journal, move the
-consumer positions of every partition the batch read. A crash between
+the batch as columns too: the payloads are decoded by txgen's batch
+decoder into per-field column lists, in one scan when every payload is a
+line as transaction_to_json writes it and one payload at a time
+otherwise (a payload that is not a UTF-8 JSON object of a transaction is
+dead-lettered alone, with the per-payload decoder's text), the high-risk
+and corridor rules are evaluated over those columns, the velocity
+windows are stepped through the batch in record order, and the active
+model (when one is installed) scores the whole batch from the category
+codes of its feature columns, with no one-hot matrix for a tree model.
+A rule alert's line is filled in from one template per rule, built once
+per batch. The batch's alert lines are then appended and fsynced in one
+write, and only after that does one commit, one fsynced line appended to
+the topic's positions journal, move the consumer positions of every
+partition the batch read. A crash between
 persistence and commit therefore replays the batch: at-least-once. Alert lines are rows of the alerts table, keyed by
 ``transaction_id:source``, so the table's fold counts a replayed alert
 once. The alert and dead-letter files are storage journals: each batch's
 lines are fsynced before the commit, and a line torn by a crash is cut
 when the file is next opened or read. The processor writes its sinks by
 path and holds no alert past its batch: each BatchResult carries the
-batch's alerts and the bytes of their lines, and a command that keeps
-them hands them to the alerts table once its drains are done
-(TableStore.appended), which may compact them.
+batch's alerts as the alerts table's columns and the bytes of their
+lines, and a command that keeps them hands them to the alerts table once
+its drains are done (alert_columns, TableStore.appended), which may
+compact them.
 
 RuleConfig is the ``rules`` config section itself. Rule evaluation is
 deterministic and ordered: each record's rule alerts come in the order
@@ -45,7 +49,7 @@ from .eventlog import EventLog
 from .featstore import FEATURE_FIELDS, EncodingSchema, encode_codes
 from .models import TrainedModel, predict_proba
 from .storage import JournalWriter, RowType, field_columns, read_journal
-from .txgen import TRANSACTION_FIELDS, Transaction, _parse_transaction, transaction_to_json
+from .txgen import TRANSACTION_FIELDS, Transaction, decode_transactions, transaction_to_json
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
 
@@ -94,6 +98,12 @@ class Alert:
 _ALERT_LINE = (
     '{"alert_id": "%d:%s", "score": %r, "source": "%s", "tick": %d, "transaction_id": %d}\n'
 )
+# A rule alert's line as _ALERT_LINE gives it, with its source, its score
+# of 1.0 and the batch's tick filled in: left to fill is the transaction
+# id, twice.
+_RULE_ALERT_LINE = (
+    '{"alert_id": "%%d:%s", "score": 1.0, "source": "%s", "tick": %d, "transaction_id": %%d}\n'
+)
 
 
 def _alert_values(raw: dict) -> tuple:
@@ -116,15 +126,17 @@ ALERT_ROWS = RowType(
 )
 
 
-def alert_columns(alerts) -> dict:
-    """``alerts`` as the alerts table's columns, in their order."""
-    values = (
-        [a.transaction_id for a in alerts],
-        [a.source for a in alerts],
-        [a.score for a in alerts],
-        [a.tick for a in alerts],
-    )
-    return field_columns(ALERT_ROWS, values)
+def alert_columns(results) -> dict:
+    """The alerts of the batches ``results``, in their order, as the
+    alerts table's columns."""
+    ids, sources, scores, ticks = [], [], [], []
+    for r in results:
+        batch_ids, batch_sources, batch_scores = r.alert_columns
+        ids += batch_ids
+        sources += batch_sources
+        scores += batch_scores
+        ticks += [r.tick] * len(batch_ids)
+    return field_columns(ALERT_ROWS, (ids, sources, scores, ticks))
 
 
 def transaction_key(transaction: Transaction) -> bytes:
@@ -147,12 +159,20 @@ def read_alerts(path: str) -> list[Alert]:
 @dataclass
 class BatchResult:
     record_count: int
-    alerts: list = field(default_factory=list)
     latencies: list = field(default_factory=list)
     dead_letters: int = 0
     rules_only_fallback: bool = False
     watermark: dict = field(default_factory=dict)
+    # the batch's alerts as the alerts table's transaction_id, source and
+    # score columns, in line order; every one was emitted at ``tick``
+    alert_columns: tuple = ((), (), ())
+    tick: int = 0
     alert_bytes: int = 0  # the bytes of the batch's alert lines
+
+    @property
+    def alerts(self) -> list[Alert]:
+        """The batch's alerts, one per row of its alert columns."""
+        return [Alert(*row, self.tick) for row in zip(*self.alert_columns)]
 
 
 def latency_summary(latencies) -> tuple[int, int, int]:
@@ -288,60 +308,63 @@ class StreamProcessor:
         result = BatchResult(record_count=len(batch.payloads))
         result.watermark = {p: stop - 1 for p, (_, stop) in batch.ranges.items()}
 
-        rows, dead_rows, dead = [], [], set()
-        for i, payload in enumerate(batch.payloads):
-            try:
-                rows.append(_parse_transaction(payload))
-            except DataError as exc:
-                partition, offset = batch.locate(i)
-                dead_rows.append({"partition": partition, "offset": offset, "error": str(exc)})
-                dead.add(i)
+        decoded, errors = decode_transactions(batch.payloads)
+        dead_rows = []
         ticks = batch.ticks
-        if dead:
+        if errors:
+            for i, error in errors:
+                partition, offset = batch.locate(i)
+                dead_rows.append({"partition": partition, "offset": offset, "error": error})
+            dead = {i for i, _ in errors}
             ticks = [tick for i, tick in enumerate(ticks) if i not in dead]
-        columns = dict.fromkeys(TRANSACTION_FIELDS, ())
-        columns.update(zip(TRANSACTION_FIELDS, zip(*rows)))
+        columns = dict(zip(TRANSACTION_FIELDS, decoded))
         ids = columns["id"]
         result.latencies = [emit_tick - tick for tick in ticks]
 
-        rules = self._rules(columns, ticks)
-        hits = [
-            (tx_id, source, 1.0)
-            for i, tx_id in enumerate(ids)
-            for source, fired in rules
-            if fired[i]
+        # each record's rule alerts in rule order, each line from its rule's template
+        rules = [
+            (source, _RULE_ALERT_LINE % (source, source, emit_tick), fired)
+            for source, fired in self._rules(columns, ticks)
         ]
-        # the model fills in for transaction ids no rule alerted in this batch
-        rule_alerted = {tx_id for tx_id, _, _ in hits}
+        alert_ids, alert_sources, lines = [], [], []
+        for i, tx_id in enumerate(ids):
+            for source, template, fired in rules:
+                if fired[i]:
+                    alert_ids.append(tx_id)
+                    alert_sources.append(source)
+                    lines.append(template % (tx_id, tx_id))
+        alert_scores = [1.0] * len(alert_ids)
 
-        if self._model is not None and rows:
+        if self._model is not None and ids:
             try:
                 probabilities = self._score([columns[f] for f in FEATURE_FIELDS])
             except SchemaMismatchError:
                 self.schema_mismatch_count += 1
                 result.rules_only_fallback = True
             else:
+                # the model fills in for transaction ids no rule alerted in this batch
+                rule_alerted = set(alert_ids)
                 label = f"model:v{self._model_version}"
                 scores = probabilities.tolist()
                 for i in np.flatnonzero(probabilities >= self.alert_threshold).tolist():
-                    if ids[i] not in rule_alerted:
-                        hits.append((ids[i], label, scores[i]))
+                    tx_id = ids[i]
+                    if tx_id not in rule_alerted:
+                        alert_ids.append(tx_id)
+                        alert_sources.append(label)
+                        alert_scores.append(scores[i])
+                        lines.append(_ALERT_LINE % (tx_id, label, scores[i], label, emit_tick, tx_id))
 
         # Durability before progress: alerts and dead letters hit disk
         # first, and only then does the consumer position move.
-        result.alert_bytes = self._alert_writer.append(
-            "".join(
-                _ALERT_LINE % (tx_id, source, score, source, emit_tick, tx_id)
-                for tx_id, source, score in hits
-            )
-        )
+        result.alert_bytes = self._alert_writer.append("".join(lines))
         self._dead_letter_writer.write(dead_rows)
         self.log.commit_watermark(self.group, self.topic, result.watermark)
 
-        result.alerts = [Alert(tx_id, source, score, emit_tick) for tx_id, source, score in hits]
+        result.alert_columns = (alert_ids, alert_sources, alert_scores)
+        result.tick = emit_tick
         result.dead_letters = len(dead_rows)
-        self.records_processed += len(rows)
-        self.alerts_emitted += len(hits)
+        self.records_processed += len(ids)
+        self.alerts_emitted += len(alert_ids)
         self.dead_letter_count += len(dead_rows)
         return result
 

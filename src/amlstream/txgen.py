@@ -34,6 +34,18 @@ line or CSV row, a warehouse row); a JSON line is parsed by storage's
 line decoder, which gives json.loads's values and errors. A malformed
 record, an out-of-range number, an id or timestamp outside int64 or a
 non-finite amount raises DataError.
+
+A batch of log payloads (decode_transactions), and a JSON-lines dataset
+CHUNK_LINES lines at a time (read_jsonl), is decoded in one scan when
+every line of it has the layout transaction_to_json writes: one anchored
+regex over the batch's lines joined at newlines, which only that
+template with printable-ASCII strings needing no escape matches, gives
+the field columns, each distinct string decoded once. The scan is taken only when
+it matches every line, no record holds a newline (so no two records can
+join into one line), every id and timestamp lies within int64 and every
+amount is finite; such a line reads as the values the per-record decoder
+gives it. Any other batch is decoded record by record, with that
+decoder's values and error texts.
 """
 
 from __future__ import annotations
@@ -42,7 +54,9 @@ import csv
 import datetime
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -412,6 +426,74 @@ def _parse_transaction(record: bytes) -> tuple:
     return _transaction_values(data)
 
 
+# A line as transaction_to_json writes it when every string is printable
+# ASCII that json does not escape, anchored at the line's ends: the id and
+# timestamp as %d writes them, of at most 19 digits (a longer one is past
+# int64); the amount by JSON's number grammar less a bare -0, which json
+# reads as the int 0 and so as +0.0 where float() gives -0.0; the label as
+# true or false. No group can hold a newline, so a match is one whole line.
+_INT = rb"(0|-?[1-9][0-9]{0,18})"
+_NUMBER = rb"(?!-0,)(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+_STRING = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"'
+_CANONICAL_LINE = re.compile(
+    rb'^\{"id":' + _INT + rb',"timestamp":' + _INT + rb',"amount":' + _NUMBER
+    + rb',"payment_currency":' + _STRING + rb',"received_currency":' + _STRING
+    + rb',"sender_bank_location":' + _STRING + rb',"receiver_bank_location":' + _STRING
+    + rb',"payment_type":' + _STRING + rb',"is_laundering":(true|false)\}$',
+    re.M,
+)
+_LABELS = {b"true": True, b"false": False}
+CHUNK_LINES = 1024  # JSON-lines dataset lines read_jsonl decodes at a time
+
+
+def _scan_lines(block: bytes, n: int) -> list | None:
+    """The field columns, in TRANSACTION_FIELDS order, of ``block``, which
+    holds ``n`` lines split at b"\\n", when every line is a canonical
+    transaction line whose id and timestamp lie within int64 and whose
+    amount is finite: the values _parse_transaction gives each. None
+    otherwise."""
+    rows = _CANONICAL_LINE.findall(block)
+    if len(rows) != n:
+        return None
+    ids, timestamps, amounts, *strings, labels = zip(*rows)
+    ids = list(map(int, ids))
+    timestamps = list(map(int, timestamps))
+    amounts = list(map(float, amounts))  # an amount past the float range reads as inf
+    if not (
+        _INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX
+        and _INT64_MIN <= min(timestamps) and max(timestamps) <= _INT64_MAX
+        and -math.inf < min(amounts) and max(amounts) < math.inf
+    ):
+        return None
+    # each distinct string value, decoded once
+    text = {value: value.decode("ascii") for value in set().union(*strings)}
+    return [
+        ids, timestamps, amounts,
+        *[list(map(text.__getitem__, column)) for column in strings],
+        list(map(_LABELS.__getitem__, labels)),
+    ]
+
+
+def decode_transactions(records: list) -> tuple[list, list[tuple[int, str]]]:
+    """A batch of serialized records, such as a poll's log payloads, to
+    the field columns of those that decode, in TRANSACTION_FIELDS order,
+    and the index and DataError text of each that does not: record by
+    record, what _parse_transaction gives. A batch of canonical lines is
+    decoded in one scan, any other batch record by record."""
+    joined = b"\n".join(records)
+    if joined.count(b"\n") == len(records) - 1:  # no record holds a newline
+        columns = _scan_lines(joined, len(records))
+        if columns is not None:
+            return columns, []
+    rows, errors = [], []
+    for i, record in enumerate(records):
+        try:
+            rows.append(_parse_transaction(record))
+        except DataError as exc:
+            errors.append((i, str(exc)))
+    return [list(column) for column in zip(*rows)] or [[] for _ in TRANSACTION_FIELDS], errors
+
+
 def transaction_from_dict(data: dict) -> Transaction:
     return Transaction(*_transaction_values(data))
 
@@ -461,16 +543,26 @@ def write_jsonl(transactions: Iterable[Transaction], path) -> int:
 
 def read_jsonl(path, raw: bytes | None = None) -> Iterator[Transaction]:
     """The transactions of a JSON-lines file; ``raw``, when given, is
-    that file's bytes, already read."""
+    that file's bytes, already read. Blank lines are skipped; a line that
+    does not decode raises DataError naming its line number. Each chunk of
+    CHUNK_LINES lines is decoded in one scan when every line of it is
+    canonical, and line by line otherwise."""
     with open(path, "rb") if raw is None else io.BytesIO(raw) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                values = _parse_transaction(line)
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-            yield Transaction(*values)
+        first = 1  # the line number of the chunk's first line
+        while lines := list(islice(fh, CHUNK_LINES)):
+            columns = _scan_lines(b"".join(lines), len(lines))
+            if columns is not None:
+                yield from map(Transaction, *columns)
+            else:
+                for lineno, line in enumerate(lines, start=first):
+                    if line.isspace():
+                        continue
+                    try:
+                        values = _parse_transaction(line)
+                    except DataError as exc:
+                        raise DataError(f"line {lineno}: {exc}") from exc
+                    yield Transaction(*values)
+            first += len(lines)
 
 
 def write_csv(transactions: Iterable[Transaction], path) -> int:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from amlstream.config import PipelineConfig
+from amlstream.errors import DataError
+from amlstream.txgen import read_jsonl, transaction_to_json
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
@@ -83,15 +85,20 @@ print(" ".join(args))
 """
 
 
-def test_the_flow_streams_a_second_feed_under_the_scores_config(tmp_path):
-    # a checkout whose CLI prints its arguments and the config it is given
+def run_stub_flow(tmp_path) -> tuple[list[str], Path]:
+    """The flow's console lines, run with a checkout whose CLI prints its
+    arguments and the config it is given, and the dir it ran in."""
     stub = tmp_path / "checkout" / "src" / "amlstream"
     stub.mkdir(parents=True)
     (stub / "__init__.py").write_text("")
     (stub / "cli.py").write_text(STUB_CLI)
     root = tmp_path / "root"
     root.mkdir()
-    lines = same_outputs.run_flow(tmp_path / "checkout", root, same_outputs.flow(7, 100))
+    return same_outputs.run_flow(tmp_path / "checkout", root, same_outputs.flow(7, 100)), root
+
+
+def test_the_flow_streams_a_second_feed_under_the_scores_config(tmp_path):
+    lines, _ = run_stub_flow(tmp_path)
     step = lines.index(
         "$ amlstream --config {root}/scores.json --data-dir {root}/data --report-dir "
         "{root}/reports --seed 7 stream --feed {root}/scores-feed.jsonl -> exit 0"
@@ -105,3 +112,23 @@ def test_the_flow_streams_a_second_feed_under_the_scores_config(tmp_path):
     # the second feed is streamed after the first and before the demo
     commands = [line for line in lines if line.startswith("$ ")]
     assert commands.index(lines[step]) == len(commands) - 2
+
+
+def test_the_flow_ingests_lines_the_generator_never_writes(tmp_path):
+    lines, root = run_stub_flow(tmp_path)
+    for name in ("odd", "bad"):
+        assert (
+            f"$ amlstream --data-dir {{root}}/{name} --report-dir {{root}}/{name}-reports --seed 7 "
+            f"ingest --input {{root}}/{name}.jsonl -> exit 0"
+        ) in lines
+    odd = list(read_jsonl(root / "odd.jsonl"))
+    assert [t.id for t in odd] == [1, 2, 3, 4]
+    assert [t.is_laundering for t in odd] == [False, True, False, True]
+    assert [t.amount for t in odd] == [250.0, 150.0, 99.99, 7.0]
+    assert {odd[0].sender_bank_location, odd[1].receiver_bank_location} == {"Zürich"}
+    assert odd[1].payment_type == "Cash Deposit" and odd[3].payment_currency == "£GB"
+    # one line is as the generator writes it, the others are not
+    written = (root / "odd.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [transaction_to_json(t) in written for t in odd] == [False, False, True, False]
+    with pytest.raises(DataError, match=r"^line 3: malformed transaction record: amount nan"):
+        list(read_jsonl(root / "bad.jsonl"))

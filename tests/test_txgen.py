@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
+from amlstream import txgen
 from amlstream.errors import ConfigError, DataError
 from amlstream.txgen import (
     DEFAULT_CURRENCY_WEIGHTS,
@@ -18,12 +20,15 @@ from amlstream.txgen import (
     REFERENCE_TOTAL,
     SEASONAL_PEAK_DAYS,
     GeneratorConfig,
+    Transaction,
+    _parse_transaction,
     generate,
     read_csv,
     read_jsonl,
     seasonal_amount,
     seasonal_profile,
     transaction_from_dict,
+    transaction_to_json,
     write_csv,
     write_jsonl,
 )
@@ -252,6 +257,80 @@ def test_reader_reports_line_numbers(tmp_path):
     path.write_text(json.dumps(asdict(good)) + "\n{broken\n")
     with pytest.raises(DataError, match="line 2"):
         list(read_jsonl(path))
+
+
+def read_line_by_line(path) -> list:
+    """read_jsonl as it read every file, one line at a time."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                out.append(Transaction(*_parse_transaction(line)))
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+    return out
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: its transactions, or its DataError's text."""
+    try:
+        return "value", repr(list(read(path)))
+    except DataError as exc:
+        return "raises", str(exc)
+
+
+def dataset_lines(count: int) -> list[bytes]:
+    return [transaction_to_json(t).encode() + b"\n" for t in generate(small_config(count=count))]
+
+
+ODD_LINE = json.dumps(  # keys reordered, spaces, the label alias, an integer amount
+    {"is_laundersing": 1, "payment_type": "ACH", "receiver_bank_location": "Z\u00fcrich",
+     "sender_bank_location": "UK", "received_currency": "GBP", "payment_currency": "GBP",
+     "amount": 250, "timestamp": 7, "id": 99}
+).encode() + b"\n"
+
+# name -> the lines of a file of up to 30 lines, read in chunks of 8 lines
+CHUNKED_FILES = {
+    "canonical": dataset_lines(30),
+    "no final newline": [*dataset_lines(29), dataset_lines(30)[-1].rstrip(b"\n")],
+    "odd line, no final newline": [*dataset_lines(29), ODD_LINE.rstrip(b"\n")],
+    "blank lines": [b"\n", *dataset_lines(12), b"  \n", b"\r\n", *dataset_lines(15)[12:]],
+    "odd line in the third chunk": [*dataset_lines(20), ODD_LINE, *dataset_lines(29)[20:]],
+    "crlf lines": [line.replace(b"\n", b"\r\n") for line in dataset_lines(30)],
+    "bad line in the third chunk": [*dataset_lines(19), b"{broken\n", *dataset_lines(30)[20:]],
+    "bad last line": [*dataset_lines(29), b"[]"],
+    "bad amount in the second chunk": [
+        *dataset_lines(10), re.sub(rb'"amount":[^,]*', b'"amount":1e400', dataset_lines(11)[10]),
+        *dataset_lines(30)[11:],
+    ],
+}
+
+
+@pytest.mark.parametrize("chunk", [8, txgen.CHUNK_LINES])
+@pytest.mark.parametrize("name", sorted(CHUNKED_FILES))
+def test_chunked_reader_reads_what_the_line_by_line_reader_reads(tmp_path, monkeypatch, name, chunk):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(CHUNKED_FILES[name]))
+    monkeypatch.setattr(txgen, "CHUNK_LINES", chunk)
+    expected = outcome(read_line_by_line, path)
+    assert outcome(read_jsonl, path) == expected
+    assert outcome(lambda p: read_jsonl(p, p.read_bytes()), path) == expected
+
+
+def test_chunked_reader_names_the_true_line_of_a_bad_line_in_a_later_chunk(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(CHUNKED_FILES["bad line in the third chunk"]))
+    monkeypatch.setattr(txgen, "CHUNK_LINES", 8)
+    with pytest.raises(DataError, match=r"^line 20: payload is not valid JSON"):
+        list(read_jsonl(path))
+    # every record before it came out before the error
+    read = []
+    with pytest.raises(DataError):
+        for t in read_jsonl(path):
+            read.append(t.id)
+    assert read == list(range(1, 20))
 
 
 def test_timestamp_day_round_trip():

@@ -9,6 +9,8 @@ OPENBLAS_NUM_THREADS=1) through one flow at a fixed seed:
     generate --count N, ingest, train, stream, report
     generate --count 600 --out feed.jsonl at the next seed, stream --feed
     feed.jsonl, report into a second report dir
+    ingest --input odd.jsonl and ingest --input bad.jsonl, each on a data
+    dir of its own
     generate --count 600 --out scores-feed.jsonl at the seed after, stream
     --feed scores-feed.jsonl under --config scores.json
     demo, on a data dir of its own
@@ -17,6 +19,14 @@ scores.json, which the tool writes, turns every rule off and sets
 stream.alert_threshold to 0.0, so that the served model's score of every
 record of that feed reaches the alerts journal; without it the rules
 flag nearly every record and the model's scores reach no file.
+
+odd.jsonl and bad.jsonl, which the tool also writes, hold lines that the
+generator never writes: keys in another order, spaces, the
+``is_laundersing`` label alias, raw non-ASCII and ``\\u``-escaped strings,
+integer and exponent amounts, a blank line; bad.jsonl has a line whose
+amount is NaN, so its ingest exits 4 naming that line. Their ingests put
+what the dataset reader makes of such lines, the stored bytes and the
+error text, among the compared files and console lines.
 
 It then names every file whose sha256 differs or that only one side
 has, and every console line that differs once each temp dir's path is
@@ -43,6 +53,23 @@ import tempfile
 from pathlib import Path
 
 FEED_COUNT = 600
+ODD_LINES = [  # dataset lines in forms the generator never writes
+    '{"timestamp": 86400, "id": 1, "amount": 250, "payment_currency": "GBP", '
+    '"received_currency": "EUR", "sender_bank_location": "Zürich", '
+    '"receiver_bank_location": "UK", "payment_type": "ACH", "is_laundersing": false}',
+    '{"id":2,"timestamp":90061,"amount":1.5e2,"payment_currency":"GBP",'
+    '"received_currency":"GBP","sender_bank_location":"UK",'
+    '"receiver_bank_location":"Z\\u00fcrich","payment_type":"Cash\\u0020Deposit",'
+    '"is_laundersing":true}',
+    "",
+    '{"id":3,"timestamp":172800,"amount":99.99,"payment_currency":"USD",'
+    '"received_currency":"GBP","sender_bank_location":"US","receiver_bank_location":"UK",'
+    '"payment_type":"Cross-border","is_laundering":false}',
+    '{ "id" : 4 , "timestamp" : 259200 , "amount" : 7 , "payment_currency" : "\\u00a3GB" ,'
+    ' "received_currency" : "GBP" , "sender_bank_location" : "東京" ,'
+    ' "receiver_bank_location" : "UK" , "payment_type" : "Cheque" , "is_laundering" : true }',
+]
+BAD_LINES = [*ODD_LINES[:2], ODD_LINES[3].replace('"amount":99.99', '"amount":NaN'), ODD_LINES[4]]
 SCORES_CONFIG = {  # every rule off, every score an alert
     "rules": {"enable_high_risk": False, "enable_corridor": False, "enable_velocity": False},
     "stream": {"alert_threshold": 0.0},
@@ -66,6 +93,8 @@ def flow(seed: int, count: int) -> list[list[str]]:
          "--out", "{root}/feed.jsonl"],
         [*base, "stream", "--feed", "{root}/feed.jsonl"],
         [*at("data", "feed-reports"), "report"],
+        [*at("odd", "odd-reports"), "ingest", "--input", "{root}/odd.jsonl"],
+        [*at("bad", "bad-reports"), "ingest", "--input", "{root}/bad.jsonl"],
         [*at("data", "reports", seed + 2), "generate", "--count", str(FEED_COUNT),
          "--out", "{root}/scores-feed.jsonl"],
         ["--config", "{root}/scores.json", *base, "stream", "--feed", "{root}/scores-feed.jsonl"],
@@ -74,10 +103,12 @@ def flow(seed: int, count: int) -> list[list[str]]:
 
 
 def run_flow(checkout: Path, root: Path, commands: list[list[str]]) -> list[str]:
-    """Write scores.json into ``root``, then run ``commands`` with the CLI
-    of ``checkout`` there; returns their console lines, ``root`` replaced
-    by ``<root>``."""
+    """Write scores.json, odd.jsonl and bad.jsonl into ``root``, then run
+    ``commands`` with the CLI of ``checkout`` there; returns their console
+    lines, ``root`` replaced by ``<root>``."""
     (root / "scores.json").write_text(json.dumps(SCORES_CONFIG, sort_keys=True))
+    for name, lines in (("odd.jsonl", ODD_LINES), ("bad.jsonl", BAD_LINES)):
+        (root / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     lines = []
     for command in commands:
