@@ -7,14 +7,31 @@ and model scorers, ``train`` fits and registers the three classifier
 kinds, ``report`` renders the CSV bundle, and ``demo`` runs the whole
 story end to end including a drift-triggered retrain.
 
-Exit codes: 0 success, 2 configuration problems, 3 filesystem problems,
-4 data problems (missing prerequisites, malformed inputs).
+A dataset is read once into txgen's Records: its field columns and each
+record's line as the encoder writes it. ``ingest``, ``train --dataset``
+and ``stream --feed`` publish and store those lines as they are, one
+line being a record's log payload and its table row, and hand the
+columns to the transactions table; the demo encodes what it generates
+once into Records and takes the same path.
+
+The commands that write a data directory (``ingest``, ``stream``,
+``train`` and ``demo``) hold ``<data-dir>/.lock``, an exclusive flock,
+from before they open a store until they end; a second writer on the
+same directory exits 3 naming it. ``report`` and ``generate`` take no
+lock.
+
+Exit codes: 0 success, 2 configuration problems, 3 filesystem problems
+(a data directory locked by another writer among them), 4 data problems
+(missing prerequisites, malformed inputs).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
+import fcntl
 import functools
 import os
 import sys
@@ -37,7 +54,6 @@ from .featstore import (
     schema_of_columns,
     seasonality_series,
     split_indices,
-    transaction_columns,
 )
 from .lifecycle import (
     MODEL_BLOB_DATE,
@@ -62,14 +78,15 @@ from .streamproc import (
     StreamProcessor,
     alert_columns,
     latency_summary,
-    transaction_key,
+    transaction_keys,
 )
 from .txgen import (
+    DAY_SECONDS,
     TRANSACTION_ROWS,
     calendar_date,
     generate,
-    read_dataset,
-    transaction_to_json,
+    read_records,
+    records_of,
     write_csv,
     write_jsonl,
 )
@@ -77,6 +94,7 @@ from .txgen import (
 SCHEMA_NAMESPACE = "schemas"
 RAW_NAMESPACE = "raw"
 STREAM_GROUP = "stream"
+LOCK_NAME = ".lock"  # held by the command writing the data directory
 
 REPORT_FILES = (
     "payment_type_table.csv",
@@ -151,28 +169,25 @@ def _ensure_topic(ws: Workspace) -> None:
         pass
 
 
-def _store(ws: Workspace, lines: list[str]) -> tuple[int, int]:
+def _store(ws: Workspace, lines: list[bytes]) -> tuple[int, int]:
     """Append transaction ``lines`` to the warehouse table; returns the
     journal's length before the append, taken once the table's writer has
     cut any torn tail, and the bytes written."""
     start = ws.tables.journal_end("transactions")
     ws.tables.upsert_rows("transactions", lines)
-    return start, sum(map(len, lines)) + len(lines)  # ASCII lines, each with its newline
+    return start, sum(map(len, lines)) + len(lines)  # each line with its newline
 
 
-def _publish_and_store(ws: Workspace, transactions, echo) -> tuple[int, int]:
-    """Publish to the topic in one call, then append the warehouse table;
-    each transaction is encoded once, its log payload being its table
-    row. Returns, as _store does, where the rows were appended, for the
-    caller to hand them over."""
+def _publish_and_store(
+    ws: Workspace, keys: list[bytes], lines: list[bytes], echo
+) -> tuple[int, int]:
+    """Publish ``lines``, the i-th under ``keys[i]``, to the topic in one
+    call, then append them to the warehouse table: a line is a record's log
+    payload and its table row alike. Returns, as _store does, where the
+    rows were appended, for the caller to hand them over."""
     topic = ws.config.topic
     _ensure_topic(ws)
-    lines = [transaction_to_json(t) for t in transactions]
-    ranges = ws.log.publish_many(
-        topic.name,
-        [transaction_key(t) for t in transactions],
-        (line.encode("utf-8") for line in lines),
-    )
+    ranges = ws.log.publish_many(topic.name, keys, lines)
     appended = _store(ws, lines)
     ws.log.flush()
     counts = ", ".join(f"p{p}={stop - start}" for p, (start, stop) in sorted(ranges.items()))
@@ -246,20 +261,38 @@ def _hand_over_alerts(ws: Workspace, start: int, results) -> None:
     ws.tables.appended("alerts", start, end, count, lambda: alert_columns(results))
 
 
-def _hand_over_transactions(ws: Workspace, appends, transactions, columns=None) -> None:
-    """Hand the transactions table the ``transactions`` that the appends
+def _hand_over_transactions(ws: Workspace, appends, records) -> None:
+    """Hand the transactions table the ``records`` that the appends
     ``appends``, each a (start, bytes written) pair, wrote to its journal
-    one after another, with their values (``columns``, if already built),
-    so that it compacts them if they are enough. The run ends at the first
-    start plus every byte written, so that another writer's lines between
-    two appends, or a torn tail cut at the first, leave the journal ending
-    elsewhere and the table declines the run."""
+    one after another, with their columns, so that it compacts them if
+    they are enough. The run ends at the first start plus every byte
+    written, so that another writer's lines between two appends, or a torn
+    tail cut at the first, leave the journal ending elsewhere and the table
+    declines the run."""
     start = appends[0][0]
     end = start + sum(written for _, written in appends)
-    ws.tables.appended(
-        "transactions", start, end, len(transactions),
-        lambda: transaction_columns(transactions) if columns is None else columns,
-    )
+    ws.tables.appended("transactions", start, end, len(records), lambda: records.columns)
+
+
+@contextlib.contextmanager
+def _writer_lock(data_dir: str):
+    """Hold ``<data_dir>/.lock`` exclusively while the block runs; the
+    lock is released when its file is closed. Another holder makes this
+    raise an OSError naming the lock file at once."""
+    os.makedirs(data_dir, exist_ok=True)
+    path = os.path.join(data_dir, LOCK_NAME)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(
+                errno.EWOULDBLOCK, "another command is writing the data directory", path
+            ) from None
+        yield
+    finally:
+        os.close(fd)
+
 
 
 # ---------------------------------------------------------------------------
@@ -467,68 +500,75 @@ def cmd_generate(args, config: PipelineConfig) -> int:
 
 
 def cmd_ingest(args, config: PipelineConfig) -> int:
-    ws = Workspace(config)
     path = args.input or os.path.join(config.data_dir, "transactions.jsonl")
     # the archived blob is the bytes that were parsed and published
     with open(path, "rb") as handle:
         raw = handle.read()
-    transactions = list(read_dataset(path, raw))
-    if not transactions:
+    records = read_records(path, raw)
+    if not records:
         raise DataError(f"{path} contains no records")
-    archive_date = calendar_date(transactions[0].day).isoformat()
-    ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
-    _hand_over_transactions(ws, [_publish_and_store(ws, transactions, print)], transactions)
-    ws.log.close()  # indexes every partition, so the next open scans no frame
+    first_day = int(records.columns["timestamp"][0]) // DAY_SECONDS + 1
+    archive_date = calendar_date(first_day).isoformat()
+    with _writer_lock(config.data_dir):
+        ws = Workspace(config)
+        ws.blobs.put_blob(RAW_NAMESPACE, archive_date, os.path.basename(path), raw)
+        appended = _publish_and_store(ws, transaction_keys(records), records.lines, print)
+        _hand_over_transactions(ws, [appended], records)
+        ws.log.close()  # indexes every partition, so the next open scans no frame
     print(f"archived raw file under {RAW_NAMESPACE}/{archive_date}/{os.path.basename(path)}")
-    print(f"stored {len(transactions)} transactions in the warehouse")
+    print(f"stored {len(records)} transactions in the warehouse")
     return 0
 
 
 def cmd_stream(args, config: PipelineConfig) -> int:
     if args.rate < 1:
         raise ConfigError(f"--rate must be at least 1, got {args.rate}")
-    ws = Workspace(config)
-    _ensure_topic(ws)
-    processor = _make_processor(ws)
-    start = os.path.getsize(ws.alerts_path)
-    results, incoming = [], []
-    if args.feed:
-        incoming = list(read_dataset(args.feed))
-        rate = args.rate
-        cadence = config.stream.cadence
-        appends = []
-        for first in range(0, len(incoming), rate):
-            window = incoming[first : first + rate]
-            # report joins alerts to the warehouse table, so fed records land
-            # in it too; both are synced before the drain commits them
-            appends.append(_publish_and_store(ws, window, lambda line: None))
-            if len(window) < cadence:
-                ws.log.advance_ticks(cadence - len(window))  # idle remainder
-            results.append(processor.drain_once())
-    results = _drain(processor, print, results)
-    processor.close()
-    _hand_over_alerts(ws, start, results)
-    if incoming:  # the whole feed at once: each hand-over reads the lines past the compaction
-        _hand_over_transactions(ws, appends, incoming)
-    ws.log.close()
+    with _writer_lock(config.data_dir):
+        ws = Workspace(config)
+        _ensure_topic(ws)
+        processor = _make_processor(ws)
+        start = os.path.getsize(ws.alerts_path)
+        results, incoming = [], None
+        if args.feed:
+            incoming = read_records(args.feed)
+            keys = transaction_keys(incoming)
+            rate = args.rate
+            cadence = config.stream.cadence
+            appends = []
+            for first in range(0, len(incoming), rate):
+                window = incoming.lines[first : first + rate]
+                # report joins alerts to the warehouse table, so fed records land
+                # in it too; both are synced before the drain commits them
+                appends.append(
+                    _publish_and_store(ws, keys[first : first + rate], window, lambda line: None)
+                )
+                if len(window) < cadence:
+                    ws.log.advance_ticks(cadence - len(window))  # idle remainder
+                results.append(processor.drain_once())
+        results = _drain(processor, print, results)
+        processor.close()
+        _hand_over_alerts(ws, start, results)
+        if incoming:  # the whole feed at once: each hand-over reads the lines past the compaction
+            _hand_over_transactions(ws, appends, incoming)
+        ws.log.close()
     return 0
 
 
 def cmd_train(args, config: PipelineConfig) -> int:
-    ws = Workspace(config)
-    if args.dataset:
-        transactions = list(read_dataset(args.dataset))
-        columns = transaction_columns(transactions)
-        # keep the warehouse consistent with what the models saw
-        appended = _store(ws, [transaction_to_json(t) for t in transactions])
-        _hand_over_transactions(ws, [appended], transactions, columns)
-    else:
-        columns = ws.tables.columns("transactions")
-        if not len(columns["id"]):
-            raise DataError(
-                "no transactions to train on; run `amlstream ingest` or pass --dataset"
-            )
-    _train_models(ws, columns, ws.log.ticks(), print)
+    records = read_records(args.dataset) if args.dataset else None
+    with _writer_lock(config.data_dir):
+        ws = Workspace(config)
+        if records is not None:
+            columns = records.columns
+            # keep the warehouse consistent with what the models saw
+            _hand_over_transactions(ws, [_store(ws, records.lines)], records)
+        else:
+            columns = ws.tables.columns("transactions")
+            if not len(columns["id"]):
+                raise DataError(
+                    "no transactions to train on; run `amlstream ingest` or pass --dataset"
+                )
+        _train_models(ws, columns, ws.log.ticks(), print)
     return 0
 
 
@@ -582,7 +622,9 @@ def _monitor_window(
     ``id_offset``, drain it onto ``drained``, and check it for drift
     against ``profile``."""
     window = [replace(t, id=t.id + id_offset) for t in transactions]
-    _hand_over_transactions(ws, [_publish_and_store(ws, window, echo)], window)
+    records = records_of(window)
+    appended = _publish_and_store(ws, transaction_keys(records), records.lines, echo)
+    _hand_over_transactions(ws, [appended], records)
     drained += _drain(processor)
     report = check_drift(profile, window, ws.config.drift, window_id=window_id)
     feature, psi = report.worst_feature
@@ -598,13 +640,12 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     outcome: dict = {"control_decisions": [], "shift": None}
 
     echo("== phase 1: generate and ingest baseline traffic ==")
-    base = list(generate(config.generator_config()))
-    appended = _publish_and_store(ws, base, echo)
-    columns = transaction_columns(base)
-    _hand_over_transactions(ws, [appended], base, columns)
+    base = records_of(generate(config.generator_config()))
+    appended = _publish_and_store(ws, transaction_keys(base), base.lines, echo)
+    _hand_over_transactions(ws, [appended], base)
 
     echo("== phase 2: train and activate models ==")
-    _train_models(ws, columns, ws.log.ticks(), echo)
+    _train_models(ws, base.columns, ws.log.ticks(), echo)
     profile = ws.registry.active().reference_profile
 
     echo("== phase 3: drain the stream with the active model ==")
@@ -676,7 +717,8 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
 
 
 def cmd_demo(args, config: PipelineConfig) -> int:
-    outcome = run_demo(config, shift=not args.no_shift)
+    with _writer_lock(config.data_dir):
+        outcome = run_demo(config, shift=not args.no_shift)
     decisions = outcome["control_decisions"]
     print(f"demo complete: control decisions {decisions}", end="")
     if outcome["shift"]:

@@ -435,7 +435,7 @@ class _Positions:
             return
         if self._writer is None:
             self._writer = JournalWriter(self.path)
-        self._writer.append(_commit_line(group, self.groups[group]))
+        self._writer.append(_commit_line(group, self.groups[group]).encode("utf-8"))
         self._lines += 1
 
     def rewrite(self) -> None:

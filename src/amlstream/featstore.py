@@ -6,8 +6,8 @@ datasets 60/20/20 by seeded shuffle, balances training data by random
 oversampling, and computes the tabular/plot datasets the report command
 writes (payment-type table, daily seasonality, alerts-per-month grid,
 correlation matrix). Training and the report read the transactions
-table as columns (storage.TableStore.columns, or transaction_columns for
-a list held in memory), each string field as codes into its sorted
+table as columns (storage.TableStore.columns, or txgen.Records.columns
+for a dataset held in memory), each string field as codes into its sorted
 vocabulary: the report datasets are np.bincount calls over those
 columns, and encode_matrix one-hot encodes codes by looking each
 vocabulary up once. The stream scores its batches of values from their
@@ -41,14 +41,12 @@ import numpy as np
 
 from .errors import DataError, DegenerateClassError, SchemaMismatchError
 from .models import FieldCodes
-from .storage import Categories, to_columns
+from .storage import Categories
 from .txgen import (
     DAY_SECONDS,
-    TRANSACTION_ROWS,
     YEAR_DAYS,
     Transaction,
     calendar_date,
-    transaction_values,
 )
 
 FEATURE_FIELDS = (
@@ -71,12 +69,6 @@ def month_of_day(day):
     """Calendar month (1..12) of a simulated day index, or of an array of
     them, as txgen's calendar_date gives it; wraps every YEAR_DAYS days."""
     return _MONTHS[(day - 1) % YEAR_DAYS]
-
-
-def transaction_columns(transactions: Sequence[Transaction]) -> dict:
-    """A list of transactions as the columns the transactions table reads
-    as (storage.to_columns)."""
-    return to_columns(TRANSACTION_ROWS, [transaction_values(t) for t in transactions])
 
 
 @dataclass(frozen=True)

@@ -518,24 +518,49 @@ class _Nodes:
         self.feature, self.threshold, self.children, self.value, self.count = [], [], [], [], []
         self.roots, self.depth = [], 0
 
-    def add(self, prob: float, count: int, depth: int) -> int:
-        """Append a leaf at ``depth``, a root at depth 0; return its number."""
-        i = len(self.value)
-        if depth == 0:
-            self.roots.append(i)
-        self.depth = max(self.depth, depth)
-        self.feature.append(0)
-        self.threshold.append(0.0)
-        self.children += (i, i)
-        self.value.append(prob)
-        self.count.append(count)
-        return i
-
-    def split(self, i: int, column: int, threshold: float) -> None:
-        """Make node i, whose left subtree was just appended, an inner node
-        whose right child is the next node appended."""
-        self.feature[i], self.threshold[i] = column, threshold
-        self.children[2 * i:2 * i + 2] = (i + 1, len(self.value))
+    def load(self, root: dict, width: int) -> None:
+        """Append format 1's nested tree ``root`` in pre-order, as growth
+        numbers its nodes, refusing a node it could not grow. An explicit
+        stack stands in for recursion: each entry is a node and its depth,
+        or an inner node's data, depth and number, which stands for its
+        right child, loaded once its left subtree is."""
+        feature, threshold, children = self.feature, self.threshold, self.children
+        value, count = self.value, self.count
+        isfinite = math.isfinite
+        self.roots.append(len(value))
+        stack = [(root, 0, -1)]
+        while stack:
+            data, depth, parent = stack.pop()
+            i = len(value)
+            if parent >= 0:
+                children[2 * parent + 1] = i
+                data = data["right"]
+            node_count = data["count"]
+            if type(node_count) is not int:
+                raise DataError(f"tree node count {node_count!r} is not an integer")
+            prob = data["prob"]  # a finite float passes without _finite's call
+            value.append(
+                prob if type(prob) is float and isfinite(prob) else _finite(prob, "tree node prob")
+            )
+            count.append(node_count)
+            if "column" in data:
+                column = data["column"]
+                if type(column) is not int or not 0 <= column < width:
+                    raise DataError(f"tree node column {column!r} is not in [0, {width})")
+                feature.append(column)
+                cut = data["threshold"]
+                threshold.append(
+                    cut if type(cut) is float and isfinite(cut) else _finite(cut, "tree node threshold")
+                )
+                children += (i + 1, i)  # the right child's number is set as it loads
+                stack.append((data, depth + 1, i))
+                stack.append((data["left"], depth + 1, -1))
+            else:
+                feature.append(0)
+                threshold.append(0.0)
+                children += (i, i)
+            if depth > self.depth:
+                self.depth = depth
 
     def trees(self) -> Trees:
         lists = (self.feature, self.threshold, self.children, self.value, self.count, self.roots)
@@ -1091,23 +1116,6 @@ def _finite(value, name: str):
     return value
 
 
-def _load_node(nodes: _Nodes, data: dict, depth: int, width: int) -> None:
-    """Append format 1's nested node ``data`` and its subtree to ``nodes``
-    in pre-order, as growth numbers them, refusing a node it could not
-    grow."""
-    if type(data["count"]) is not int:
-        raise DataError(f"tree node count {data['count']!r} is not an integer")
-    i = nodes.add(_finite(data["prob"], "tree node prob"), data["count"], depth)
-    if "column" in data:
-        column = data["column"]
-        if type(column) is not int or not 0 <= column < width:
-            raise DataError(f"tree node column {column!r} is not in [0, {width})")
-        threshold = _finite(data["threshold"], "tree node threshold")
-        _load_node(nodes, data["left"], depth + 1, width)
-        nodes.split(i, column, threshold)
-        _load_node(nodes, data["right"], depth + 1, width)
-
-
 def model_to_json(model: TrainedModel) -> str:
     payload = {
         "format": SERIALIZATION_FORMAT,
@@ -1154,7 +1162,7 @@ def model_from_json(text: str) -> TrainedModel:
     elif kind in _TREE_KINDS:
         nodes = _Nodes()
         for tree in [params["root"]] if kind == "decision_tree" else params["trees"]:
-            _load_node(nodes, tree, 0, model.width)
+            nodes.load(tree, model.width)
         if not nodes.roots:
             raise DataError("a random_forest blob holds no tree")
         model.trees = nodes.trees()

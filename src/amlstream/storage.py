@@ -70,11 +70,11 @@ removal.
 
 Every JSON-lines journal (the warehouse tables, the model registry, the
 stream's dead-letter file, the event log's consumer positions) follows
-one rule. JournalWriter is its only
-append side: each call appends one JSON object per line (write encodes
-rows as sorted-key JSON, append takes lines already formatted) and is
-flushed and fsynced before it returns. A final line without its newline
-was torn by a crash mid-append; truncate_torn_tail cuts it, when a
+one rule. JournalWriter is its only append side: each call appends one
+JSON object per line (write encodes rows as sorted-key JSON, append
+takes lines already formatted, as bytes) and is flushed and fsynced
+before it returns. A final line without its newline was torn by a crash
+mid-append; truncate_torn_tail cuts it, when a
 writer opens the file and before read_journal parses it, so the next
 append starts on a clean line. A bad line anywhere else is corruption
 and raises DataError naming ``path:line``; a line that is not strict
@@ -254,14 +254,14 @@ class JournalWriter:
         self._handle = open(path, "ab")
 
     def write(self, rows) -> None:
-        self.append("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        self.append("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8"))
 
-    def append(self, lines: str) -> int:
+    def append(self, data: bytes) -> int:
         """Append whole lines, each the JSON object of one row, already
-        formatted; flushed and fsynced before it returns the bytes written."""
-        if not lines:
+        formatted as UTF-8 bytes; flushed and fsynced before it returns the
+        bytes written."""
+        if not data:
             return 0
-        data = lines.encode("utf-8")
         self._handle.write(data)
         self._handle.flush()
         os.fsync(self._handle.fileno())
@@ -355,11 +355,31 @@ def to_columns(row_type: RowType, rows) -> dict:
 
 def field_columns(row_type: RowType, fields) -> dict:
     """``fields``, each the values of one column of ``row_type`` in its
-    order, as to_columns gives them."""
+    order (a string column's may be Categories already), as to_columns
+    gives them."""
     return {
-        name: Categories.of(values) if kind == "str" else np.array(values, dtype=_DTYPES[kind])
+        name: values if isinstance(values, Categories)
+        else Categories.of(values) if kind == "str"
+        else np.array(values, dtype=_DTYPES[kind])
         for (name, kind), values in zip(row_type.columns, fields)
     }
+
+
+def concat_columns(row_type: RowType, parts) -> dict:
+    """``parts``, column sets of ``row_type`` as to_columns gives them, as
+    one, their rows in the parts' order, string columns renumbered into the
+    union of their vocabularies."""
+    merged = {}
+    for name, kind in row_type.columns:
+        columns = [part[name] for part in parts]
+        if kind != "str":
+            merged[name] = np.concatenate(columns)
+            continue
+        vocabulary = sorted(set().union(*(c.vocabulary for c in columns)))
+        index = {value: code for code, value in enumerate(vocabulary)}
+        codes = [np.array([index[v] for v in c.vocabulary], dtype=_CODES)[c.codes] for c in columns]
+        merged[name] = Categories(np.concatenate(codes), tuple(vocabulary))
+    return merged
 
 
 def _key_positions(row_type: RowType, key: str) -> tuple[int, ...] | None:
@@ -396,16 +416,7 @@ def _merge(row_type: RowType, positions, parts, one_per_key: bool = True) -> dic
     into the union of their vocabularies less the values no row kept uses.
     With ``one_per_key``, only the last row appended of each key tuple is
     kept."""
-    merged = {}
-    for name, kind in row_type.columns:
-        columns = [part[name] for part in parts]
-        if kind != "str":
-            merged[name] = np.concatenate(columns)
-            continue
-        vocabulary = sorted(set().union(*(c.vocabulary for c in columns)))
-        index = {value: code for code, value in enumerate(vocabulary)}
-        codes = [np.array([index[v] for v in c.vocabulary], dtype=_CODES)[c.codes] for c in columns]
-        merged[name] = Categories(np.concatenate(codes), tuple(vocabulary))
+    merged = concat_columns(row_type, parts)
     keys = [_sort_key(merged[row_type.columns[p][0]]) for p in positions]
     order = np.lexsort(keys[::-1])  # a stable sort: equal keys stay in append order
     if one_per_key and len(order):  # sorted, a row below the next is its key's last
@@ -645,11 +656,14 @@ class TableStore:
         self._writer(name)
         return self.journal_path(name).stat().st_size
 
-    def upsert_rows(self, name: str, lines: list[str]) -> int:
+    def upsert_rows(self, name: str, lines: list[bytes]) -> int:
         """Insert or replace by primary key: append ``lines``, each one
-        row's JSON object without its newline, as they are; returns how
-        many. The writer hands them over to appended to compact them."""
-        self._writer(name).append("".join(line + "\n" for line in lines))
+        row's JSON object as UTF-8 bytes without its newline, as they are;
+        returns how many. The writer hands them over to appended to compact
+        them."""
+        journal = self._writer(name)
+        if lines:
+            journal.append(b"\n".join(lines) + b"\n")
         return len(lines)
 
     def appended(self, name: str, start: int, end: int, rows: int, columns) -> None:

@@ -49,7 +49,13 @@ from .eventlog import EventLog
 from .featstore import FEATURE_FIELDS, EncodingSchema, encode_codes
 from .models import TrainedModel, predict_proba
 from .storage import JournalWriter, RowType, field_columns, read_journal
-from .txgen import TRANSACTION_FIELDS, Transaction, decode_transactions, transaction_to_json
+from .txgen import (
+    TRANSACTION_FIELDS,
+    Records,
+    Transaction,
+    decode_transactions,
+    transaction_to_json,
+)
 
 DEFAULT_HIGH_RISK_TYPES = frozenset({"Cash Deposit", "Cash Withdrawal", "Cross-border"})
 
@@ -143,6 +149,14 @@ def transaction_key(transaction: Transaction) -> bytes:
     """A transaction's log key: its sender location, so one sender's flow
     stays ordered in one partition."""
     return transaction.sender_bank_location.encode("utf-8")
+
+
+def transaction_keys(records: Records) -> list[bytes]:
+    """Each of ``records``' log keys, as transaction_key gives it, each
+    distinct sender location encoded once."""
+    senders = records.columns["sender_bank_location"]
+    keys = [sender.encode("utf-8") for sender in senders.vocabulary]
+    return list(map(keys.__getitem__, senders.codes.tolist()))
 
 
 def publish_transaction(log: EventLog, topic: str, transaction: Transaction):
@@ -356,7 +370,7 @@ class StreamProcessor:
 
         # Durability before progress: alerts and dead letters hit disk
         # first, and only then does the consumer position move.
-        result.alert_bytes = self._alert_writer.append("".join(lines))
+        result.alert_bytes = self._alert_writer.append("".join(lines).encode("utf-8"))
         self._dead_letter_writer.write(dead_rows)
         self.log.commit_watermark(self.group, self.topic, result.watermark)
 

@@ -36,16 +36,27 @@ record, an out-of-range number, an id or timestamp outside int64 or a
 non-finite amount raises DataError.
 
 A batch of log payloads (decode_transactions), and a JSON-lines dataset
-CHUNK_LINES lines at a time (read_jsonl), is decoded in one scan when
-every line of it has the layout transaction_to_json writes: one anchored
-regex over the batch's lines joined at newlines, which only that
-template with printable-ASCII strings needing no escape matches, gives
-the field columns, each distinct string decoded once. The scan is taken only when
-it matches every line, no record holds a newline (so no two records can
-join into one line), every id and timestamp lies within int64 and every
-amount is finite; such a line reads as the values the per-record decoder
-gives it. Any other batch is decoded record by record, with that
-decoder's values and error texts.
+CHUNK_LINES lines at a time (read_jsonl, read_records), is decoded in one
+scan when every line of it has the layout transaction_to_json writes:
+one anchored regex over the batch's lines joined at newlines, which only
+that template with printable-ASCII strings needing no escape matches,
+gives the field columns, each distinct string decoded once. The scan is
+taken only when it matches every line, no record holds a newline (so no
+two records can join into one line), every id and timestamp lies within
+int64 and every amount is finite; such a line reads as the values the
+per-record decoder gives it. Any other batch is decoded record by
+record, with that decoder's values and error texts.
+
+A dataset is ingested as Records: its values as the transactions
+table's columns and each record's line as transaction_to_json writes
+it, which is both its log payload and its table row. read_records keeps
+a scanned chunk's own lines, less their newlines, as those lines when
+each is byte for byte what the encoder writes of its values, which holds
+once every amount's text is float.__repr__ of its value (the scan also
+reads ``100.50``, ``1e2`` or ``7``, which the encoder writes otherwise);
+its string columns' codes come straight from the scanned bytes. Any
+other chunk, and every CSV row, is decoded record by record and its
+transactions encoded.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -64,7 +75,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .storage import RowType, _loads_line
+from .storage import Categories, RowType, _loads_line, concat_columns, field_columns, to_columns
 
 # ---------------------------------------------------------------------------
 # reference distribution (counts from the production ledger the defaults
@@ -443,35 +454,68 @@ _CANONICAL_LINE = re.compile(
     re.M,
 )
 _LABELS = {b"true": True, b"false": False}
-CHUNK_LINES = 1024  # JSON-lines dataset lines read_jsonl decodes at a time
+CHUNK_LINES = 1024  # JSON-lines dataset lines read_jsonl and read_records decode at a time
 
 
-def _scan_lines(block: bytes, n: int) -> list | None:
-    """The field columns, in TRANSACTION_FIELDS order, of ``block``, which
-    holds ``n`` lines split at b"\\n", when every line is a canonical
-    transaction line whose id and timestamp lie within int64 and whose
-    amount is finite: the values _parse_transaction gives each. None
+def _scan(block: bytes, n: int, exact: bool = False) -> tuple | None:
+    """The columns of ``block``, which holds ``n`` lines split at b"\\n",
+    as scanned, when every line is a canonical transaction line whose id
+    and timestamp lie within int64 and whose amount is finite: the ids,
+    timestamps and amounts as lists of the values _parse_transaction gives,
+    then the five string fields as one tuple of their values' bytes each,
+    and the labels' bytes as one more. With ``exact``, also only when every
+    amount's text is float.__repr__ of its value, so that each line is byte
+    for byte what transaction_to_json writes of its values. None
     otherwise."""
     rows = _CANONICAL_LINE.findall(block)
     if len(rows) != n:
         return None
-    ids, timestamps, amounts, *strings, labels = zip(*rows)
+    ids, timestamps, texts, *strings, labels = zip(*rows)
     ids = list(map(int, ids))
     timestamps = list(map(int, timestamps))
-    amounts = list(map(float, amounts))  # an amount past the float range reads as inf
+    amounts = list(map(float, texts))  # an amount past the float range reads as inf
     if not (
         _INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX
         and _INT64_MIN <= min(timestamps) and max(timestamps) <= _INT64_MAX
         and -math.inf < min(amounts) and max(amounts) < math.inf
     ):
         return None
-    # each distinct string value, decoded once
+    if exact and b",".join(texts) != ",".join(map(float.__repr__, amounts)).encode("ascii"):
+        return None
+    return ids, timestamps, amounts, strings, labels
+
+
+def _scan_lines(block: bytes, n: int) -> list | None:
+    """The field columns, in TRANSACTION_FIELDS order, of ``block`` as
+    _scan takes it, None when it does not scan."""
+    scanned = _scan(block, n)
+    return None if scanned is None else _field_values(scanned)
+
+
+def _field_values(scanned: tuple) -> list:
+    """Columns as _scan gives them as field columns, in TRANSACTION_FIELDS
+    order, of the values _parse_transaction gives each line: each distinct
+    string decoded once."""
+    ids, timestamps, amounts, strings, labels = scanned
     text = {value: value.decode("ascii") for value in set().union(*strings)}
     return [
         ids, timestamps, amounts,
         *[list(map(text.__getitem__, column)) for column in strings],
         list(map(_LABELS.__getitem__, labels)),
     ]
+
+
+def _scanned_columns(scanned: tuple) -> dict:
+    """Columns as _scan gives them as the transactions table reads them
+    (storage.to_columns). A string column's codes come straight from its
+    bytes, printable ASCII, which sort as their text does."""
+    ids, timestamps, amounts, strings, labels = scanned
+    categories = []
+    for column in map(Categories.of, strings):
+        vocabulary = tuple(value.decode("ascii") for value in column.vocabulary)
+        categories.append(Categories(column.codes, vocabulary))
+    labels = list(map(_LABELS.__getitem__, labels))
+    return field_columns(TRANSACTION_ROWS, [ids, timestamps, amounts, *categories, labels])
 
 
 def decode_transactions(records: list) -> tuple[list, list[tuple[int, str]]]:
@@ -541,28 +585,99 @@ def write_jsonl(transactions: Iterable[Transaction], path) -> int:
     return n
 
 
+def _decode_lines(lines: list, first: int) -> Iterator[tuple]:
+    """The values of each of ``lines``, the first of them line number
+    ``first`` of its file, decoded one at a time. Blank lines are skipped;
+    a line that does not decode raises DataError naming its line number."""
+    for lineno, line in enumerate(lines, start=first):
+        if line.isspace():
+            continue
+        try:
+            yield _parse_transaction(line)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+
+
+def _jsonl_chunks(path, raw: bytes | None, exact: bool) -> Iterator[tuple[tuple | None, Iterator]]:
+    """Each chunk of CHUNK_LINES lines of a JSON-lines file, read from it
+    that many at a time (or from ``raw``, its bytes already read), as a
+    pair. When it scans, as _scan takes it with ``exact``: its columns as
+    _scan gives them, and its lines less their newlines if ``exact`` (else
+    None). Otherwise: None, and its records' values as _decode_lines gives
+    them."""
+    with open(path, "rb") if raw is None else io.BytesIO(raw) as fh:
+        first = 1  # the line number of the chunk's first line
+        while chunk := list(islice(fh, CHUNK_LINES)):
+            block = b"".join(chunk)
+            scanned = _scan(block, len(chunk), exact)
+            if scanned is None:
+                yield None, _decode_lines(chunk, first)
+            elif exact:
+                lines = block.split(b"\n")
+                if not lines[-1]:
+                    lines.pop()  # what follows the newline that ends the last line
+                yield scanned, lines
+            else:
+                yield scanned, None
+            first += len(chunk)
+
+
 def read_jsonl(path, raw: bytes | None = None) -> Iterator[Transaction]:
     """The transactions of a JSON-lines file; ``raw``, when given, is
     that file's bytes, already read. Blank lines are skipped; a line that
     does not decode raises DataError naming its line number. Each chunk of
     CHUNK_LINES lines is decoded in one scan when every line of it is
     canonical, and line by line otherwise."""
-    with open(path, "rb") if raw is None else io.BytesIO(raw) as fh:
-        first = 1  # the line number of the chunk's first line
-        while lines := list(islice(fh, CHUNK_LINES)):
-            columns = _scan_lines(b"".join(lines), len(lines))
-            if columns is not None:
-                yield from map(Transaction, *columns)
-            else:
-                for lineno, line in enumerate(lines, start=first):
-                    if line.isspace():
-                        continue
-                    try:
-                        values = _parse_transaction(line)
-                    except DataError as exc:
-                        raise DataError(f"line {lineno}: {exc}") from exc
-                    yield Transaction(*values)
-            first += len(lines)
+    for scanned, rows in _jsonl_chunks(path, raw, exact=False):
+        if scanned is None:
+            yield from starmap(Transaction, rows)
+        else:
+            yield from map(Transaction, *_field_values(scanned))
+
+
+@dataclass(frozen=True)
+class Records:
+    """Transactions ready to publish and store: their values as the
+    transactions table reads them (storage.to_columns), and each one's
+    line, the ASCII bytes transaction_to_json writes of it without a
+    newline, which is both its log payload and its table row."""
+
+    columns: dict
+    lines: list
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+def records_of(transactions: Iterable[Transaction]) -> Records:
+    """Transactions as Records, each encoded once."""
+    transactions = list(transactions)
+    return Records(
+        to_columns(TRANSACTION_ROWS, list(map(transaction_values, transactions))),
+        [transaction_to_json(t).encode("ascii") for t in transactions],
+    )
+
+
+def read_records(path, raw: bytes | None = None) -> Records:
+    """A dataset file as Records: a .csv file read as CSV, any other as
+    JSON-lines; ``raw``, when given, is the file's bytes, already read. A
+    JSON-lines chunk whose lines are byte for byte what transaction_to_json
+    writes keeps them as its lines, and its columns come from the scan; any
+    other chunk, and a CSV file, is decoded and each of its transactions
+    encoded."""
+    if str(path).endswith(".csv"):
+        return records_of(read_csv(path, raw))
+    parts = [
+        records_of(starmap(Transaction, rows)) if scanned is None
+        else Records(_scanned_columns(scanned), rows)
+        for scanned, rows in _jsonl_chunks(path, raw, exact=True)
+    ]
+    if not parts:
+        return records_of([])
+    return Records(
+        concat_columns(TRANSACTION_ROWS, [part.columns for part in parts]),
+        list(chain.from_iterable(part.lines for part in parts)),
+    )
 
 
 def write_csv(transactions: Iterable[Transaction], path) -> int:
@@ -608,11 +723,3 @@ def read_csv(path, raw: bytes | None = None) -> Iterator[Transaction]:
     except UnicodeDecodeError as exc:
         # text is decoded in blocks, so the reader cannot name the line
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def read_dataset(path, raw: bytes | None = None) -> Iterator[Transaction]:
-    """Dispatch on extension: .csv reads CSV, anything else JSON-lines.
-    ``raw``, when given, is the file's bytes, already read."""
-    if str(path).endswith(".csv"):
-        return read_csv(path, raw)
-    return read_jsonl(path, raw)

@@ -6,6 +6,7 @@ reduced through the config file so the suite stays fast.
 """
 
 import builtins
+import fcntl
 import hashlib
 import itertools
 import json
@@ -19,7 +20,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from amlstream import cli, eventlog, lifecycle, storage, streamproc, txgen
+from amlstream import cli, eventlog, featstore, lifecycle, storage, streamproc, txgen
 from amlstream.config import PipelineConfig
 from amlstream.eventlog import EventLog
 from amlstream.lifecycle import ModelRegistry
@@ -27,7 +28,7 @@ from amlstream.storage import BlobStore, TableStore
 from amlstream.txgen import (
     GeneratorConfig,
     generate,
-    read_dataset,
+    read_records,
     transaction_to_json,
     write_jsonl,
 )
@@ -359,10 +360,17 @@ def test_generate_writes_both_formats(tmp_path, capsys):
             ["--data-dir", str(tmp_path), "--seed", "3", "generate", "--count", "40", "--out", str(out)]
         )
         assert code == 0
-    rows_jsonl = list(read_dataset(str(jsonl)))
-    rows_csv = list(read_dataset(str(csv_path)))
-    assert len(rows_jsonl) == 40
-    assert rows_jsonl == rows_csv  # same seed, format round trip
+    records_jsonl = read_records(str(jsonl))
+    records_csv = read_records(str(csv_path))
+    assert len(records_jsonl) == 40
+    # same seed, format round trip
+    assert records_jsonl.lines == records_csv.lines
+    for name, column in records_jsonl.columns.items():
+        other = records_csv.columns[name]
+        if isinstance(column, storage.Categories):
+            column, other = column.codes, other.codes  # each with its vocabulary
+            assert records_jsonl.columns[name].vocabulary == records_csv.columns[name].vocabulary
+        assert column.dtype == other.dtype and column.tobytes() == other.tobytes(), name
 
 
 def test_generate_seed_changes_output(tmp_path):
@@ -519,6 +527,95 @@ def test_ingest_stores_each_log_payload_as_its_table_row(flow):
     assert len(rows) == len(payloads) == 3000
     for row in rows:
         assert row == payloads[json.loads(row)["id"]]
+
+
+def write_dataset(path, seed, count, id_offset, amounts=()):
+    """A generated dataset under ids moved by ``id_offset``; line i's
+    amount, for each (i, text) of ``amounts``, replaced by that text."""
+    lines = [
+        transaction_to_json(replace(t, id=t.id + id_offset)).encode()
+        for t in generate(GeneratorConfig(seed=seed, count=count))
+    ]
+    for i, text in amounts:
+        lines[i] = re.sub(rb'"amount":[^,]*', b'"amount":' + text, lines[i])
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return path
+
+
+def logged_payloads(data):
+    log = EventLog(str(data / "log"))
+    payloads = [record.payload for record in log.poll("payload-check", "transactions", 100_000)]
+    log.close()
+    return sorted(payloads)
+
+
+def test_canonical_datasets_are_published_and_stored_as_read(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    config_path = write_config(tmp_path / "config.json", data_dir=str(data))
+    ingested = write_dataset(tmp_path / "ingest.jsonl", 11, 3000, 0)
+    trained = write_dataset(tmp_path / "train.jsonl", 12, 3000, 100_000)
+    fed = write_dataset(tmp_path / "feed.jsonl", 13, 500, 200_000)
+
+    def refuse(*args):
+        raise AssertionError("a canonical dataset was decoded or encoded one record at a time")
+
+    # the per-record decoder and encoder, and the columns of Transaction objects, are never used
+    assert not hasattr(featstore, "transaction_columns")
+    for module in (txgen, streamproc):
+        monkeypatch.setattr(module, "transaction_to_json", refuse)
+    monkeypatch.setattr(txgen, "_parse_transaction", refuse)
+    monkeypatch.setattr(txgen, "Transaction", refuse)
+    journal = data / "tables" / "transactions" / "journal.jsonl"
+    for command, path in (("ingest", ingested), ("train", trained), ("stream", fed)):
+        option = {"ingest": "--input", "train": "--dataset", "stream": "--feed"}[command]
+        before = journal.read_bytes() if journal.exists() else b""
+        assert cli.main(["--config", config_path, command, option, str(path)]) == 0, command
+        # the table journal's new bytes are the file's
+        assert journal.read_bytes() == before + path.read_bytes(), command
+    published = ingested.read_bytes().splitlines() + fed.read_bytes().splitlines()
+    assert logged_payloads(data) == sorted(published)
+
+
+@pytest.mark.parametrize("form", ["jsonl", "csv"])
+def test_datasets_not_as_the_encoder_writes_them_are_stored_as_its_lines(tmp_path, form):
+    path = write_dataset(tmp_path / "data.jsonl", 11, 2500, 0,
+                         amounts=[(5, b"100.50"), (1500, b"1e2"), (2400, b"7")])
+    transactions = list(txgen.read_jsonl(path))
+    if form == "csv":
+        path = tmp_path / "data.csv"
+        txgen.write_csv(transactions, str(path))
+    data = tmp_path / "data"
+    assert cli.main(["--data-dir", str(data), "ingest", "--input", str(path)]) == 0
+    encoded = [transaction_to_json(t).encode() for t in transactions]
+    journal = (data / "tables" / "transactions" / "journal.jsonl").read_bytes()
+    assert journal == b"".join(line + b"\n" for line in encoded)
+    assert logged_payloads(data) == sorted(encoded)
+    assert [transactions[i].amount for i in (5, 1500, 2400)] == [100.5, 100.0, 7.0]
+
+
+def test_a_second_writer_exits_3_naming_the_lock_while_report_reads(flow, tmp_path, capsys):
+    root, _, _ = flow
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    argv = ["--data-dir", str(data), "--report-dir", str(tmp_path / "reports")]
+    lock = data / cli.LOCK_NAME
+    before = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
+    held = os.open(lock, os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        capsys.readouterr()
+        for command in (["ingest"], ["stream"], ["train"], ["demo"]):
+            assert cli.main([*argv, *command]) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("filesystem error:") and str(lock) in err, err
+        # no writer touched a file
+        assert {path: path.read_bytes() for path in data.rglob("*") if path.is_file()} == before
+        assert cli.main([*argv, "report"]) == 0
+    finally:
+        os.close(held)
+    # each refused command let the lock go, as does each that ran
+    assert cli.main([*argv, "stream"]) == 0
+    assert cli.main([*argv, "stream"]) == 0
 
 
 # the transactions table as older versions wrote it: sorted-key rows and
@@ -956,8 +1053,8 @@ def test_stream_feed_hands_nothing_over_past_another_writers_line(tmp_path, monk
     foreign = replace(next(generate(GeneratorConfig(seed=9, count=1))), id=900_000)
     publish, windows = cli._publish_and_store, []
 
-    def publish_then_append_foreign(ws, window, echo):
-        span = publish(ws, window, echo)
+    def publish_then_append_foreign(ws, keys, window, echo):
+        span = publish(ws, keys, window, echo)
         if not windows:
             with open(ws.tables.journal_path("transactions"), "a", encoding="utf-8") as fh:
                 fh.write(transaction_to_json(foreign) + "\n")
@@ -1472,14 +1569,14 @@ def test_stream_killed_mid_commit_line_resumes_to_the_unbroken_report(
     real_append = storage.JournalWriter.append
     appends = itertools.count(1)
 
-    def dying_append(self, lines):
+    def dying_append(self, data):
         # the topic's first commit writes the file whole; the third line
         # appended after it gets half way to the file
         if self._handle.name == str(positions) and next(appends) == 3:
-            self._handle.write(lines.encode("utf-8")[: len(lines) // 2])
+            self._handle.write(data[: len(data) // 2])
             self._handle.flush()
             raise Killed
-        return real_append(self, lines)
+        return real_append(self, data)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(storage.JournalWriter, "append", dying_append)
@@ -1634,7 +1731,7 @@ def test_alert_sink_bytes_are_pinned_table_rows(tmp_path):
     assert hashlib.sha256(sink).hexdigest() == ALERT_SINK_SHA256
     # upserting the lines through the table writes the same bytes, and
     # every folded row decodes to an alert that re-encodes to its line
-    lines = sink.decode("utf-8").splitlines()
+    lines = sink.splitlines()
     scratch = TableStore(str(tmp_path / "scratch"))
     scratch.create_table("alerts", key="alert_id")
     assert scratch.upsert_rows("alerts", lines) == len(lines)

@@ -8,7 +8,7 @@ import shutil
 import struct
 import tracemalloc
 import zlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -494,6 +494,39 @@ def test_oversized_key_is_refused_before_a_tick(log):
             log.publish_many("t", keys, [b"x"] * len(keys))
         assert (log.ticks(), [log.partition_length("t", p) for p in range(3)]) == before
         assert [seg.read_bytes() for seg in segments] == written
+
+
+@pytest.mark.parametrize("bad", ["text", None, bytearray(b"x"), "missing"])
+def test_a_call_publishes_the_records_before_a_payload_that_is_not_bytes(tmp_path, bad):
+    rng = random.Random(12)
+    keys = [f"k{rng.randrange(5)}".encode() for _ in range(1_000)]
+    payloads = [f"{i}:".encode() * (1 + i % 5) for i in range(len(keys))]
+    stop = 900  # past FSYNC_INTERVAL records of every partition
+    if bad == "missing":
+        payloads, match = payloads[:stop], "fewer payloads"
+    else:
+        payloads[stop], match = bad, "must be bytes"
+
+    def state(root, publish):
+        log = EventLog(root)
+        log.create_topic("t", 3)
+        publish(log)
+        rows = [(r.partition, r.offset, r.key, r.payload, r.ingest_tick)
+                for r in log.poll("g", "t", 10_000)]
+        ticks = log.ticks()
+        log.close()
+        return rows, ticks, [seg.read_bytes() for seg in sorted(root.glob("t/*/" + SEGMENT_NAME))]
+
+    def batched(log):
+        with pytest.raises(ConfigError, match=match):
+            log.publish_many("t", keys, iter(payloads))
+
+    single = state(tmp_path / "single", lambda log: [
+        log.publish("t", k, p) for k, p in zip(keys[:stop], payloads[:stop])
+    ])
+    assert state(tmp_path / "batched", batched) == single
+    assert len(single[0]) == single[1] == stop
+    assert max(Counter(partition for partition, *_ in single[0]).values()) > eventlog.FSYNC_INTERVAL
 
 
 def _frame(key, payload):

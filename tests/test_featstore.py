@@ -27,10 +27,9 @@ from amlstream.featstore import (
     seasonality_series,
     split_indices,
     split_sizes,
-    transaction_columns,
 )
 from amlstream.models import FieldCodes
-from amlstream.txgen import GeneratorConfig, Transaction, generate
+from amlstream.txgen import GeneratorConfig, Transaction, generate, records_of
 
 
 def make_tx(
@@ -336,7 +335,7 @@ def test_correlation_from_codes_matches_two_pass_oracle(labels):
 
 
 def test_correlation_from_codes_matches_the_one_hot_matrix(sample_transactions, sample_schema):
-    transactions = transaction_columns(sample_transactions[:3000])
+    transactions = records_of(sample_transactions[:3000]).columns
     codes = category_codes(transactions, sample_schema)
     fraud = transactions["is_laundering"]
     X, y, _ = encode_matrix(transactions, sample_schema)
@@ -410,7 +409,7 @@ def test_seasonality_series_averages_and_missing_marker():
         make_tx(id=2, day=10, amount=300.0, fraud=True),
         make_tx(id=3, day=11, amount=50.0, fraud=False),
     ]
-    columns = transaction_columns(txns)
+    columns = records_of(txns).columns
     series = seasonality_series(columns["timestamp"], columns["amount"], columns["is_laundering"])
     assert [d.day for d in series] == [10, 11]
     assert series[0].avg_amount_all == 200.0
@@ -421,7 +420,7 @@ def test_seasonality_series_averages_and_missing_marker():
 def test_seasonality_series_adds_each_day_in_row_order():
     # the report's bytes depend on the float sums adding rows in key order
     txns = list(generate(GeneratorConfig(seed=3, count=5_000)))
-    columns = transaction_columns(txns)
+    columns = records_of(txns).columns
     series = seasonality_series(columns["timestamp"], columns["amount"], columns["is_laundering"])
     sums = {}
     for t in txns:
@@ -447,7 +446,7 @@ def test_month_of_day_matches_calendar_oracle():
 
 def grid_of(alerted, txns):
     """alerts_per_month of alerts on the ids ``alerted`` over ``txns``."""
-    columns = transaction_columns(txns)
+    columns = records_of(txns).columns
     return alerts_per_month(
         np.array(alerted, dtype=np.int64), columns["id"], columns["timestamp"], columns["payment_type"]
     )

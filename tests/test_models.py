@@ -13,7 +13,6 @@ import pytest
 from amlstream.cli import Workspace, _fit_kinds, _prepare_training
 from amlstream.config import FOREST_SEED_OFFSET, PipelineConfig
 from amlstream.errors import ConfigError, DataError, SchemaMismatchError
-from amlstream.featstore import transaction_columns
 from amlstream.models import (
     FOREST_DEFAULTS,
     MODEL_KINDS,
@@ -22,6 +21,7 @@ from amlstream.models import (
     FieldCodes,
     _best_split_on_column,
     _distinct_rows,
+    _finite,
     _grow_trees,
     _Nodes,
     _weighted_gini,
@@ -36,7 +36,7 @@ from amlstream.models import (
     train_tree,
     training_set,
 )
-from amlstream.txgen import GeneratorConfig, generate
+from amlstream.txgen import GeneratorConfig, generate, records_of
 
 
 def rng_for(seed):
@@ -107,7 +107,7 @@ def tree_model(kind, trees, width, hyperparameters=None, schema_hash="", train_s
 def training_matrix(transactions, seed):
     """The schema, and the balanced training rows and labels that ``train``
     fits on, as a one-hot matrix."""
-    schema, codes, y, *_, over = _prepare_training(transaction_columns(transactions), seed)
+    schema, codes, y, *_, over = _prepare_training(records_of(transactions).columns, seed)
     return schema, FieldCodes(codes.codes[:, over], codes.sizes).one_hot(), y[over]
 
 
@@ -515,6 +515,55 @@ def recursive_best_split(Xu, rows, counts, n, pos, cols, min_leaf, binary_cols):
     return int(cols[best]), float(thresholds[best])
 
 
+class ReferenceNodes(_Nodes):
+    """_Nodes appended to one node at a time, as the recursive reference
+    grower and loader below number them."""
+
+    def add(self, prob, count, depth):
+        """Append a leaf at ``depth``, a root at depth 0; return its number."""
+        i = len(self.value)
+        if depth == 0:
+            self.roots.append(i)
+        self.depth = max(self.depth, depth)
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.children += (i, i)
+        self.value.append(prob)
+        self.count.append(count)
+        return i
+
+    def split(self, i, column, threshold):
+        """Make node i, whose left subtree was just appended, an inner node
+        whose right child is the next node appended."""
+        self.feature[i], self.threshold[i] = column, threshold
+        self.children[2 * i:2 * i + 2] = (i + 1, len(self.value))
+
+
+def recursive_load_node(nodes, data, depth, width):
+    """Format 1's nested node ``data`` and its subtree appended to
+    ``nodes`` by recursion, with the loader's checks in its order."""
+    if type(data["count"]) is not int:
+        raise DataError(f"tree node count {data['count']!r} is not an integer")
+    i = nodes.add(_finite(data["prob"], "tree node prob"), data["count"], depth)
+    if "column" in data:
+        column = data["column"]
+        if type(column) is not int or not 0 <= column < width:
+            raise DataError(f"tree node column {column!r} is not in [0, {width})")
+        threshold = _finite(data["threshold"], "tree node threshold")
+        recursive_load_node(nodes, data["left"], depth + 1, width)
+        nodes.split(i, column, threshold)
+        recursive_load_node(nodes, data["right"], depth + 1, width)
+
+
+def recursive_load(blob):
+    """The trees of a tree blob's JSON object, loaded by recursion."""
+    params = blob["parameters"]
+    nodes = ReferenceNodes()
+    for tree in [params["root"]] if blob["kind"] == "decision_tree" else params["trees"]:
+        recursive_load_node(nodes, tree, 0, blob["width"])
+    return nodes.trees()
+
+
 def recursive_grow_tree(nodes, Xu, rows, counts, depth, max_depth, min_leaf, rng,
                         features_per_split, binary_cols):
     n, pos = (float(total) for total in counts.sum(axis=1))
@@ -542,7 +591,7 @@ def recursive_trees(data, hyper, n_trees, bootstrap, features_per_split, seed):
     n, distinct = data.inverse.size, data.y.size
     sampled = features_per_split if features_per_split < Xu.shape[1] else None
     binary_cols = np.all((Xu == 0.0) | (Xu == 1.0), axis=0)
-    nodes = _Nodes()
+    nodes = ReferenceNodes()
     for t in range(n_trees):
         rng = np.random.Generator(np.random.PCG64(seed + t))
         if bootstrap:
@@ -597,7 +646,7 @@ def test_lockstep_growth_equals_the_recursive_reference():
 
 def test_lockstep_growth_on_codes_equals_the_recursive_reference_on_the_matrix():
     transactions = list(generate(GeneratorConfig(seed=7, count=3_000)))
-    schema, codes, y, *_, over = _prepare_training(transaction_columns(transactions), seed=7)
+    schema, codes, y, *_, over = _prepare_training(records_of(transactions).columns, seed=7)
     data = training_set(FieldCodes(codes.codes[:, over], codes.sizes), y[over])
     matrix = training_set(FieldCodes(codes.codes[:, over], codes.sizes).one_hot(), y[over])
     for hyper, n_trees, bootstrap, k in (
@@ -612,7 +661,7 @@ def test_lockstep_growth_on_codes_equals_the_recursive_reference_on_the_matrix()
 @pytest.mark.parametrize("count, seed", [(3_000, 7), (20_000, 1)])
 def test_code_collapse_groups_as_distinct_rows_of_the_matrix(count, seed):
     transactions = list(generate(GeneratorConfig(seed=seed, count=count)))
-    _, codes, y, *_, over = _prepare_training(transaction_columns(transactions), seed)
+    _, codes, y, *_, over = _prepare_training(records_of(transactions).columns, seed)
     Xtr = FieldCodes(codes.codes[:, over], codes.sizes).one_hot()
     first, inverse = _distinct_rows(Xtr, y[over].astype(np.float64))
     data = training_set(FieldCodes(codes.codes[:, over], codes.sizes), y[over])
@@ -625,7 +674,7 @@ def test_code_collapse_groups_as_distinct_rows_of_the_matrix(count, seed):
 
 
 def test_fit_kinds_models_equal_train_on_the_matrix(tmp_path):
-    columns = transaction_columns(list(generate(GeneratorConfig(seed=7, count=3_000))))
+    columns = records_of(generate(GeneratorConfig(seed=7, count=3_000))).columns
     ws = Workspace(PipelineConfig(data_dir=str(tmp_path)))
     _, fitted = _fit_kinds(ws, columns, MODEL_KINDS, seed=7)
     schema, codes, y, _, idx_val, idx_test, over = _prepare_training(columns, seed=7)
@@ -1053,33 +1102,59 @@ def test_grown_and_loaded_trees_hold_the_same_arrays():
         assert [node_dict(root) for root in back.trees] == blob_trees
 
 
-@pytest.mark.parametrize(
-    "where, edit",
-    [
-        ("root", {"column": 12}),  # the model is 12 columns wide
-        ("root", {"column": 999}),
-        ("root", {"column": -1}),
-        ("root", {"column": 1.5}),
-        ("root", {"column": True}),
-        ("root", {"column": "0"}),
-        ("left", {"threshold": "x"}),
-        ("root", {"threshold": float("nan")}),
-        ("root", {"threshold": None}),
-        ("left", {"prob": float("inf")}),
-        ("root", {"prob": "0.5"}),
-        ("left", {"count": 2.5}),
-        ("root", {"count": False}),
-    ],
-)
-def test_tree_blob_with_a_bad_node_is_refused(where, edit):
+BAD_NODES = [  # (which node of a tree blob, the edit that makes it bad)
+    ("root", {"column": 12}),  # the model is 12 columns wide
+    ("root", {"column": 999}),
+    ("root", {"column": -1}),
+    ("root", {"column": 1.5}),
+    ("root", {"column": True}),
+    ("root", {"column": "0"}),
+    ("left", {"threshold": "x"}),
+    ("root", {"threshold": float("nan")}),
+    ("root", {"threshold": None}),
+    ("left", {"prob": float("inf")}),
+    ("root", {"prob": "0.5"}),
+    ("left", {"count": 2.5}),
+    ("root", {"count": False}),
+]
+
+
+def bad_node_blob(where, edit):
     X, y = one_hot_fixture(seed=87)
     blob = json.loads(model_to_json(train_tree(X, y)))
     root = blob["parameters"]["root"]
     node = root if where == "root" else root["left"]
     assert "column" in node  # an inner node: every field is read
     node.update(edit)
+    return blob
+
+
+@pytest.mark.parametrize("where, edit", BAD_NODES)
+def test_tree_blob_with_a_bad_node_is_refused(where, edit):
+    blob = bad_node_blob(where, edit)
     with pytest.raises(DataError, match=f"tree node {next(iter(edit))}"):
         model_from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("where, edit", BAD_NODES)
+def test_a_bad_node_is_refused_as_the_recursive_loader_refused_it(where, edit):
+    blob = bad_node_blob(where, edit)
+    with pytest.raises(DataError) as recursive:
+        recursive_load(blob)
+    with pytest.raises(DataError) as stacked:
+        model_from_json(json.dumps(blob))
+    assert str(stacked.value) == str(recursive.value)
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_a_blob_loads_into_the_arrays_the_recursive_loader_built(kind):
+    X, y = one_hot_fixture(seed=88)
+    if kind == "decision_tree":
+        model = train_tree(X, y, {"min_leaf": 2})
+    else:
+        model = train_forest(X, y, {"n_trees": 8, "min_leaf": 2}, seed=5)
+    text = model_to_json(model)
+    assert_same_trees(model_from_json(text).trees, recursive_load(json.loads(text)), kind)
 
 
 @pytest.mark.parametrize(

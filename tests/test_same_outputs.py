@@ -9,6 +9,7 @@ import pytest
 
 from amlstream.config import PipelineConfig
 from amlstream.errors import DataError
+from amlstream import txgen
 from amlstream.txgen import read_jsonl, transaction_to_json
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
@@ -132,3 +133,24 @@ def test_the_flow_ingests_lines_the_generator_never_writes(tmp_path):
     assert [transaction_to_json(t) in written for t in odd] == [False, False, True, False]
     with pytest.raises(DataError, match=r"^line 3: malformed transaction record: amount nan"):
         list(read_jsonl(root / "bad.jsonl"))
+
+
+def test_the_flow_ingests_scanned_lines_with_amounts_the_encoder_never_writes(tmp_path):
+    lines, root = run_stub_flow(tmp_path)
+    assert (
+        "$ amlstream --data-dir {root}/amounts --report-dir {root}/amounts-reports --seed 7 "
+        "ingest --input {root}/amounts.jsonl -> exit 0"
+    ) in lines
+    raw = (root / "amounts.jsonl").read_bytes().splitlines(keepends=True)
+    chunk = same_outputs.CHUNK_LINES
+    assert chunk == txgen.CHUNK_LINES and len(raw) == same_outputs.AMOUNT_CHUNKS * chunk
+    first, second = b"".join(raw[:chunk]), b"".join(raw[chunk:])
+    # the first chunk is read as it is, the second scans but its amounts are re-encoded
+    assert txgen._scan(first, chunk, exact=True) is not None
+    assert txgen._scan(second, chunk) is not None
+    assert txgen._scan(second, chunk, exact=True) is None
+
+
+def test_a_lock_file_is_no_output(tmp_path):
+    files = dict(TREE, **{"data/.lock": b""})
+    assert list(make_tree(tmp_path, files)) == sorted(TREE)

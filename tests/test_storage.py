@@ -82,7 +82,7 @@ def make_store(tmp_path):
 
 def lines(rows):
     """Rows as the one-object JSON lines a table stores."""
-    return [json.dumps(row) for row in rows]
+    return [json.dumps(row).encode("utf-8") for row in rows]
 
 
 def test_upsert_is_idempotent_per_key(tmp_path):
@@ -259,11 +259,11 @@ def test_query_results_sorted_by_key(tmp_path):
 
 def test_journal_lines_are_json(tmp_path):
     store = make_store(tmp_path)
-    line = '{"key":"a","transaction_id":7,"source":"rule","score":0.25,"month":3}'
+    line = b'{"key":"a","transaction_id":7,"source":"rule","score":0.25,"month":3}'
     store.upsert_rows("alerts", [line])
     store.close()
-    journal = (tmp_path / "tables" / "alerts" / "journal.jsonl").read_text()
-    assert journal == line + "\n"  # stored as given, not re-encoded
+    journal = (tmp_path / "tables" / "alerts" / "journal.jsonl").read_bytes()
+    assert journal == line + b"\n"  # stored as given, not re-encoded
     assert json.loads(journal)["transaction_id"] == 7
 
 
@@ -280,8 +280,9 @@ def hand_over(store, table, lines, values):
     table with ``values``, each line's values as its RowType decodes
     them; returns what upsert_rows returned."""
     start = store.journal_end(table)  # once a torn tail is cut
+    lines = [line.encode("utf-8") for line in lines]
     written = store.upsert_rows(table, lines)
-    end = start + sum(len(line.encode("utf-8")) + 1 for line in lines)
+    end = start + sum(len(line) + 1 for line in lines)
     row_type = TABLE_TYPES[table][1]
     store.appended(table, start, end, len(values), lambda: to_columns(row_type, values))
     return written
@@ -428,7 +429,7 @@ def compacted(tmp_path_factory):
     root = tmp_path_factory.mktemp("compacted") / "tables"
     store = transactions_store(root)
     rows = list(generate(GeneratorConfig(seed=4, count=200)))
-    store.upsert_rows("transactions", [tx_line(t) for t in rows])
+    store.upsert_rows("transactions", [tx_line(t).encode("ascii") for t in rows])
     store.close()
     store = transactions_store(root)
     compact_older_lines(store, "transactions")  # compacts the 200 older lines
@@ -475,7 +476,10 @@ def compacted_alerts(tmp_path_factory):
     appended in descending id order, whose compaction covers all of them."""
     root = tmp_path_factory.mktemp("compacted_alerts") / "tables"
     store = table_store(root, "alerts")
-    store.upsert_rows("alerts", [alert_line(t, s, tick=t) for t in range(100, 0, -1) for s in ALERT_SOURCES])
+    store.upsert_rows(
+        "alerts",
+        [alert_line(t, s, tick=t).encode("utf-8") for t in range(100, 0, -1) for s in ALERT_SOURCES],
+    )
     store.close()
     store = table_store(root, "alerts")
     compact_older_lines(store, "alerts")  # compacts the 200 older lines
@@ -758,7 +762,7 @@ def alerts_run(store, journal, pairs, tick):
 def transactions_run(store, journal, pairs, tick):
     """Transactions standing for ``pairs``, upserted; their values."""
     rows = [replace(make_transaction(), id=t + SOURCE_IDS[s], timestamp=tick) for t, s in pairs]
-    store.upsert_rows("transactions", [tx_line(t) for t in rows])
+    store.upsert_rows("transactions", [tx_line(t).encode("ascii") for t in rows])
     return [transaction_values(t) for t in rows]
 
 
@@ -828,7 +832,7 @@ def test_compaction_from_handed_columns_equals_one_from_decoded_lines(tmp_path, 
     handed = transactions_store(tmp_path / "handed")
     hand_over_transactions(handed, rows)
     decoded = transactions_store(tmp_path / "decoded")
-    decoded.upsert_rows("transactions", [tx_line(t) for t in rows])  # only appends
+    decoded.upsert_rows("transactions", [tx_line(t).encode("ascii") for t in rows])  # only appends
     decoded.close()
     assert not (tmp_path / "decoded" / "transactions" / COMPACTION_NAME).exists()
     compact_older_lines(transactions_store(tmp_path / "decoded"), "transactions")
@@ -840,7 +844,7 @@ def test_a_row_that_does_not_decode_is_never_compacted(tmp_path, monkeypatch):
     monkeypatch.setattr(storage, "COMPACT_ROWS", 10)
     store = transactions_store(tmp_path)
     bad = json.loads(tx_line(next(generate(GeneratorConfig(seed=1, count=1)))))
-    store.upsert_rows("transactions", [json.dumps(dict(bad, id=999, amount="x"))])
+    store.upsert_rows("transactions", [json.dumps(dict(bad, id=999, amount="x")).encode("utf-8")])
     store.close()
     store = transactions_store(tmp_path)
     rows = list(generate(GeneratorConfig(seed=2, count=20)))

@@ -10,6 +10,7 @@ import pytest
 
 from amlstream import txgen
 from amlstream.errors import ConfigError, DataError
+from amlstream.storage import Categories
 from amlstream.txgen import (
     DEFAULT_CURRENCY_WEIGHTS,
     DEFAULT_FRAUD_RATE_BY_TYPE,
@@ -25,6 +26,8 @@ from amlstream.txgen import (
     generate,
     read_csv,
     read_jsonl,
+    read_records,
+    records_of,
     seasonal_amount,
     seasonal_profile,
     transaction_from_dict,
@@ -301,6 +304,11 @@ CHUNKED_FILES = {
     "crlf lines": [line.replace(b"\n", b"\r\n") for line in dataset_lines(30)],
     "bad line in the third chunk": [*dataset_lines(19), b"{broken\n", *dataset_lines(30)[20:]],
     "bad last line": [*dataset_lines(29), b"[]"],
+    # every line scans, but these amounts are not as the encoder writes them
+    "amounts the encoder never writes": [
+        re.sub(rb'"amount":[^,]*', b'"amount":' + amount, line)
+        for line, amount in zip(dataset_lines(30), [b"100.50", b"1e2", b"7", b"2.5E+3"] * 3)
+    ] + dataset_lines(30)[12:],
     "bad amount in the second chunk": [
         *dataset_lines(10), re.sub(rb'"amount":[^,]*', b'"amount":1e400', dataset_lines(11)[10]),
         *dataset_lines(30)[11:],
@@ -338,3 +346,82 @@ def test_timestamp_day_round_trip():
         day = t.timestamp // 86_400 + 1
         assert day == t.day
         assert 0 <= t.timestamp - (day - 1) * 86_400 < 86_400
+
+
+def read_records_with_raw(path):
+    return read_records(path, path.read_bytes())
+
+
+def column_bytes(columns):
+    """Each column's dtype and bytes, a string column's vocabulary with
+    its codes: equal exactly when the columns are."""
+    return {
+        name: (c.vocabulary, c.codes.dtype, c.codes.tobytes()) if isinstance(c, Categories)
+        else (c.dtype, c.tobytes())
+        for name, c in columns.items()
+    }
+
+
+@pytest.mark.parametrize("chunk", [8, txgen.CHUNK_LINES])
+@pytest.mark.parametrize("name", sorted(CHUNKED_FILES))
+def test_records_hold_what_the_reader_reads_and_the_encoders_lines(tmp_path, monkeypatch, name, chunk):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(CHUNKED_FILES[name]))
+    monkeypatch.setattr(txgen, "CHUNK_LINES", chunk)
+    kind, expected = outcome(read_line_by_line, path)
+    for read in (read_records, read_records_with_raw):
+        if kind == "raises":
+            with pytest.raises(DataError) as raised:
+                read(path)
+            assert str(raised.value) == expected
+        else:
+            records, encoded = read(path), records_of(read_line_by_line(path))
+            assert column_bytes(records.columns) == column_bytes(encoded.columns)
+            assert records.lines == encoded.lines
+
+
+def test_canonical_lines_are_kept_as_read_without_the_encoder(tmp_path, monkeypatch):
+    lines = dataset_lines(3_000)
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(lines))
+
+    def refuse(*args):
+        raise AssertionError("a canonical line was decoded or encoded one at a time")
+
+    monkeypatch.setattr(txgen, "transaction_to_json", refuse)
+    monkeypatch.setattr(txgen, "_parse_transaction", refuse)
+    records = read_records(path)
+    assert records.lines == [line.rstrip(b"\n") for line in lines]
+    assert list(records.columns) == list(txgen.TRANSACTION_FIELDS)
+    assert all(len(getattr(c, "codes", c)) == len(lines) for c in records.columns.values())
+
+
+def test_a_chunk_whose_amounts_the_encoder_writes_otherwise_is_re_encoded(tmp_path, monkeypatch):
+    monkeypatch.setattr(txgen, "CHUNK_LINES", 8)
+    lines = dataset_lines(24)
+    lines[10] = re.sub(rb'"amount":[^,]*', b'"amount":100.50', lines[10])
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(lines))
+    records = read_records(path)
+    # only the second chunk of 8 lines is re-encoded: one line changes
+    kept = [line.rstrip(b"\n") for line in lines]
+    assert [i for i, (a, b) in enumerate(zip(records.lines, kept)) if a != b] == [10]
+    assert records.lines[10] == transaction_to_json(read_line_by_line(path)[10]).encode()
+    assert b'"amount":100.5,' in records.lines[10]
+
+
+def test_csv_records_are_the_encoders_lines(tmp_path):
+    transactions = list(generate(small_config(count=50)))
+    path = tmp_path / "data.csv"
+    write_csv(transactions, path)
+    records = read_records(path)
+    assert records.lines == [transaction_to_json(t).encode() for t in transactions]
+    assert column_bytes(records.columns) == column_bytes(records_of(transactions).columns)
+
+
+def test_amounts_in_any_repr_form_are_kept_as_read(tmp_path):
+    lines = [re.sub(rb'"amount":[^,]*', b'"amount":' + amount, line)
+             for line, amount in zip(dataset_lines(4), [b"0.125", b"1e+16", b"1e-05", b"123.456"])]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(lines))
+    assert read_records(path).lines == [line.rstrip(b"\n") for line in lines]

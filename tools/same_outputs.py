@@ -9,8 +9,8 @@ OPENBLAS_NUM_THREADS=1) through one flow at a fixed seed:
     generate --count N, ingest, train, stream, report
     generate --count 600 --out feed.jsonl at the next seed, stream --feed
     feed.jsonl, report into a second report dir
-    ingest --input odd.jsonl and ingest --input bad.jsonl, each on a data
-    dir of its own
+    ingest --input odd.jsonl, ingest --input bad.jsonl and ingest --input
+    amounts.jsonl, each on a data dir of its own
     generate --count 600 --out scores-feed.jsonl at the seed after, stream
     --feed scores-feed.jsonl under --config scores.json
     demo, on a data dir of its own
@@ -24,13 +24,20 @@ odd.jsonl and bad.jsonl, which the tool also writes, hold lines that the
 generator never writes: keys in another order, spaces, the
 ``is_laundersing`` label alias, raw non-ASCII and ``\\u``-escaped strings,
 integer and exponent amounts, a blank line; bad.jsonl has a line whose
-amount is NaN, so its ingest exits 4 naming that line. Their ingests put
-what the dataset reader makes of such lines, the stored bytes and the
-error text, among the compared files and console lines.
+amount is NaN, so its ingest exits 4 naming that line. amounts.jsonl,
+written too, holds AMOUNT_CHUNKS chunks of the dataset reader's
+CHUNK_LINES lines, every line in the generator's layout; the amounts of
+the first chunk are as the generator writes them, while a few of the
+second's are in forms it never writes (``100.50``, ``1e2``, ``7``), so
+the reader stores the first chunk's lines as read and re-encodes the
+second's. Their ingests put what the dataset reader makes of such lines,
+the stored bytes and the error text, among the compared files and
+console lines.
 
 It then names every file whose sha256 differs or that only one side
 has, and every console line that differs once each temp dir's path is
-replaced by ``<root>``. A command's exit code is one of its console
+replaced by ``<root>``. A data dir's ``.lock``, the empty file a writing
+command holds its lock on, is no output and is left out. A command's exit code is one of its console
 lines. The tool exits 1 on any difference, 0 on none.
 
 The default 8,000-row flow activates logistic regression at every seed
@@ -70,6 +77,32 @@ ODD_LINES = [  # dataset lines in forms the generator never writes
     ' "receiver_bank_location" : "UK" , "payment_type" : "Cheque" , "is_laundering" : true }',
 ]
 BAD_LINES = [*ODD_LINES[:2], ODD_LINES[3].replace('"amount":99.99', '"amount":NaN'), ODD_LINES[4]]
+CHUNK_LINES = 1024  # txgen's: the dataset reader scans a file this many lines at a time
+AMOUNT_CHUNKS = 2
+AMOUNT_LINE = (  # the generator's layout
+    '{"id":%d,"timestamp":%d,"amount":%s,"payment_currency":"GBP","received_currency":"%s",'
+    '"sender_bank_location":"%s","receiver_bank_location":"UK","payment_type":"%s",'
+    '"is_laundering":%s}'
+)
+ODD_AMOUNTS = {CHUNK_LINES + 3: "100.50", CHUNK_LINES + 40: "1e2", CHUNK_LINES + 41: "7",
+               CHUNK_LINES + 500: "2.5E+3"}  # line index -> an amount the generator never writes
+LOCK_NAME = ".lock"
+
+
+def amount_lines() -> list[str]:
+    """amounts.jsonl's lines: the generator's layout throughout, with the
+    amounts of ODD_AMOUNTS on their lines and float.__repr__'s elsewhere."""
+    currencies, senders = ("GBP", "EUR", "USD"), ("UK", "US", "France", "Japan")
+    types = ("ACH", "Cheque", "Cash Deposit")
+    return [
+        AMOUNT_LINE % (
+            i + 1, 3_600 * i, ODD_AMOUNTS.get(i, repr(round(1 + i * 1.37, 2))),
+            currencies[i % 3], senders[i % 4], types[i % 3], "true" if i % 50 == 0 else "false",
+        )
+        for i in range(AMOUNT_CHUNKS * CHUNK_LINES)
+    ]
+
+
 SCORES_CONFIG = {  # every rule off, every score an alert
     "rules": {"enable_high_risk": False, "enable_corridor": False, "enable_velocity": False},
     "stream": {"alert_threshold": 0.0},
@@ -95,6 +128,7 @@ def flow(seed: int, count: int) -> list[list[str]]:
         [*at("data", "feed-reports"), "report"],
         [*at("odd", "odd-reports"), "ingest", "--input", "{root}/odd.jsonl"],
         [*at("bad", "bad-reports"), "ingest", "--input", "{root}/bad.jsonl"],
+        [*at("amounts", "amounts-reports"), "ingest", "--input", "{root}/amounts.jsonl"],
         [*at("data", "reports", seed + 2), "generate", "--count", str(FEED_COUNT),
          "--out", "{root}/scores-feed.jsonl"],
         ["--config", "{root}/scores.json", *base, "stream", "--feed", "{root}/scores-feed.jsonl"],
@@ -103,11 +137,12 @@ def flow(seed: int, count: int) -> list[list[str]]:
 
 
 def run_flow(checkout: Path, root: Path, commands: list[list[str]]) -> list[str]:
-    """Write scores.json, odd.jsonl and bad.jsonl into ``root``, then run
+    """Write scores.json, odd.jsonl, bad.jsonl and amounts.jsonl into ``root``, then run
     ``commands`` with the CLI of ``checkout`` there; returns their console
     lines, ``root`` replaced by ``<root>``."""
     (root / "scores.json").write_text(json.dumps(SCORES_CONFIG, sort_keys=True))
-    for name, lines in (("odd.jsonl", ODD_LINES), ("bad.jsonl", BAD_LINES)):
+    for name, lines in (("odd.jsonl", ODD_LINES), ("bad.jsonl", BAD_LINES),
+                        ("amounts.jsonl", amount_lines())):
         (root / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     lines = []
@@ -123,11 +158,12 @@ def run_flow(checkout: Path, root: Path, commands: list[list[str]]) -> list[str]
 
 
 def digests(root: Path) -> dict[str, str]:
-    """The sha256 of every file under ``root``, by its path relative to it."""
+    """The sha256 of every file under ``root`` but a lock file, by its path
+    relative to it."""
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*"))
-        if path.is_file()
+        if path.is_file() and path.name != LOCK_NAME
     }
 
 
