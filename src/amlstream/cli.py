@@ -85,10 +85,12 @@ from .txgen import (
     TRANSACTION_ROWS,
     calendar_date,
     generate,
+    generate_columns,
+    generated_records,
     read_records,
     records_of,
-    write_csv,
-    write_jsonl,
+    write_csv_columns,
+    write_jsonl_columns,
 )
 
 SCHEMA_NAMESPACE = "schemas"
@@ -490,9 +492,9 @@ def cmd_generate(args, config: PipelineConfig) -> int:
     if parent:
         os.makedirs(parent, exist_ok=True)
     if out_path.endswith(".csv"):
-        written = write_csv(generate(gen_config), out_path)
+        written = write_csv_columns(generate_columns(gen_config), out_path)
     elif out_path.endswith(".jsonl"):
-        written = write_jsonl(generate(gen_config), out_path)
+        written = write_jsonl_columns(generate_columns(gen_config), out_path)
     else:
         raise ConfigError(f"unsupported output extension for {out_path!r} (use .jsonl or .csv)")
     print(f"generated {written} transactions (seed {gen_config.seed}) -> {out_path}")
@@ -640,7 +642,7 @@ def run_demo(config: PipelineConfig, shift: bool = True, echo=print) -> dict:
     outcome: dict = {"control_decisions": [], "shift": None}
 
     echo("== phase 1: generate and ingest baseline traffic ==")
-    base = records_of(generate(config.generator_config()))
+    base = generated_records(config.generator_config())
     appended = _publish_and_store(ws, transaction_keys(base), base.lines, echo)
     _hand_over_transactions(ws, [appended], base)
 

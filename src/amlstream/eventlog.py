@@ -69,7 +69,10 @@ frame. A frame that runs past the file's end inside the ``L`` of an
 index whose own checks hold is not a torn tail (the segment was fsynced
 before the index was written) but a damaged length, and raises
 CorruptLogError naming its byte too. flush() rewrites the index once
-INDEX_INTERVAL records lie past it, and close() whenever any does. A
+INDEX_INTERVAL records lie past it, and close() whenever any does. The
+prefix is extended over each write's bytes as they are written, so no
+rewrite reads the segment back; one fstat checks that the segment still
+holds every frame, and a segment cut under the writer gets no index. A
 partition count that is not an int of at least 1, or a committed offset
 that names no partition or is not an int within its partition's
 records, raises DataError naming the file; a positions line that is not
@@ -109,7 +112,7 @@ from .errors import (
     OffsetRangeError,
     reading,
 )
-from .storage import JournalWriter, Prefix, checked_prefix, read_journal, replace_file
+from .storage import JournalWriter, checked_prefix, read_journal, replace_file
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -201,7 +204,10 @@ class _Partition:
         self._pending: list[bytes] = []  # queued frames as header, key, payload pieces
         self._unsynced = 0  # records written or queued since the last fsync
         self._indexed = 0  # records the index file covers
-        self._prefix = Prefix()  # the segment's checked prefix
+        # the segment's checked prefix: its first _length bytes, whose CRC32 is
+        # _crc; two ints, as every publish extends it
+        self._length = 0
+        self._crc = 0
 
     def load(self, ticks_before: int) -> int:
         """Index every whole frame, through the index file where it holds
@@ -216,7 +222,7 @@ class _Partition:
             return 0
         with open(self.path, "rb") as fh:
             whole = self._load_index(fh.fileno())
-            start = self._prefix.length
+            start = self._length
             fh.seek(start)
             data = fh.read()
         view = memoryview(data)
@@ -236,7 +242,7 @@ class _Partition:
                 raise CorruptLogError(f"{self.path}: checksum mismatch at byte {start + pos}")
             self.ends.append(start + end)
             pos = end
-        self._prefix = self._prefix.extend(view[:pos])
+        self._length, self._crc = start + pos, zlib.crc32(view[:pos], self._crc)
         if pos < len(data):
             # torn tail from a crash mid-append: drop the partial frame
             with open(self.path, "r+b") as fh:
@@ -270,16 +276,17 @@ class _Partition:
         if prefix is not None:
             self.ends = ends
             self._indexed = count
-            self._prefix = prefix
+            self._length, self._crc = prefix.length, prefix.crc
         return length
 
     def _write_index(self) -> None:
-        """Replace the index file with one covering every record, extending
-        the checked prefix over the bytes appended since the last one."""
-        prefix = self._prefix.read_to(self._handle().fileno(), self.ends[-1])
-        if prefix is None:
+        """Replace the index file with one covering every record, whose
+        checked prefix write_pending extended over the bytes it wrote.
+        Nothing is written unless that prefix ends at the last frame and the
+        segment still holds it."""
+        end = self.ends[-1]
+        if self._length != end or os.fstat(self._handle().fileno()).st_size < end:
             return  # the file was cut under us; the next open scans it all
-        self._prefix = prefix
         ends = self.ends
         if sys.byteorder == "big":
             ends = array("q", ends)
@@ -287,7 +294,7 @@ class _Partition:
         body = ends.tobytes()
         replace_file(
             self.index_path,
-            _INDEX_HEADER.pack(len(self.ends), prefix.length, prefix.crc, zlib.crc32(body)) + body,
+            _INDEX_HEADER.pack(len(self.ends), end, self._crc, zlib.crc32(body)) + body,
         )
         self._indexed = len(self.ends)
 
@@ -315,12 +322,15 @@ class _Partition:
             self.fsync()
 
     def write_pending(self) -> None:
-        """Write every queued frame to the OS in one write."""
+        """Write every queued frame to the OS in one write, then extend the
+        checked prefix over those bytes."""
         data = b"".join(self._pending)
         self._pending.clear()
         written = self._handle().write(data)
         while written < len(data):  # a short write: hand over the rest
             written += self._fh.write(data[written:])
+        self._length += len(data)
+        self._crc = zlib.crc32(data, self._crc)
 
     def read(self, start: int, stop: int, keys: list | None = None) -> tuple[list[bytes], array]:
         """Payloads and ticks of records start..stop-1, the payloads

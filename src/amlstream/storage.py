@@ -74,15 +74,16 @@ one rule. JournalWriter is its only append side: each call appends one
 JSON object per line (write encodes rows as sorted-key JSON, append
 takes lines already formatted, as bytes) and is flushed and fsynced
 before it returns. A final line without its newline was torn by a crash
-mid-append; truncate_torn_tail cuts it, when a
-writer opens the file and before read_journal parses it, so the next
-append starts on a clean line. A bad line anywhere else is corruption
-and raises DataError naming ``path:line``; a line that is not strict
-UTF-8 is a bad line. Each line is parsed by _loads_line, which calls
-json's C scanner directly and falls back to json.loads whenever the scan
-fails or stops short, so it gives json.loads's values and errors with
-less overhead per line; txgen reads log payloads and dataset lines
-through it too.
+mid-append. Only a writer cuts it: JournalWriter calls truncate_torn_tail
+when it opens the file, under the writing command's lock, so the next
+append starts on a clean line. read_journal stops at the last newline
+and writes nothing, so a reader never cuts a line a writer is appending.
+A bad line anywhere else is corruption and raises DataError naming
+``path:line``; a line that is not strict UTF-8 is a bad line. Each line
+is parsed by _loads_line, which calls json's C scanner directly and
+falls back to json.loads whenever the scan fails or stops short, so it
+gives json.loads's values and errors with less overhead per line; txgen
+reads log payloads and dataset lines through it too.
 """
 
 from __future__ import annotations
@@ -217,10 +218,13 @@ def checked_prefix(fd: int, length: int, crc: int) -> Prefix | None:
 
 def _decode_lines(raw, path, start: int, decode) -> list:
     """The journal lines of ``path`` from its byte ``start`` in the binary
-    stream ``raw``, each parsed and passed through ``decode``; blank lines
-    are skipped. The lines before a bad one are counted only to name it."""
+    stream ``raw``, each parsed and passed through ``decode``, up to the
+    last that ends in a newline; blank lines are skipped. The lines before
+    a bad one are counted only to name it."""
     entries = []
     for number, line in enumerate(raw, start=1):
+        if not line.endswith(b"\n"):
+            break  # a torn tail, which only a writer cuts
         try:
             line = line.decode("utf-8").strip()
             if not line:
@@ -234,9 +238,9 @@ def _decode_lines(raw, path, start: int, decode) -> list:
 
 def read_journal(path, decode, start: int = 0) -> list:
     """The parsed lines of a JSON-lines journal from byte ``start``, which
-    begins a line, oldest first, each passed through ``decode``. A line
-    that does not parse or decode raises DataError naming ``path:line``."""
-    truncate_torn_tail(path)
+    begins a line, oldest first, each passed through ``decode``, up to its
+    last newline: a torn tail is left as it is. A line that does not parse
+    or decode raises DataError naming ``path:line``."""
     with open(path, "rb") as fh:
         fh.seek(start)
         return _decode_lines(fh, path, start, decode)

@@ -21,8 +21,8 @@ partition the batch read. A crash between
 persistence and commit therefore replays the batch: at-least-once. Alert lines are rows of the alerts table, keyed by
 ``transaction_id:source``, so the table's fold counts a replayed alert
 once. The alert and dead-letter files are storage journals: each batch's
-lines are fsynced before the commit, and a line torn by a crash is cut
-when the file is next opened or read. The processor writes its sinks by
+lines are fsynced before the commit, and a line torn by a crash is
+skipped by a read and cut when a writer next opens the file. The processor writes its sinks by
 path and holds no alert past its batch: each BatchResult carries the
 batch's alerts as the alerts table's columns and the bytes of their
 lines, and a command that keeps them hands them to the alerts table once

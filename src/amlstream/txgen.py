@@ -23,11 +23,26 @@ stream time-ordered. The intra-day second is random. ``timestamp`` is
 ``(day - 1) * 86400 + second`` so day and second round-trip losslessly.
 calendar_date maps a day index to its date in the simulated year, 2023.
 
-One encoder writes every serialized transaction, a log payload, a
-JSON-lines dataset line and a warehouse row alike: transaction_to_json
-fills one ``%`` template in TRANSACTION_FIELDS order and gives the bytes
+The generator's unit of output is a column chunk: generate_columns
+turns each draw chunk into the transactions table's columns (id,
+timestamp and amount arrays, each string field as Categories taken
+straight from its pick indices, the labels as a bool array). Everything
+else is a view of those chunks: generate yields their rows as
+Transactions, mapping Transaction over each slice's ``.tolist()``
+columns; ``generate --out`` writes their JSON lines (write_jsonl_columns)
+or CSV rows (write_csv_columns) one slice of CHUNK_LINES rows at a time,
+so its memory does not grow with the count; generated_records makes
+them Records.
+
+One template writes every serialized transaction, a log payload, a
+JSON-lines dataset line and a warehouse row alike: _TRANSACTION_LINE,
+filled in TRANSACTION_FIELDS order, gives the bytes
 ``json.dumps(asdict(t), separators=(",", ":"))`` would (compact, keys in
 field order, strings escaped to ASCII by json's own escaper).
+transaction_to_json fills it for one transaction; a chunk's lines are
+filled CHUNK_LINES rows at a time from its columns, each vocabulary
+string escaped once per chunk, and write_jsonl, write_csv and records_of
+take transactions through the same formatter as columns.
 
 One decoder reads every serialized transaction (a log payload, a dataset
 line or CSV row, a warehouse row); a JSON line is parsed by storage's
@@ -75,7 +90,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .storage import Categories, RowType, _loads_line, concat_columns, field_columns, to_columns
+from .storage import (
+    Categories,
+    RowType,
+    _categories,
+    _loads_line,
+    concat_columns,
+    field_columns,
+    to_columns,
+)
 
 # ---------------------------------------------------------------------------
 # reference distribution (counts from the production ledger the defaults
@@ -152,6 +175,7 @@ SEASONAL_HALF_WIDTH = 30
 AMOUNT_SIGMA = 0.4  # log-normal noise; mean-corrected so E[noise] = 1
 WEIGHT_SUM_TOLERANCE = 1e-9
 CHUNK_RECORDS = 65_536  # fixed: replay depends on it
+CHUNK_LINES = 1024  # dataset lines decoded, and rows formatted, at a time
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Historical exports misspell the label column; accept both on read,
@@ -297,8 +321,11 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(cum) - 1)
 
 
-def generate(config: GeneratorConfig) -> Iterator[Transaction]:
-    """Yield exactly config.count transactions, streaming in fixed chunks.
+def generate_columns(config: GeneratorConfig) -> Iterator[dict]:
+    """Each chunk of config.count transactions, CHUNK_RECORDS at a time,
+    as the transactions table reads its rows (storage.to_columns): id,
+    timestamp and amount arrays, each string field as Categories of its
+    pick indices, and the labels as a bool array.
 
     Constant memory: one chunk of draws is materialized at a time. Ids
     start at 1 and increase by 1.
@@ -310,6 +337,7 @@ def generate(config: GeneratorConfig) -> Iterator[Transaction]:
     currencies, cur_cum = _cumulative(config.currency_weights)
     locations, loc_cum = _cumulative(config.location_weights)
     rates = np.array([config.fraud_rate_by_type[t] for t in types], dtype=np.float64)
+    type_column, currency_column, location_column = map(_picked, (types, currencies, locations))
 
     # Profile values per day, computed once via the scalar function so
     # the vectorized path matches seasonal_amount() bit for bit.
@@ -319,11 +347,8 @@ def generate(config: GeneratorConfig) -> Iterator[Transaction]:
     base = config.base_amount
     amp = config.seasonal_amplitude
     count = config.count
-    produced = 0
-    next_id = 1
 
-    while produced < count:
-        n = min(CHUNK_RECORDS, count - produced)
+    def chunk(produced: int, n: int) -> dict:
         # Fixed draw order; replay depends on it.
         u_type = rng.random(n)
         u_fraud = rng.random(n)
@@ -336,33 +361,68 @@ def generate(config: GeneratorConfig) -> Iterator[Transaction]:
 
         t_idx = _pick(type_cum, u_type)
         fraud = u_fraud < rates[t_idx]
-        pay_idx = _pick(cur_cum, u_pay)
-        recv_idx = _pick(cur_cum, u_recv)
-        sloc_idx = _pick(loc_cum, u_sloc)
-        rloc_idx = _pick(loc_cum, u_rloc)
 
         pos = np.arange(produced, produced + n, dtype=np.int64)
         days = config.start_day + (pos * YEAR_DAYS) // count
-        timestamps = (days - 1) * DAY_SECONDS + secs
-
         noise = np.exp(AMOUNT_SIGMA * z - AMOUNT_SIGMA * AMOUNT_SIGMA / 2.0)
         expected = np.where(fraud, base * (1.0 + amp * profile[days]), base)
-        amounts = np.maximum(np.floor(expected * noise * 100.0 + 0.5) / 100.0, 0.01)
 
-        for i in range(n):
-            yield Transaction(
-                id=next_id + i,
-                timestamp=int(timestamps[i]),
-                amount=float(amounts[i]),
-                payment_currency=currencies[pay_idx[i]],
-                received_currency=currencies[recv_idx[i]],
-                sender_bank_location=locations[sloc_idx[i]],
-                receiver_bank_location=locations[rloc_idx[i]],
-                payment_type=types[t_idx[i]],
-                is_laundering=bool(fraud[i]),
-            )
-        next_id += n
-        produced += n
+        return dict(zip(TRANSACTION_FIELDS, (
+            pos + 1,
+            (days - 1) * DAY_SECONDS + secs,
+            np.maximum(np.floor(expected * noise * 100.0 + 0.5) / 100.0, 0.01),
+            currency_column(_pick(cur_cum, u_pay)),
+            currency_column(_pick(cur_cum, u_recv)),
+            location_column(_pick(loc_cum, u_sloc)),
+            location_column(_pick(loc_cum, u_rloc)),
+            type_column(t_idx),
+            fraud,
+        )))
+
+    # a chunk's draws are freed once its columns are made
+    for produced in range(0, count, CHUNK_RECORDS):
+        yield chunk(produced, min(CHUNK_RECORDS, count - produced))
+
+
+def _picked(names: list[str]):
+    """A function from pick indices into ``names`` to their string column:
+    Categories whose vocabulary is the sorted names some index picks."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[order] = np.arange(len(names), dtype=np.int32)
+    vocabulary = [names[i] for i in order]
+    return lambda picks: _categories(rank[picks], vocabulary)
+
+
+def _field_slices(columns: dict, escape: bool = False) -> Iterator[list]:
+    """``columns``, as the transactions table reads them, CHUNK_LINES rows
+    at a time: each slice as one list per field in TRANSACTION_FIELDS
+    order, of Python ints, floats, strs and bools. With ``escape`` a string
+    field holds each value's JSON text instead, each vocabulary string
+    escaped once."""
+    ids, timestamps, amounts, *strings, labels = (columns[name] for name in TRANSACTION_FIELDS)
+    vocabularies = [
+        np.array([*map(_json_string, c.vocabulary)] if escape else c.vocabulary, dtype=object)
+        for c in strings
+    ]
+    for start in range(0, len(ids), CHUNK_LINES):
+        part = slice(start, start + CHUNK_LINES)
+        yield [
+            ids[part].tolist(),
+            timestamps[part].tolist(),
+            amounts[part].tolist(),
+            *[v[c.codes[part]].tolist() for v, c in zip(vocabularies, strings)],
+            labels[part].tolist(),
+        ]
+
+
+def generate(config: GeneratorConfig) -> Iterator[Transaction]:
+    """Yield exactly config.count transactions: the rows of
+    generate_columns, in its constant memory."""
+    for columns in generate_columns(config):
+        for fields in _field_slices(columns):
+            yield from map(Transaction, *fields)
+        del columns  # let the chunk go before the next is drawn
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +514,6 @@ _CANONICAL_LINE = re.compile(
     re.M,
 )
 _LABELS = {b"true": True, b"false": False}
-CHUNK_LINES = 1024  # JSON-lines dataset lines read_jsonl and read_records decode at a time
 
 
 def _scan(block: bytes, n: int, exact: bool = False) -> tuple | None:
@@ -575,14 +634,51 @@ def transaction_to_json(t: Transaction) -> str:
     )
 
 
-def write_jsonl(transactions: Iterable[Transaction], path) -> int:
+_JSON_LABELS = ("false", "true")
+
+
+def _json_texts(columns: dict) -> Iterator[str]:
+    """The encoder's lines of ``columns``, as the transactions table reads
+    them, CHUNK_LINES at a time: each slice's lines joined at newlines,
+    with no final newline; each line is what transaction_to_json writes."""
+    for ids, timestamps, amounts, *strings, labels in _field_slices(columns, escape=True):
+        yield "\n".join(map(_TRANSACTION_LINE.__mod__, zip(
+            ids, timestamps, map(float.__repr__, amounts), *strings,
+            map(_JSON_LABELS.__getitem__, labels),
+        )))
+
+
+def _encoded_lines(columns: dict) -> list[bytes]:
+    """Each row of ``columns`` as its encoder line, ASCII bytes without a newline."""
+    return [
+        line for text in _json_texts(columns) for line in text.encode("ascii").split(b"\n")
+    ]
+
+
+def _transaction_columns(transactions: Iterable[Transaction]) -> Iterator[dict]:
+    """Transactions CHUNK_LINES at a time, each slice as the transactions
+    table reads it (storage.to_columns)."""
+    transactions = iter(transactions)
+    while batch := list(islice(transactions, CHUNK_LINES)):
+        yield to_columns(TRANSACTION_ROWS, list(map(transaction_values, batch)))
+
+
+def write_jsonl_columns(chunks: Iterable[dict], path) -> int:
+    """Write each of ``chunks``, column sets as the transactions table reads
+    them, as JSON lines one slice at a time; returns how many rows."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for t in transactions:
-            fh.write(transaction_to_json(t))
-            fh.write("\n")
-            n += 1
+        for columns in chunks:
+            for text in _json_texts(columns):
+                fh.write(text)
+                fh.write("\n")
+            n += len(columns["id"])
+            del columns  # let the chunk go before the next is drawn
     return n
+
+
+def write_jsonl(transactions: Iterable[Transaction], path) -> int:
+    return write_jsonl_columns(_transaction_columns(transactions), path)
 
 
 def _decode_lines(lines: list, first: int) -> Iterator[tuple]:
@@ -651,10 +747,27 @@ class Records:
 
 def records_of(transactions: Iterable[Transaction]) -> Records:
     """Transactions as Records, each encoded once."""
-    transactions = list(transactions)
+    columns = to_columns(TRANSACTION_ROWS, list(map(transaction_values, transactions)))
+    return Records(columns, _encoded_lines(columns))
+
+
+def generated_records(config: GeneratorConfig) -> Records:
+    """The transactions generate yields as Records, straight from each
+    chunk's columns."""
+    return _joined([
+        Records(columns, _encoded_lines(columns)) for columns in generate_columns(config)
+    ])
+
+
+def _joined(parts: list) -> Records:
+    """Records ``parts`` as one, their rows in the parts' order."""
+    if not parts:
+        return records_of([])
+    if len(parts) == 1:
+        return parts[0]
     return Records(
-        to_columns(TRANSACTION_ROWS, list(map(transaction_values, transactions))),
-        [transaction_to_json(t).encode("ascii") for t in transactions],
+        concat_columns(TRANSACTION_ROWS, [part.columns for part in parts]),
+        list(chain.from_iterable(part.lines for part in parts)),
     )
 
 
@@ -667,40 +780,31 @@ def read_records(path, raw: bytes | None = None) -> Records:
     encoded."""
     if str(path).endswith(".csv"):
         return records_of(read_csv(path, raw))
-    parts = [
+    return _joined([
         records_of(starmap(Transaction, rows)) if scanned is None
         else Records(_scanned_columns(scanned), rows)
         for scanned, rows in _jsonl_chunks(path, raw, exact=True)
-    ]
-    if not parts:
-        return records_of([])
-    return Records(
-        concat_columns(TRANSACTION_ROWS, [part.columns for part in parts]),
-        list(chain.from_iterable(part.lines for part in parts)),
-    )
+    ])
 
 
-def write_csv(transactions: Iterable[Transaction], path) -> int:
+def write_csv_columns(chunks: Iterable[dict], path) -> int:
+    """Write ``chunks``, column sets as the transactions table reads them,
+    as CSV under a header row, one slice at a time; returns how many rows."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRANSACTION_FIELDS)
-        for t in transactions:
-            writer.writerow(
-                (
-                    t.id,
-                    t.timestamp,
-                    repr(t.amount),
-                    t.payment_currency,
-                    t.received_currency,
-                    t.sender_bank_location,
-                    t.receiver_bank_location,
-                    t.payment_type,
-                    int(t.is_laundering),
-                )
-            )
-            n += 1
+        for columns in chunks:
+            for ids, timestamps, amounts, *strings, labels in _field_slices(columns):
+                # csv writes a float as its repr, the label as 0 or 1
+                writer.writerows(zip(ids, timestamps, amounts, *strings, map(int, labels)))
+            n += len(columns["id"])
+            del columns  # let the chunk go before the next is drawn
     return n
+
+
+def write_csv(transactions: Iterable[Transaction], path) -> int:
+    return write_csv_columns(_transaction_columns(transactions), path)
 
 
 def read_csv(path, raw: bytes | None = None) -> Iterator[Transaction]:

@@ -1317,6 +1317,66 @@ def test_ingest_after_a_torn_tail_hands_its_rows_over(tmp_path, monkeypatch):
     assert len(columns["id"]) == 160
 
 
+TORN_TAIL = b'{"alert_id": "7:rule:velocity", "sco'  # a crash tore an append
+
+
+def journals_of(data):
+    return [
+        data / "tables" / "transactions" / "journal.jsonl",
+        data / "tables" / "alerts" / "journal.jsonl",
+        data / "registry.jsonl",
+        data / "log" / "transactions" / eventlog.POSITIONS_NAME,
+    ]
+
+
+def read_through_every_reader(config_path, data, reports):
+    """What report, each table's query, the registry replay and the
+    positions fold read of ``data``; report's files land in ``reports``."""
+    argv = ["--config", config_path, "--data-dir", str(data), "--report-dir", str(reports)]
+    assert cli.main([*argv, "report"]) == 0
+    ws = cli.Workspace(PipelineConfig(data_dir=str(data)))
+    log = EventLog(data / "log")
+    try:
+        positions = [log.position(cli.STREAM_GROUP, "transactions", p).committed_offset
+                     for p in range(log.topic("transactions").partition_count)]
+    finally:
+        log.close()
+    return {
+        "report": {path.name: path.read_bytes() for path in reports.iterdir()},
+        "transactions": ws.tables.query("transactions"),
+        "alerts": ws.tables.query("alerts"),
+        "registry": [asdict(record) for record in ws.registry.records()],
+        "positions": positions,
+    }
+
+
+def test_readers_leave_a_torn_tail_and_read_what_a_cut_leaves(flow, tmp_path):
+    root, config_path, _ = flow
+    data, cut = tmp_path / "data", tmp_path / "cut"
+    shutil.copytree(root / "data", cut)  # as a writer leaves each journal once it cuts the tail
+    shutil.copytree(root / "data", data)
+    for journal in journals_of(data):
+        with open(journal, "ab") as fh:
+            fh.write(TORN_TAIL)
+    torn = {path: path.read_bytes() for path in journals_of(data)}
+    read = read_through_every_reader(config_path, data, tmp_path / "reports")
+    assert {path: path.read_bytes() for path in journals_of(data)} == torn
+    assert read == read_through_every_reader(config_path, cut, tmp_path / "cut-reports")
+
+    # each journal's writer cuts its tail before it appends (or, for the
+    # positions, rewrites the file)
+    feed = tmp_path / "feed.jsonl"
+    write_jsonl([replace(t, id=t.id + 10_000) for t in generate(GeneratorConfig(seed=5, count=50))],
+                str(feed))
+    argv = ["--config", config_path, "--data-dir", str(data)]
+    assert cli.main([*argv, "stream", "--feed", str(feed)]) == 0
+    assert cli.main([*argv, "train"]) == 0
+    for journal in journals_of(data):
+        raw = journal.read_bytes()
+        assert TORN_TAIL not in raw and raw.endswith(b"\n"), journal
+        assert all(isinstance(json.loads(line), dict) for line in raw.splitlines())
+
+
 def test_stream_feed_syncs_records_before_committing_them(tmp_path, monkeypatch, capsys):
     config_path = write_config(tmp_path / "config.json", data_dir=str(tmp_path / "data"))
     feed = tmp_path / "feed.jsonl"

@@ -1,5 +1,6 @@
 """Event log contract tests: ordering, offsets, durability, recovery."""
 
+import hashlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from amlstream.errors import (
     NotFoundError,
     OffsetRangeError,
 )
-from amlstream import cli, eventlog
+from amlstream import cli, eventlog, storage
 from amlstream.eventlog import INDEX_NAME, SEGMENT_NAME, EventLog, fnv1a_64
 
 
@@ -403,10 +404,11 @@ def test_torn_commit_line_is_cut_and_the_commit_before_it_holds(tmp_path):
     for cut in (last + 1, len(whole) - 1):  # a torn line, and one missing only its newline
         path.write_bytes(whole[:cut])
         assert positions_after_reload(root) == {"a": [4, 5, 0], "b": [0, 0, 0], "c": [0, 0, 0]}
-        assert path.read_bytes() == whole[:last]
-        # the next commit starts on a clean line
+        assert path.read_bytes() == whole[:cut]  # the fold writes nothing
+        # the next commit cuts the tail and starts on a clean line
         log = EventLog(root)
         log.commit_watermark("b", "t", {1: 0})
+        assert path.read_bytes().startswith(whole[:last] + b'{"group": "b"')
         assert positions_after_reload(root)["b"] == [0, 1, 0]
         path.write_bytes(whole)
 
@@ -856,6 +858,58 @@ def test_torn_tail_past_the_index_is_still_cut(tmp_path):
     finally:
         reopened.close()
     assert seg.read_bytes() == whole
+
+
+def test_a_segment_cut_under_the_writer_gets_no_index(tmp_path):
+    root = tmp_path / "log"
+    seg, index = root / "t" / "p000" / SEGMENT_NAME, root / "t" / "p000" / INDEX_NAME
+    log = EventLog(root)
+    log.create_topic("t", 1)
+    log.publish_many("t", [b"k"] * 50, [b"%d" % i for i in range(50)])
+    log.flush()
+    log.close()
+    first = index.read_bytes()  # the index of the 50 records
+    log = EventLog(root)
+    log.publish_many("t", [b"k"] * 50, [b"%d" % i for i in range(50, 100)])
+    log.flush()
+    os.truncate(seg, seg.stat().st_size - 3)  # cut under the writer
+    log.close()
+    assert index.read_bytes() == first  # no index covers the cut frames
+    reopened = EventLog(root)  # the tail past the index is scanned and cut
+    try:
+        assert reopened.partition_length("t", 0) == 99
+    finally:
+        reopened.close()
+
+
+# sha256 of each partition's index after ``generate --count 2000`` and
+# ``ingest`` at seed 7, the flow whose segments test_cli pins
+INGESTED_INDEX_SHA256 = {
+    "p000": "a39dc403fd57acfd138ce92f8429be14f3bc86b98f4c67041356c215d415d919",
+    "p001": "1922acd844df4bcbb59de121ab5c7d6b6293a704425a32827642fd0a13127f62",
+    "p002": "4281bd7127a75956798ef86a195a13b93c22eeff6f57ba9ed2c087f4a17a1047",
+    "p003": "38c8ef4d8de2eadb5140845f1df16ad5d6f7bc6acfec4390a9888ef2898f8965",
+}
+
+
+def test_ingest_indexes_every_segment_without_reading_it_back(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    argv = ["--data-dir", str(data), "--seed", "7"]
+    assert cli.main([*argv, "generate", "--count", "2000"]) == 0
+
+    def read_to(self, fd, stop):
+        raise AssertionError("a segment byte was read back")
+
+    monkeypatch.setattr(storage.Prefix, "read_to", read_to)
+    assert cli.main([*argv, "ingest"]) == 0
+    indexes = {}
+    for part in (data / "log" / "transactions").glob("p*"):
+        raw = (part / INDEX_NAME).read_bytes()
+        _, length, prefix_crc, _ = struct.unpack_from("<QQII", raw)
+        segment = (part / SEGMENT_NAME).read_bytes()
+        assert (length, prefix_crc) == (len(segment), zlib.crc32(segment))
+        indexes[part.name] = hashlib.sha256(raw).hexdigest()
+    assert indexes == INGESTED_INDEX_SHA256
 
 
 def test_flush_writes_the_index_once_interval_records_lie_past_it(tmp_path, monkeypatch):

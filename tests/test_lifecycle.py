@@ -303,8 +303,10 @@ def test_registry_torn_journal_tail_is_dropped_and_truncated(tmp_path):
     assert [r.version for r in reloaded.records()] == [1]
     assert reloaded.active() is None
     with open(registry.journal_path, "rb") as handle:
-        assert handle.read() == whole  # the next append starts on a clean line
-    reloaded.activate(1, tick=2)
+        assert handle.read() == whole + b'{"event": "activate", "payl'  # a replay writes nothing
+    reloaded.activate(1, tick=2)  # the writer cuts the tail first
+    with open(registry.journal_path, "rb") as handle:
+        assert handle.read().startswith(whole + b'{"event": "activate", "payload": ')
     again = ModelRegistry(registry.journal_path, registry.blob_store)
     assert again.active().version == 1
 

@@ -154,3 +154,25 @@ def test_the_flow_ingests_scanned_lines_with_amounts_the_encoder_never_writes(tm
 def test_a_lock_file_is_no_output(tmp_path):
     files = dict(TREE, **{"data/.lock": b""})
     assert list(make_tree(tmp_path, files)) == sorted(TREE)
+
+
+def test_the_flow_generates_and_ingests_csv_and_escaping_vocabularies(tmp_path):
+    lines, root = run_stub_flow(tmp_path)
+    commands = [line for line in lines if line.startswith("$ ")]
+    csv_at = "--data-dir {root}/csv --report-dir {root}/csv-reports --seed 7"
+    escaping_at = ("--config {root}/escaping.json --data-dir {root}/escaping "
+                   "--report-dir {root}/escaping-reports --seed 7")
+    expected = [
+        f"$ amlstream {csv_at} generate --count 100 --out {{root}}/generated.csv -> exit 0",
+        f"$ amlstream {csv_at} ingest --input {{root}}/generated.csv -> exit 0",
+        f"$ amlstream {escaping_at} generate --count 600 -> exit 0",
+        f"$ amlstream {escaping_at} ingest -> exit 0",
+    ]
+    first = commands.index(expected[0])
+    assert commands[first : first + 4] == expected
+    # the stub printed the config each escaping command was given
+    assert json.loads(lines[lines.index(expected[2]) + 1]) == same_outputs.ESCAPING_CONFIG
+    config = PipelineConfig.from_dict(same_outputs.ESCAPING_CONFIG).generator_config(count=10)
+    vocabulary = [*config.payment_type_weights, *config.currency_weights, *config.location_weights]
+    assert {'"', "\\", "\t", "\n", ",", "ü", "東"} <= set("".join(vocabulary))
+    assert vocabulary[:5] != sorted(vocabulary[:5]) and 0.0 in config.payment_type_weights.values()

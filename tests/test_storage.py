@@ -123,13 +123,15 @@ def test_torn_journal_tail_is_dropped_and_truncated(tmp_path):
     store.close()
     journal = tmp_path / "tables" / "alerts" / "journal.jsonl"
     whole = journal.read_bytes()
-    journal.write_bytes(whole + b'{"key": "k3", "month": 1, "sco')  # crash mid-append
+    torn = whole + b'{"key": "k3", "month": 1, "sco'  # crash mid-append
+    journal.write_bytes(torn)
 
     again = TableStore(tmp_path / "tables")
     assert again.query("alerts") == rows[:3]
-    assert journal.read_bytes() == whole  # the next append starts on a clean line
-    again.upsert_rows("alerts", lines(rows[3:]))
+    assert journal.read_bytes() == torn  # a read writes nothing
+    again.upsert_rows("alerts", lines(rows[3:]))  # the writer cuts the tail first
     again.close()
+    assert journal.read_bytes() == whole + lines(rows[3:])[0] + b"\n"
     assert TableStore(tmp_path / "tables").query("alerts") == rows
 
 

@@ -379,7 +379,7 @@ def test_read_alerts_drops_torn_tail_and_names_file_on_bad_alert(tmp_path):
     )
     path.write_text(whole + '{"score": 1.0, "sou')  # crash mid-append
     assert read_alerts(str(path)) == alerts
-    assert path.read_text() == whole
+    assert path.read_text() == whole + '{"score": 1.0, "sou'  # a read writes nothing
 
     path.write_text(whole + '{"transaction_id": 9}\n' + whole)
     with pytest.raises(DataError, match=r"alerts\.jsonl"):

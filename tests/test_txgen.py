@@ -1,14 +1,19 @@
 """Generator contract tests: distribution fidelity, determinism, formats."""
 
+import csv
+import io
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from amlstream import txgen
+from amlstream import cli, txgen
+from amlstream.config import PipelineConfig
 from amlstream.errors import ConfigError, DataError
 from amlstream.storage import Categories
 from amlstream.txgen import (
@@ -425,3 +430,162 @@ def test_amounts_in_any_repr_form_are_kept_as_read(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_bytes(b"".join(lines))
     assert read_records(path).lines == [line.rstrip(b"\n") for line in lines]
+
+
+# ---------------------------------------------------------------------------
+# column chunks against the per-row generator and writers
+# ---------------------------------------------------------------------------
+
+def oracle_generate(config):
+    """The generator as it was written one Transaction at a time: the same
+    draws, each row read out of the chunk's arrays by scalar indexing."""
+    config.validate()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    types, type_cum = txgen._cumulative(config.payment_type_weights)
+    currencies, cur_cum = txgen._cumulative(config.currency_weights)
+    locations, loc_cum = txgen._cumulative(config.location_weights)
+    rates = np.array([config.fraud_rate_by_type[t] for t in types], dtype=np.float64)
+    profile = np.array([seasonal_profile(d) for d in range(config.start_day + txgen.YEAR_DAYS + 1)])
+    base, amp, count = config.base_amount, config.seasonal_amplitude, config.count
+    produced, next_id = 0, 1
+    while produced < count:
+        n = min(txgen.CHUNK_RECORDS, count - produced)
+        u_type, u_fraud, u_pay, u_recv, u_sloc, u_rloc = (rng.random(n) for _ in range(6))
+        secs = rng.integers(0, txgen.DAY_SECONDS, n, dtype=np.int64)
+        z = rng.standard_normal(n)
+        t_idx = txgen._pick(type_cum, u_type)
+        fraud = u_fraud < rates[t_idx]
+        pay_idx, recv_idx = txgen._pick(cur_cum, u_pay), txgen._pick(cur_cum, u_recv)
+        sloc_idx, rloc_idx = txgen._pick(loc_cum, u_sloc), txgen._pick(loc_cum, u_rloc)
+        pos = np.arange(produced, produced + n, dtype=np.int64)
+        days = config.start_day + (pos * txgen.YEAR_DAYS) // count
+        timestamps = (days - 1) * txgen.DAY_SECONDS + secs
+        noise = np.exp(txgen.AMOUNT_SIGMA * z - txgen.AMOUNT_SIGMA * txgen.AMOUNT_SIGMA / 2.0)
+        expected = np.where(fraud, base * (1.0 + amp * profile[days]), base)
+        amounts = np.maximum(np.floor(expected * noise * 100.0 + 0.5) / 100.0, 0.01)
+        for i in range(n):
+            yield Transaction(
+                id=next_id + i,
+                timestamp=int(timestamps[i]),
+                amount=float(amounts[i]),
+                payment_currency=currencies[pay_idx[i]],
+                received_currency=currencies[recv_idx[i]],
+                sender_bank_location=locations[sloc_idx[i]],
+                receiver_bank_location=locations[rloc_idx[i]],
+                payment_type=types[t_idx[i]],
+                is_laundering=bool(fraud[i]),
+            )
+        next_id += n
+        produced += n
+
+
+def oracle_jsonl(transactions) -> bytes:
+    return "".join(transaction_to_json(t) + "\n" for t in transactions).encode("utf-8")
+
+
+def oracle_csv(transactions) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(txgen.TRANSACTION_FIELDS)
+    for t in transactions:
+        writer.writerow((t.id, t.timestamp, repr(t.amount), t.payment_currency,
+                         t.received_currency, t.sender_bank_location, t.receiver_bank_location,
+                         t.payment_type, int(t.is_laundering)))
+    return out.getvalue().encode("utf-8")
+
+
+# vocabularies that need JSON escapes and CSV quoting, listed out of
+# sorted order, one of them never drawn
+ESCAPING_GENERATOR = {
+    "payment_type_weights": {"Wire": 0.3, 'Cash "Deposit"': 0.3, "Back\\slash": 0.2,
+                             "Tab\there": 0.2, "Never": 0.0},
+    "fraud_rate_by_type": {"Wire": 0.1, 'Cash "Deposit"': 0.5, "Back\\slash": 0.0,
+                           "Tab\there": 0.2, "Never": 0.0},
+    "currency_weights": {"£GBP": 0.5, "EUR": 0.25, "€X": 0.25},
+    "location_weights": {"Zürich": 0.3, "Hong Kong, SAR": 0.3, "UK": 0.2,
+                         "Line\nbreak": 0.1, "東京": 0.1},
+}
+
+
+def generator_config(count, **section):
+    return PipelineConfig(seed=13, generator={"count": count, **section}).generator_config()
+
+
+@pytest.mark.parametrize("count", [1, 1_023, 1_024, 1_025, txgen.CHUNK_RECORDS + 1])
+def test_generate_out_is_the_per_row_writers_bytes(tmp_path, count):
+    oracle = list(oracle_generate(generator_config(count)))
+    for name, written in (("x.jsonl", oracle_jsonl(oracle)), ("x.csv", oracle_csv(oracle))):
+        out = tmp_path / name
+        argv = ["--data-dir", str(tmp_path / "data"), "--seed", "13"]
+        assert cli.main([*argv, "generate", "--count", str(count), "--out", str(out)]) == 0
+        assert out.read_bytes() == written, name
+
+
+@pytest.mark.parametrize("section", [{"start_day": 200}, ESCAPING_GENERATOR],
+                         ids=["start_day", "escaping"])
+def test_configured_generate_out_is_the_per_row_writers_bytes(tmp_path, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 13, "generator": {"count": 3_000, **section}}))
+    oracle = list(oracle_generate(generator_config(3_000, **section)))
+    for name, written in (("x.jsonl", oracle_jsonl(oracle)), ("x.csv", oracle_csv(oracle))):
+        out = tmp_path / name
+        argv = ["--config", str(config), "--data-dir", str(tmp_path / "data")]
+        assert cli.main([*argv, "generate", "--out", str(out)]) == 0
+        assert out.read_bytes() == written, name
+    lines = (tmp_path / "x.jsonl").read_bytes().splitlines()
+    assert lines == [json.dumps(asdict(t), separators=(",", ":")).encode() for t in oracle]
+
+
+@pytest.mark.parametrize("section", [{}, {"start_day": 200}, ESCAPING_GENERATOR],
+                         ids=["defaults", "start_day", "escaping"])
+def test_generate_is_the_per_row_generators_values_and_types(section):
+    config = generator_config(txgen.CHUNK_RECORDS + 1_500, **section)
+    rows = [tuple(asdict(t).values()) for t in generate(config)]
+    assert rows == [tuple(asdict(t).values()) for t in oracle_generate(config)]
+    kinds = (int, int, float, str, str, str, str, str, bool)
+    assert {tuple(map(type, row)) for row in rows} == {kinds}
+
+
+@pytest.mark.parametrize("section", [{}, ESCAPING_GENERATOR], ids=["defaults", "escaping"])
+def test_generated_records_are_the_oracles_encoded(monkeypatch, section):
+    monkeypatch.setattr(txgen, "CHUNK_RECORDS", 700)  # three chunks to join
+    config = generator_config(1_600, **section)
+    records, oracle = txgen.generated_records(config), list(oracle_generate(config))
+    assert records.lines == oracle_jsonl(oracle).splitlines()
+    assert column_bytes(records.columns) == column_bytes(records_of(oracle).columns)
+    columns = list(txgen.generate_columns(config))
+    assert [len(c["id"]) for c in columns] == [700, 700, 200]
+    for chunk in columns:  # each chunk's vocabulary holds only the values it draws
+        for c in chunk.values():
+            if isinstance(c, Categories):
+                assert np.bincount(c.codes, minlength=len(c.vocabulary)).all()
+                assert list(c.vocabulary) == sorted(c.vocabulary)
+
+
+def test_writers_of_transactions_are_the_per_row_writers_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(txgen, "CHUNK_LINES", 8)
+    oracle = list(oracle_generate(generator_config(50, **ESCAPING_GENERATOR)))
+    assert write_jsonl(iter(oracle), tmp_path / "x.jsonl") == 50
+    assert write_csv(iter(oracle), tmp_path / "x.csv") == 50
+    assert (tmp_path / "x.jsonl").read_bytes() == oracle_jsonl(oracle)
+    assert (tmp_path / "x.csv").read_bytes() == oracle_csv(oracle)
+    assert records_of(oracle).lines == oracle_jsonl(oracle).splitlines()
+
+
+def traced_peak(tmp_path, count) -> int:
+    out = tmp_path / f"{count}.jsonl"
+    argv = ["--data-dir", str(tmp_path / "data"), "--seed", "1"]
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "generate", "--count", str(count), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_out_memory_does_not_grow_with_count(tmp_path):
+    """A draw chunk and one slice of its lines at a time: 200,000 rows peak
+    where 70,000 do (both past one CHUNK_RECORDS chunk), while the lines of
+    200,000 rows alone would take some 50 MB."""
+    small, large = traced_peak(tmp_path, 70_000), traced_peak(tmp_path, 200_000)
+    assert large <= small * 1.1 + (1 << 20), (small, large)

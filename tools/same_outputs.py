@@ -11,11 +11,20 @@ OPENBLAS_NUM_THREADS=1) through one flow at a fixed seed:
     feed.jsonl, report into a second report dir
     ingest --input odd.jsonl, ingest --input bad.jsonl and ingest --input
     amounts.jsonl, each on a data dir of its own
+    generate --count N --out generated.csv, ingest --input generated.csv,
+    on a data dir of its own
+    generate --count 600, ingest under --config escaping.json, on a data
+    dir of its own
     generate --count 600 --out scores-feed.jsonl at the seed after, stream
     --feed scores-feed.jsonl under --config scores.json
     demo, on a data dir of its own
 
-scores.json, which the tool writes, turns every rule off and sets
+escaping.json, which the tool writes, gives the generator vocabularies
+whose values JSON escapes and CSV quotes: non-ASCII text, a double quote,
+a backslash, a tab, a newline and a comma, listed out of sorted order, one
+of them never drawn.
+
+scores.json, which the tool also writes, turns every rule off and sets
 stream.alert_threshold to 0.0, so that the served model's score of every
 record of that feed reaches the alerts journal; without it the rules
 flag nearly every record and the model's scores reach no file.
@@ -103,6 +112,15 @@ def amount_lines() -> list[str]:
     ]
 
 
+ESCAPING_CONFIG = {"generator": {  # vocabularies JSON escapes and CSV quotes
+    "payment_type_weights": {"Wire": 0.3, 'Cash "Deposit"': 0.3, "Back\\slash": 0.2,
+                             "Tab\there": 0.2, "Never": 0.0},
+    "fraud_rate_by_type": {"Wire": 0.1, 'Cash "Deposit"': 0.5, "Back\\slash": 0.0,
+                           "Tab\there": 0.2, "Never": 0.0},
+    "currency_weights": {"£GBP": 0.5, "EUR": 0.25, "€X": 0.25},
+    "location_weights": {"Zürich": 0.3, "Hong Kong, SAR": 0.3, "UK": 0.2,
+                         "Line\nbreak": 0.1, "東京": 0.1},
+}}
 SCORES_CONFIG = {  # every rule off, every score an alert
     "rules": {"enable_high_risk": False, "enable_corridor": False, "enable_velocity": False},
     "stream": {"alert_threshold": 0.0},
@@ -129,6 +147,12 @@ def flow(seed: int, count: int) -> list[list[str]]:
         [*at("odd", "odd-reports"), "ingest", "--input", "{root}/odd.jsonl"],
         [*at("bad", "bad-reports"), "ingest", "--input", "{root}/bad.jsonl"],
         [*at("amounts", "amounts-reports"), "ingest", "--input", "{root}/amounts.jsonl"],
+        [*at("csv", "csv-reports"), "generate", "--count", str(count),
+         "--out", "{root}/generated.csv"],
+        [*at("csv", "csv-reports"), "ingest", "--input", "{root}/generated.csv"],
+        ["--config", "{root}/escaping.json", *at("escaping", "escaping-reports"),
+         "generate", "--count", str(FEED_COUNT)],
+        ["--config", "{root}/escaping.json", *at("escaping", "escaping-reports"), "ingest"],
         [*at("data", "reports", seed + 2), "generate", "--count", str(FEED_COUNT),
          "--out", "{root}/scores-feed.jsonl"],
         ["--config", "{root}/scores.json", *base, "stream", "--feed", "{root}/scores-feed.jsonl"],
@@ -137,10 +161,12 @@ def flow(seed: int, count: int) -> list[list[str]]:
 
 
 def run_flow(checkout: Path, root: Path, commands: list[list[str]]) -> list[str]:
-    """Write scores.json, odd.jsonl, bad.jsonl and amounts.jsonl into ``root``, then run
-    ``commands`` with the CLI of ``checkout`` there; returns their console
-    lines, ``root`` replaced by ``<root>``."""
+    """Write scores.json, escaping.json, odd.jsonl, bad.jsonl and
+    amounts.jsonl into ``root``, then run ``commands`` with the CLI of
+    ``checkout`` there; returns their console lines, ``root`` replaced by
+    ``<root>``."""
     (root / "scores.json").write_text(json.dumps(SCORES_CONFIG, sort_keys=True))
+    (root / "escaping.json").write_text(json.dumps(ESCAPING_CONFIG, sort_keys=True))
     for name, lines in (("odd.jsonl", ODD_LINES), ("bad.jsonl", BAD_LINES),
                         ("amounts.jsonl", amount_lines())):
         (root / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
